@@ -136,7 +136,13 @@ class Reader:
         return self._take(n)
 
     def text(self) -> str:
-        return self.blob().decode("utf-8")
+        data = self.blob()
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"string is not valid UTF-8: {exc.reason}", offset=self.pos - len(data) + exc.start
+            ) from exc
 
     def expect_magic(self, magic: bytes) -> None:
         offset = self.pos

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor
 from .container import Reader, Writer, check_trailing_crc
-from .errors import ContractError, FormatError, ParameterError
+from .errors import ContractError, FormatError, ParameterError, ValidationError
 from .hierarchy import HierarchyManifest, make_manifest, parse_manifest
 
 DATASET_MAGIC = b"HSDS"
@@ -166,7 +166,11 @@ def deserialize_dataset(data: bytes) -> Dataset:
     dim = r.u32()
     n_rows = r.u64()
     n_sub = r.u32()
-    manifest = parse_manifest(r.text())
+    offset = r.pos
+    try:
+        manifest = parse_manifest(r.text())
+    except ValidationError as exc:
+        raise FormatError(f"invalid manifest: {exc}", offset=offset) from exc
     if manifest.n_sub != n_sub:
         raise FormatError(
             f"header says {n_sub} subclasses, manifest has {manifest.n_sub}", offset=r.pos

@@ -157,9 +157,7 @@ def compute_delta(base: Network, sub: Network, mode: str, superclass_id: int = 0
             raise DeltaModeError(
                 f"bit width mismatch: base {base.quant.bits}, specialist {sub.quant.bits}"
             )
-        base_body = tuple(s for s in base.quant.scales if not s[0].startswith("head"))
-        sub_body = tuple(s for s in sub.quant.scales if not s[0].startswith("head"))
-        if base_body != sub_body:
+        if base.quant.body_scales() != sub.quant.body_scales():
             raise DeltaModeError("body quantization scales differ; grids are not shared")
         qat_bits = base.quant.bits
         head_scales = tuple(s for s in sub.quant.scales if s[0].startswith("head"))

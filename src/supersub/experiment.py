@@ -77,9 +77,6 @@ class ExperimentConfig:
     include_scratch: bool = False
     eval_modes: tuple[str, ...] = EVAL_MODES
 
-    def data_seed(self) -> int:
-        return child_seed(self.seed, TAG_DATA)
-
     def qat(self) -> bool:
         return self.delta_mode == delta_mod.MODE_QAT_INT
 
@@ -358,8 +355,7 @@ def cmd_finetune(config: ExperimentConfig, super_index: int) -> Path:
     tcfg = _train_config(config.train_finetune, stage_seed, config.qat(), config.qat_bits)
     tuned = finetune_from_super(base, super_index, train_ds, tcfg)
     if config.qat():
-        body_scales = {n: s for n, s in base.quant.scales if not n.startswith("head")}
-        tuned = snap_to_grid(tuned, config.qat_bits, body_scales=body_scales)
+        tuned = snap_to_grid(tuned, config.qat_bits, body_scales=dict(base.quant.body_scales()))
     save_network(tuned, paths.finetuned_net(super_index))
     return paths.finetuned_net(super_index)
 

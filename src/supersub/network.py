@@ -84,6 +84,10 @@ class QuantInfo:
                 return s
         raise ContractError(f"no quantization scale recorded for {name}")
 
+    def body_scales(self) -> tuple[tuple[str, float], ...]:
+        """(name, scale) of every non-head tensor, in recorded order."""
+        return tuple(s for s in self.scales if not s[0].startswith("head"))
+
 
 @dataclass(frozen=True)
 class Network:

@@ -1,9 +1,12 @@
-"""Two-stage inference engines and the evaluation harness.
+"""Two-stage inference and the evaluation harness.
 
-The vanilla engine keeps every specialist resident next to the router; the
-efficient engine keeps one network resident and rebuilds specialists on
-demand from packed deltas, charging every load and rebuild to a cost
-ledger. With exact (qat-int) deltas both engines emit identical
+There is one inference rule: the router picks a superclass, then that
+superclass's specialist picks the subclass. Both engines expose the same
+three members (`super_net`, `manifest`, `specialist_for`) and differ only
+in where a specialist comes from. `ModelRegistry` keeps every specialist
+resident; `EfficientSession` keeps the router resident and rebuilds the
+current specialist from its packed delta, charging every load and rebuild
+to a cost ledger. With exact (qat-int) deltas both engines emit identical
 predictions; the ledger is where they differ.
 
 Evaluation is single-threaded here; results are defined as an ordered
@@ -13,7 +16,7 @@ reports in index order would reproduce them exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,6 +60,11 @@ class LedgerDelta:
     specialist_switches: int
 
 
+def _check_router(router: Network, manifest: HierarchyManifest) -> None:
+    if router.head_dim != manifest.n_super:
+        raise ContractError(f"router head {router.head_dim} != {manifest.n_super} superclasses")
+
+
 def _validate_specialists(
     manifest: HierarchyManifest, specialists: dict[int, Network], input_dim: int
 ) -> None:
@@ -82,11 +90,11 @@ class ModelRegistry:
     manifest: HierarchyManifest
 
     def __post_init__(self):
-        if self.super_net.head_dim != self.manifest.n_super:
-            raise ContractError(
-                f"router head {self.super_net.head_dim} != {self.manifest.n_super} superclasses"
-            )
+        _check_router(self.super_net, self.manifest)
         _validate_specialists(self.manifest, self.specialists, self.super_net.input_dim)
+
+    def specialist_for(self, super_index: int) -> Network:
+        return self.specialists[super_index]
 
     def total_model_bytes(self) -> int:
         total = net_mod.network_bytes(self.super_net)
@@ -98,33 +106,24 @@ class ModelRegistry:
 class EfficientSession:
     """One-resident-network serving over packed deltas.
 
-    Holds the base network plus, at most, one reconstructed specialist (the
-    single-slot cache). Loading a delta charges its packed byte size;
-    rebuilding charges one add per body element. Disabling the cache
-    replays the literal reload-per-query inference rule.
+    Holds the router (`super_net`, the base every delta was computed
+    against) plus at most one reconstructed specialist: a single-slot
+    cache. A query for the cached superclass costs nothing; any other
+    loads that superclass's packed delta, charging its byte size, and
+    rebuilds the specialist, charging one add per body element.
 
     Single-owner state: give each thread its own session (the base network
     may be shared read-only).
     """
 
-    def __init__(
-        self,
-        base: Network,
-        packed_deltas: dict[int, bytes],
-        manifest: HierarchyManifest,
-        cache_enabled: bool = True,
-    ):
-        if base.head_dim != manifest.n_super:
-            raise ContractError(
-                f"router head {base.head_dim} != {manifest.n_super} superclasses"
-            )
+    def __init__(self, base: Network, packed_deltas: dict[int, bytes], manifest: HierarchyManifest):
+        _check_router(base, manifest)
         missing = [i for i in range(manifest.n_super) if i not in packed_deltas]
         if missing:
             raise ContractError(f"missing packed deltas for superclasses {missing}")
-        self.base = base
+        self.super_net = base
         self.packed_deltas = packed_deltas
         self.manifest = manifest
-        self.cache_enabled = cache_enabled
         self.ledger = CostLedger()
         self._base_bytes = net_mod.network_bytes(base)
         self._body_elements = sum(t.size for _, t, _ in body_tensor_items(base))
@@ -133,14 +132,14 @@ class EfficientSession:
         self.ledger.peak_resident_bytes = self._base_bytes
 
     def specialist_for(self, super_index: int) -> Network:
-        """Fetch (possibly rebuilding) the specialist for a superclass."""
-        if self.cache_enabled and self._cached_super == super_index:
+        """Fetch (rebuilding on a cache miss) the specialist for a superclass."""
+        if self._cached_super == super_index:
             return self._cached_net
         blob = self.packed_deltas[super_index]
         self.ledger.bytes_loaded += len(blob)
         self.ledger.specialist_switches += 1
         pack = unpack(blob)
-        specialist = reconstruct(self.base, pack)
+        specialist = reconstruct(self.super_net, pack)
         if specialist.head_dim != self.manifest.subclass_count(super_index):
             raise ContractError(
                 f"reconstructed specialist {super_index} head {specialist.head_dim} != "
@@ -149,9 +148,8 @@ class EfficientSession:
         self.ledger.reconstruction_adds += self._body_elements
         resident = self._base_bytes + net_mod.network_bytes(specialist) + len(blob)
         self.ledger.peak_resident_bytes = max(self.ledger.peak_resident_bytes, resident)
-        if self.cache_enabled:
-            self._cached_super = super_index
-            self._cached_net = specialist
+        self._cached_super = super_index
+        self._cached_net = specialist
         return specialist
 
 
@@ -170,36 +168,33 @@ def _local_predictions(specialist: Network, features: np.ndarray) -> np.ndarray:
     return _argmax_rows(logits)
 
 
+def _infer(engine: ModelRegistry | EfficientSession, x: np.ndarray) -> tuple[int, int]:
+    """Single-row two-stage inference: route, then ask the engine's specialist."""
+    x = np.asarray(x, dtype=np.float32)
+    router = engine.super_net
+    if x.ndim != 1 or x.shape[0] != router.input_dim:
+        raise DimensionError(f"feature row has shape {x.shape}, expected ({router.input_dim},)")
+    s = int(route_batch(router, x[None, :])[0])
+    local = int(_local_predictions(engine.specialist_for(s), x[None, :])[0])
+    return s, engine.manifest.sub_offset(s) + local
+
+
 def infer_vanilla(registry: ModelRegistry, x: np.ndarray) -> tuple[int, int]:
     """Single-row two-stage inference with all specialists resident."""
-    x = np.asarray(x, dtype=np.float32)
-    if x.ndim != 1 or x.shape[0] != registry.super_net.input_dim:
-        raise DimensionError(
-            f"feature row has shape {x.shape}, expected ({registry.super_net.input_dim},)"
-        )
-    s = int(route_batch(registry.super_net, x[None, :])[0])
-    local = int(_local_predictions(registry.specialists[s], x[None, :])[0])
-    return s, registry.manifest.sub_offset(s) + local
+    return _infer(registry, x)
 
 
 def infer_efficient(session: EfficientSession, x: np.ndarray) -> tuple[int, int, LedgerDelta]:
     """Single-row two-stage inference through the one-resident-model session."""
-    x = np.asarray(x, dtype=np.float32)
-    if x.ndim != 1 or x.shape[0] != session.base.input_dim:
-        raise DimensionError(
-            f"feature row has shape {x.shape}, expected ({session.base.input_dim},)"
-        )
     before = session.ledger.snapshot()
-    s = int(route_batch(session.base, x[None, :])[0])
-    specialist = session.specialist_for(s)
-    local = int(_local_predictions(specialist, x[None, :])[0])
+    s, sub = _infer(session, x)
     after = session.ledger
     delta = LedgerDelta(
         after.bytes_loaded - before.bytes_loaded,
         after.reconstruction_adds - before.reconstruction_adds,
         after.specialist_switches - before.specialist_switches,
     )
-    return s, session.manifest.sub_offset(s) + local, delta
+    return s, sub, delta
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -279,26 +274,31 @@ def build_report(
     )
 
 
-def _stage2_grouped(
-    specialist_of, manifest: HierarchyManifest, features: np.ndarray, routed: np.ndarray
-) -> np.ndarray:
-    """Run stage 2 over runs of identically routed consecutive rows.
+def _evaluate_routed(
+    mode: str, specialist_for, test: Dataset, routed: np.ndarray, label: str | None
+) -> EvalResult:
+    """Stage 2 over the whole test set, given the superclass of every row.
 
-    Row outputs are batch-independent bit for bit, so grouping changes
-    nothing about the predictions; it only batches the forward passes.
+    Rows run in batches of identically routed consecutive rows. Row outputs
+    are batch-independent bit for bit, so grouping changes nothing about the
+    predictions; it only batches the forward passes.
     """
-    pred_subs = np.empty(len(routed), dtype=np.int64)
-    start = 0
+    if not len(test.sub_labels):
+        raise ContractError("cannot evaluate an empty test set")
+    manifest = test.manifest
     n = len(routed)
+    pred_subs = np.empty(n, dtype=np.int64)
+    start = 0
     while start < n:
         end = start
         while end < n and routed[end] == routed[start]:
             end += 1
         s = int(routed[start])
-        local = _local_predictions(specialist_of(s), features[start:end])
+        local = _local_predictions(specialist_for(s), test.features[start:end])
         pred_subs[start:end] = manifest.sub_offset(s) + local
         start = end
-    return pred_subs
+    report = build_report(mode, manifest, test.sub_labels, routed, pred_subs, label)
+    return EvalResult(report, routed, pred_subs)
 
 
 def evaluate_lowerbound(net: Network, test: Dataset, label: str | None = None) -> EvalResult:
@@ -320,45 +320,18 @@ def evaluate_upperbound(
     specialists: dict[int, Network], test: Dataset, label: str | None = None
 ) -> EvalResult:
     """Oracle routing: the true superclass selects the specialist."""
-    manifest = test.manifest
-    if not len(test.sub_labels):
-        raise ContractError("cannot evaluate an empty test set")
-    _validate_specialists(manifest, specialists, test.dim)
-    true_supers = test.super_labels()
-    pred_subs = _stage2_grouped(lambda s: specialists[s], manifest, test.features, true_supers)
-    report = build_report(MODE_UPPERBOUND, manifest, test.sub_labels, true_supers, pred_subs, label)
-    return EvalResult(report, true_supers.copy(), pred_subs)
+    _validate_specialists(test.manifest, specialists, test.dim)
+    return _evaluate_routed(MODE_UPPERBOUND, specialists.__getitem__, test, test.super_labels(), label)
 
 
 def evaluate_two_stage(registry: ModelRegistry, test: Dataset, label: str | None = None) -> EvalResult:
     """Vanilla two-stage inference over the whole test set, in row order."""
-    if not len(test.sub_labels):
-        raise ContractError("cannot evaluate an empty test set")
     routed = route_batch(registry.super_net, test.features)
-    pred_subs = _stage2_grouped(
-        lambda s: registry.specialists[s], registry.manifest, test.features, routed
-    )
-    report = build_report(
-        MODE_TWO_STAGE_VANILLA, registry.manifest, test.sub_labels, routed, pred_subs, label
-    )
-    return EvalResult(report, routed, pred_subs)
+    return _evaluate_routed(MODE_TWO_STAGE_VANILLA, registry.specialist_for, test, routed, label)
 
 
 def evaluate_efficient(session: EfficientSession, test: Dataset, label: str | None = None) -> EvalResult:
     """Efficient two-stage inference; ledger reflects the test-order trace."""
-    if not len(test.sub_labels):
-        raise ContractError("cannot evaluate an empty test set")
-    routed = route_batch(session.base, test.features)
-    if session.cache_enabled:
-        pred_subs = _stage2_grouped(session.specialist_for, session.manifest, test.features, routed)
-    else:
-        # Literal per-query replay: every row reloads its specialist.
-        pred_subs = np.empty(len(routed), dtype=np.int64)
-        for i in range(len(routed)):
-            s = int(routed[i])
-            local = _local_predictions(session.specialist_for(s), test.features[i : i + 1])
-            pred_subs[i] = session.manifest.sub_offset(s) + int(local[0])
-    report = build_report(
-        MODE_TWO_STAGE_EFFICIENT, session.manifest, test.sub_labels, routed, pred_subs, label
-    )
-    return EvalResult(report, routed, pred_subs, session.ledger.snapshot())
+    routed = route_batch(session.super_net, test.features)
+    result = _evaluate_routed(MODE_TWO_STAGE_EFFICIENT, session.specialist_for, test, routed, label)
+    return replace(result, ledger=session.ledger.snapshot())

@@ -39,10 +39,6 @@ class Prng:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def next_float(self) -> float:
-        """Uniform draw in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):

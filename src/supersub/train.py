@@ -157,13 +157,7 @@ def finetune_from_super(
 
     qat_scales = None
     if config.qat:
-        if super_net.quant is None or super_net.quant.bits != config.qat_bits:
-            raise ContractError("qat finetune requires a base network snapped at the same bit width")
-        body = tuple(
-            super_net.quant.scale_of(f"layer{i}.weight")
-            for i in range(len(super_net.layers) - 1)
-        )
-        qat_scales = (*body, None)
+        qat_scales = QatConfig.shared_body(super_net, config.qat_bits).scales
 
     tuned, _ = train(specialized, ds, LabelView.subclass_of(super_index), config, qat_scales)
     return tuned

@@ -1,7 +1,10 @@
 """Shared fixtures: a fast, well-separated miniature synthetic hierarchy."""
 
+import struct
+
 import pytest
 
+from supersub.container import crc32c
 from supersub.data import SyntheticSpec, generate_synthetic
 
 
@@ -19,6 +22,11 @@ def mini_spec(**overrides) -> SyntheticSpec:
     )
     params.update(overrides)
     return SyntheticSpec(**params)
+
+
+def with_fixed_crc(data: bytes) -> bytes:
+    """Rewrite a container's trailing CRC-32C so a mutation reaches the parser."""
+    return data[:-4] + struct.pack("<I", crc32c(data[:-4]))
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from conftest import with_fixed_crc
 from supersub.cli import main
-from supersub.experiment import RunPaths
+from supersub.experiment import RunPaths, load_config
 from test_experiment import config_doc
 
 
@@ -91,6 +92,24 @@ def test_corrupted_delta_exits_3(qat_config_path, capsys):
     blob[-1] ^= 0xFF
     paths.delta_file(0).write_bytes(bytes(blob))
     assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
+    assert "integrity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b'"super_00"', b'"\xffuper_00"'),  # not UTF-8
+        (b'"super_00/sub_01"', b'"super_00/sub_00"'),  # duplicate subclass name
+    ],
+    ids=["non_utf8", "duplicate_subclass"],
+)
+def test_corrupted_dataset_manifest_exits_3(config_path, capsys, old, new):
+    assert main(["--config", str(config_path), "gen-data"]) == 0
+    path = RunPaths(load_config(config_path).out_dir).train_data
+    data = path.read_bytes()
+    assert old in data
+    path.write_bytes(with_fixed_crc(data.replace(old, new, 1)))
+    assert main(["--config", str(config_path), "train", "super"]) == 3
     assert "integrity" in capsys.readouterr().err
 
 

@@ -66,6 +66,17 @@ def test_bad_magic_reports_offset():
     assert err.value.offset == 0
 
 
+def test_invalid_utf8_text_reports_offset():
+    data = Writer().u8(0).text("abc").body()
+    bad = data[:6] + b"\xff" + data[7:]  # u8, u32 length, "a", then the bad byte
+    r = Reader(bad)
+    r.u8()
+    with pytest.raises(FormatError) as err:
+        r.text()
+    assert err.value.offset == 6
+    assert "UTF-8" in str(err.value)
+
+
 def test_deflate_round_trip():
     payload = b"abc" * 1000 + bytes(range(256))
     assert inflate(deflate(payload)) == payload

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import mini_spec
+from conftest import mini_spec, with_fixed_crc
 from supersub.data import (
     Dataset,
     SyntheticSpec,
@@ -116,6 +116,24 @@ class TestDatasetContainer:
         data[0:4] = b"XXXX"
         with pytest.raises(FormatError):
             deserialize_dataset(bytes(data))
+
+    def test_non_utf8_manifest_is_format_error(self, mini_train):
+        data = bytearray(serialize_dataset(mini_train))
+        at = data.index(b"super_00")
+        data[at] = 0xFF
+        with pytest.raises(FormatError) as err:
+            deserialize_dataset(with_fixed_crc(bytes(data)))
+        assert err.value.offset == at
+
+    def test_invalid_manifest_is_format_error(self, mini_train):
+        data = serialize_dataset(mini_train)
+        # Same length, still valid JSON, but two subclasses now share a name.
+        renamed = data.replace(b'"super_00/sub_01"', b'"super_00/sub_00"')
+        assert renamed != data
+        with pytest.raises(FormatError) as err:
+            deserialize_dataset(with_fixed_crc(renamed))
+        assert "duplicate subclass name" in str(err.value)
+        assert err.value.offset == data.index(b'{"superclasses"') - 4
 
     def test_empty_dataset_round_trips(self):
         manifest = make_manifest([("A", ["a1", "a2"]), ("B", ["b1", "b2"])])

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import with_fixed_crc
+from supersub.container import deflate, inflate
 from supersub.delta import (
     KIND_F16_DELTA,
     KIND_F32_VALUE,
@@ -63,7 +65,7 @@ def qat_pair(mini_train):
     ft = finetune_from_super(
         base, 0, mini_train, TrainConfig(lr=0.01, epochs=8, batch_size=16, seed=42, qat=True)
     )
-    body_scales = {n: s for n, s in base.quant.scales if not n.startswith("head")}
+    body_scales = dict(base.quant.body_scales())
     specialist = snap_to_grid(ft, 8, body_scales=body_scales)
     return base, specialist
 
@@ -164,6 +166,16 @@ class TestPackUnpack:
         data[30] ^= 0x04
         with pytest.raises(FormatError):
             unpack(bytes(data))
+
+    def test_non_utf8_entry_name_is_format_error(self, plain_pair):
+        base, specialist = plain_pair
+        data = pack(compute_delta(base, specialist, MODE_FP16)).data
+        header, entries = data[:16], bytearray(inflate(data[16:-4]))
+        at = entries.index(b"layer0.weight")
+        entries[at] = 0xFF
+        with pytest.raises(FormatError) as err:
+            unpack(with_fixed_crc(header + deflate(bytes(entries)) + bytes(4)))
+        assert err.value.offset == at
 
     def test_fingerprint_mismatch_surfaces_at_reconstruct_not_unpack(self, plain_pair):
         base, specialist = plain_pair

@@ -4,6 +4,7 @@ finite differences."""
 import numpy as np
 import pytest
 
+from conftest import with_fixed_crc
 from supersub.errors import ContractError, DimensionError, FormatError, ParameterError
 from supersub.network import (
     BatchNormParams,
@@ -319,6 +320,14 @@ class TestNetworkContainer:
         blob[-2] ^= 0x40
         with pytest.raises(FormatError):
             deserialize_network(bytes(blob))
+
+    def test_non_utf8_scale_name_is_format_error(self):
+        blob = bytearray(serialize_network(snap_to_grid(small_net((4, 6, 3), seed=22), 8)))
+        at = blob.index(b"layer0.weight")
+        blob[at] = 0xFF
+        with pytest.raises(FormatError) as err:
+            deserialize_network(with_fixed_crc(bytes(blob)))
+        assert err.value.offset == at
 
     def test_truncation_detected(self):
         blob = serialize_network(small_net(seed=1))

@@ -64,7 +64,7 @@ def qat_session_parts(mini_train):
     tcfg = TrainConfig(lr=0.01, epochs=12, batch_size=16, seed=201, qat=True)
     trained, _ = train(init_network(cfg, 200), mini_train, LabelView.superclass(), tcfg)
     base = snap_to_grid(trained, 8)
-    body_scales = {n: s for n, s in base.quant.scales if not n.startswith("head")}
+    body_scales = dict(base.quant.body_scales())
     specialists = {}
     packed = {}
     for i in range(manifest.n_super):
@@ -139,14 +139,6 @@ class TestEfficientSession:
         session.specialist_for(0)
         assert session.ledger.bytes_loaded == loaded_after_first
         assert session.ledger.specialist_switches == 1
-
-    def test_cache_disabled_replays_every_query(self, qat_session_parts, mini_train):
-        base, _, packed = qat_session_parts
-        session = EfficientSession(base, packed, mini_train.manifest, cache_enabled=False)
-        session.specialist_for(0)
-        session.specialist_for(0)
-        assert session.ledger.specialist_switches == 2
-        assert session.ledger.bytes_loaded == 2 * len(packed[0])
 
     def test_trace_charges_sum_of_switched_deltas(self, qat_session_parts, mini_train):
         base, _, packed = qat_session_parts
@@ -272,6 +264,20 @@ class TestEvaluate:
         vanilla = evaluate_two_stage(registry, mini_test)
         assert np.array_equal(res.pred_subs, vanilla.pred_subs)
         assert np.array_equal(res.pred_supers, vanilla.pred_supers)
+
+    def test_empty_test_set_rejected(self, mini_models, mini_registry, qat_session_parts, mini_test):
+        _, specialists, _ = mini_models
+        base, _, packed = qat_session_parts
+        empty = Dataset(mini_test.features[:0], mini_test.sub_labels[:0], mini_test.manifest)
+        session = EfficientSession(base, packed, mini_test.manifest)
+        for evaluate in (
+            lambda: evaluate_two_stage(mini_registry, empty),
+            lambda: evaluate_efficient(session, empty),
+            lambda: evaluate_upperbound(specialists, empty),
+        ):
+            with pytest.raises(ContractError, match="empty test set"):
+                evaluate()
+        assert session.ledger.specialist_switches == 0
 
     def test_lowerbound_head_checked(self, mini_models, mini_test):
         router, _, _ = mini_models
