@@ -104,6 +104,8 @@ class Reader:
         self.pos = 0
 
     def _take(self, n: int) -> bytes:
+        if n < 0:
+            raise FormatError(f"negative length {n}", offset=self.pos)
         if self.pos + n > len(self.data):
             raise FormatError(
                 f"truncated: wanted {n} bytes, {len(self.data) - self.pos} left",

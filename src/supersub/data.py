@@ -88,8 +88,7 @@ class Dataset:
 
     def super_labels(self) -> np.ndarray:
         """Superclass index of every row, derived through the manifest."""
-        offsets = [self.manifest.sub_offset(i) for i in range(self.manifest.n_super)]
-        return np.searchsorted(offsets, self.sub_labels, side="right").astype(np.int64) - 1
+        return self.manifest.super_of(self.sub_labels)
 
     def restrict_to_super(self, super_index: int) -> "Dataset":
         """Rows of one superclass only; labels stay global."""
@@ -176,8 +175,13 @@ def deserialize_dataset(data: bytes) -> Dataset:
             f"header says {n_sub} subclasses, manifest has {manifest.n_sub}", offset=r.pos
         )
     features = np.frombuffer(r.raw(n_rows * dim * 4), dtype="<f4").reshape(n_rows, dim)
+    labels_at = r.pos
     labels = np.frombuffer(r.raw(n_rows * 4), dtype="<u4").astype(np.int64)
     r.expect_end()
+    bad = np.flatnonzero(labels >= n_sub)
+    if bad.size:
+        at = int(bad[0])
+        raise FormatError(f"label {labels[at]} outside 0..{n_sub - 1}", offset=labels_at + 4 * at)
     return Dataset(features.astype(tensor.F32), labels, manifest)
 
 

@@ -9,10 +9,15 @@ Two storage modes:
   signed 16-bit grid-index differences and reconstruction, done in the
   integer domain, is bit-exact.
 
+Each entry has one kind, and `_KIND_DTYPES` gives the element type its
+payload is stored in: verbatim float32 values, binary16 deltas, int16
+grid-index deltas (plus the shared scale), or uint32 XOR deltas.
+
 Head tensors are stored without a value delta: the head is reinitialized
 at a different width during finetuning, so none exists. When the head
 shape happens to match the base (self-deltas, same-width specialists) an
-XOR delta is used; otherwise the tensors are stored verbatim.
+XOR delta is used; otherwise the tensors are stored verbatim. No other
+kind is valid for a head entry.
 
 The packed container records a CRC-32C fingerprint of the base network
 file; reconstruction against any other base fails loudly instead of
@@ -25,7 +30,8 @@ the shared base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,10 +44,9 @@ from .errors import (
     ParameterError,
 )
 from .network import (
-    BatchNormParams,
-    LayerParams,
     Network,
     QuantInfo,
+    from_tensors,
     lattice_indices,
     serialize_network,
     tensor_items,
@@ -60,6 +65,10 @@ KIND_F32_VALUE = 0  # verbatim float32 tensor (replacement, not a delta)
 KIND_F16_DELTA = 1  # binary16 delta against the base tensor
 KIND_I16_GRID_DELTA = 2  # signed grid-index delta plus the shared scale
 KIND_XOR32_DELTA = 3  # bitwise XOR against the base tensor; exact and compact
+# Stored element type of each kind's payload.
+_KIND_DTYPES = {
+    KIND_F32_VALUE: "<f4", KIND_F16_DELTA: "<f2", KIND_I16_GRID_DELTA: "<i2", KIND_XOR32_DELTA: "<u4"
+}
 
 
 @dataclass(frozen=True)
@@ -96,9 +105,7 @@ def body_tensor_items(net: Network) -> list[tuple[str, np.ndarray, bool]]:
     return tensor_items(net)[:-2]
 
 
-def _check_body_compatible(base: Network, sub: Network) -> None:
-    base_items = body_tensor_items(base)
-    sub_items = body_tensor_items(sub)
+def _check_body_compatible(base_items: list, sub_items: list) -> None:
     if len(base_items) != len(sub_items):
         raise ContractError(
             f"body tensor count mismatch: base {len(base_items)}, specialist {len(sub_items)}"
@@ -138,19 +145,13 @@ def compute_delta(base: Network, sub: Network, mode: str, superclass_id: int = 0
     """Extract the specialist's difference against the base network."""
     if mode not in _MODE_CODES:
         raise ParameterError(f"unknown delta mode {mode!r}")
-    _check_body_compatible(base, sub)
+    base_items, sub_items = tensor_items(base), tensor_items(sub)
+    _check_body_compatible(base_items[:-2], sub_items[:-2])
     fingerprint = base_fingerprint_of(base)
 
+    qat_bits = 0
     head_scales = None
-    body: list[DeltaEntry] = []
-    if mode == MODE_FP16:
-        qat_bits = 0
-        base_items = body_tensor_items(base)
-        sub_items = body_tensor_items(sub)
-        for (name, t_base, _), (_, t_sub, _) in zip(base_items, sub_items):
-            delta = f16_round((t_sub - t_base).astype(F32)).astype(np.float16)
-            body.append(DeltaEntry(name, t_base.shape, KIND_F16_DELTA, delta))
-    else:
+    if mode == MODE_QAT_INT:
         if base.quant is None or sub.quant is None:
             raise DeltaModeError("qat-int deltas need both networks snapped to grids")
         if base.quant.bits != sub.quant.bits:
@@ -161,9 +162,13 @@ def compute_delta(base: Network, sub: Network, mode: str, superclass_id: int = 0
             raise DeltaModeError("body quantization scales differ; grids are not shared")
         qat_bits = base.quant.bits
         head_scales = tuple(s for s in sub.quant.scales if s[0].startswith("head"))
-        base_items = body_tensor_items(base)
-        sub_items = body_tensor_items(sub)
-        for (name, t_base, _), (_, t_sub, _) in zip(base_items, sub_items):
+
+    body: list[DeltaEntry] = []
+    for (name, t_base, _), (_, t_sub, _) in zip(base_items[:-2], sub_items[:-2]):
+        if mode == MODE_FP16:
+            delta = f16_round((t_sub - t_base).astype(F32)).astype(np.float16)
+            body.append(DeltaEntry(name, t_base.shape, KIND_F16_DELTA, delta))
+        else:
             s = base.quant.scale_of(name)
             q_base = _exact_grid(t_base, s, f"base {name}")
             q_sub = _exact_grid(t_sub, s, f"specialist {name}")
@@ -173,10 +178,7 @@ def compute_delta(base: Network, sub: Network, mode: str, superclass_id: int = 0
             body.append(DeltaEntry(name, t_base.shape, KIND_I16_GRID_DELTA, diff.astype(np.int16), s))
 
     head = []
-    for name, t_sub, t_base in (
-        ("head.weight", sub.layers[-1].weight, base.layers[-1].weight),
-        ("head.bias", sub.layers[-1].bias, base.layers[-1].bias),
-    ):
+    for (name, t_base, _), (_, t_sub, _) in zip(base_items[-2:], sub_items[-2:]):
         if t_sub.shape == t_base.shape:
             head.append(DeltaEntry(name, t_sub.shape, KIND_XOR32_DELTA, _xor_bits(t_sub, t_base)))
         else:
@@ -212,18 +214,12 @@ def pack(d: DeltaPack) -> PackedDelta:
             entries.u8(len(e.shape))
             for dim in e.shape:
                 entries.u32(dim)
-            entries.u8(e.kind)
-            if e.kind == KIND_F32_VALUE:
-                entries.raw(np.ascontiguousarray(e.payload, dtype="<f4").tobytes())
-            elif e.kind == KIND_F16_DELTA:
-                entries.raw(np.ascontiguousarray(e.payload, dtype="<f2").tobytes())
-            elif e.kind == KIND_I16_GRID_DELTA:
-                entries.f32(e.scale)
-                entries.raw(np.ascontiguousarray(e.payload, dtype="<i2").tobytes())
-            elif e.kind == KIND_XOR32_DELTA:
-                entries.raw(np.ascontiguousarray(e.payload, dtype="<u4").tobytes())
-            else:
+            if e.kind not in _KIND_DTYPES:
                 raise ParameterError(f"unknown entry kind {e.kind}")
+            entries.u8(e.kind)
+            if e.kind == KIND_I16_GRID_DELTA:
+                entries.f32(e.scale)
+            entries.raw(np.ascontiguousarray(e.payload, dtype=_KIND_DTYPES[e.kind]).tobytes())
     blob = entries.body()
     compressed = deflate(blob)
 
@@ -266,22 +262,13 @@ def unpack(data: bytes) -> DeltaPack:
             ndim = er.u8()
             shape = tuple(er.u32() for _ in range(ndim))
             kind = er.u8()
-            n = int(np.prod(shape)) if shape else 1
-            if kind == KIND_F32_VALUE:
-                payload = np.frombuffer(er.raw(n * 4), dtype="<f4").reshape(shape).astype(F32)
-                out.append(DeltaEntry(name, shape, kind, payload))
-            elif kind == KIND_F16_DELTA:
-                payload = np.frombuffer(er.raw(n * 2), dtype="<f2").reshape(shape)
-                out.append(DeltaEntry(name, shape, kind, payload.copy()))
-            elif kind == KIND_I16_GRID_DELTA:
-                scale = er.f32()
-                payload = np.frombuffer(er.raw(n * 2), dtype="<i2").reshape(shape)
-                out.append(DeltaEntry(name, shape, kind, payload.copy(), scale))
-            elif kind == KIND_XOR32_DELTA:
-                payload = np.frombuffer(er.raw(n * 4), dtype="<u4").reshape(shape)
-                out.append(DeltaEntry(name, shape, kind, payload.copy()))
-            else:
+            dtype = _KIND_DTYPES.get(kind)
+            if dtype is None:
                 raise FormatError(f"unknown entry kind {kind}", offset=er.pos - 1)
+            scale = er.f32() if kind == KIND_I16_GRID_DELTA else None
+            n = math.prod(shape) * np.dtype(dtype).itemsize
+            payload = np.frombuffer(er.raw(n), dtype=dtype).reshape(shape).copy()
+            out.append(DeltaEntry(name, shape, kind, payload, scale))
         return tuple(out)
 
     body_entries = read_group()
@@ -296,11 +283,12 @@ def unpack(data: bytes) -> DeltaPack:
 
 
 def reconstruct(base: Network, d: DeltaPack) -> Network:
-    """Rebuild the specialist: body = base + delta, head installed verbatim.
+    """Rebuild the specialist: body = base + delta, head by XOR or verbatim.
 
     qat-int reconstruction works in the integer domain — recover the base's
     grid indices, add the stored index deltas, rescale — which reproduces
-    the stored specialist bit for bit.
+    the stored specialist bit for bit. A tensor that rebuilds to NaN or
+    infinity is a FormatError: no trained network holds one.
     """
     actual = base_fingerprint_of(base)
     if actual != d.base_fingerprint:
@@ -308,71 +296,54 @@ def reconstruct(base: Network, d: DeltaPack) -> Network:
             f"delta was computed against base {d.base_fingerprint:#010x}, "
             f"got network with fingerprint {actual:#010x}"
         )
-    by_name = {e.name: e for e in d.body_entries}
-    expected = body_tensor_items(base)
-    if len(by_name) != len(d.body_entries) or len(d.body_entries) != len(expected):
+    items = tensor_items(base)
+    n_body = len(items) - 2
+    body = {e.name: e for e in d.body_entries}
+    head = {e.name: e for e in d.head_entries}
+    if len(body) != len(d.body_entries) or len(body) != n_body:
         raise ContractError(
-            f"delta has {len(d.body_entries)} body entries, base has {len(expected)} body tensors"
+            f"delta has {len(d.body_entries)} body entries, base has {n_body} body tensors"
         )
+    if set(head) != {name for name, _, _ in items[n_body:]}:
+        raise ContractError(f"unexpected head entries {sorted(head)}")
 
     rebuilt: dict[str, np.ndarray] = {}
     scales: list[tuple[str, float]] = []
-    for name, t_base, _ in expected:
-        e = by_name.get(name)
+    for i, (name, t_base, _) in enumerate(items):
+        is_head = i >= n_body
+        e = head[name] if is_head else body.get(name)
         if e is None:
             raise ContractError(f"delta is missing body entry {name}")
-        if e.shape != t_base.shape:
+        if is_head and e.kind == KIND_F32_VALUE:
+            # A replaced head may change width, never rank or fan-in.
+            if not e.shape or e.shape[1:] != t_base.shape[1:]:
+                raise ContractError(f"verbatim {name} shape {e.shape} does not fit base {t_base.shape}")
+        elif is_head and e.kind != KIND_XOR32_DELTA:
+            raise ContractError(f"head entry {name} has kind {e.kind}; only xor or verbatim is valid")
+        elif e.shape != t_base.shape:
             raise ContractError(f"entry {name} shape {e.shape} != base shape {t_base.shape}")
         if e.kind == KIND_F16_DELTA:
-            rebuilt[name] = (t_base + e.payload.astype(F32)).astype(F32)
+            t = (t_base + e.payload.astype(F32)).astype(F32)
         elif e.kind == KIND_I16_GRID_DELTA:
-            q_base = lattice_indices(t_base, e.scale)
-            q_new = q_base + e.payload.astype(np.int32)
-            rebuilt[name] = (q_new.astype(F32) * F32(e.scale)).astype(F32)
+            q_new = lattice_indices(t_base, e.scale) + e.payload.astype(np.int32)
+            t = (q_new.astype(F32) * F32(e.scale)).astype(F32)
             scales.append((name, e.scale))
         elif e.kind == KIND_XOR32_DELTA:
-            rebuilt[name] = _apply_xor(t_base, e.payload)
+            t = _apply_xor(t_base, e.payload)
         else:
-            rebuilt[name] = e.payload.astype(F32)
-
-    heads = {e.name: e for e in d.head_entries}
-    if set(heads) != {"head.weight", "head.bias"}:
-        raise ContractError(f"unexpected head entries {sorted(heads)}")
-
-    def head_tensor(entry: DeltaEntry, t_base: np.ndarray) -> np.ndarray:
-        if entry.kind == KIND_XOR32_DELTA:
-            if entry.shape != t_base.shape:
-                raise ContractError(
-                    f"{entry.name} xor-delta shape {entry.shape} != base {t_base.shape}"
-                )
-            return _apply_xor(t_base, entry.payload)
-        return entry.payload.astype(F32)
-
-    layers: list[LayerParams] = []
-    for i, layer in enumerate(base.layers[:-1]):
-        bn = None
-        if layer.bn is not None:
-            bn = BatchNormParams(
-                rebuilt[f"layer{i}.bn_gamma"],
-                rebuilt[f"layer{i}.bn_beta"],
-                rebuilt[f"layer{i}.bn_mean"],
-                rebuilt[f"layer{i}.bn_var"],
-            )
-        layers.append(LayerParams(rebuilt[f"layer{i}.weight"], rebuilt[f"layer{i}.bias"], bn))
-    layers.append(
-        LayerParams(
-            head_tensor(heads["head.weight"], base.layers[-1].weight),
-            head_tensor(heads["head.bias"], base.layers[-1].bias),
-            None,
-        )
-    )
+            t = e.payload.astype(F32)
+        if not np.isfinite(t).all():
+            raise FormatError(f"delta entry {name} rebuilds to non-finite values")
+        rebuilt[name] = t
 
     quant = None
     if d.mode == MODE_QAT_INT:
         if d.head_scales is None:
             raise ContractError("qat-int pack is missing the specialist head scales")
         quant = QuantInfo(d.qat_bits, (*scales, *d.head_scales))
-    return Network(tuple(layers), quant)
+    config = base.config()
+    config = replace(config, layer_dims=(*config.layer_dims[:-1], rebuilt["head.weight"].shape[0]))
+    return from_tensors(config, rebuilt, quant)
 
 
 # --- reporting helpers --------------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ValidationError
 
 
@@ -51,14 +53,15 @@ class HierarchyManifest:
         """Global index of the first subclass of a superclass."""
         return self._offsets[super_index]
 
-    def super_of(self, sub_index: int) -> int:
-        """Index of the unique superclass containing a global subclass index."""
-        if not 0 <= sub_index < self.n_sub:
-            raise IndexError(f"subclass index {sub_index} out of range 0..{self.n_sub - 1}")
-        for i in range(self.n_super - 1, -1, -1):
-            if sub_index >= self._offsets[i]:
-                return i
-        raise AssertionError("unreachable")
+    def super_of(self, sub_index: int | np.ndarray) -> int | np.ndarray:
+        """Superclass index of a global subclass index, or of each in an int array."""
+        idx = np.asarray(sub_index)
+        out_of_range = (idx < 0) | (idx >= self.n_sub)
+        if out_of_range.any():
+            bad = idx[out_of_range].flat[0]
+            raise IndexError(f"subclass index {bad} out of range 0..{self.n_sub - 1}")
+        supers = np.searchsorted(self._offsets, idx, side="right") - 1
+        return int(supers) if supers.ndim == 0 else supers.astype(np.int64)
 
     def local_index(self, sub_index: int) -> int:
         """Position of a global subclass index inside its own superclass."""

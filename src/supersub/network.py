@@ -12,6 +12,7 @@ the training loop, not by forward itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,18 +133,7 @@ def init_network(config: NetworkConfig, seed: int) -> Network:
 
 
 def copy_network(net: Network) -> Network:
-    layers = []
-    for layer in net.layers:
-        bn = None
-        if layer.bn is not None:
-            bn = BatchNormParams(
-                layer.bn.gamma.copy(),
-                layer.bn.beta.copy(),
-                layer.bn.running_mean.copy(),
-                layer.bn.running_var.copy(),
-            )
-        layers.append(LayerParams(layer.weight.copy(), layer.bias.copy(), bn))
-    return Network(tuple(layers), net.quant)
+    return from_tensors(net.config(), {n: t.copy() for n, t, _ in tensor_items(net)}, net.quant)
 
 
 def replace_head(net: Network, head_dim: int, seed: int) -> Network:
@@ -161,12 +151,7 @@ def replace_head(net: Network, head_dim: int, seed: int) -> Network:
 
 
 def parameter_count(net: Network) -> int:
-    total = 0
-    for layer in net.layers:
-        total += layer.weight.size + layer.bias.size
-        if layer.bn is not None:
-            total += 4 * layer.bn.gamma.size
-    return total
+    return sum(t.size for _, t, _ in tensor_items(net))
 
 
 def network_bytes(net: Network) -> int:
@@ -188,6 +173,30 @@ def tensor_items(net: Network) -> list[tuple[str, np.ndarray, bool]]:
     items.append(("head.weight", net.layers[-1].weight, True))
     items.append(("head.bias", net.layers[-1].bias, False))
     return items
+
+
+def from_tensors(
+    config: NetworkConfig, tensors: dict[str, np.ndarray], quant: QuantInfo | None = None
+) -> Network:
+    """Inverse of tensor_items: the network of this config holding these tensors."""
+
+    def take(name: str, *shape: int) -> np.ndarray:
+        t = tensors.get(name)
+        if t is None or t.shape != shape:
+            got = "nothing" if t is None else f"shape {t.shape}"
+            raise ContractError(f"{name}: got {got}, the config needs shape {shape}")
+        return t
+
+    dims = config.layer_dims
+    layers = []
+    for i, has_bn in enumerate(config.batchnorm):
+        n = dims[i + 1]
+        bn = None
+        if has_bn:
+            bn = BatchNormParams(*(take(f"layer{i}.bn_{k}", n) for k in ("gamma", "beta", "mean", "var")))
+        layers.append(LayerParams(take(f"layer{i}.weight", n, dims[i]), take(f"layer{i}.bias", n), bn))
+    layers.append(LayerParams(take("head.weight", dims[-1], dims[-2]), take("head.bias", dims[-1]), None))
+    return Network(tuple(layers), quant)
 
 
 # --- quantization -----------------------------------------------------------
@@ -247,9 +256,7 @@ class QatConfig:
         """Body weight scales pinned to the base network's grids; live head."""
         if base.quant is None or base.quant.bits != bits:
             raise ContractError("base network carries no matching quantization info")
-        body = tuple(
-            base.quant.scale_of(f"layer{i}.weight") for i in range(len(base.layers) - 1)
-        )
+        body = tuple(base.quant.scale_of(n) for n, _, is_weight in tensor_items(base)[:-2] if is_weight)
         return QatConfig(bits, (*body, None))
 
 
@@ -280,14 +287,14 @@ def snap_to_grid(net: Network, bits: int, body_scales: dict[str, float] | None =
     (shared grids for delta extraction); the head always uses its own live
     scales because its shape differs from any base network.
     """
-    snapped = copy_network(net)
-    body_names = {name for name, _, _ in tensor_items(snapped)[:-2]}
+    items = tensor_items(net)
+    body_names = {name for name, _, _ in items[:-2]}
     if body_scales is not None and set(body_scales) != body_names:
         raise ContractError("body_scales must cover exactly the body tensors")
 
     scales: list[tuple[str, float]] = []
     new_tensors: dict[str, np.ndarray] = {}
-    for name, t, is_weight in tensor_items(snapped):
+    for name, t, is_weight in items:
         if body_scales is not None and name in body_scales:
             s = body_scales[name]
         else:
@@ -297,21 +304,7 @@ def snap_to_grid(net: Network, bits: int, body_scales: dict[str, float] | None =
         if name.endswith(".bn_var"):
             q = np.maximum(q, 1)  # running variance must stay positive
         new_tensors[name] = (q.astype(F32) * F32(s)).astype(F32)
-
-    layers = []
-    n_layers = len(snapped.layers)
-    for i, layer in enumerate(snapped.layers):
-        prefix = "head" if i == n_layers - 1 else f"layer{i}"
-        bn = None
-        if layer.bn is not None:
-            bn = BatchNormParams(
-                new_tensors[f"{prefix}.bn_gamma"],
-                new_tensors[f"{prefix}.bn_beta"],
-                new_tensors[f"{prefix}.bn_mean"],
-                new_tensors[f"{prefix}.bn_var"],
-            )
-        layers.append(LayerParams(new_tensors[f"{prefix}.weight"], new_tensors[f"{prefix}.bias"], bn))
-    return Network(tuple(layers), QuantInfo(bits, tuple(scales)))
+    return from_tensors(net.config(), new_tensors, QuantInfo(bits, tuple(scales)))
 
 
 # --- forward / backward ------------------------------------------------------
@@ -517,29 +510,12 @@ def _forward_loss_f64(net: Network, batch: np.ndarray, labels: np.ndarray) -> fl
 
 
 def _param_views(net: Network) -> list[np.ndarray]:
-    views = []
-    for layer in net.layers:
-        views.append(layer.weight)
-        views.append(layer.bias)
-        if layer.bn is not None:
-            views.append(layer.bn.gamma)
-            views.append(layer.bn.beta)
-    return views
+    """Trainable tensors, in gradient order: all but the running statistics."""
+    return [t for n, t, _ in tensor_items(net) if not n.endswith((".bn_mean", ".bn_var"))]
 
 
 def _cast_network(net: Network, dtype) -> Network:
-    layers = []
-    for layer in net.layers:
-        bn = None
-        if layer.bn is not None:
-            bn = BatchNormParams(
-                layer.bn.gamma.astype(dtype),
-                layer.bn.beta.astype(dtype),
-                layer.bn.running_mean.astype(dtype),
-                layer.bn.running_var.astype(dtype),
-            )
-        layers.append(LayerParams(layer.weight.astype(dtype), layer.bias.astype(dtype), bn))
-    return Network(tuple(layers), None)
+    return from_tensors(net.config(), {n: t.astype(dtype) for n, t, _ in tensor_items(net)})
 
 
 def gradient_check(net: Network, batch: np.ndarray, labels, eps: float = 1e-4) -> float:
@@ -612,12 +588,8 @@ def serialize_network(net: Network) -> bytes:
         for name, s in net.quant.scales:
             w.text(name)
             w.f32(s)
-    for layer in net.layers:
-        w.raw(np.ascontiguousarray(layer.weight, dtype="<f4").tobytes())
-        w.raw(np.ascontiguousarray(layer.bias, dtype="<f4").tobytes())
-        if layer.bn is not None:
-            for arr in (layer.bn.gamma, layer.bn.beta, layer.bn.running_mean, layer.bn.running_var):
-                w.raw(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    for _, t, _ in tensor_items(net):
+        w.raw(np.ascontiguousarray(t, dtype="<f4").tobytes())
     return w.finish()
 
 
@@ -639,7 +611,7 @@ def deserialize_network(data: bytes) -> Network:
         quant = QuantInfo(bits, scales)
 
     def read_arr(*shape: int) -> np.ndarray:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         return np.frombuffer(r.raw(count * 4), dtype="<f4").reshape(shape).astype(F32)
 
     layers = []

@@ -249,7 +249,7 @@ def build_report(
     pred_subs: np.ndarray,
     label: str | None = None,
 ) -> EvalReport:
-    true_supers = np.asarray([manifest.super_of(int(s)) for s in true_subs], dtype=np.int64)
+    true_supers = manifest.super_of(true_subs)
     matrix = confusion_matrix(pred_supers, true_supers, manifest.n_super)
     correct = pred_subs == true_subs
     per_acc = []
@@ -309,9 +309,7 @@ def evaluate_lowerbound(net: Network, test: Dataset, label: str | None = None) -
         )
     logits, _ = forward(net, test.features, training=False)
     pred_subs = _argmax_rows(logits)
-    pred_supers = np.asarray(
-        [test.manifest.super_of(int(s)) for s in pred_subs], dtype=np.int64
-    )
+    pred_supers = test.manifest.super_of(pred_subs)
     report = build_report(MODE_LOWERBOUND, test.manifest, test.sub_labels, pred_supers, pred_subs, label)
     return EvalResult(report, pred_supers, pred_subs)
 

@@ -113,6 +113,27 @@ def test_corrupted_dataset_manifest_exits_3(config_path, capsys, old, new):
     assert "integrity" in capsys.readouterr().err
 
 
+def test_out_of_range_label_exits_3(config_path, capsys):
+    assert main(["--config", str(config_path), "gen-data"]) == 0
+    path = RunPaths(load_config(config_path).out_dir).train_data
+    data = path.read_bytes()
+    at = len(data) - 8  # the last label, just before the CRC
+    path.write_bytes(with_fixed_crc(data[:at] + (999).to_bytes(4, "little") + data[at + 4 :]))
+    assert main(["--config", str(config_path), "train", "super"]) == 3
+    assert "integrity" in capsys.readouterr().err
+
+
+def test_overflowing_delta_shape_exits_3(qat_config_path, capsys):
+    for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["pack", "0"]):
+        assert main(["--config", str(qat_config_path)] + argv) == 0
+    from test_delta import overflowing_shape_pack
+
+    path = RunPaths(load_config(qat_config_path).out_dir).delta_file(0)
+    path.write_bytes(overflowing_shape_pack(path.read_bytes()))
+    assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
+    assert "integrity" in capsys.readouterr().err
+
+
 def test_stale_base_exits_3(qat_config_path, capsys):
     for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["pack", "0"]):
         assert main(["--config", str(qat_config_path)] + argv) == 0

@@ -59,6 +59,13 @@ def test_truncation_reports_offset():
     assert "byte offset 0" in str(err.value)
 
 
+def test_negative_length_rejected():
+    r = Reader(b"\x01\x02")
+    with pytest.raises(FormatError) as err:
+        r.raw(-1)
+    assert err.value.offset == 0
+
+
 def test_bad_magic_reports_offset():
     r = Reader(b"XXXXrest")
     with pytest.raises(FormatError) as err:

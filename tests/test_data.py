@@ -135,6 +135,14 @@ class TestDatasetContainer:
         assert "duplicate subclass name" in str(err.value)
         assert err.value.offset == data.index(b'{"superclasses"') - 4
 
+    def test_out_of_range_label_is_format_error(self, mini_train):
+        data = serialize_dataset(mini_train)
+        at = len(data) - 8  # the last label, just before the CRC
+        bad = data[:at] + (999).to_bytes(4, "little") + data[at + 4 :]
+        with pytest.raises(FormatError) as err:
+            deserialize_dataset(with_fixed_crc(bad))
+        assert err.value.offset == at
+
     def test_empty_dataset_round_trips(self):
         manifest = make_manifest([("A", ["a1", "a2"]), ("B", ["b1", "b2"])])
         empty = Dataset(np.zeros((0, 5), dtype=F32), np.zeros(0, dtype=np.int64), manifest)

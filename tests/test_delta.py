@@ -1,14 +1,18 @@
 """Delta extraction, lossless packing, exact qat-int reconstruction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import with_fixed_crc
-from supersub.container import deflate, inflate
+from supersub.container import Writer, deflate, inflate
 from supersub.delta import (
     KIND_F16_DELTA,
     KIND_F32_VALUE,
     KIND_I16_GRID_DELTA,
+    KIND_XOR32_DELTA,
+    DeltaEntry,
     MODE_FP16,
     MODE_QAT_INT,
     compression_ratio,
@@ -39,6 +43,15 @@ from supersub.train import LabelView, TrainConfig, finetune_from_super, train
 def build_net(head=3, seed=0, batchnorm=True, dims=(8, 12, 12)):
     config = uniform_config(dims[0], list(dims[1:]), head, batchnorm)
     return init_network(config, seed)
+
+
+def overflowing_shape_pack(data: bytes) -> bytes:
+    """The packed delta with its entries replaced by one of shape (2**32 - 1,) * 4."""
+    entries = Writer().u8(0).u32(1).text("layer0.weight").u8(4)
+    for _ in range(4):
+        entries.u32(2**32 - 1)
+    entries.u8(KIND_F32_VALUE)
+    return with_fixed_crc(data[:16] + deflate(entries.body()) + bytes(4))
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +190,12 @@ class TestPackUnpack:
             unpack(with_fixed_crc(header + deflate(bytes(entries)) + bytes(4)))
         assert err.value.offset == at
 
+    def test_overflowing_shape_is_format_error(self, plain_pair):
+        base, specialist = plain_pair
+        data = pack(compute_delta(base, specialist, MODE_FP16)).data
+        with pytest.raises(FormatError):
+            unpack(overflowing_shape_pack(data))
+
     def test_fingerprint_mismatch_surfaces_at_reconstruct_not_unpack(self, plain_pair):
         base, specialist = plain_pair
         packed = pack(compute_delta(base, specialist, MODE_FP16))
@@ -215,6 +234,41 @@ class TestReconstruct:
         rebuilt = reconstruct(base, compute_delta(base, specialist, MODE_FP16))
         assert np.array_equal(rebuilt.layers[-1].weight, specialist.layers[-1].weight)
         assert np.array_equal(rebuilt.layers[-1].bias, specialist.layers[-1].bias)
+
+    @pytest.mark.parametrize("pair, mode", [("plain_pair", MODE_FP16), ("qat_pair", MODE_QAT_INT)])
+    def test_self_delta_reproduces_bytes(self, request, pair, mode):
+        base, _ = request.getfixturevalue(pair)
+        d = compute_delta(base, base, mode)
+        assert [e.kind for e in d.head_entries] == [KIND_XOR32_DELTA] * 2
+        assert serialize_network(reconstruct(base, d)) == serialize_network(base)
+
+    @pytest.mark.parametrize("kind", [KIND_F16_DELTA, KIND_I16_GRID_DELTA])
+    def test_head_entry_of_delta_kind_rejected(self, kind):
+        net = build_net(seed=29)
+        d = compute_delta(net, net, MODE_FP16)
+        w = d.head_entries[0]
+        bad = DeltaEntry(w.name, w.shape, kind, np.zeros(w.shape, dtype=np.int16), 1.0)
+        with pytest.raises(ContractError, match="head entry"):
+            reconstruct(net, replace(d, head_entries=(bad, d.head_entries[1])))
+
+    @pytest.mark.parametrize("which, shape", [(0, (3, 5)), (0, ()), (1, (7,))])
+    def test_verbatim_head_must_fit_the_body(self, which, shape):
+        net = build_net(seed=31, head=3)
+        d = compute_delta(net, net, MODE_FP16)
+        heads = list(d.head_entries)
+        heads[which] = DeltaEntry(heads[which].name, shape, KIND_F32_VALUE, np.zeros(shape, dtype=F32))
+        with pytest.raises(ContractError):
+            reconstruct(net, replace(d, head_entries=tuple(heads)))
+
+    def test_non_finite_rebuild_is_format_error(self, plain_pair):
+        base, specialist = plain_pair
+        d = compute_delta(base, specialist, MODE_FP16)
+        first = d.body_entries[0]
+        payload = first.payload.copy()
+        payload.flat[0] = np.nan
+        d = replace(d, body_entries=(replace(first, payload=payload), *d.body_entries[1:]))
+        with pytest.raises(FormatError, match="non-finite"):
+            reconstruct(base, unpack(pack(d).data))
 
 
 class TestCompressionAccounting:

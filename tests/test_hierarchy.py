@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from supersub.errors import ValidationError
@@ -114,3 +115,17 @@ class TestSuperOf:
             manifest.super_of(4)
         with pytest.raises(IndexError):
             manifest.super_of(-1)
+
+    def test_array_matches_scalar(self):
+        manifest = parse_manifest(taxonomy_manifest_doc())
+        subs = np.arange(manifest.n_sub, dtype=np.int64)[::-1]
+        supers = manifest.super_of(subs)
+        assert supers.dtype == np.int64
+        assert supers.tolist() == [manifest.super_of(int(s)) for s in subs]
+        assert isinstance(manifest.super_of(5), int)
+        assert manifest.super_of(np.zeros(0, dtype=np.int64)).shape == (0,)
+
+    def test_array_out_of_range_rejected(self):
+        manifest = make_manifest([("A", ["a1", "a2"]), ("B", ["b1", "b2"])])
+        with pytest.raises(IndexError, match="index 4 "):
+            manifest.super_of(np.asarray([0, 3, 4, -1]))

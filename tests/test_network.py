@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import with_fixed_crc
+from supersub.container import Writer
 from supersub.errors import ContractError, DimensionError, FormatError, ParameterError
 from supersub.network import (
     BatchNormParams,
@@ -18,6 +19,7 @@ from supersub.network import (
     effective_weights,
     fake_quantize,
     forward,
+    from_tensors,
     gradient_check,
     grid_indices,
     init_network,
@@ -29,6 +31,7 @@ from supersub.network import (
     serialize_network,
     sgd_step,
     snap_to_grid,
+    tensor_items,
     uniform_config,
 )
 from supersub.tensor import F32, Prng, gaussian_array
@@ -276,8 +279,6 @@ class TestFakeQuantize:
 
 class TestSnapAndEffectiveWeights:
     def test_snap_records_quant_info(self):
-        from supersub.network import tensor_items
-
         net = small_net((4, 6, 3), batchnorm=True, seed=12)
         snapped = snap_to_grid(net, 8)
         assert snapped.quant is not None
@@ -329,6 +330,14 @@ class TestNetworkContainer:
             deserialize_network(with_fixed_crc(bytes(blob)))
         assert err.value.offset == at
 
+    def test_overflowing_dims_are_format_error(self):
+        w = Writer().raw(b"HSNW").u16(1).u32(3)
+        for dim in (2**32 - 1, 2**32 - 1, 2):
+            w.u32(dim)
+        w.u8(0).u8(0)  # no batch-norm, no quant block
+        with pytest.raises(FormatError):
+            deserialize_network(w.finish())
+
     def test_truncation_detected(self):
         blob = serialize_network(small_net(seed=1))
         with pytest.raises(FormatError):
@@ -366,3 +375,25 @@ class TestStructureHelpers:
         dup = copy_network(net)
         dup.layers[0].weight[0, 0] += 1.0
         assert net.layers[0].weight[0, 0] != dup.layers[0].weight[0, 0]
+
+
+class TestFromTensors:
+    @pytest.mark.parametrize("batchnorm", [False, True])
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_inverts_tensor_items(self, batchnorm, quantized):
+        net = small_net((7, 5, 4, 3), batchnorm=batchnorm, seed=23)
+        if quantized:
+            net = snap_to_grid(net, 8)
+        tensors = {n: t for n, t, _ in tensor_items(net)}
+        again = from_tensors(net.config(), tensors, net.quant)
+        assert serialize_network(again) == serialize_network(net)
+
+    def test_wrong_or_missing_tensor_rejected(self):
+        net = small_net((4, 6, 3), batchnorm=True, seed=2)
+        tensors = {n: t for n, t, _ in tensor_items(net)}
+        tensors["layer0.bn_var"] = np.ones(5, dtype=F32)
+        with pytest.raises(ContractError, match="layer0.bn_var"):
+            from_tensors(net.config(), tensors)
+        del tensors["layer0.bn_var"]
+        with pytest.raises(ContractError, match="layer0.bn_var"):
+            from_tensors(net.config(), tensors)
