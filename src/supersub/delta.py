@@ -21,7 +21,12 @@ kind is valid for a head entry.
 
 The packed container records a CRC-32C fingerprint of the base network
 file; reconstruction against any other base fails loudly instead of
-silently producing a plausible-looking network.
+silently producing a plausible-looking network. The caller supplies the
+base's fingerprint to `reconstruct`, so a server holding one base takes it
+once rather than on every rebuild. Once the fingerprints match, entries
+that do not fit the base (missing, duplicate or misshapen entries, a head
+entry of a delta kind, a zero-width head) can only come from a corrupt or
+crafted file, so they are FormatErrors.
 
 DeltaPacks are immutable and every function here is pure, so concurrent
 use is safe; reconstruction allocates a fresh network and never mutates
@@ -35,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .container import Reader, Writer, check_trailing_crc, crc32c, deflate, inflate
+from .container import Reader, Writer, check_trailing_crc, deflate, inflate
 from .errors import (
     BaseMismatchError,
     ContractError,
@@ -123,10 +128,9 @@ def base_fingerprint_of(base: Network) -> int:
     The CRC of a whole container that ends in its own CRC is a constant
     residue, identical for every file, so the fingerprint must cover the
     body only; that is exactly the value already stored in the file's
-    trailing field.
+    trailing field, which this returns.
     """
-    blob = serialize_network(base)
-    return crc32c(blob[:-4])
+    return int.from_bytes(serialize_network(base)[-4:], "little")
 
 
 def _xor_bits(t_sub: np.ndarray, t_base: np.ndarray) -> np.ndarray:
@@ -282,30 +286,32 @@ def unpack(data: bytes) -> DeltaPack:
 # --- reconstruction ----------------------------------------------------------
 
 
-def reconstruct(base: Network, d: DeltaPack) -> Network:
+def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int) -> Network:
     """Rebuild the specialist: body = base + delta, head by XOR or verbatim.
 
-    qat-int reconstruction works in the integer domain — recover the base's
-    grid indices, add the stored index deltas, rescale — which reproduces
-    the stored specialist bit for bit. A tensor that rebuilds to NaN or
-    infinity is a FormatError: no trained network holds one.
+    `base_fingerprint` is `base_fingerprint_of(base)`, which the caller
+    takes once per base; a pack computed against another base raises
+    BaseMismatchError. qat-int reconstruction works in the integer domain —
+    recover the base's grid indices, add the stored index deltas, rescale —
+    which reproduces the stored specialist bit for bit. Entries that do not
+    fit the base, and tensors that rebuild to NaN or infinity, are
+    FormatErrors: no pack computed against this base holds them.
     """
-    actual = base_fingerprint_of(base)
-    if actual != d.base_fingerprint:
+    if base_fingerprint != d.base_fingerprint:
         raise BaseMismatchError(
             f"delta was computed against base {d.base_fingerprint:#010x}, "
-            f"got network with fingerprint {actual:#010x}"
+            f"got network with fingerprint {base_fingerprint:#010x}"
         )
     items = tensor_items(base)
     n_body = len(items) - 2
     body = {e.name: e for e in d.body_entries}
     head = {e.name: e for e in d.head_entries}
     if len(body) != len(d.body_entries) or len(body) != n_body:
-        raise ContractError(
+        raise FormatError(
             f"delta has {len(d.body_entries)} body entries, base has {n_body} body tensors"
         )
     if set(head) != {name for name, _, _ in items[n_body:]}:
-        raise ContractError(f"unexpected head entries {sorted(head)}")
+        raise FormatError(f"unexpected head entries {sorted(head)}")
 
     rebuilt: dict[str, np.ndarray] = {}
     scales: list[tuple[str, float]] = []
@@ -313,15 +319,15 @@ def reconstruct(base: Network, d: DeltaPack) -> Network:
         is_head = i >= n_body
         e = head[name] if is_head else body.get(name)
         if e is None:
-            raise ContractError(f"delta is missing body entry {name}")
+            raise FormatError(f"delta is missing body entry {name}")
         if is_head and e.kind == KIND_F32_VALUE:
             # A replaced head may change width, never rank or fan-in.
             if not e.shape or e.shape[1:] != t_base.shape[1:]:
-                raise ContractError(f"verbatim {name} shape {e.shape} does not fit base {t_base.shape}")
+                raise FormatError(f"verbatim {name} shape {e.shape} does not fit base {t_base.shape}")
         elif is_head and e.kind != KIND_XOR32_DELTA:
-            raise ContractError(f"head entry {name} has kind {e.kind}; only xor or verbatim is valid")
+            raise FormatError(f"head entry {name} has kind {e.kind}; only xor or verbatim is valid")
         elif e.shape != t_base.shape:
-            raise ContractError(f"entry {name} shape {e.shape} != base shape {t_base.shape}")
+            raise FormatError(f"entry {name} shape {e.shape} != base shape {t_base.shape}")
         if e.kind == KIND_F16_DELTA:
             t = (t_base + e.payload.astype(F32)).astype(F32)
         elif e.kind == KIND_I16_GRID_DELTA:
@@ -336,13 +342,19 @@ def reconstruct(base: Network, d: DeltaPack) -> Network:
             raise FormatError(f"delta entry {name} rebuilds to non-finite values")
         rebuilt[name] = t
 
+    width = rebuilt["head.weight"].shape[0]
+    if width == 0 or rebuilt["head.bias"].shape != (width,):
+        raise FormatError(
+            f"head shapes {rebuilt['head.weight'].shape} and {rebuilt['head.bias'].shape} "
+            "do not form a head of width >= 1"
+        )
     quant = None
     if d.mode == MODE_QAT_INT:
         if d.head_scales is None:
-            raise ContractError("qat-int pack is missing the specialist head scales")
+            raise FormatError("qat-int pack is missing the specialist head scales")
         quant = QuantInfo(d.qat_bits, (*scales, *d.head_scales))
     config = base.config()
-    config = replace(config, layer_dims=(*config.layer_dims[:-1], rebuilt["head.weight"].shape[0]))
+    config = replace(config, layer_dims=(*config.layer_dims[:-1], width))
     return from_tensors(config, rebuilt, quant)
 
 

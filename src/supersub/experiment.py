@@ -394,7 +394,7 @@ def cmd_unpack(config: ExperimentConfig, super_index: int) -> Path:
     base = load_network(_require(paths.super_net))
     blob = _require(paths.delta_file(super_index)).read_bytes()
     pack = delta_mod.unpack(blob)
-    specialist = delta_mod.reconstruct(base, pack)
+    specialist = delta_mod.reconstruct(base, pack, delta_mod.base_fingerprint_of(base))
     save_network(specialist, paths.reconstructed_net(super_index))
     return paths.reconstructed_net(super_index)
 

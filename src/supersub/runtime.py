@@ -22,7 +22,7 @@ import numpy as np
 
 from . import network as net_mod
 from .data import Dataset
-from .delta import body_tensor_items, reconstruct, unpack
+from .delta import base_fingerprint_of, body_tensor_items, reconstruct, unpack
 from .errors import ContractError, DimensionError
 from .hierarchy import HierarchyManifest
 from .network import Network, forward
@@ -110,7 +110,9 @@ class EfficientSession:
     against) plus at most one reconstructed specialist: a single-slot
     cache. A query for the cached superclass costs nothing; any other
     loads that superclass's packed delta, charging its byte size, and
-    rebuilds the specialist, charging one add per body element.
+    rebuilds the specialist, charging one add per body element. The
+    router's fingerprint, which every rebuild checks the pack against, is
+    taken once, at construction.
 
     Single-owner state: give each thread its own session (the base network
     may be shared read-only).
@@ -127,6 +129,7 @@ class EfficientSession:
         self.ledger = CostLedger()
         self._base_bytes = net_mod.network_bytes(base)
         self._body_elements = sum(t.size for _, t, _ in body_tensor_items(base))
+        self._base_fingerprint = base_fingerprint_of(base)
         self._cached_super: int | None = None
         self._cached_net: Network | None = None
         self.ledger.peak_resident_bytes = self._base_bytes
@@ -139,7 +142,7 @@ class EfficientSession:
         self.ledger.bytes_loaded += len(blob)
         self.ledger.specialist_switches += 1
         pack = unpack(blob)
-        specialist = reconstruct(self.super_net, pack)
+        specialist = reconstruct(self.super_net, pack, self._base_fingerprint)
         if specialist.head_dim != self.manifest.subclass_count(super_index):
             raise ContractError(
                 f"reconstructed specialist {super_index} head {specialist.head_dim} != "

@@ -1,6 +1,7 @@
 """CLI verbs, exit codes, and stdout contracts."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -130,6 +131,18 @@ def test_overflowing_delta_shape_exits_3(qat_config_path, capsys):
 
     path = RunPaths(load_config(qat_config_path).out_dir).delta_file(0)
     path.write_bytes(overflowing_shape_pack(path.read_bytes()))
+    assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
+    assert "integrity" in capsys.readouterr().err
+
+
+def test_misfit_delta_entry_exits_3(qat_config_path, capsys):
+    for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["pack", "0"]):
+        assert main(["--config", str(qat_config_path)] + argv) == 0
+    from supersub.delta import pack, unpack
+
+    path = RunPaths(load_config(qat_config_path).out_dir).delta_file(0)
+    d = unpack(path.read_bytes())
+    path.write_bytes(pack(replace(d, body_entries=d.body_entries[:-1])).data)
     assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
     assert "integrity" in capsys.readouterr().err
 

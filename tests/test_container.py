@@ -1,9 +1,31 @@
-"""Container plumbing: CRC-32C vectors, primitives, DEFLATE round trip."""
+"""Container plumbing: CRC-32C vectors and kernels, primitives, DEFLATE round trip."""
 
 import pytest
 
-from supersub.container import Reader, Writer, check_trailing_crc, crc32c, deflate, inflate
+from supersub.container import (
+    _LANE,
+    _LANE_THRESHOLD,
+    Reader,
+    Writer,
+    _crc32c_bytewise,
+    check_trailing_crc,
+    crc32c,
+    deflate,
+    inflate,
+)
 from supersub.errors import FormatError
+from supersub.tensor import Prng
+
+_MAX_LEN = 100_000
+
+
+def _random_bytes(prng: Prng, n: int) -> bytes:
+    return b"".join(prng.next_u64().to_bytes(8, "little") for _ in range(-(-n // 8)))[:n]
+
+
+@pytest.fixture(scope="module")
+def pool():
+    return _random_bytes(Prng(0xC3C), _MAX_LEN + 64)
 
 
 def test_crc32c_check_vector():
@@ -16,9 +38,30 @@ def test_crc32c_empty():
 
 
 def test_crc32c_incremental_equals_one_shot():
-    data = bytes(range(256)) * 3
-    # The helper has no streaming API; equality over slices guards the table.
-    assert crc32c(data) == crc32c(data[:100] + data[100:])
+    data = bytes(range(256)) * 12
+    # Split points on both sides of the lane threshold, for either part.
+    for split in (100, _LANE_THRESHOLD - 1, _LANE_THRESHOLD + 5):
+        assert crc32c(data) == crc32c(data[split:], crc32c(data[:split])), split
+
+
+def test_crc32c_lanes_equal_byte_loop_at_every_short_length(pool):
+    prng = Prng(0x1A4E)
+    for n in range(_LANE_THRESHOLD + 3 * _LANE + 1):
+        data = pool[n % 61 : n % 61 + n]
+        start = prng.next_u64() & 0xFFFFFFFF
+        assert crc32c(data, start) == _crc32c_bytewise(data, start), n
+
+
+def test_crc32c_lanes_equal_byte_loop_at_random_lengths(pool):
+    prng = Prng(0xB16)
+    for trial in range(24):
+        n = prng.next_u64() % (_MAX_LEN + 1)
+        offset = prng.next_u64() % 64
+        start = 0 if trial % 3 == 0 else prng.next_u64() & 0xFFFFFFFF
+        data = pool[offset : offset + n]
+        expected = _crc32c_bytewise(data, start)
+        for view in (data, bytearray(data), memoryview(data)):
+            assert crc32c(view, start) == expected, (n, type(view))
 
 
 def test_writer_reader_round_trip():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import with_fixed_crc
-from supersub.container import Writer, deflate, inflate
+from supersub.container import Writer, crc32c, deflate, inflate
 from supersub.delta import (
     KIND_F16_DELTA,
     KIND_F32_VALUE,
@@ -15,6 +15,7 @@ from supersub.delta import (
     DeltaEntry,
     MODE_FP16,
     MODE_QAT_INT,
+    base_fingerprint_of,
     compression_ratio,
     compute_delta,
     delta_histogram,
@@ -107,7 +108,7 @@ class TestComputeDelta:
     def test_qat_round_trip_bit_exact(self, qat_pair):
         base, specialist = qat_pair
         d = compute_delta(base, specialist, MODE_QAT_INT)
-        rebuilt = reconstruct(base, d)
+        rebuilt = reconstruct(base, d, base_fingerprint_of(base))
         assert serialize_network(rebuilt) == serialize_network(specialist)
 
     def test_qat_requires_quantized_networks(self, plain_pair):
@@ -202,7 +203,7 @@ class TestPackUnpack:
         other_base = build_net(head=2, seed=99, dims=(8, 16, 16))
         again = unpack(packed.data)  # parses fine
         with pytest.raises(BaseMismatchError):
-            reconstruct(other_base, again)
+            reconstruct(other_base, again, base_fingerprint_of(other_base))
 
     def test_many_random_packs_round_trip(self):
         rng = Prng(777)
@@ -218,20 +219,20 @@ class TestPackUnpack:
 class TestReconstruct:
     def test_zero_delta_reproduces_base_body(self):
         net = build_net(seed=13)
-        rebuilt = reconstruct(net, compute_delta(net, net, MODE_FP16))
+        rebuilt = reconstruct(net, compute_delta(net, net, MODE_FP16), base_fingerprint_of(net))
         for orig, new in zip(net.layers[:-1], rebuilt.layers[:-1]):
             assert np.array_equal(orig.weight, new.weight)
             assert np.array_equal(orig.bias, new.bias)
 
     def test_fp16_reconstruction_close(self, plain_pair):
         base, specialist = plain_pair
-        rebuilt = reconstruct(base, compute_delta(base, specialist, MODE_FP16))
+        rebuilt = reconstruct(base, compute_delta(base, specialist, MODE_FP16), base_fingerprint_of(base))
         for orig, new in zip(specialist.layers, rebuilt.layers):
             np.testing.assert_allclose(orig.weight, new.weight, rtol=2e-3, atol=2e-3)
 
     def test_head_installed_verbatim(self, plain_pair):
         base, specialist = plain_pair
-        rebuilt = reconstruct(base, compute_delta(base, specialist, MODE_FP16))
+        rebuilt = reconstruct(base, compute_delta(base, specialist, MODE_FP16), base_fingerprint_of(base))
         assert np.array_equal(rebuilt.layers[-1].weight, specialist.layers[-1].weight)
         assert np.array_equal(rebuilt.layers[-1].bias, specialist.layers[-1].bias)
 
@@ -240,7 +241,7 @@ class TestReconstruct:
         base, _ = request.getfixturevalue(pair)
         d = compute_delta(base, base, mode)
         assert [e.kind for e in d.head_entries] == [KIND_XOR32_DELTA] * 2
-        assert serialize_network(reconstruct(base, d)) == serialize_network(base)
+        assert serialize_network(reconstruct(base, d, base_fingerprint_of(base))) == serialize_network(base)
 
     @pytest.mark.parametrize("kind", [KIND_F16_DELTA, KIND_I16_GRID_DELTA])
     def test_head_entry_of_delta_kind_rejected(self, kind):
@@ -248,17 +249,34 @@ class TestReconstruct:
         d = compute_delta(net, net, MODE_FP16)
         w = d.head_entries[0]
         bad = DeltaEntry(w.name, w.shape, kind, np.zeros(w.shape, dtype=np.int16), 1.0)
-        with pytest.raises(ContractError, match="head entry"):
-            reconstruct(net, replace(d, head_entries=(bad, d.head_entries[1])))
+        with pytest.raises(FormatError, match="head entry"):
+            reconstruct(net, replace(d, head_entries=(bad, d.head_entries[1])), base_fingerprint_of(net))
 
-    @pytest.mark.parametrize("which, shape", [(0, (3, 5)), (0, ()), (1, (7,))])
+    @pytest.mark.parametrize("which, shape", [(0, (3, 5)), (0, ()), (1, (7,)), (0, (0, 12))])
     def test_verbatim_head_must_fit_the_body(self, which, shape):
         net = build_net(seed=31, head=3)
         d = compute_delta(net, net, MODE_FP16)
         heads = list(d.head_entries)
         heads[which] = DeltaEntry(heads[which].name, shape, KIND_F32_VALUE, np.zeros(shape, dtype=F32))
-        with pytest.raises(ContractError):
-            reconstruct(net, replace(d, head_entries=tuple(heads)))
+        with pytest.raises(FormatError):
+            reconstruct(net, replace(d, head_entries=tuple(heads)), base_fingerprint_of(net))
+
+    @pytest.mark.parametrize("edit", ["missing", "duplicate", "misshapen", "renamed_head"])
+    def test_misfit_entries_are_format_errors(self, edit):
+        net = build_net(seed=37)
+        d = compute_delta(net, net, MODE_FP16)
+        body, heads = list(d.body_entries), list(d.head_entries)
+        if edit == "missing":
+            body.pop()
+        elif edit == "duplicate":
+            body[-1] = body[0]
+        elif edit == "misshapen":
+            body[0] = replace(body[0], shape=body[0].shape[::-1], payload=body[0].payload.T)
+        else:
+            heads[1] = replace(heads[1], name="head.extra")
+        d = replace(d, body_entries=tuple(body), head_entries=tuple(heads))
+        with pytest.raises(FormatError):
+            reconstruct(net, d, base_fingerprint_of(net))
 
     def test_non_finite_rebuild_is_format_error(self, plain_pair):
         base, specialist = plain_pair
@@ -268,7 +286,14 @@ class TestReconstruct:
         payload.flat[0] = np.nan
         d = replace(d, body_entries=(replace(first, payload=payload), *d.body_entries[1:]))
         with pytest.raises(FormatError, match="non-finite"):
-            reconstruct(base, unpack(pack(d).data))
+            reconstruct(base, unpack(pack(d).data), base_fingerprint_of(base))
+
+
+class TestBaseFingerprint:
+    @pytest.mark.parametrize("pair", ["plain_pair", "qat_pair"])
+    def test_equals_crc_of_the_serialized_body(self, request, pair):
+        base, _ = request.getfixturevalue(pair)
+        assert base_fingerprint_of(base) == crc32c(serialize_network(base)[:-4])
 
 
 class TestCompressionAccounting:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from supersub import runtime
 from supersub.data import Dataset
-from supersub.delta import MODE_QAT_INT, compute_delta, pack
+from supersub.delta import MODE_QAT_INT, base_fingerprint_of, compute_delta, pack
 from supersub.errors import BaseMismatchError, ContractError, DimensionError
 from supersub.hierarchy import make_manifest
 from supersub.network import (
@@ -173,6 +174,21 @@ class TestEfficientSession:
             + max(len(b) for b in packed.values())
         )
         assert session.ledger.peak_resident_bytes <= bound
+
+    def test_base_fingerprint_taken_once_per_session(self, qat_session_parts, mini_train, monkeypatch):
+        base, _, packed = qat_session_parts
+        calls = []
+
+        def counted(net):
+            calls.append(net)
+            return base_fingerprint_of(net)
+
+        monkeypatch.setattr(runtime, "base_fingerprint_of", counted)
+        session = EfficientSession(base, packed, mini_train.manifest)
+        for s in (0, 1, 0, 1, 1, 0):
+            session.specialist_for(s)
+        assert session.ledger.specialist_switches == 5
+        assert len(calls) == 1 and calls[0] is base
 
     def test_missing_delta_rejected_at_construction(self, qat_session_parts, mini_train):
         base, _, packed = qat_session_parts
