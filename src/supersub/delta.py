@@ -294,7 +294,8 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int) -> Network:
     BaseMismatchError. qat-int reconstruction works in the integer domain —
     recover the base's grid indices, add the stored index deltas, rescale —
     which reproduces the stored specialist bit for bit. Entries that do not
-    fit the base, and tensors that rebuild to NaN or infinity, are
+    fit the base (a grid entry whose scale is not the base's shared grid
+    included), and tensors that rebuild to NaN or infinity, are
     FormatErrors: no pack computed against this base holds them.
     """
     if base_fingerprint != d.base_fingerprint:
@@ -302,6 +303,8 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int) -> Network:
             f"delta was computed against base {d.base_fingerprint:#010x}, "
             f"got network with fingerprint {base_fingerprint:#010x}"
         )
+    if d.mode == MODE_QAT_INT and base.quant is None:
+        raise FormatError("qat-int pack against a base without quantization grids")
     items = tensor_items(base)
     n_body = len(items) - 2
     body = {e.name: e for e in d.body_entries}
@@ -331,6 +334,8 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int) -> Network:
         if e.kind == KIND_F16_DELTA:
             t = (t_base + e.payload.astype(F32)).astype(F32)
         elif e.kind == KIND_I16_GRID_DELTA:
+            if base.quant is None or e.scale != base.quant.scale_of(name):
+                raise FormatError(f"grid entry {name} has scale {e.scale}, not the base's shared grid")
             q_new = lattice_indices(t_base, e.scale) + e.payload.astype(np.int32)
             t = (q_new.astype(F32) * F32(e.scale)).astype(F32)
             scales.append((name, e.scale))

@@ -3,8 +3,11 @@
 Everything here is built from elementwise IEEE-754 single-precision
 operations with explicitly fixed accumulation order, so results are
 bit-identical across runs and platforms regardless of SIMD width or BLAS
-backend. That rules out np.dot / np.sum for anything that feeds a golden
-file; use matmul() and the ordered-sum helpers instead.
+backend. Fixed order includes np.add.accumulate, which numpy defines as the
+running sequence r[t] = r[t-1] + x[t]. It rules out np.dot, np.sum and
+np.add.reduce, whose order is unspecified (pairwise, blocked or SIMD), for
+anything that feeds a golden file; use matmul() and the ordered-sum helpers
+instead.
 
 All operations are pure. Prng is single-owner mutable state: never share
 one instance across threads; derive child seeds instead.
@@ -99,11 +102,21 @@ def check_finite(arr: np.ndarray, context: str) -> np.ndarray:
     return arr
 
 
+# Largest m*n served by the accumulate kernel, the measured crossover on a
+# 2-core Xeon VM: the t-loop costs ~3.5 us per t whatever m*n is, accumulate
+# ~8 ns per product whatever k is, and it strides along t, so at m*n = 3200
+# it is 3-5x slower than the loop.
+_ACCUMULATE_MAX_OUTPUTS = 512
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """C[i,j] = sum_t A[i,t]*B[t,j], accumulated in float32 in fixed t order.
 
     Each output element is an identical scalar IEEE op sequence, so the
-    result is bit-exact on any platform (no BLAS, no reassociation).
+    result is bit-exact on any platform (no BLAS, no reassociation). Two
+    kernels give the same bits: when k >= 1 and 1 <= m*n <= 512, all k*m*n
+    products at once followed by one np.add.accumulate along t; otherwise
+    the t-loop of _matmul_loop, one multiply and add per t.
     """
     a = as_float(a)
     b = as_float(b)
@@ -113,6 +126,20 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             left_shape=a.shape,
             right_shape=b.shape,
         )
+    m, k = a.shape
+    n = b.shape[1]
+    if k == 0 or not 1 <= m * n <= _ACCUMULATE_MAX_OUTPUTS:
+        return _matmul_loop(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = a.T[:, :, None] * b[:, None, :]
+        # The loop adds the first product to +0.0, which turns -0.0 into +0.0.
+        p[0] += 0
+        out = np.add.accumulate(p, axis=0)[-1]
+    return check_finite(out, "matmul")
+
+
+def _matmul_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """matmul's t-loop kernel, and the reference its accumulate kernel matches."""
     m, k = a.shape
     n = b.shape[1]
     dtype = np.result_type(a, b)
@@ -126,7 +153,19 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def ordered_axis0_sum(x: np.ndarray) -> np.ndarray:
-    """Sum rows of a 2-D array in row order, accumulating in float32."""
+    """Sum rows of a 2-D array in row order, accumulating in float32.
+
+    The last row of np.add.accumulate along axis 0, which adds the rows in
+    the order _ordered_axis0_sum_loop does; an empty input sums to zeros.
+    """
+    x = as_float(x)
+    if not x.shape[0]:
+        return np.zeros(x.shape[1], dtype=x.dtype)
+    return np.add.accumulate(x, axis=0)[-1]
+
+
+def _ordered_axis0_sum_loop(x: np.ndarray) -> np.ndarray:
+    """Row-by-row reference for ordered_axis0_sum."""
     x = as_float(x)
     acc = x[0].copy() if x.shape[0] else np.zeros(x.shape[1], dtype=x.dtype)
     for i in range(1, x.shape[0]):

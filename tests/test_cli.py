@@ -147,6 +147,18 @@ def test_misfit_delta_entry_exits_3(qat_config_path, capsys):
     assert "integrity" in capsys.readouterr().err
 
 
+def test_wrong_grid_scale_exits_3(qat_config_path, capsys):
+    for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["pack", "0"]):
+        assert main(["--config", str(qat_config_path)] + argv) == 0
+    from supersub.delta import pack, unpack
+
+    path = RunPaths(load_config(qat_config_path).out_dir).delta_file(0)
+    d = unpack(path.read_bytes())
+    first = replace(d.body_entries[0], scale=0.0)
+    path.write_bytes(pack(replace(d, body_entries=(first, *d.body_entries[1:]))).data)
+    assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
+    assert "integrity" in capsys.readouterr().err
+
 def test_stale_base_exits_3(qat_config_path, capsys):
     for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["pack", "0"]):
         assert main(["--config", str(qat_config_path)] + argv) == 0

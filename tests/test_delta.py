@@ -1,5 +1,6 @@
 """Delta extraction, lossless packing, exact qat-int reconstruction."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -287,6 +288,24 @@ class TestReconstruct:
         d = replace(d, body_entries=(replace(first, payload=payload), *d.body_entries[1:]))
         with pytest.raises(FormatError, match="non-finite"):
             reconstruct(base, unpack(pack(d).data), base_fingerprint_of(base))
+
+    @pytest.mark.parametrize("factor", [0.0, 2.0, float("nan")])
+    def test_grid_entry_scale_must_be_the_base_grid(self, factor):
+        net = snap_to_grid(build_net(seed=43), 8)
+        d = compute_delta(net, net, MODE_QAT_INT)
+        first = d.body_entries[0]
+        d = replace(d, body_entries=(replace(first, scale=first.scale * factor), *d.body_entries[1:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="scale"):
+                reconstruct(net, unpack(pack(d).data), base_fingerprint_of(net))
+
+    def test_qat_pack_needs_a_quantized_base(self):
+        net = snap_to_grid(build_net(seed=47), 8)
+        plain = replace(net, quant=None)
+        d = replace(compute_delta(net, net, MODE_QAT_INT), base_fingerprint=base_fingerprint_of(plain))
+        with pytest.raises(FormatError, match="quantization"):
+            reconstruct(plain, d, base_fingerprint_of(plain))
 
 
 class TestBaseFingerprint:

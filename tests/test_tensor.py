@@ -9,11 +9,14 @@ from supersub.errors import DimensionError, ParameterError
 from supersub.tensor import (
     F32,
     Prng,
+    _matmul_loop,
+    _ordered_axis0_sum_loop,
     cross_entropy,
     f16_round,
     gaussian,
     gaussian_array,
     matmul,
+    ordered_axis0_sum,
     relu,
     softmax_rows,
 )
@@ -135,6 +138,108 @@ class TestMatmul:
         b = np.full((2, 1), 3e38, dtype=F32)
         with pytest.raises(ParameterError):
             matmul(a, b)
+
+    def test_overflow_rejected_on_the_loop_path(self):
+        a = np.full((23, 2), 3e38, dtype=F32)
+        b = np.full((2, 23), 3e38, dtype=F32)
+        with pytest.raises(ParameterError):
+            matmul(a, b)
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _draw(rng, bound):
+    return int(rng.next_u64() % (bound + 1))
+
+
+def _carrier(rng, shape, dtype):
+    """Gaussian entries on a dtype carrier, half the time as a transposed view."""
+    if rng.next_u64() % 2:
+        return gaussian_array(rng, shape[::-1]).astype(dtype).T
+    return gaussian_array(rng, shape).astype(dtype)
+
+
+class TestMatmulKernels:
+    """matmul against _matmul_loop, the t-loop its accumulate kernel replaces."""
+
+    def test_random_shapes_both_sides_of_the_threshold(self):
+        rng = Prng(0x4D41544D)
+        outputs = []
+        for case in range(240):
+            m, k, n = _draw(rng, 40), _draw(rng, 40), 1 + _draw(rng, 39)
+            a = _carrier(rng, (m, k), (F32, np.float64)[case % 2])
+            b = _carrier(rng, (k, n), (F32, np.float64)[case % 3 == 0])
+            if m and case % 4 == 0:
+                a[_draw(rng, m - 1)] = -0.0
+            if case % 5 == 0:
+                b[:, _draw(rng, n - 1)] = -0.0
+            assert _same_bits(matmul(a, b), _matmul_loop(a, b)), (m, k, n, a.dtype, b.dtype)
+            outputs.append(m * n)
+        assert min(outputs) == 0 and any(1 <= x <= 512 for x in outputs) and max(outputs) > 512
+
+    @pytest.mark.parametrize("m, k, n", [(1, 7, 5), (1, 64, 64), (8, 3, 64), (3, 1, 2), (9, 4, 60)])
+    @pytest.mark.parametrize("dtype", [F32, np.float64])
+    def test_signed_zero_rows_and_columns(self, m, k, n, dtype):
+        # A product sums to -0.0 only when all its terms are -0.0; the loop,
+        # starting from +0.0, returns +0.0 there.
+        rng = Prng(m * 1000 + k * 100 + n)
+        a = np.abs(gaussian_array(rng, (m, k))).astype(dtype)
+        b = np.abs(gaussian_array(rng, (k, n))).astype(dtype)
+        a[0] = -0.0
+        b[:, -1] = -0.0
+        out = matmul(a, b)
+        assert _same_bits(out, _matmul_loop(a, b))
+        assert not np.signbit(out).any()
+
+    @pytest.mark.parametrize(
+        "m, k, n", [(0, 3, 4), (3, 0, 4), (0, 0, 1), (1, 1, 1), (1, 64, 5), (1, 16, 512), (1, 16, 513)]
+    )
+    @pytest.mark.parametrize("dtype", [F32, np.float64])
+    def test_edge_shapes(self, m, k, n, dtype):
+        rng = Prng(m + 7 * k + 31 * n)
+        a = gaussian_array(rng, (m, k)).astype(dtype)
+        b = gaussian_array(rng, (k, n)).astype(dtype)
+        assert _same_bits(matmul(a, b), _matmul_loop(a, b))
+
+    def test_transposed_gradient_views(self):
+        # backward's d_weight = matmul(d_out.T, x): a strided left operand.
+        rng = Prng(0x7E57)
+        d_out = gaussian_array(rng, (16, 5))
+        x = gaussian_array(rng, (16, 64))
+        assert _same_bits(matmul(d_out.T, x), _matmul_loop(d_out.T, x))
+        assert _same_bits(matmul(d_out.T, x[:, ::2]), _matmul_loop(d_out.T, x[:, ::2]))
+
+
+class TestOrderedAxis0Sum:
+    """ordered_axis0_sum against _ordered_axis0_sum_loop, its row-by-row reference."""
+
+    def test_random_shapes(self):
+        rng = Prng(0x53554D30)
+        for case in range(160):
+            rows, cols = _draw(rng, 70), _draw(rng, 70)
+            x = _carrier(rng, (rows, cols), (F32, np.float64)[case % 2])
+            if rows and case % 3 == 0:
+                x[_draw(rng, rows - 1)] = -0.0
+            if cols and case % 4 == 0:
+                x[:, _draw(rng, cols - 1)] = -0.0
+            assert _same_bits(ordered_axis0_sum(x), _ordered_axis0_sum_loop(x)), (rows, cols, x.dtype)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (0, 0), (1, 7), (1, 0), (50, 64)])
+    @pytest.mark.parametrize("dtype", [F32, np.float64])
+    def test_edge_shapes_and_signed_zeros(self, shape, dtype):
+        x = gaussian_array(Prng(shape[0] * 100 + shape[1]), shape).astype(dtype)
+        if shape[0]:
+            x[0] = -0.0
+        if shape[1]:
+            x[:, 0] = -0.0
+        assert _same_bits(ordered_axis0_sum(x), _ordered_axis0_sum_loop(x))
+
+    def test_non_finite_rows(self):
+        x = np.array([[3e38, -np.inf, 1.0], [3e38, np.inf, np.nan]], dtype=F32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _same_bits(ordered_axis0_sum(x), _ordered_axis0_sum_loop(x))
 
 
 class TestRelu:
