@@ -624,7 +624,14 @@ def deserialize_network(data: bytes) -> Network:
             bn = BatchNormParams(read_arr(fan_out), read_arr(fan_out), read_arr(fan_out), read_arr(fan_out))
         layers.append(LayerParams(weight, bias, bn))
     r.expect_end()
-    return Network(tuple(layers), quant)
+    net = Network(tuple(layers), quant)
+    if quant is not None:
+        names = sorted(name for name, _, _ in tensor_items(net))
+        if not 2 <= quant.bits <= 8 or sorted(name for name, _ in quant.scales) != names:
+            raise FormatError(f"quantization block ({quant.bits} bits) must scale each tensor exactly once")
+        if not all(math.isfinite(s) and s > 0 for _, s in quant.scales):
+            raise FormatError("quantization scales must be finite and positive")
+    return net
 
 
 def save_network(net: Network, path) -> None:

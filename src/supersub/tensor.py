@@ -4,10 +4,11 @@ Everything here is built from elementwise IEEE-754 single-precision
 operations with explicitly fixed accumulation order, so results are
 bit-identical across runs and platforms regardless of SIMD width or BLAS
 backend. Fixed order includes np.add.accumulate, which numpy defines as the
-running sequence r[t] = r[t-1] + x[t]. It rules out np.dot, np.sum and
-np.add.reduce, whose order is unspecified (pairwise, blocked or SIMD), for
-anything that feeds a golden file; use matmul() and the ordered-sum helpers
-instead.
+running sequence r[t] = r[t-1] + x[t], and forming a block of products in
+one call before adding them to the output one t at a time. It rules out
+np.dot, np.sum and np.add.reduce, whose order is unspecified (pairwise,
+blocked or SIMD), for anything that feeds a golden file; use matmul() and
+the ordered-sum helpers instead.
 
 All operations are pure. Prng is single-owner mutable state: never share
 one instance across threads; derive child seeds instead.
@@ -103,20 +104,29 @@ def check_finite(arr: np.ndarray, context: str) -> np.ndarray:
 
 
 # Largest m*n served by the accumulate kernel, the measured crossover on a
-# 2-core Xeon VM: the t-loop costs ~3.5 us per t whatever m*n is, accumulate
-# ~8 ns per product whatever k is, and it strides along t, so at m*n = 3200
-# it is 3-5x slower than the loop.
+# 2-core Xeon VM: accumulate costs ~8 ns per product whatever k is, but it
+# strides along t, so at m*n = 3200 it is 3-5x slower than adding contiguous
+# rows of products one t at a time.
 _ACCUMULATE_MAX_OUTPUTS = 512
+
+# Products per block of the blocked kernel: 512 KiB of float32 (1 MiB of
+# float64), small enough to stay in cache while its rows are added, so the
+# temporary adds nothing visible to the resident set. Measured on a 2-core
+# Xeon VM at the training shapes (50-64 rows, 20-64 columns, k = 32-64):
+# 2**14 was 5-35% slower, 2**16 and 2**18 within run-to-run noise of 2**17.
+_BLOCK_ELEMENTS = 1 << 17
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """C[i,j] = sum_t A[i,t]*B[t,j], accumulated in float32 in fixed t order.
 
     Each output element is an identical scalar IEEE op sequence, so the
-    result is bit-exact on any platform (no BLAS, no reassociation). Two
+    result is bit-exact on any platform (no BLAS, no reassociation). Three
     kernels give the same bits: when k >= 1 and 1 <= m*n <= 512, all k*m*n
     products at once followed by one np.add.accumulate along t; otherwise
-    the t-loop of _matmul_loop, one multiply and add per t.
+    _matmul_blocked, the products of a block of t in one multiply, then one
+    add per t. _matmul_loop, one multiply and add per t, is the reference
+    both are tested against.
     """
     a = as_float(a)
     b = as_float(b)
@@ -129,7 +139,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, k = a.shape
     n = b.shape[1]
     if k == 0 or not 1 <= m * n <= _ACCUMULATE_MAX_OUTPUTS:
-        return _matmul_loop(a, b)
+        return _matmul_blocked(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
         p = a.T[:, :, None] * b[:, None, :]
         # The loop adds the first product to +0.0, which turns -0.0 into +0.0.
@@ -138,8 +148,31 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return check_finite(out, "matmul")
 
 
+def _matmul_blocked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """matmul's kernel for batch shapes: the products of up to _BLOCK_ELEMENTS
+    // (m*n) consecutive t in one multiply, then their rows added to the
+    output in t order, as _matmul_loop adds them."""
+    m, k = a.shape
+    n = b.shape[1]
+    out = np.zeros((m, n), dtype=np.result_type(a, b))
+    if k == 0 or m * n == 0:
+        return out
+    step = max(1, _BLOCK_ELEMENTS // (m * n))
+    p = np.empty((min(step, k), m, n), dtype=out.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, k, step):
+            e = min(s + step, k)
+            block = p[: e - s]
+            np.multiply(a.T[s:e, :, None], b[s:e, None, :], out=block)
+            # Starting from +0.0, as the loop does, turns a -0.0 product into +0.0.
+            for row in block:
+                np.add(out, row, out=out)
+    return check_finite(out, "matmul")
+
+
 def _matmul_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """matmul's t-loop kernel, and the reference its accumulate kernel matches."""
+    """matmul's reference kernel, one multiply and add per t, which the
+    accumulate and blocked kernels match bit for bit."""
     m, k = a.shape
     n = b.shape[1]
     dtype = np.result_type(a, b)
@@ -174,7 +207,20 @@ def _ordered_axis0_sum_loop(x: np.ndarray) -> np.ndarray:
 
 
 def ordered_axis1_sum(x: np.ndarray) -> np.ndarray:
-    """Sum columns of a 2-D array in column order, accumulating in float32."""
+    """Sum columns of a 2-D array in column order, accumulating in float32.
+
+    The last column of np.add.accumulate along axis 1, which adds the
+    columns in the order _ordered_axis1_sum_loop does; an input without
+    columns sums to zeros.
+    """
+    x = as_float(x)
+    if not x.shape[1]:
+        return np.zeros(x.shape[0], dtype=x.dtype)
+    return np.add.accumulate(x, axis=1)[:, -1]
+
+
+def _ordered_axis1_sum_loop(x: np.ndarray) -> np.ndarray:
+    """Column-by-column reference for ordered_axis1_sum."""
     x = as_float(x)
     acc = x[:, 0].copy() if x.shape[1] else np.zeros(x.shape[0], dtype=x.dtype)
     for j in range(1, x.shape[1]):
@@ -183,7 +229,21 @@ def ordered_axis1_sum(x: np.ndarray) -> np.ndarray:
 
 
 def ordered_scalar_sum(vec: np.ndarray) -> float:
-    """Sum a 1-D array front to back in its own precision; returns a float."""
+    """Sum a 1-D array front to back in its own precision; returns a float.
+
+    The last element of np.add.accumulate, the order of
+    _ordered_scalar_sum_loop; an empty input sums to 0.0.
+    """
+    vec = np.array(as_float(vec))
+    if not vec.size:
+        return 0.0
+    # The loop starts from +0.0, which turns a leading -0.0 into +0.0.
+    vec[0] += 0
+    return float(np.add.accumulate(vec)[-1])
+
+
+def _ordered_scalar_sum_loop(vec: np.ndarray) -> float:
+    """Element-by-element reference for ordered_scalar_sum."""
     vec = as_float(vec)
     acc = vec.dtype.type(0.0)
     for v in vec:

@@ -159,6 +159,20 @@ def test_wrong_grid_scale_exits_3(qat_config_path, capsys):
     assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
     assert "integrity" in capsys.readouterr().err
 
+
+def test_incomplete_quant_block_exits_3(qat_config_path, capsys):
+    for argv in (["gen-data"], ["train", "super"], ["finetune", "0"]):
+        assert main(["--config", str(qat_config_path)] + argv) == 0
+    from supersub.network import load_network, save_network
+
+    path = RunPaths(load_config(qat_config_path).out_dir).super_net
+    base = load_network(path)
+    scales = tuple(s for s in base.quant.scales if s[0] != "layer0.weight")
+    save_network(replace(base, quant=replace(base.quant, scales=scales)), path)
+    assert main(["--config", str(qat_config_path), "pack", "0"]) == 3
+    assert "integrity" in capsys.readouterr().err
+
+
 def test_stale_base_exits_3(qat_config_path, capsys):
     for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["pack", "0"]):
         assert main(["--config", str(qat_config_path)] + argv) == 0

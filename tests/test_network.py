@@ -1,6 +1,9 @@
 """Network math against independent oracles: hand arithmetic and float64
 finite differences."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -337,6 +340,28 @@ class TestNetworkContainer:
         w.u8(0).u8(0)  # no batch-norm, no quant block
         with pytest.raises(FormatError):
             deserialize_network(w.finish())
+
+    @pytest.mark.parametrize(
+        "edit", ["missing_name", "duplicate_name", "bits_1", "bits_9", "zero_scale", "negative_scale", "nan_scale"]
+    )
+    def test_quant_block_must_scale_every_tensor_once(self, edit):
+        blob = bytearray(serialize_network(snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=22), 8)))
+        name = blob.index(b"layer0.weight")
+        scale = name + len(b"layer0.weight")
+        count = name - 8  # u32 scale count, then the name's u32 length prefix
+        if edit == "missing_name":
+            blob[count : count + 4] = struct.pack("<I", struct.unpack_from("<I", blob, count)[0] - 1)
+            del blob[name - 4 : scale + 4]
+        elif edit == "duplicate_name":
+            at = blob.index(b"layer0.bn_var")
+            blob[at : at + len(b"layer0.bn_var")] = b"layer0.weight"
+        elif edit.startswith("bits_"):
+            blob[count - 1] = int(edit[5:])
+        else:
+            value = {"zero_scale": 0.0, "negative_scale": -1.0, "nan_scale": math.nan}[edit]
+            blob[scale : scale + 4] = struct.pack("<f", value)
+        with pytest.raises(FormatError):
+            deserialize_network(with_fixed_crc(bytes(blob)))
 
     def test_truncation_detected(self):
         blob = serialize_network(small_net(seed=1))

@@ -1,6 +1,7 @@
 """Numeric substrate: PRNG determinism, elementary ops, precision casts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,15 +9,21 @@ import pytest
 from supersub.errors import DimensionError, ParameterError
 from supersub.tensor import (
     F32,
+    _BLOCK_ELEMENTS,
     Prng,
+    _matmul_blocked,
     _matmul_loop,
     _ordered_axis0_sum_loop,
+    _ordered_axis1_sum_loop,
+    _ordered_scalar_sum_loop,
     cross_entropy,
     f16_round,
     gaussian,
     gaussian_array,
     matmul,
     ordered_axis0_sum,
+    ordered_axis1_sum,
+    ordered_scalar_sum,
     relu,
     softmax_rows,
 )
@@ -212,6 +219,100 @@ class TestMatmulKernels:
         assert _same_bits(matmul(d_out.T, x[:, ::2]), _matmul_loop(d_out.T, x[:, ::2]))
 
 
+class TestMatmulBlocked:
+    """_matmul_blocked, the kernel matmul runs for m*n > 512, against _matmul_loop."""
+
+    @staticmethod
+    def _check(a, b):
+        expected = _matmul_loop(a, b)
+        assert _same_bits(_matmul_blocked(a, b), expected), (a.shape, b.shape, a.dtype, b.dtype)
+        assert _same_bits(matmul(a, b), expected)
+
+    def test_random_batch_shapes(self):
+        rng = Prng(0x424C4B44)
+        blocks = []
+        for case in range(120):
+            m, n = 8 + _draw(rng, 72), 8 + _draw(rng, 72)
+            if m * n <= 512:
+                n = 513 // m + 1
+            k = _draw(rng, 80)
+            a = _carrier(rng, (m, k), (F32, np.float64)[case % 2])
+            b = _carrier(rng, (k, n), (F32, np.float64)[case % 3 == 0])
+            if k and case % 4 == 0:
+                a[_draw(rng, m - 1)] = -0.0
+            if case % 5 == 0:
+                b[:, _draw(rng, n - 1)] = -0.0
+            self._check(a, b)
+            blocks.append(-(-k // (_BLOCK_ELEMENTS // (m * n))))
+        assert {0, 1} <= set(blocks) and max(blocks) > 1
+
+    @pytest.mark.parametrize(
+        "m, k, n",
+        [
+            (19, 9, 27),  # m*n = 513, just above the accumulate kernel
+            (64, 5, 64),  # step 32: k below it
+            (64, 32, 64),  # k equal to the step
+            (64, 64, 64),  # k a multiple of the step
+            (50, 64, 64),  # step 40: one full block and one of 24
+            (64, 50, 32),  # step 64: k below it
+            (400, 3, 400),  # m*n above _BLOCK_ELEMENTS: step 1
+            (30, 0, 30),  # k = 0
+            (0, 6, 600),  # m = 0
+        ],
+    )
+    @pytest.mark.parametrize("dtypes", [(F32, F32), (np.float64, np.float64), (F32, np.float64)])
+    def test_block_boundaries(self, m, k, n, dtypes):
+        rng = Prng(m * 10000 + k * 100 + n)
+        a = gaussian_array(rng, (m, k)).astype(dtypes[0])
+        b = gaussian_array(rng, (k, n)).astype(dtypes[1])
+        self._check(a, b)
+
+    @pytest.mark.parametrize("m, k, n", [(9, 4, 60), (50, 64, 64), (64, 50, 32), (400, 2, 400)])
+    @pytest.mark.parametrize("dtype", [F32, np.float64])
+    def test_signed_zero_rows_and_columns(self, m, k, n, dtype):
+        # The loop adds the first product to +0.0, so an all -0.0 column of
+        # products sums to +0.0; seeding the output from it would keep -0.0.
+        rng = Prng(m * 1000 + k * 100 + n)
+        a = np.abs(gaussian_array(rng, (m, k))).astype(dtype)
+        b = np.abs(gaussian_array(rng, (k, n))).astype(dtype)
+        a[0] = -0.0
+        b[:, -1] = -0.0
+        self._check(a, b)
+        assert not np.signbit(matmul(a, b)).any()
+
+    def test_transposed_gradient_views(self):
+        # backward's d_weight = matmul(d_out.T, x) at a training shape.
+        rng = Prng(0x7E58)
+        d_out = gaussian_array(rng, (50, 64))
+        x = gaussian_array(rng, (50, 64))
+        self._check(d_out.T, x)
+        self._check(d_out.T, x[:, ::2])
+
+    @pytest.mark.parametrize("m, k, n, at", [(50, 64, 64, 45), (400, 3, 400, 2)])
+    def test_overflow_rejected(self, m, k, n, at):
+        # Overflow in a later block, and in step-1 blocks, still raises.
+        a = np.ones((m, k), dtype=F32)
+        b = np.ones((k, n), dtype=F32)
+        a[:, at] = 3e38
+        b[at] = 3e38
+        with pytest.raises(ParameterError):
+            matmul(a, b)
+        with pytest.raises(ParameterError):
+            _matmul_loop(a, b)
+
+    def test_temporary_is_bounded_by_the_block(self):
+        rng = Prng(0x4D454D)
+        a = gaussian_array(rng, (1000, 64))
+        b = gaussian_array(rng, (64, 64))
+        tracemalloc.start()
+        try:
+            out = matmul(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + _BLOCK_ELEMENTS * out.itemsize + 64 * 1024, peak
+
+
 class TestOrderedAxis0Sum:
     """ordered_axis0_sum against _ordered_axis0_sum_loop, its row-by-row reference."""
 
@@ -240,6 +341,70 @@ class TestOrderedAxis0Sum:
         x = np.array([[3e38, -np.inf, 1.0], [3e38, np.inf, np.nan]], dtype=F32)
         with np.errstate(over="ignore", invalid="ignore"):
             assert _same_bits(ordered_axis0_sum(x), _ordered_axis0_sum_loop(x))
+
+
+class TestOrderedAxis1Sum:
+    """ordered_axis1_sum against _ordered_axis1_sum_loop, its column-by-column reference."""
+
+    def test_random_shapes(self):
+        rng = Prng(0x53554D31)
+        for case in range(160):
+            rows, cols = _draw(rng, 70), _draw(rng, 70)
+            x = _carrier(rng, (rows, cols), (F32, np.float64)[case % 2])
+            if rows and case % 3 == 0:
+                x[_draw(rng, rows - 1)] = -0.0
+            if cols and case % 4 == 0:
+                x[:, _draw(rng, cols - 1)] = -0.0
+            assert _same_bits(ordered_axis1_sum(x), _ordered_axis1_sum_loop(x)), (rows, cols, x.dtype)
+
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 0), (7, 1), (0, 1), (50, 20)])
+    @pytest.mark.parametrize("dtype", [F32, np.float64])
+    def test_edge_shapes_and_signed_zeros(self, shape, dtype):
+        x = gaussian_array(Prng(shape[0] * 100 + shape[1]), shape).astype(dtype)
+        if shape[0]:
+            x[0] = -0.0
+        if shape[1]:
+            x[:, 0] = -0.0
+        assert _same_bits(ordered_axis1_sum(x), _ordered_axis1_sum_loop(x))
+
+    def test_non_finite_columns(self):
+        x = np.array([[3e38, 3e38], [-np.inf, np.inf], [1.0, np.nan]], dtype=F32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _same_bits(ordered_axis1_sum(x), _ordered_axis1_sum_loop(x))
+
+
+class TestOrderedScalarSum:
+    """ordered_scalar_sum against _ordered_scalar_sum_loop, its element-by-element reference."""
+
+    @staticmethod
+    def _check(vec):
+        got, expected = ordered_scalar_sum(vec), _ordered_scalar_sum_loop(vec)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (vec, got, expected)
+
+    def test_random_lengths(self):
+        rng = Prng(0x53554D32)
+        for case in range(160):
+            vec = gaussian_array(rng, (_draw(rng, 70),)).astype((F32, np.float64)[case % 2])
+            if vec.size and case % 3 == 0:
+                vec[: _draw(rng, vec.size - 1) + 1] = -0.0
+            self._check(vec)
+
+    @pytest.mark.parametrize(
+        "values", [[], [-0.0], [-0.0, -0.0, -0.0], [0.0, -0.0], [-0.0, 2.5, -2.5, -0.0], [1.0, -1.0]]
+    )
+    @pytest.mark.parametrize("dtype", [F32, np.float64])
+    def test_signed_zeros(self, values, dtype):
+        # The loop starts from +0.0, so it never returns -0.0.
+        vec = np.array(values, dtype=dtype)
+        self._check(vec)
+        assert math.copysign(1.0, ordered_scalar_sum(vec)) == 1.0
+
+    def test_non_finite_and_overflow(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._check(np.array([3e38, 3e38, -np.inf], dtype=F32))
+            self._check(np.array([1.0, np.nan, 2.0], dtype=F32))
+            self._check(np.array([np.inf, -np.inf], dtype=np.float64))
 
 
 class TestRelu:
