@@ -124,11 +124,13 @@ def inflate(data: bytes) -> bytes:
         decomp = zlib.decompressobj(wbits=-15)
         out = decomp.decompress(data)
         out += decomp.flush()
-        if decomp.unconsumed_tail:
-            raise FormatError("trailing garbage after DEFLATE stream")
-        return out
     except zlib.error as exc:
         raise FormatError(f"DEFLATE decompression failed: {exc}") from exc
+    if not decomp.eof:
+        raise FormatError("DEFLATE stream is truncated")
+    if decomp.unused_data:
+        raise FormatError("trailing garbage after DEFLATE stream")
+    return out
 
 
 class Writer:

@@ -384,41 +384,3 @@ def quantized_network_bytes(net: Network) -> int:
     weight_elems = sum(layer.weight.size for layer in net.layers)
     return full - 3 * weight_elems
 
-
-@dataclass(frozen=True)
-class Histogram:
-    edges: tuple[float, ...]  # n_bins + 1 edges, or (v, v) for a point mass
-    counts: tuple[int, ...]
-
-
-def delta_histogram(d: DeltaPack, n_bins: int) -> dict[str, Histogram]:
-    """Histograms of the stored numeric delta values, one per tensor class.
-
-    Classes are "weight", "bias" and "batchnorm". Only entries holding
-    numeric deltas (fp16, grid-index) contribute; XOR and verbatim entries
-    carry no additive delta value to bin.
-    """
-    if n_bins < 1:
-        raise ParameterError(f"n_bins must be >= 1, got {n_bins}")
-    groups: dict[str, list[np.ndarray]] = {}
-    for e in d.body_entries:
-        if e.kind == KIND_F16_DELTA:
-            values = e.payload.astype(np.float64).ravel()
-        elif e.kind == KIND_I16_GRID_DELTA:
-            values = e.payload.astype(np.float64).ravel() * float(e.scale)
-        else:
-            continue
-        suffix = e.name.split(".")[1]
-        cls = "weight" if suffix == "weight" else "bias" if suffix == "bias" else "batchnorm"
-        groups.setdefault(cls, []).append(values)
-
-    out: dict[str, Histogram] = {}
-    for cls, chunks in groups.items():
-        values = np.concatenate(chunks)
-        lo, hi = float(values.min()), float(values.max())
-        if lo == hi:
-            out[cls] = Histogram((lo, hi), (values.size,))
-            continue
-        counts, edges = np.histogram(values, bins=n_bins, range=(lo, hi))
-        out[cls] = Histogram(tuple(float(x) for x in edges), tuple(int(c) for c in counts))
-    return out

@@ -23,7 +23,7 @@ from . import report as report_mod
 from . import runtime as runtime_mod
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .errors import ParameterError, ValidationError
-from .network import Network, init_network, load_network, save_network, snap_to_grid, uniform_config
+from .network import Network, init_network, load_network, save_network, uniform_config
 from .runtime import (
     MODE_LOWERBOUND,
     MODE_TWO_STAGE_EFFICIENT,
@@ -72,73 +72,91 @@ class ExperimentConfig:
     train_subclass: StageTrainParams
     train_finetune: StageTrainParams
     delta_mode: str
-    qat_bits: int = 8
+    qat_bits: int | None = None  # the router's and specialists' grid; set only for qat-int
     include_lowerbound: bool = True
     include_scratch: bool = False
     eval_modes: tuple[str, ...] = EVAL_MODES
 
-    def qat(self) -> bool:
-        return self.delta_mode == delta_mod.MODE_QAT_INT
+
+_STAGE_FIELDS = {"lr": float, "epochs": int, "batch_size": int}
+_SYNTHETIC_FIELDS = dict(n_super=int, dim=int, super_sep=float, sub_sep=float, noise_sigma=float,
+                         n_train_per_sub=int, n_test_per_sub=int)
 
 
-def _stage_params(doc: dict, key: str) -> StageTrainParams:
-    block = doc.get(key)
-    if not isinstance(block, dict):
-        raise ValidationError(f'config "train" section is missing "{key}"')
+def _of_type(value, kind: type, where: str):
+    """value itself when it is a JSON object (kind dict) or list (kind list)."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{where} must be a JSON {'object' if kind is dict else 'list'}")
+    return value
+
+
+def _number(kind: type, value, where: str):
+    """kind(value) for kind int or float; a value that does not convert is a ValidationError."""
     try:
-        return StageTrainParams(
-            lr=float(block["lr"]),
-            epochs=int(block["epochs"]),
-            batch_size=int(block["batch_size"]),
-        )
-    except KeyError as exc:
-        raise ValidationError(f'train.{key} is missing {exc}') from exc
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{where} must be a number of type {kind.__name__}, got {value!r}") from exc
+
+
+def _int_list(value, where: str) -> tuple[int, ...]:
+    return tuple(_number(int, v, where) for v in _of_type(value, list, where))
+
+
+def _fields(block, kinds: dict[str, type], where: str) -> dict:
+    """The named number fields of a config object, each converted to its kind."""
+    block = _of_type(block, dict, where)
+    for name in kinds:
+        if name not in block:
+            raise ValidationError(f"{where} is missing {name!r}")
+    return {name: _number(kind, block[name], f"{where}.{name}") for name, kind in kinds.items()}
+
+
+def _stage_params(train_block: dict, key: str) -> StageTrainParams:
+    if key not in train_block:
+        raise ValidationError(f'config "train" section is missing "{key}"')
+    return StageTrainParams(**_fields(train_block[key], _STAGE_FIELDS, f"train.{key}"))
 
 
 def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: int | None = None) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ValidationError("config must be a JSON object")
+    doc = _of_type(doc, dict, "config")
     for required in ("seed", "out_dir", "network", "train", "delta_mode"):
         if required not in doc:
             raise ValidationError(f'config is missing "{required}"')
-    seed = int(doc["seed"]) if seed_override is None else seed_override
+    seed = _number(int, doc["seed"], "seed") if seed_override is None else seed_override
 
     synthetic = None
     dataset_paths = None
     if doc.get("synthetic") is not None:
-        s = doc["synthetic"]
-        try:
-            synthetic = SyntheticSpec(
-                n_super=int(s["n_super"]),
-                subs_per_super=tuple(int(k) for k in s["subs_per_super"]),
-                dim=int(s["dim"]),
-                super_sep=float(s["super_sep"]),
-                sub_sep=float(s["sub_sep"]),
-                noise_sigma=float(s["noise_sigma"]),
-                n_train_per_sub=int(s["n_train_per_sub"]),
-                n_test_per_sub=int(s["n_test_per_sub"]),
-                seed=child_seed(seed, TAG_DATA),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"synthetic block is missing {exc}") from exc
+        s = _of_type(doc["synthetic"], dict, "synthetic")
+        if "subs_per_super" not in s:
+            raise ValidationError("synthetic is missing 'subs_per_super'")
+        synthetic = SyntheticSpec(
+            subs_per_super=_int_list(s["subs_per_super"], "synthetic.subs_per_super"),
+            seed=child_seed(seed, TAG_DATA),
+            **_fields(s, _SYNTHETIC_FIELDS, "synthetic"),
+        )
     elif doc.get("dataset") is not None:
-        d = doc["dataset"]
+        d = _of_type(doc["dataset"], dict, "dataset")
         if "train" not in d or "test" not in d:
             raise ValidationError('dataset block needs "train" and "test" paths')
         dataset_paths = (str(d["train"]), str(d["test"]))
     else:
         raise ValidationError('config needs either a "synthetic" or a "dataset" block')
 
-    net = doc["network"]
+    net = _of_type(doc["network"], dict, "network")
     if "hidden_dims" not in net:
         raise ValidationError('network block needs "hidden_dims"')
+    train_block = _of_type(doc["train"], dict, "train")
     delta_mode = str(doc["delta_mode"])
     if delta_mode not in (delta_mod.MODE_FP16, delta_mod.MODE_QAT_INT):
         raise ValidationError(f"unknown delta_mode {delta_mode!r}")
-    eval_modes = tuple(doc.get("eval_modes", EVAL_MODES))
+    qat_bits = _number(int, doc.get("qat_bits", 8), "qat_bits")
+    if not 2 <= qat_bits <= 8:
+        raise ValidationError(f"qat_bits must be in 2..8, got {qat_bits}")
+    eval_modes = tuple(_of_type(doc.get("eval_modes", list(EVAL_MODES)), list, "eval_modes"))
     allowed = set(EVAL_MODES) | {MODE_UPPERBOUND_SCRATCH}
     for mode in eval_modes:
-        if mode not in allowed:
+        if not isinstance(mode, str) or mode not in allowed:
             raise ValidationError(f"unknown eval mode {mode!r}")
 
     return ExperimentConfig(
@@ -146,13 +164,13 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
         out_dir=out_dir_override or str(doc["out_dir"]),
         synthetic=synthetic,
         dataset_paths=dataset_paths,
-        hidden_dims=tuple(int(h) for h in net["hidden_dims"]),
+        hidden_dims=_int_list(net["hidden_dims"], "network.hidden_dims"),
         batchnorm=bool(net.get("batchnorm", True)),
-        train_super=_stage_params(doc["train"], "superclass"),
-        train_subclass=_stage_params(doc["train"], "subclass"),
-        train_finetune=_stage_params(doc["train"], "finetune"),
+        train_super=_stage_params(train_block, "superclass"),
+        train_subclass=_stage_params(train_block, "subclass"),
+        train_finetune=_stage_params(train_block, "finetune"),
         delta_mode=delta_mode,
-        qat_bits=int(doc.get("qat_bits", 8)),
+        qat_bits=qat_bits if delta_mode == delta_mod.MODE_QAT_INT else None,
         include_lowerbound=bool(doc.get("include_lowerbound", True)),
         include_scratch=bool(doc.get("include_scratch", False)),
         eval_modes=eval_modes,
@@ -274,14 +292,13 @@ def _network_config(config: ExperimentConfig, input_dim: int, head_dim: int):
     return uniform_config(input_dim, list(config.hidden_dims), head_dim, config.batchnorm)
 
 
-def _train_config(stage: StageTrainParams, stage_seed: int, qat: bool, bits: int) -> TrainConfig:
+def _train_config(stage: StageTrainParams, stage_seed: int, qat_bits: int | None) -> TrainConfig:
     return TrainConfig(
         lr=stage.lr,
         epochs=stage.epochs,
         batch_size=stage.batch_size,
         seed=stage_seed,
-        qat=qat,
-        qat_bits=bits,
+        qat_bits=qat_bits,
     )
 
 
@@ -303,14 +320,14 @@ def cmd_train(config: ExperimentConfig, target: str) -> Path:
         view = LabelView.superclass()
         head = manifest.n_super
         stage = config.train_super
-        qat = config.qat()
+        qat_bits = config.qat_bits
         out_path = paths.super_net
     elif target == "lowerbound":
         stage_seed = child_seed(config.seed, TAG_LOWER)
         view = LabelView.all_subclasses()
         head = manifest.n_sub
         stage = config.train_subclass
-        qat = False
+        qat_bits = None
         out_path = paths.lower_net
     elif target.startswith("sub:"):
         i = _parse_super_index(target[4:], manifest.n_super)
@@ -318,7 +335,7 @@ def cmd_train(config: ExperimentConfig, target: str) -> Path:
         view = LabelView.subclass_of(i)
         head = manifest.subclass_count(i)
         stage = config.train_subclass
-        qat = False
+        qat_bits = None
         out_path = paths.scratch_net(i)
     else:
         raise ParameterError(f"unknown train target {target!r}")
@@ -326,10 +343,7 @@ def cmd_train(config: ExperimentConfig, target: str) -> Path:
     net0 = init_network(
         _network_config(config, train_ds.dim, head), child_seed(stage_seed, TAG_INIT)
     )
-    tcfg = _train_config(stage, stage_seed, qat, config.qat_bits)
-    trained, history = train(net0, train_ds, view, tcfg)
-    if qat:
-        trained = snap_to_grid(trained, config.qat_bits)
+    trained, history = train(net0, train_ds, view, _train_config(stage, stage_seed, qat_bits))
     save_network(trained, out_path)
     _write_loss_history(paths.loss_csv(target), history)
     return out_path
@@ -352,10 +366,8 @@ def cmd_finetune(config: ExperimentConfig, super_index: int) -> Path:
     _parse_super_index(str(super_index), train_ds.manifest.n_super)
     base = load_network(_require(paths.super_net))
     stage_seed = child_seed(config.seed, TAG_FINETUNE, super_index)
-    tcfg = _train_config(config.train_finetune, stage_seed, config.qat(), config.qat_bits)
+    tcfg = _train_config(config.train_finetune, stage_seed, config.qat_bits)
     tuned = finetune_from_super(base, super_index, train_ds, tcfg)
-    if config.qat():
-        tuned = snap_to_grid(tuned, config.qat_bits, body_scales=dict(base.quant.body_scales()))
     save_network(tuned, paths.finetuned_net(super_index))
     return paths.finetuned_net(super_index)
 

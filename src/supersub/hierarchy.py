@@ -63,14 +63,6 @@ class HierarchyManifest:
         supers = np.searchsorted(self._offsets, idx, side="right") - 1
         return int(supers) if supers.ndim == 0 else supers.astype(np.int64)
 
-    def local_index(self, sub_index: int) -> int:
-        """Position of a global subclass index inside its own superclass."""
-        return sub_index - self._offsets[self.super_of(sub_index)]
-
-    def sub_name(self, sub_index: int) -> str:
-        s = self.super_of(sub_index)
-        return self.superclasses[s][1][sub_index - self._offsets[s]]
-
     def to_json(self) -> str:
         doc = {
             "superclasses": [

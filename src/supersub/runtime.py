@@ -96,12 +96,6 @@ class ModelRegistry:
     def specialist_for(self, super_index: int) -> Network:
         return self.specialists[super_index]
 
-    def total_model_bytes(self) -> int:
-        total = net_mod.network_bytes(self.super_net)
-        for i in range(self.manifest.n_super):
-            total += net_mod.network_bytes(self.specialists[i])
-        return total
-
 
 class EfficientSession:
     """One-resident-network serving over packed deltas.

@@ -78,11 +78,6 @@ def gaussian_array(prng: Prng, shape, mean: float = 0.0, sigma: float = 1.0) -> 
     return out.reshape(shape)
 
 
-def as_f32(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=F32)
-    return arr
-
-
 def as_float(values) -> np.ndarray:
     """float32 coercion with a float64 escape hatch.
 
@@ -291,7 +286,7 @@ def f16_round(x: np.ndarray) -> np.ndarray:
     Magnitudes above the binary16 maximum are rejected rather than clamped:
     a delta that large means the finetune diverged.
     """
-    x = as_f32(x)
+    x = np.asarray(x, dtype=F32)
     check_finite(x, "f16_round input")
     if np.any(np.abs(x) > F16_MAX):
         worst = float(np.max(np.abs(x)))

@@ -19,7 +19,7 @@ import numpy as np
 from . import network as net_mod
 from .data import Dataset
 from .errors import ContractError, ParameterError
-from .network import Network, QatConfig, apply_bn_updates, backward, forward, sgd_step
+from .network import Network, QatConfig, apply_bn_updates, backward, forward, sgd_step, snap_to_grid
 from .tensor import Prng, child_seed, cross_entropy, softmax_rows
 
 _HEAD_SEED_TAG = 0x48454144  # "HEAD"
@@ -31,8 +31,7 @@ class TrainConfig:
     epochs: int
     batch_size: int
     seed: int
-    qat: bool = False
-    qat_bits: int = 8
+    qat_bits: int | None = None  # None trains in float; 2..8 trains on that grid
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -41,7 +40,7 @@ class TrainConfig:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 2 <= self.qat_bits <= 8:
+        if self.qat_bits is not None and not 2 <= self.qat_bits <= 8:
             raise ParameterError(f"qat_bits must be in [2, 8], got {self.qat_bits}")
 
 
@@ -82,18 +81,22 @@ def resolve_view(ds: Dataset, view: LabelView) -> tuple[np.ndarray, np.ndarray, 
     raise ParameterError(f"unknown label view {view.kind!r}")
 
 
-def train(
-    net: Network,
-    ds: Dataset,
-    view: LabelView,
-    config: TrainConfig,
-    qat_scales: tuple[float | None, ...] | None = None,
-) -> tuple[Network, list[float]]:
+def train(net: Network, ds: Dataset, view: LabelView, config: TrainConfig) -> tuple[Network, list[float]]:
     """Epochs of shuffled mini-batch SGD; returns the network and loss history.
 
-    qat_scales only matters with config.qat: it pins per-layer quantization
-    grids (None entries mean "derive from the current master weights").
+    With config.qat_bits the forward passes fake-quantize every weight on its
+    live grid, and the returned network is snapped onto those grids.
     """
+    bits = config.qat_bits
+    qat = None if bits is None else QatConfig.live(net, bits)
+    trained, history = _sgd(net, ds, view, config, qat)
+    return (trained if bits is None else snap_to_grid(trained, bits)), history
+
+
+def _sgd(
+    net: Network, ds: Dataset, view: LabelView, config: TrainConfig, qat: QatConfig | None
+) -> tuple[Network, list[float]]:
+    """The SGD loop shared by train and finetune; returns the master weights."""
     features, labels, n_classes = resolve_view(ds, view)
     if net.head_dim != n_classes:
         raise ContractError(
@@ -104,11 +107,6 @@ def train(
     n = features.shape[0]
     if n == 0:
         raise ContractError("cannot train on an empty dataset")
-
-    qat = None
-    if config.qat:
-        scales = qat_scales if qat_scales is not None else tuple(None for _ in net.layers)
-        qat = QatConfig(config.qat_bits, scales)
 
     rng = Prng(config.seed)
     current = net_mod.copy_network(net)
@@ -144,10 +142,11 @@ def finetune_from_super(
 
     The body is copied bit-exactly; the head is reinitialized at the
     superclass's subclass count and everything then trains on that
-    superclass's rows with local labels. With config.qat the body is
-    fake-quantized on the base network's grids (shared scales) so the
-    eventual weight deltas live on a common integer lattice; the fresh head
-    quantizes on its own live scale.
+    superclass's rows with local labels. With config.qat_bits the body is
+    fake-quantized on the base network's grids (shared scales) and the fresh
+    head on its own live grid, and the specialist comes back snapped onto
+    those grids, so its weight delta against the base is an exact integer
+    difference.
     """
     manifest = ds.manifest
     if not 0 <= super_index < manifest.n_super:
@@ -155,9 +154,9 @@ def finetune_from_super(
     k = manifest.subclass_count(super_index)
     specialized = net_mod.replace_head(super_net, k, child_seed(config.seed, _HEAD_SEED_TAG))
 
-    qat_scales = None
-    if config.qat:
-        qat_scales = QatConfig.shared_body(super_net, config.qat_bits).scales
-
-    tuned, _ = train(specialized, ds, LabelView.subclass_of(super_index), config, qat_scales)
-    return tuned
+    bits = config.qat_bits
+    qat = None if bits is None else QatConfig.shared_body(super_net, bits)
+    tuned, _ = _sgd(specialized, ds, LabelView.subclass_of(super_index), config, qat)
+    if bits is None:
+        return tuned
+    return snap_to_grid(tuned, bits, body_scales=dict(super_net.quant.body_scales()))

@@ -22,8 +22,7 @@ def run_golden(base_dir: Path):
     for name, config_path in (("fp16", FP16_CONFIG), ("qat", QAT_CONFIG)):
         config = load_config(config_path, out_dir_override=str(base_dir / name))
         run = run_experiment(config)
-        n_super = 5
-        for i in range(n_super):
+        for i in range(config.synthetic.n_super):
             cmd_unpack(config, i)
         runs[name] = run
     return runs

@@ -43,6 +43,42 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(bad), "gen-data"]) == 2
 
 
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("seed",), "abc"),
+        (("train", "superclass", "lr"), "fast"),
+        (("synthetic", "n_super"), "five"),
+        (("train",), []),
+        (("train", "finetune"), 3),
+        (("synthetic",), [1]),
+        (("network",), "wide"),
+        (("eval_modes",), 5),
+        (("eval_modes",), [["lowerbound"]]),
+        (("network", "hidden_dims"), "64"),
+        (("synthetic", "subs_per_super"), "44"),
+        (("qat_bits",), 9),
+        (("qat_bits",), "eight"),
+    ],
+    ids=[
+        "seed_text", "lr_text", "n_super_text", "train_list", "stage_number", "synthetic_list",
+        "network_text", "eval_modes_number", "eval_mode_list", "hidden_dims_text",
+        "subs_per_super_text", "qat_bits_9", "qat_bits_text",
+    ],
+)
+def test_malformed_config_value_exits_2(tmp_path, capsys, keys, value):
+    doc = config_doc(tmp_path / "run", epochs=4)
+    block = doc
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(path), "gen-data"]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+
+
 def test_train_before_gen_data_exits_2(config_path):
     assert main(["--config", str(config_path), "train", "super"]) == 2
 
@@ -131,6 +167,17 @@ def test_overflowing_delta_shape_exits_3(qat_config_path, capsys):
 
     path = RunPaths(load_config(qat_config_path).out_dir).delta_file(0)
     path.write_bytes(overflowing_shape_pack(path.read_bytes()))
+    assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
+    assert "integrity" in capsys.readouterr().err
+
+
+def test_trailing_bytes_in_delta_exit_3(qat_config_path, capsys):
+    for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["pack", "0"]):
+        assert main(["--config", str(qat_config_path)] + argv) == 0
+    from test_delta import trailing_junk_pack
+
+    path = RunPaths(load_config(qat_config_path).out_dir).delta_file(0)
+    path.write_bytes(trailing_junk_pack(path.read_bytes()))
     assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
     assert "integrity" in capsys.readouterr().err
 

@@ -135,3 +135,12 @@ def test_deflate_round_trip():
 def test_inflate_rejects_garbage():
     with pytest.raises(FormatError):
         inflate(b"\xff\xff\xff\xff not a deflate stream")
+
+
+@pytest.mark.parametrize(
+    "cut", [lambda s: s + b"GARBAGE", lambda s: s[:-3]], ids=["trailing_bytes", "truncated"]
+)
+def test_inflate_rejects_a_stream_that_does_not_end_at_the_end(cut):
+    stream = deflate(bytes(range(256)) * 4 + b"abc" * 25)
+    with pytest.raises(FormatError):
+        inflate(cut(stream))

@@ -19,7 +19,6 @@ from supersub.delta import (
     base_fingerprint_of,
     compression_ratio,
     compute_delta,
-    delta_histogram,
     pack,
     quantized_network_bytes,
     reconstruct,
@@ -56,6 +55,11 @@ def overflowing_shape_pack(data: bytes) -> bytes:
     return with_fixed_crc(data[:16] + deflate(entries.body()) + bytes(4))
 
 
+def trailing_junk_pack(data: bytes) -> bytes:
+    """The packed delta with 8 junk bytes after its DEFLATE stream, CRC re-fixed."""
+    return with_fixed_crc(data[:-4] + b"JUNKJUNK" + bytes(4))
+
+
 @pytest.fixture(scope="module")
 def plain_pair(mini_train):
     """Full-precision router plus one genuinely finetuned specialist."""
@@ -74,14 +78,11 @@ def qat_pair(mini_train):
     """Grid-snapped router and specialist sharing body scales."""
     config = uniform_config(mini_train.dim, [16, 16], mini_train.manifest.n_super, True)
     base0 = init_network(config, 31)
-    tcfg = TrainConfig(lr=0.01, epochs=8, batch_size=16, seed=41, qat=True, qat_bits=8)
-    trained, _ = train(base0, mini_train, LabelView.superclass(), tcfg)
-    base = snap_to_grid(trained, 8)
-    ft = finetune_from_super(
-        base, 0, mini_train, TrainConfig(lr=0.01, epochs=8, batch_size=16, seed=42, qat=True)
+    tcfg = TrainConfig(lr=0.01, epochs=8, batch_size=16, seed=41, qat_bits=8)
+    base, _ = train(base0, mini_train, LabelView.superclass(), tcfg)
+    specialist = finetune_from_super(
+        base, 0, mini_train, TrainConfig(lr=0.01, epochs=8, batch_size=16, seed=42, qat_bits=8)
     )
-    body_scales = dict(base.quant.body_scales())
-    specialist = snap_to_grid(ft, 8, body_scales=body_scales)
     return base, specialist
 
 
@@ -197,6 +198,12 @@ class TestPackUnpack:
         data = pack(compute_delta(base, specialist, MODE_FP16)).data
         with pytest.raises(FormatError):
             unpack(overflowing_shape_pack(data))
+
+    def test_trailing_bytes_after_deflate_stream_are_format_error(self):
+        net = build_net(seed=5)
+        data = pack(compute_delta(net, net, MODE_FP16)).data
+        with pytest.raises(FormatError):
+            unpack(trailing_junk_pack(data))
 
     def test_fingerprint_mismatch_surfaces_at_reconstruct_not_unpack(self, plain_pair):
         base, specialist = plain_pair
@@ -342,21 +349,7 @@ class TestCompressionAccounting:
         assert quantized_network_bytes(specialist) == full - 3 * weight_elems
 
 
-class TestDeltaHistogram:
-    def test_zero_deltas_single_bin_at_zero(self):
-        net = build_net(seed=19)
-        hists = delta_histogram(compute_delta(net, net, MODE_FP16), n_bins=16)
-        for hist in hists.values():
-            assert hist.edges == (0.0, 0.0)
-            assert len(hist.counts) == 1
-
-    def test_counts_sum_to_element_count(self, plain_pair):
-        base, specialist = plain_pair
-        d = compute_delta(base, specialist, MODE_FP16)
-        hists = delta_histogram(d, n_bins=32)
-        total = sum(sum(h.counts) for h in hists.values())
-        assert total == sum(int(np.prod(e.shape)) for e in d.body_entries)
-
+class TestDeltaMagnitude:
     def test_weight_deltas_concentrate_near_zero(self, plain_pair):
         # Finetuned weight deltas stay small relative to the base weights.
         # (Batch-norm running stats legitimately drift by large amounts:
@@ -373,8 +366,3 @@ class TestDeltaHistogram:
             [t.astype(np.float64).ravel() for _, t, is_w in body_tensor_items(base) if is_w]
         )
         assert np.abs(deltas).mean() < 0.1 * np.abs(base_vals).mean()
-
-    def test_bins_validated(self):
-        net = build_net(seed=23)
-        with pytest.raises(ParameterError):
-            delta_histogram(compute_delta(net, net, MODE_FP16), n_bins=0)

@@ -62,18 +62,14 @@ def qat_session_parts(mini_train):
     """Snapped router + packed qat-int deltas for an exact efficient runtime."""
     manifest = mini_train.manifest
     cfg = uniform_config(mini_train.dim, [16, 16], manifest.n_super, True)
-    tcfg = TrainConfig(lr=0.01, epochs=12, batch_size=16, seed=201, qat=True)
-    trained, _ = train(init_network(cfg, 200), mini_train, LabelView.superclass(), tcfg)
-    base = snap_to_grid(trained, 8)
-    body_scales = dict(base.quant.body_scales())
+    tcfg = TrainConfig(lr=0.01, epochs=12, batch_size=16, seed=201, qat_bits=8)
+    base, _ = train(init_network(cfg, 200), mini_train, LabelView.superclass(), tcfg)
     specialists = {}
     packed = {}
     for i in range(manifest.n_super):
-        ft = finetune_from_super(base, i, mini_train,
-                                 TrainConfig(lr=0.01, epochs=12, batch_size=16, seed=202 + i, qat=True))
-        snapped = snap_to_grid(ft, 8, body_scales=body_scales)
-        specialists[i] = snapped
-        packed[i] = pack(compute_delta(base, snapped, MODE_QAT_INT, superclass_id=i)).data
+        ft_cfg = TrainConfig(lr=0.01, epochs=12, batch_size=16, seed=202 + i, qat_bits=8)
+        specialists[i] = finetune_from_super(base, i, mini_train, ft_cfg)
+        packed[i] = pack(compute_delta(base, specialists[i], MODE_QAT_INT, superclass_id=i)).data
     return base, specialists, packed
 
 
@@ -91,12 +87,6 @@ class TestModelRegistry:
         bad[0] = lower  # head width n_sub, not subclass count
         with pytest.raises(ContractError):
             ModelRegistry(router, bad, mini_train.manifest)
-
-    def test_total_bytes_sums_models(self, mini_registry):
-        expected = network_bytes(mini_registry.super_net) + sum(
-            network_bytes(net) for net in mini_registry.specialists.values()
-        )
-        assert mini_registry.total_model_bytes() == expected
 
 
 class TestInferVanilla:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from supersub.delta import MODE_QAT_INT, base_fingerprint_of, compute_delta, pack, reconstruct, unpack
 from supersub.errors import ContractError, ParameterError
 from supersub.network import (
     QatConfig,
@@ -21,8 +22,8 @@ def router_config(ds, hidden=(16, 16)):
     return uniform_config(ds.dim, list(hidden), ds.manifest.n_super, True)
 
 
-def tcfg(seed, epochs=10, qat=False):
-    return TrainConfig(lr=0.01, epochs=epochs, batch_size=16, seed=seed, qat=qat)
+def tcfg(seed, epochs=10, qat_bits=None):
+    return TrainConfig(lr=0.01, epochs=epochs, batch_size=16, seed=seed, qat_bits=qat_bits)
 
 
 class TestTrainConfig:
@@ -35,6 +36,8 @@ class TestTrainConfig:
             TrainConfig(lr=0.1, epochs=1, batch_size=0, seed=0)
         with pytest.raises(ParameterError):
             TrainConfig(lr=0.1, epochs=1, batch_size=1, seed=0, qat_bits=1)
+        with pytest.raises(ParameterError):
+            TrainConfig(lr=0.1, epochs=1, batch_size=1, seed=0, qat_bits=9)
 
 
 class TestLabelViews:
@@ -89,6 +92,12 @@ class TestTrain:
         _, history = train(net, mini_train, LabelView.superclass(), tcfg(12, epochs=4))
         assert len(history) == 4
 
+    def test_qat_returns_network_on_its_grid(self, mini_train):
+        net = init_network(router_config(mini_train), 29)
+        trained, _ = train(net, mini_train, LabelView.superclass(), tcfg(30, epochs=3, qat_bits=8))
+        assert trained.quant is not None and trained.quant.bits == 8
+        assert serialize_network(snap_to_grid(trained, 8)) == serialize_network(trained)
+
     def test_does_not_mutate_input_network(self, mini_train):
         net = init_network(router_config(mini_train), 13)
         before = serialize_network(net)
@@ -127,15 +136,23 @@ class TestFinetune:
     def test_qat_requires_snapped_base(self, mini_train):
         base = init_network(router_config(mini_train), 24)
         with pytest.raises(ContractError):
-            finetune_from_super(base, 0, mini_train, tcfg(25, qat=True))
+            finetune_from_super(base, 0, mini_train, tcfg(25, qat_bits=8))
 
     def test_qat_effective_weights_live_on_grid(self, mini_train):
         base0 = init_network(router_config(mini_train), 26)
-        trained, _ = train(base0, mini_train, LabelView.superclass(), tcfg(27, epochs=3, qat=True))
-        base = snap_to_grid(trained, 8)
-        tuned = finetune_from_super(base, 0, mini_train, tcfg(28, epochs=3, qat=True))
+        base, _ = train(base0, mini_train, LabelView.superclass(), tcfg(27, epochs=3, qat_bits=8))
+        tuned = finetune_from_super(base, 0, mini_train, tcfg(28, epochs=3, qat_bits=8))
         # Body grids are pinned to the base's scales during the finetune.
         body = tuple(base.quant.scale_of(f"layer{i}.weight") for i in range(len(base.layers) - 1))
         qat = QatConfig(8, (*body, None))
         for w, scale in zip(effective_weights(tuned, qat)[:-1], body):
             assert np.array_equal(quantize_with_scale(w, scale, 8), w)
+
+    def test_qat_specialist_shares_base_grids_and_rebuilds_exactly(self, mini_train):
+        base0 = init_network(router_config(mini_train), 31)
+        base, _ = train(base0, mini_train, LabelView.superclass(), tcfg(32, epochs=3, qat_bits=8))
+        tuned = finetune_from_super(base, 1, mini_train, tcfg(33, epochs=3, qat_bits=8))
+        assert tuned.quant.body_scales() == base.quant.body_scales()
+        packed = pack(compute_delta(base, tuned, MODE_QAT_INT, superclass_id=1)).data
+        rebuilt = reconstruct(base, unpack(packed), base_fingerprint_of(base))
+        assert serialize_network(rebuilt) == serialize_network(tuned)

@@ -33,17 +33,19 @@ def main() -> int:
     stage1 = runs["fp16"].results["two_stage_vanilla"].report.stage1_accuracy()
 
     qat_paths = branch_paths(base, "qat")
+    qat_supers = range(runs["qat"].config.synthetic.n_super)
     base_net = load_network(qat_paths.super_net)
-    specialists = {i: load_network(qat_paths.finetuned_net(i)) for i in range(5)}
-    qat_packed = [len(qat_paths.delta_file(i).read_bytes()) for i in range(5)]
+    specialists = {i: load_network(qat_paths.finetuned_net(i)) for i in qat_supers}
+    qat_packed = [len(qat_paths.delta_file(i).read_bytes()) for i in qat_supers]
     fp16_of_same = [
-        pack(compute_delta(base_net, specialists[i], MODE_FP16, i)).packed_size for i in range(5)
+        pack(compute_delta(base_net, specialists[i], MODE_FP16, i)).packed_size for i in qat_supers
     ]
     vanilla_total = network_bytes(base_net) + sum(network_bytes(n) for n in specialists.values())
 
     fp16_paths = branch_paths(base, "fp16")
-    fp16_packed = [len(fp16_paths.delta_file(i).read_bytes()) for i in range(5)]
-    fp16_refs = [len(fp16_paths.finetuned_net(i).read_bytes()) for i in range(5)]
+    fp16_supers = range(runs["fp16"].config.synthetic.n_super)
+    fp16_packed = [len(fp16_paths.delta_file(i).read_bytes()) for i in fp16_supers]
+    fp16_refs = [len(fp16_paths.finetuned_net(i).read_bytes()) for i in fp16_supers]
     fp16_ratios = [p / r for p, r in zip(fp16_packed, fp16_refs)]
 
     ledger = runs["qat"].results["two_stage_efficient"].ledger
