@@ -14,7 +14,6 @@ from .hierarchy import HierarchyManifest, make_manifest, parse_manifest
 from .network import (
     Network,
     NetworkConfig,
-    fake_quantize,
     forward,
     gradient_check,
     init_network,

@@ -14,6 +14,7 @@ identical bytes.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,8 +74,6 @@ class ExperimentConfig:
     train_finetune: StageTrainParams
     delta_mode: str
     qat_bits: int | None = None  # the router's and specialists' grid; set only for qat-int
-    include_lowerbound: bool = True
-    include_scratch: bool = False
     eval_modes: tuple[str, ...] = EVAL_MODES
 
 
@@ -91,11 +90,16 @@ def _of_type(value, kind: type, where: str):
 
 
 def _number(kind: type, value, where: str):
-    """kind(value) for kind int or float; a value that does not convert is a ValidationError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{where} must be a number of type {kind.__name__}, got {value!r}") from exc
+    """value as kind int or float: an int field takes a JSON integer, a float
+    field any finite JSON number; anything else (true, 2.7 for an int, "2",
+    NaN) is a ValidationError."""
+    if not isinstance(value, bool):
+        if kind is int and isinstance(value, int):
+            return value
+        if kind is float and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
+            return float(value)
+    what = "an integer" if kind is int else "a finite number"
+    raise ValidationError(f"{where} must be {what}, got {value!r}")
 
 
 def _int_list(value, where: str) -> tuple[int, ...]:
@@ -146,6 +150,9 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
     net = _of_type(doc["network"], dict, "network")
     if "hidden_dims" not in net:
         raise ValidationError('network block needs "hidden_dims"')
+    batchnorm = net.get("batchnorm", True)
+    if not isinstance(batchnorm, bool):
+        raise ValidationError(f"network.batchnorm must be true or false, got {batchnorm!r}")
     train_block = _of_type(doc["train"], dict, "train")
     delta_mode = str(doc["delta_mode"])
     if delta_mode not in (delta_mod.MODE_FP16, delta_mod.MODE_QAT_INT):
@@ -165,14 +172,12 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
         synthetic=synthetic,
         dataset_paths=dataset_paths,
         hidden_dims=_int_list(net["hidden_dims"], "network.hidden_dims"),
-        batchnorm=bool(net.get("batchnorm", True)),
+        batchnorm=batchnorm,
         train_super=_stage_params(train_block, "superclass"),
         train_subclass=_stage_params(train_block, "subclass"),
         train_finetune=_stage_params(train_block, "finetune"),
         delta_mode=delta_mode,
         qat_bits=qat_bits if delta_mode == delta_mod.MODE_QAT_INT else None,
-        include_lowerbound=bool(doc.get("include_lowerbound", True)),
-        include_scratch=bool(doc.get("include_scratch", False)),
         eval_modes=eval_modes,
     )
 
@@ -563,15 +568,19 @@ class ExperimentRun:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentRun:
-    """Run the whole pipeline for one config: data to summary files."""
+    """Run the whole pipeline for one config: data to summary files.
+
+    The monolithic and the from-scratch networks are trained only when
+    their eval modes (lowerbound, upperbound_scratch) are in the config.
+    """
     run = ExperimentRun(config, RunPaths(config.out_dir))
     cmd_gen_data(config)
     cmd_train(config, "super")
-    if config.include_lowerbound:
+    if MODE_LOWERBOUND in config.eval_modes:
         cmd_train(config, "lowerbound")
     train_ds = _load_train(run.paths)
     n_super = train_ds.manifest.n_super
-    if config.include_scratch:
+    if MODE_UPPERBOUND_SCRATCH in config.eval_modes:
         for i in range(n_super):
             cmd_train(config, f"sub:{i}")
     for i in range(n_super):

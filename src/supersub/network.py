@@ -4,8 +4,10 @@ Hidden layers are dense -> optional batch-norm -> relu; the head is a bare
 dense layer feeding a softmax cross-entropy loss. All math runs through the
 fixed-order float32 kernels in tensor.py so training is bit-reproducible.
 
-Networks are immutable snapshots: forward/backward/sgd_step never mutate
-their inputs, which makes them safe to share across threads. Batch-norm
+Networks are immutable: nothing writes into a network's arrays, so
+networks and their layers are shared, never copied, across threads too.
+A gradient is a Network as well: backward returns one with the network's
+own layer layout, and sgd_step pairs the two layer by layer. Batch-norm
 running statistics are returned inside the forward cache and committed by
 the training loop, not by forward itself.
 """
@@ -132,13 +134,9 @@ def init_network(config: NetworkConfig, seed: int) -> Network:
     return Network(tuple(layers))
 
 
-def copy_network(net: Network) -> Network:
-    return from_tensors(net.config(), {n: t.copy() for n, t, _ in tensor_items(net)}, net.quant)
-
-
 def replace_head(net: Network, head_dim: int, seed: int) -> Network:
     """Body layers kept bit-exact; head reinitialized at the new width."""
-    body = copy_network(net).layers[:-1]
+    body = net.layers[:-1]
     fan_in = net.layers[-1].weight.shape[1]
     rng = Prng(seed)
     sigma = (2.0 / fan_in) ** 0.5
@@ -229,11 +227,6 @@ def grid_indices(t: np.ndarray, scale: float, bits: int) -> np.ndarray:
     """Integer grid coordinates of each element, clamped to the bit range."""
     qmax = (1 << (bits - 1)) - 1
     return np.clip(lattice_indices(t, scale), -qmax, qmax).astype(np.int32)
-
-
-def fake_quantize(t: np.ndarray, bits: int) -> np.ndarray:
-    """Quantize-dequantize with the tensor's own scale; idempotent on-grid."""
-    return quantize_with_scale(t, quantize_scale(t, bits), bits)
 
 
 @dataclass(frozen=True)
@@ -376,21 +369,13 @@ def forward(
     return logits, ForwardCache(caches, logits, weights, training, m)
 
 
-@dataclass(frozen=True)
-class LayerGrads:
-    weight: np.ndarray
-    bias: np.ndarray
-    gamma: np.ndarray | None
-    beta: np.ndarray | None
+def backward(net: Network, cache: ForwardCache, labels) -> Network:
+    """Gradient of mean cross-entropy w.r.t. every parameter, as a Network.
 
-
-@dataclass(frozen=True)
-class Gradients:
-    layers: tuple[LayerGrads, ...]
-
-
-def backward(net: Network, cache: ForwardCache, labels) -> Gradients:
-    """Gradient of mean cross-entropy w.r.t. every parameter.
+    The gradient network has the layers of net, each tensor holding the
+    gradient of the matching parameter. A batch-norm layer's running-stat
+    slots hold zeros, their true gradient: a training-mode forward never
+    reads them.
 
     With fake-quantized forward weights the gradients pass straight through
     to the full-precision masters: input gradients use the effective
@@ -415,59 +400,53 @@ def backward(net: Network, cache: ForwardCache, labels) -> Gradients:
     onehot[np.arange(m), labels] = F32(1.0)
     d_out = (probs - onehot) / F32(m)
 
-    grads: list[LayerGrads] = []
+    grads: list[LayerParams] = []
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         lc = cache.layer_caches[i]
         if i < len(net.layers) - 1:
             d_out = d_out * (lc.pre_act > 0)  # relu mask
-        d_gamma = d_beta = None
+        d_bn = None
         if layer.bn is not None:
-            d_gamma = ordered_axis0_sum(d_out * lc.xhat)
-            d_beta = ordered_axis0_sum(d_out)
+            zeros = np.zeros_like(layer.bias)  # the pinned bias and the running-stat slots
+            d_bn = BatchNormParams(
+                ordered_axis0_sum(d_out * lc.xhat), ordered_axis0_sum(d_out), zeros, zeros
+            )
             d_xhat = d_out * layer.bn.gamma
             mean_dxhat = ordered_axis0_sum(d_xhat) / F32(m)
             mean_dxhat_xhat = ordered_axis0_sum(d_xhat * lc.xhat) / F32(m)
             d_out = (d_xhat - mean_dxhat - lc.xhat * mean_dxhat_xhat) / lc.sigma
-        d_weight = matmul(d_out.T, lc.x)
-        if layer.bn is not None:
-            d_bias = np.zeros_like(layer.bias)
+            d_bias = zeros
         else:
             d_bias = ordered_axis0_sum(d_out)
-        grads.append(LayerGrads(d_weight, d_bias, d_gamma, d_beta))
+        d_weight = matmul(d_out.T, lc.x)
+        grads.append(LayerParams(d_weight, d_bias, d_bn))
         if i > 0:
             d_out = matmul(d_out, cache.eff_weights[i])
-    return Gradients(tuple(reversed(grads)))
+    return Network(tuple(reversed(grads)))
 
 
-def sgd_step(net: Network, grads: Gradients, lr: float) -> Network:
+def sgd_step(net: Network, grads: Network, lr: float) -> Network:
     """theta <- theta - lr * g for every parameter; running stats untouched."""
     if len(grads.layers) != len(net.layers):
         raise ContractError(f"{len(grads.layers)} gradient layers for {len(net.layers)} layers")
     lr32 = F32(lr)
+
+    def step(t: np.ndarray, g: np.ndarray) -> np.ndarray:
+        if t.shape != g.shape:
+            raise ContractError(f"gradient shape {g.shape} does not match parameter {t.shape}")
+        return (t - lr32 * g).astype(F32)
+
     layers = []
     for layer, g in zip(net.layers, grads.layers):
-        if layer.weight.shape != g.weight.shape or layer.bias.shape != g.bias.shape:
-            raise ContractError(
-                f"gradient shape {g.weight.shape} does not match weight {layer.weight.shape}"
-            )
         bn = layer.bn
         if bn is not None:
-            if g.gamma is None or g.beta is None:
+            if g.bn is None:
                 raise ContractError("missing batch-norm gradients for a batch-norm layer")
             bn = BatchNormParams(
-                (bn.gamma - lr32 * g.gamma).astype(F32),
-                (bn.beta - lr32 * g.beta).astype(F32),
-                bn.running_mean.copy(),
-                bn.running_var.copy(),
+                step(bn.gamma, g.bn.gamma), step(bn.beta, g.bn.beta), bn.running_mean, bn.running_var
             )
-        layers.append(
-            LayerParams(
-                (layer.weight - lr32 * g.weight).astype(F32),
-                (layer.bias - lr32 * g.bias).astype(F32),
-                bn,
-            )
-        )
+        layers.append(LayerParams(step(layer.weight, g.weight), step(layer.bias, g.bias), bn))
     return Network(tuple(layers), None)
 
 
@@ -539,17 +518,8 @@ def gradient_check(net: Network, batch: np.ndarray, labels, eps: float = 1e-4) -
     _, cache = forward(work, batch64, training=True)
     grads = backward(work, cache, labels)
 
-    analytic = []
-    for g in grads.layers:
-        analytic.append(g.weight)
-        analytic.append(g.bias)
-        if g.gamma is not None:
-            analytic.append(g.gamma)
-            analytic.append(g.beta)
-    params = _param_views(work)
-
     worst = 0.0
-    for p, g in zip(params, analytic):
+    for p, g in zip(_param_views(work), _param_views(grads)):
         flat_p = p.reshape(-1)
         flat_g = g.reshape(-1)
         for idx in range(flat_p.size):

@@ -42,23 +42,6 @@ class CostLedger:
     reconstruction_adds: int = 0
     specialist_switches: int = 0
 
-    def snapshot(self) -> "CostLedger":
-        return CostLedger(
-            self.bytes_loaded,
-            self.peak_resident_bytes,
-            self.reconstruction_adds,
-            self.specialist_switches,
-        )
-
-
-@dataclass(frozen=True)
-class LedgerDelta:
-    """What a single query charged."""
-
-    bytes_loaded: int
-    reconstruction_adds: int
-    specialist_switches: int
-
 
 def _check_router(router: Network, manifest: HierarchyManifest) -> None:
     if router.head_dim != manifest.n_super:
@@ -181,17 +164,10 @@ def infer_vanilla(registry: ModelRegistry, x: np.ndarray) -> tuple[int, int]:
     return _infer(registry, x)
 
 
-def infer_efficient(session: EfficientSession, x: np.ndarray) -> tuple[int, int, LedgerDelta]:
-    """Single-row two-stage inference through the one-resident-model session."""
-    before = session.ledger.snapshot()
-    s, sub = _infer(session, x)
-    after = session.ledger
-    delta = LedgerDelta(
-        after.bytes_loaded - before.bytes_loaded,
-        after.reconstruction_adds - before.reconstruction_adds,
-        after.specialist_switches - before.specialist_switches,
-    )
-    return s, sub, delta
+def infer_efficient(session: EfficientSession, x: np.ndarray) -> tuple[int, int]:
+    """Single-row two-stage inference through the one-resident-model session;
+    what it charged shows in session.ledger."""
+    return _infer(session, x)
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -329,4 +305,4 @@ def evaluate_efficient(session: EfficientSession, test: Dataset, label: str | No
     """Efficient two-stage inference; ledger reflects the test-order trace."""
     routed = route_batch(session.super_net, test.features)
     result = _evaluate_routed(MODE_TWO_STAGE_EFFICIENT, session.specialist_for, test, routed, label)
-    return replace(result, ledger=session.ledger.snapshot())
+    return replace(result, ledger=replace(session.ledger))

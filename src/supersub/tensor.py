@@ -8,7 +8,9 @@ running sequence r[t] = r[t-1] + x[t], and forming a block of products in
 one call before adding them to the output one t at a time. It rules out
 np.dot, np.sum and np.add.reduce, whose order is unspecified (pairwise,
 blocked or SIMD), for anything that feeds a golden file; use matmul() and
-the ordered-sum helpers instead.
+the two ordered sums instead: ordered_axis0_sum adds the rows of a matrix
+(pass the transpose to add its columns, as softmax_rows does) and
+ordered_scalar_sum the elements of a vector.
 
 All operations are pure. Prng is single-owner mutable state: never share
 one instance across threads; derive child seeds instead.
@@ -201,28 +203,6 @@ def _ordered_axis0_sum_loop(x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def ordered_axis1_sum(x: np.ndarray) -> np.ndarray:
-    """Sum columns of a 2-D array in column order, accumulating in float32.
-
-    The last column of np.add.accumulate along axis 1, which adds the
-    columns in the order _ordered_axis1_sum_loop does; an input without
-    columns sums to zeros.
-    """
-    x = as_float(x)
-    if not x.shape[1]:
-        return np.zeros(x.shape[0], dtype=x.dtype)
-    return np.add.accumulate(x, axis=1)[:, -1]
-
-
-def _ordered_axis1_sum_loop(x: np.ndarray) -> np.ndarray:
-    """Column-by-column reference for ordered_axis1_sum."""
-    x = as_float(x)
-    acc = x[:, 0].copy() if x.shape[1] else np.zeros(x.shape[0], dtype=x.dtype)
-    for j in range(1, x.shape[1]):
-        np.add(acc, x[:, j], out=acc)
-    return acc
-
-
 def ordered_scalar_sum(vec: np.ndarray) -> float:
     """Sum a 1-D array front to back in its own precision; returns a float.
 
@@ -257,7 +237,7 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
         raise DimensionError(f"softmax_rows expects a non-empty 2-D array, got {x.shape}")
     shifted = x - np.max(x, axis=1, keepdims=True)
     e = np.exp(shifted)
-    denom = ordered_axis1_sum(e)
+    denom = ordered_axis0_sum(e.T)
     out = e / denom[:, None]
     return check_finite(out, "softmax_rows")
 

@@ -103,13 +103,13 @@ def _sgd(
             f"head width {net.head_dim} does not match {n_classes} classes of view {view.kind}"
         )
     if config.epochs == 0:
-        return net_mod.copy_network(net), []
+        return net, []
     n = features.shape[0]
     if n == 0:
         raise ContractError("cannot train on an empty dataset")
 
     rng = Prng(config.seed)
-    current = net_mod.copy_network(net)
+    current = net
     history: list[float] = []
     order = list(range(n))
     for _ in range(config.epochs):

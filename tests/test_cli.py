@@ -59,11 +59,17 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         (("synthetic", "subs_per_super"), "44"),
         (("qat_bits",), 9),
         (("qat_bits",), "eight"),
+        (("network", "batchnorm"), "false"),
+        (("train", "superclass", "epochs"), 2.7),
+        (("train", "superclass", "epochs"), True),
+        (("train", "superclass", "lr"), "0.01"),
+        (("synthetic", "noise_sigma"), float("nan")),
     ],
     ids=[
         "seed_text", "lr_text", "n_super_text", "train_list", "stage_number", "synthetic_list",
         "network_text", "eval_modes_number", "eval_mode_list", "hidden_dims_text",
-        "subs_per_super_text", "qat_bits_9", "qat_bits_text",
+        "subs_per_super_text", "qat_bits_9", "qat_bits_text", "batchnorm_text", "epochs_fraction",
+        "epochs_bool", "lr_numeric_text", "noise_sigma_nan",
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, keys, value):

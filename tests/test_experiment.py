@@ -176,8 +176,7 @@ class TestPackUnpackRoundTrip:
 @pytest.fixture(scope="module")
 def fp16_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fp16run")
-    path, _ = write_config(tmp, include_scratch=True,
-                           eval_modes=list(EVAL_MODES) + ["upperbound_scratch"])
+    path, _ = write_config(tmp, eval_modes=list(EVAL_MODES) + ["upperbound_scratch"])
     config = load_config(path)
     return config, run_experiment(config)
 
@@ -231,7 +230,7 @@ class TestFullPipeline:
 class TestQatPipeline:
     def test_qat_predictions_identical_vanilla_vs_efficient(self, tmp_path):
         path, _ = write_config(
-            tmp_path, delta_mode="qat-int", epochs=5, include_lowerbound=False,
+            tmp_path, delta_mode="qat-int", epochs=5,
             eval_modes=["two_stage_vanilla", "two_stage_efficient"],
         )
         config = load_config(path)
@@ -240,3 +239,17 @@ class TestQatPipeline:
         vanilla_preds = paths.predictions_csv("two_stage_vanilla").read_bytes()
         efficient_preds = paths.predictions_csv("two_stage_efficient").read_bytes()
         assert vanilla_preds == efficient_preds
+
+
+class TestRunPlan:
+    @pytest.mark.parametrize("modes", [["lowerbound"], ["two_stage_vanilla"], ["upperbound_scratch"]])
+    def test_optional_nets_trained_only_when_evaluated(self, tmp_path, modes):
+        # include_lowerbound is a key older configs carried; it is ignored now.
+        path, _ = write_config(tmp_path, epochs=2, include_lowerbound=False, eval_modes=modes)
+        config = load_config(path)
+        run = run_experiment(config)
+        assert list(run.results) == modes
+        paths = RunPaths(config.out_dir)
+        assert paths.lower_net.exists() == ("lowerbound" in modes)
+        assert paths.scratch_net(0).exists() == ("upperbound_scratch" in modes)
+        assert paths.scratch_net(1).exists() == ("upperbound_scratch" in modes)

@@ -17,10 +17,8 @@ from supersub.network import (
     NetworkConfig,
     QatConfig,
     backward,
-    copy_network,
     deserialize_network,
     effective_weights,
-    fake_quantize,
     forward,
     from_tensors,
     gradient_check,
@@ -51,6 +49,11 @@ def manual_net(weights, biases):
         for w, b in zip(weights, biases)
     )
     return Network(layers)
+
+
+def own_grid(t, bits):
+    """t quantized and dequantized on the grid of its own scale."""
+    return quantize_with_scale(t, quantize_scale(t, bits), bits)
 
 
 class TestInit:
@@ -170,6 +173,15 @@ class TestBackward:
             np.testing.assert_allclose(a.weight, b.weight, atol=1e-6, rtol=1e-5)
             np.testing.assert_allclose(a.bias, b.bias, atol=1e-6, rtol=1e-5)
 
+    def test_gradients_share_the_network_layout(self):
+        net = small_net((3, 4, 2), batchnorm=True, seed=6)
+        _, cache = forward(net, gaussian_array(Prng(1), (4, 3)), training=True)
+        grads = backward(net, cache, [0, 1, 0, 1])
+        assert grads.config() == net.config()
+        body = grads.layers[0]
+        assert not body.bias.any()  # pinned on batch-norm layers
+        assert not body.bn.running_mean.any() and not body.bn.running_var.any()  # never read in training
+
     def test_inference_cache_rejected(self):
         net = small_net((3, 3, 3))
         _, cache = forward(net, np.zeros((2, 3), dtype=F32), training=False)
@@ -193,44 +205,34 @@ class TestSgdStep:
 
     def test_zero_gradients_are_identity(self):
         net = small_net((3, 4, 2), seed=6)
-        _, cache = forward(net, gaussian_array(Prng(1), (4, 3)), training=True)
-        grads = backward(net, cache, [0, 1, 0, 1])
-        zeroed = type(grads)(
-            tuple(
-                type(g)(np.zeros_like(g.weight), np.zeros_like(g.bias), None, None)
-                for g in grads.layers
-            )
+        zeroed = manual_net(
+            [np.zeros_like(layer.weight) for layer in net.layers],
+            [np.zeros_like(layer.bias) for layer in net.layers],
         )
         stepped = sgd_step(net, zeroed, 0.5)
         assert serialize_network(stepped) == serialize_network(net)
 
     def test_single_weight_arithmetic(self):
-        from supersub.network import Gradients, LayerGrads
-
         net = manual_net(weights=[[[1.0]], [[1.0]]], biases=[[0.0], [0.0]])
-        g = Gradients(
-            (
-                LayerGrads(np.array([[0.5]], dtype=F32), np.zeros(1, dtype=F32), None, None),
-                LayerGrads(np.zeros((1, 1), dtype=F32), np.zeros(1, dtype=F32), None, None),
-            )
-        )
+        g = manual_net(weights=[[[0.5]], [[0.0]]], biases=[[0.0], [0.0]])
         stepped = sgd_step(net, g, 0.01)
         expected = F32(1.0) - F32(0.01) * F32(0.5)
         assert stepped.layers[0].weight[0, 0] == expected
         assert stepped.layers[0].weight[0, 0] == pytest.approx(0.995, abs=1e-7)
 
     def test_shape_mismatch_rejected(self):
-        from supersub.network import Gradients, LayerGrads
-
         net = small_net((3, 4, 2), seed=6)
-        bad = Gradients(
-            tuple(
-                LayerGrads(np.zeros((1, 1), dtype=F32), np.zeros(1, dtype=F32), None, None)
-                for _ in net.layers
-            )
-        )
+        bad = manual_net(weights=[[[0.0]], [[0.0]]], biases=[[0.0], [0.0]])
         with pytest.raises(ContractError):
             sgd_step(net, bad, 0.1)
+
+    def test_layer_count_or_missing_batchnorm_gradient_rejected(self):
+        net = small_net((3, 4, 2), batchnorm=True, seed=6)
+        plain = small_net((3, 4, 2), seed=6)
+        with pytest.raises(ContractError, match="batch-norm"):
+            sgd_step(net, plain, 0.1)
+        with pytest.raises(ContractError, match="gradient layers"):
+            sgd_step(net, small_net((3, 4, 4, 2), batchnorm=True, seed=6), 0.1)
 
 
 class TestGradientCheckContract:
@@ -245,21 +247,27 @@ class TestGradientCheckContract:
         with pytest.raises(ContractError):
             gradient_check(net, np.zeros((2, 100), dtype=F32), [0, 1])
 
+    def test_leaves_network_untouched(self):
+        net = small_net((3, 4, 3), batchnorm=True, seed=9)
+        before = serialize_network(net)
+        gradient_check(net, gaussian_array(Prng(90), (4, 3)), [0, 1, 2, 0])
+        assert serialize_network(net) == before
+
 
 class TestFakeQuantize:
     def test_zero_tensor_unchanged(self):
         z = np.zeros(7, dtype=F32)
-        assert np.array_equal(fake_quantize(z, 8), z)
+        assert np.array_equal(own_grid(z, 8), z)
 
     def test_idempotent_on_grid(self):
         rng = Prng(44)
         t = gaussian_array(rng, (64,))
-        once = fake_quantize(t, 8)
-        assert np.array_equal(fake_quantize(once, 8), once)
+        once = own_grid(t, 8)
+        assert np.array_equal(own_grid(once, 8), once)
 
     def test_half_rounds_away_from_zero(self):
         t = np.array([-1.0, 0.5, 1.0], dtype=F32)
-        out = fake_quantize(t, 8)
+        out = own_grid(t, 8)
         scale = F32(1.0) / F32(127)
         assert out[0] == -F32(127) * scale
         assert out[1] == F32(64) * scale  # 63.5 rounds away from zero to 64
@@ -297,7 +305,7 @@ class TestSnapAndEffectiveWeights:
         net = small_net((4, 6, 3), seed=13)
         qat = QatConfig.live(net, 8)
         for w, layer in zip(effective_weights(net, qat), net.layers):
-            assert np.array_equal(w, fake_quantize(layer.weight, 8))
+            assert np.array_equal(w, own_grid(layer.weight, 8))
 
     def test_shared_body_scales_pinned(self):
         base = snap_to_grid(small_net((4, 6, 3), seed=14), 8)
@@ -394,12 +402,6 @@ class TestStructureHelpers:
         # weights 24+18, biases 6+3, bn 4*6
         assert parameter_count(net) == 24 + 18 + 6 + 3 + 24
         assert network_bytes(net) == 4 * parameter_count(net)
-
-    def test_copy_is_deep(self):
-        net = small_net((4, 6, 3), seed=2)
-        dup = copy_network(net)
-        dup.layers[0].weight[0, 0] += 1.0
-        assert net.layers[0].weight[0, 0] != dup.layers[0].weight[0, 0]
 
 
 class TestFromTensors:

@@ -200,17 +200,18 @@ class TestEfficientSession:
         registry = ModelRegistry(base, specialists, mini_train.manifest)
         session = EfficientSession(base, packed, mini_train.manifest)
         for row in mini_test.features[:30]:
-            assert infer_vanilla(registry, row) == infer_efficient(session, row)[:2]
+            assert infer_vanilla(registry, row) == infer_efficient(session, row)
 
     def test_ledger_delta_reports_charges(self, qat_session_parts, mini_train, mini_test):
         base, _, packed = qat_session_parts
         session = EfficientSession(base, packed, mini_train.manifest)
-        _, _, first = infer_efficient(session, mini_test.features[0])
-        assert first.specialist_switches == 1
-        assert first.bytes_loaded > 0
-        _, _, second = infer_efficient(session, mini_test.features[0])
-        assert second.specialist_switches == 0
-        assert second.bytes_loaded == 0
+        ledger = session.ledger
+        s, _ = infer_efficient(session, mini_test.features[0])
+        assert ledger.specialist_switches == 1
+        assert ledger.bytes_loaded == len(packed[s])
+        charged = (ledger.bytes_loaded, ledger.reconstruction_adds, ledger.specialist_switches)
+        infer_efficient(session, mini_test.features[0])
+        assert (ledger.bytes_loaded, ledger.reconstruction_adds, ledger.specialist_switches) == charged
 
 
 def perfect_setup():
@@ -264,7 +265,7 @@ class TestEvaluate:
         base, specialists, packed = qat_session_parts
         session = EfficientSession(base, packed, mini_train.manifest)
         res = evaluate_efficient(session, mini_test)
-        assert res.ledger is not None
+        assert res.ledger == session.ledger and res.ledger is not session.ledger  # a copy
         assert res.ledger.bytes_loaded > 0
         registry = ModelRegistry(base, specialists, mini_train.manifest)
         vanilla = evaluate_two_stage(registry, mini_test)

@@ -14,7 +14,6 @@ from supersub.tensor import (
     _matmul_blocked,
     _matmul_loop,
     _ordered_axis0_sum_loop,
-    _ordered_axis1_sum_loop,
     _ordered_scalar_sum_loop,
     cross_entropy,
     f16_round,
@@ -22,7 +21,6 @@ from supersub.tensor import (
     gaussian_array,
     matmul,
     ordered_axis0_sum,
-    ordered_axis1_sum,
     ordered_scalar_sum,
     relu,
     softmax_rows,
@@ -344,7 +342,8 @@ class TestOrderedAxis0Sum:
 
 
 class TestOrderedAxis1Sum:
-    """ordered_axis1_sum against _ordered_axis1_sum_loop, its column-by-column reference."""
+    """Column sums as softmax_rows takes them: ordered_axis0_sum of the
+    transpose against _ordered_axis0_sum_loop of the same transposed view."""
 
     def test_random_shapes(self):
         rng = Prng(0x53554D31)
@@ -355,7 +354,7 @@ class TestOrderedAxis1Sum:
                 x[_draw(rng, rows - 1)] = -0.0
             if cols and case % 4 == 0:
                 x[:, _draw(rng, cols - 1)] = -0.0
-            assert _same_bits(ordered_axis1_sum(x), _ordered_axis1_sum_loop(x)), (rows, cols, x.dtype)
+            assert _same_bits(ordered_axis0_sum(x.T), _ordered_axis0_sum_loop(x.T)), (rows, cols, x.dtype)
 
     @pytest.mark.parametrize("shape", [(5, 0), (0, 0), (7, 1), (0, 1), (50, 20)])
     @pytest.mark.parametrize("dtype", [F32, np.float64])
@@ -365,12 +364,12 @@ class TestOrderedAxis1Sum:
             x[0] = -0.0
         if shape[1]:
             x[:, 0] = -0.0
-        assert _same_bits(ordered_axis1_sum(x), _ordered_axis1_sum_loop(x))
+        assert _same_bits(ordered_axis0_sum(x.T), _ordered_axis0_sum_loop(x.T))
 
     def test_non_finite_columns(self):
         x = np.array([[3e38, 3e38], [-np.inf, np.inf], [1.0, np.nan]], dtype=F32)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert _same_bits(ordered_axis1_sum(x), _ordered_axis1_sum_loop(x))
+            assert _same_bits(ordered_axis0_sum(x.T), _ordered_axis0_sum_loop(x.T))
 
 
 class TestOrderedScalarSum:

@@ -116,6 +116,12 @@ class TestFinetune:
             if old.bn is not None:
                 assert np.array_equal(old.bn.running_mean, new.bn.running_mean)
 
+    def test_does_not_mutate_base_network(self, mini_train):
+        base = init_network(router_config(mini_train), 19)
+        before = serialize_network(base)
+        finetune_from_super(base, 1, mini_train, tcfg(20, epochs=2))
+        assert serialize_network(base) == before
+
     def test_invalid_superclass_index(self, mini_train):
         base = init_network(router_config(mini_train), 17)
         with pytest.raises(IndexError):
