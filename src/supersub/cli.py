@@ -59,10 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_unpack.add_argument("superclass", type=int)
 
     p_eval = sub.add_parser("eval", help="evaluate one mode over the test set")
-    p_eval.add_argument(
-        "mode",
-        choices=list(exp.EVAL_MODES) + [exp.MODE_UPPERBOUND_SCRATCH],
-    )
+    p_eval.add_argument("mode", choices=exp.MODES)
 
     sub.add_parser("report", help="render the gap summary and compression table")
 
@@ -93,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.verb == "eval":
             result = exp.cmd_eval(config, args.mode)
             print(
-                f"{result.report.label}: macro {result.report.macro_accuracy:.2f}% "
+                f"{result.report.mode}: macro {result.report.macro_accuracy:.2f}% "
                 f"over {result.report.n_test} rows"
             )
         elif args.verb == "report":

@@ -23,10 +23,12 @@ The packed container records a CRC-32C fingerprint of the base network
 file; reconstruction against any other base fails loudly instead of
 silently producing a plausible-looking network. The caller supplies the
 base's fingerprint to `reconstruct`, so a server holding one base takes it
-once rather than on every rebuild. Once the fingerprints match, entries
-that do not fit the base (missing, duplicate or misshapen entries, a head
-entry of a delta kind, a zero-width head) can only come from a corrupt or
-crafted file, so they are FormatErrors.
+once rather than on every rebuild, and the superclass it wants rebuilt,
+which the pack's own superclass id must match. Once the fingerprints
+match, entries that do not fit the base (missing, duplicate or misshapen
+entries, a head entry of a delta kind, a zero-width head, a qat-int pack
+whose grids or head scales do not form a valid quantization block) can
+only come from a corrupt or crafted file, so they are FormatErrors.
 
 DeltaPacks are immutable and every function here is pure, so concurrent
 use is safe; reconstruction allocates a fresh network and never mutates
@@ -286,12 +288,13 @@ def unpack(data: bytes) -> DeltaPack:
 # --- reconstruction ----------------------------------------------------------
 
 
-def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int) -> Network:
-    """Rebuild the specialist: body = base + delta, head by XOR or verbatim.
+def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int, superclass_id: int) -> Network:
+    """Rebuild superclass_id's specialist: body = base + delta, head by XOR or verbatim.
 
     `base_fingerprint` is `base_fingerprint_of(base)`, which the caller
     takes once per base; a pack computed against another base raises
-    BaseMismatchError. qat-int reconstruction works in the integer domain —
+    BaseMismatchError, and a pack of another superclass FormatError.
+    qat-int reconstruction works in the integer domain —
     recover the base's grid indices, add the stored index deltas, rescale —
     which reproduces the stored specialist bit for bit. Entries that do not
     fit the base (a grid entry whose scale is not the base's shared grid
@@ -303,8 +306,10 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int) -> Network:
             f"delta was computed against base {d.base_fingerprint:#010x}, "
             f"got network with fingerprint {base_fingerprint:#010x}"
         )
-    if d.mode == MODE_QAT_INT and base.quant is None:
-        raise FormatError("qat-int pack against a base without quantization grids")
+    if d.superclass_id != superclass_id:
+        raise FormatError(f"delta holds superclass {d.superclass_id}, not {superclass_id}")
+    if d.mode == MODE_QAT_INT and (base.quant is None or d.qat_bits != base.quant.bits):
+        raise FormatError(f"qat-int pack of {d.qat_bits} bits does not fit the base's quantization grids")
     items = tensor_items(base)
     n_body = len(items) - 2
     body = {e.name: e for e in d.body_entries}
@@ -355,9 +360,8 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int) -> Network:
         )
     quant = None
     if d.mode == MODE_QAT_INT:
-        if d.head_scales is None:
-            raise FormatError("qat-int pack is missing the specialist head scales")
-        quant = QuantInfo(d.qat_bits, (*scales, *d.head_scales))
+        quant = QuantInfo(d.qat_bits, (*scales, *(d.head_scales or ())))
+        quant.check([name for name, _, _ in items])
     config = base.config()
     config = replace(config, layer_dims=(*config.layer_dims[:-1], width))
     return from_tensors(config, rebuilt, quant)

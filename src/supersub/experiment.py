@@ -30,6 +30,7 @@ from .runtime import (
     MODE_TWO_STAGE_EFFICIENT,
     MODE_TWO_STAGE_VANILLA,
     MODE_UPPERBOUND,
+    MODE_UPPERBOUND_SCRATCH,
     EfficientSession,
     EvalResult,
     ModelRegistry,
@@ -45,13 +46,13 @@ TAG_SCRATCH = 0x5355424300000004
 TAG_FINETUNE = 0x46494E4500000005
 TAG_INIT = 0x494E495400000006
 
-MODE_UPPERBOUND_SCRATCH = "upperbound_scratch"
 EVAL_MODES = (
     MODE_LOWERBOUND,
     MODE_UPPERBOUND,
     MODE_TWO_STAGE_VANILLA,
     MODE_TWO_STAGE_EFFICIENT,
-)
+)  # the default run plan
+MODES = (*EVAL_MODES, MODE_UPPERBOUND_SCRATCH)
 
 
 @dataclass(frozen=True)
@@ -161,9 +162,8 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
     if not 2 <= qat_bits <= 8:
         raise ValidationError(f"qat_bits must be in 2..8, got {qat_bits}")
     eval_modes = tuple(_of_type(doc.get("eval_modes", list(EVAL_MODES)), list, "eval_modes"))
-    allowed = set(EVAL_MODES) | {MODE_UPPERBOUND_SCRATCH}
     for mode in eval_modes:
-        if not isinstance(mode, str) or mode not in allowed:
+        if not isinstance(mode, str) or mode not in MODES:
             raise ValidationError(f"unknown eval mode {mode!r}")
 
     return ExperimentConfig(
@@ -234,20 +234,20 @@ class RunPaths:
     def loss_csv(self, target: str) -> Path:
         return self.root / f"loss_{target.replace(':', '_')}.csv"
 
-    def eval_csv(self, label: str) -> Path:
-        return self.root / f"eval_{label}.csv"
+    def eval_csv(self, mode: str) -> Path:
+        return self.root / f"eval_{mode}.csv"
 
-    def confusion_csv(self, label: str) -> Path:
-        return self.root / f"confusion_{label}.csv"
+    def confusion_csv(self, mode: str) -> Path:
+        return self.root / f"confusion_{mode}.csv"
 
-    def confusion_pct_csv(self, label: str) -> Path:
-        return self.root / f"confusion_pct_{label}.csv"
+    def confusion_pct_csv(self, mode: str) -> Path:
+        return self.root / f"confusion_pct_{mode}.csv"
 
-    def predictions_csv(self, label: str) -> Path:
-        return self.root / f"predictions_{label}.csv"
+    def predictions_csv(self, mode: str) -> Path:
+        return self.root / f"predictions_{mode}.csv"
 
-    def ledger_csv(self, label: str) -> Path:
-        return self.root / f"ledger_{label}.csv"
+    def ledger_csv(self, mode: str) -> Path:
+        return self.root / f"ledger_{mode}.csv"
 
     @property
     def summary_txt(self) -> Path:
@@ -411,14 +411,13 @@ def cmd_unpack(config: ExperimentConfig, super_index: int) -> Path:
     base = load_network(_require(paths.super_net))
     blob = _require(paths.delta_file(super_index)).read_bytes()
     pack = delta_mod.unpack(blob)
-    specialist = delta_mod.reconstruct(base, pack, delta_mod.base_fingerprint_of(base))
+    specialist = delta_mod.reconstruct(base, pack, delta_mod.base_fingerprint_of(base), super_index)
     save_network(specialist, paths.reconstructed_net(super_index))
     return paths.reconstructed_net(super_index)
 
 
-def _load_specialists(paths: RunPaths, manifest, scratch: bool = False) -> dict[int, Network]:
-    loader = paths.scratch_net if scratch else paths.finetuned_net
-    return {i: load_network(_require(loader(i))) for i in range(manifest.n_super)}
+def _load_specialists(path_of, manifest) -> dict[int, Network]:
+    return {i: load_network(_require(path_of(i))) for i in range(manifest.n_super)}
 
 
 def cmd_eval(config: ExperimentConfig, mode: str) -> EvalResult:
@@ -430,16 +429,12 @@ def cmd_eval(config: ExperimentConfig, mode: str) -> EvalResult:
     if mode == MODE_LOWERBOUND:
         net = load_network(_require(paths.lower_net))
         result = runtime_mod.evaluate_lowerbound(net, test_ds)
-    elif mode == MODE_UPPERBOUND:
-        specialists = _load_specialists(paths, manifest)
-        result = runtime_mod.evaluate_upperbound(specialists, test_ds)
-    elif mode == MODE_UPPERBOUND_SCRATCH:
-        specialists = _load_specialists(paths, manifest, scratch=True)
-        result = runtime_mod.evaluate_upperbound(specialists, test_ds, label=MODE_UPPERBOUND_SCRATCH)
+    elif mode in (MODE_UPPERBOUND, MODE_UPPERBOUND_SCRATCH):
+        path_of = paths.finetuned_net if mode == MODE_UPPERBOUND else paths.scratch_net
+        result = runtime_mod.evaluate_upperbound(_load_specialists(path_of, manifest), test_ds, mode)
     elif mode == MODE_TWO_STAGE_VANILLA:
-        registry = ModelRegistry(
-            load_network(_require(paths.super_net)), _load_specialists(paths, manifest), manifest
-        )
+        specialists = _load_specialists(paths.finetuned_net, manifest)
+        registry = ModelRegistry(load_network(_require(paths.super_net)), specialists, manifest)
         result = runtime_mod.evaluate_two_stage(registry, test_ds)
     elif mode == MODE_TWO_STAGE_EFFICIENT:
         base = load_network(_require(paths.super_net))
@@ -451,59 +446,59 @@ def cmd_eval(config: ExperimentConfig, mode: str) -> EvalResult:
     else:
         raise ParameterError(f"unknown eval mode {mode!r}")
 
-    label = result.report.label
-    paths.eval_csv(label).write_text(report_mod.render_eval_csv(result.report), encoding="utf-8")
-    paths.confusion_csv(label).write_text(
+    paths.eval_csv(mode).write_text(report_mod.render_eval_csv(result.report), encoding="utf-8")
+    paths.confusion_csv(mode).write_text(
         report_mod.render_confusion_csv(result.report.confusion, result.report.super_names),
         encoding="utf-8",
     )
-    paths.confusion_pct_csv(label).write_text(
+    paths.confusion_pct_csv(mode).write_text(
         report_mod.render_confusion_percent(result.report.confusion, result.report.super_names),
         encoding="utf-8",
     )
-    paths.predictions_csv(label).write_text(
+    paths.predictions_csv(mode).write_text(
         report_mod.render_predictions_csv(test_ds.sub_labels, result.pred_supers, result.pred_subs),
         encoding="utf-8",
     )
     if result.ledger is not None:
-        paths.ledger_csv(label).write_text(
+        paths.ledger_csv(mode).write_text(
             report_mod.render_ledger_csv(result.ledger), encoding="utf-8"
         )
     return result
 
 
-def _parse_eval_csv(path: Path) -> runtime_mod.EvalReport:
-    """Rebuild the aggregate report from its CSV rendering (cmd_report input)."""
+def _parse_eval_csv(path: Path, mode: str) -> runtime_mod.EvalReport:
+    """Rebuild mode's aggregate report from its CSV rendering (cmd_report input);
+    a row of another mode, a missing row or a non-number is a ValidationError."""
     lines = path.read_text(encoding="utf-8").strip().split("\n")
-    label = None
     names, accs, counts = [], [], []
-    macro = micro = None
-    n_test = 0
+    summary = {}
     for line in lines[1:]:
         cells = line.split(",")
+        if len(cells) != 4 or cells[0] not in (mode, "summary"):
+            raise ValidationError(f"eval CSV {path}: {line!r} is not a {mode} or summary row")
+        try:
+            acc, count = float(cells[2]), int(cells[3])
+        except ValueError:
+            acc = float("nan")
+        if not abs(acc) <= sys.float_info.max:
+            raise ValidationError(f"eval CSV {path}: {line!r} holds a non-number")
         if cells[0] == "summary":
-            if cells[1] == "macro_accuracy_pct":
-                macro = float(cells[2])
-                n_test = int(cells[3])
-            elif cells[1] == "micro_accuracy_pct":
-                micro = float(cells[2])
-            continue
-        label = cells[0]
-        names.append(cells[1])
-        accs.append(float(cells[2]))
-        counts.append(int(cells[3]))
-    if label is None or macro is None or micro is None:
+            summary[cells[1]] = acc, count
+        else:
+            names.append(cells[1])
+            accs.append(acc)
+            counts.append(count)
+    if not names or "macro_accuracy_pct" not in summary or "micro_accuracy_pct" not in summary:
         raise ValidationError(f"eval CSV {path} is missing rows")
-    mode = label if label in EVAL_MODES else MODE_UPPERBOUND
+    macro, n_test = summary["macro_accuracy_pct"]
     zero = tuple(tuple(0 for _ in names) for _ in names)
     return runtime_mod.EvalReport(
         mode=mode,
-        label=label,
         super_names=tuple(names),
         per_super_accuracy=tuple(accs),
         per_super_counts=tuple(counts),
         macro_accuracy=macro,
-        micro_accuracy=micro,
+        micro_accuracy=summary["micro_accuracy_pct"][0],
         confusion=zero,
         n_test=n_test,
     )
@@ -517,7 +512,7 @@ def cmd_report(config: ExperimentConfig) -> tuple[str, str]:
     for mode in config.eval_modes:
         path = paths.eval_csv(mode)
         if path.exists():
-            reports.append(_parse_eval_csv(path))
+            reports.append(_parse_eval_csv(path, mode))
         else:
             missing.append(str(path))
 

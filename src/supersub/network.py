@@ -91,6 +91,15 @@ class QuantInfo:
         """(name, scale) of every non-head tensor, in recorded order."""
         return tuple(s for s in self.scales if not s[0].startswith("head"))
 
+    def check(self, names: list[str]) -> None:
+        """FormatError unless this block has 2..8 bits and one finite,
+        positive scale for each of the tensor names, and no other."""
+        scaled = {name for name, _ in self.scales}
+        if not 2 <= self.bits <= 8 or len(self.scales) != len(names) or scaled != set(names):
+            raise FormatError(f"quantization block ({self.bits} bits) must scale each tensor exactly once")
+        if not all(math.isfinite(s) and s > 0 for _, s in self.scales):
+            raise FormatError("quantization scales must be finite and positive")
+
 
 @dataclass(frozen=True)
 class Network:
@@ -569,10 +578,12 @@ def deserialize_network(data: bytes) -> Network:
     r.expect_magic(NETWORK_MAGIC)
     r.expect_version(NETWORK_VERSION)
     n_dims = r.u32()
-    if n_dims < 3:
-        raise FormatError(f"network needs at least 3 dims, got {n_dims}", offset=r.pos)
-    dims = [r.u32() for _ in range(n_dims)]
-    flags = [bool(r.u8()) for _ in range(n_dims - 2)]
+    dims = tuple(r.u32() for _ in range(n_dims))
+    flags = tuple(bool(r.u8()) for _ in range(n_dims - 2))
+    try:
+        NetworkConfig(dims, flags)
+    except ParameterError as exc:
+        raise FormatError(f"bad network header: {exc}", offset=r.pos) from exc
     quant = None
     if r.u8():
         bits = r.u8()
@@ -596,11 +607,7 @@ def deserialize_network(data: bytes) -> Network:
     r.expect_end()
     net = Network(tuple(layers), quant)
     if quant is not None:
-        names = sorted(name for name, _, _ in tensor_items(net))
-        if not 2 <= quant.bits <= 8 or sorted(name for name, _ in quant.scales) != names:
-            raise FormatError(f"quantization block ({quant.bits} bits) must scale each tensor exactly once")
-        if not all(math.isfinite(s) and s > 0 for _, s in quant.scales):
-            raise FormatError("quantization scales must be finite and positive")
+        quant.check([name for name, _, _ in tensor_items(net)])
     return net
 
 

@@ -17,7 +17,7 @@ def render_eval_csv(report: EvalReport) -> str:
     for name, acc, count in zip(
         report.super_names, report.per_super_accuracy, report.per_super_counts
     ):
-        lines.append(f"{report.label},{name},{acc:.4f},{count}")
+        lines.append(f"{report.mode},{name},{acc:.4f},{count}")
     lines.append(f"summary,macro_accuracy_pct,{report.macro_accuracy:.4f},{report.n_test}")
     lines.append(f"summary,micro_accuracy_pct,{report.micro_accuracy:.4f},{report.n_test}")
     lines.append(f"summary,stage1_accuracy_pct,{report.stage1_accuracy():.4f},{report.n_test}")
@@ -63,7 +63,7 @@ def gap_report(reports: list[EvalReport]) -> tuple[str, str]:
     """Accuracy table with absolute and relative deltas against the bounds.
 
     Returns (aligned text, csv). Delta columns appear only when a
-    lowerbound / upperbound report is present; deltas are printed both as
+    lowerbound / upperbound_oracle report is present; deltas are printed both as
     accuracy-point differences and as percent changes relative to the
     reference accuracy.
     """
@@ -73,11 +73,10 @@ def gap_report(reports: list[EvalReport]) -> tuple[str, str]:
     for r in reports:
         if r.n_test != n_test:
             raise ContractError(
-                f"reports disagree on test size: {r.label} has {r.n_test}, expected {n_test}"
+                f"reports disagree on test size: {r.mode} has {r.n_test}, expected {n_test}"
             )
-    # Prefer canonical reports (label == mode) over labeled variants.
-    lower = _pick_reference(reports, MODE_LOWERBOUND)
-    upper = _pick_reference(reports, MODE_UPPERBOUND)
+    lower = next((r for r in reports if r.mode == MODE_LOWERBOUND), None)
+    upper = next((r for r in reports if r.mode == MODE_UPPERBOUND), None)
 
     header = ["mode", "macro_accuracy_pct"]
     if lower is not None:
@@ -87,7 +86,7 @@ def gap_report(reports: list[EvalReport]) -> tuple[str, str]:
 
     rows: list[list[str]] = []
     for r in reports:
-        row = [r.label, f"{r.macro_accuracy:.2f}"]
+        row = [r.mode, f"{r.macro_accuracy:.2f}"]
         if lower is not None:
             row += _delta_cells(r.macro_accuracy, lower.macro_accuracy)
         if upper is not None:
@@ -101,11 +100,6 @@ def gap_report(reports: list[EvalReport]) -> tuple[str, str]:
     for row in rows:
         text_lines.append("  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)))
     return "\n".join(text_lines) + "\n", csv
-
-
-def _pick_reference(reports: list[EvalReport], mode: str) -> EvalReport | None:
-    canonical = next((r for r in reports if r.mode == mode and r.label == mode), None)
-    return canonical or next((r for r in reports if r.mode == mode), None)
 
 
 def _delta_cells(value: float, reference: float) -> list[str]:

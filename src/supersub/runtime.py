@@ -23,7 +23,7 @@ import numpy as np
 from . import network as net_mod
 from .data import Dataset
 from .delta import base_fingerprint_of, body_tensor_items, reconstruct, unpack
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, ParameterError
 from .hierarchy import HierarchyManifest
 from .network import Network, forward
 
@@ -31,6 +31,7 @@ MODE_LOWERBOUND = "lowerbound"
 MODE_UPPERBOUND = "upperbound_oracle"
 MODE_TWO_STAGE_VANILLA = "two_stage_vanilla"
 MODE_TWO_STAGE_EFFICIENT = "two_stage_efficient"
+MODE_UPPERBOUND_SCRATCH = "upperbound_scratch"
 
 
 @dataclass
@@ -119,7 +120,7 @@ class EfficientSession:
         self.ledger.bytes_loaded += len(blob)
         self.ledger.specialist_switches += 1
         pack = unpack(blob)
-        specialist = reconstruct(self.super_net, pack, self._base_fingerprint)
+        specialist = reconstruct(self.super_net, pack, self._base_fingerprint, super_index)
         if specialist.head_dim != self.manifest.subclass_count(super_index):
             raise ContractError(
                 f"reconstructed specialist {super_index} head {specialist.head_dim} != "
@@ -176,7 +177,6 @@ def infer_efficient(session: EfficientSession, x: np.ndarray) -> tuple[int, int]
 @dataclass(frozen=True)
 class EvalReport:
     mode: str
-    label: str
     super_names: tuple[str, ...]
     per_super_accuracy: tuple[float, ...]  # percent, subclass-level, by superclass
     per_super_counts: tuple[int, ...]
@@ -220,7 +220,6 @@ def build_report(
     true_subs: np.ndarray,
     pred_supers: np.ndarray,
     pred_subs: np.ndarray,
-    label: str | None = None,
 ) -> EvalReport:
     true_supers = manifest.super_of(true_subs)
     matrix = confusion_matrix(pred_supers, true_supers, manifest.n_super)
@@ -236,7 +235,6 @@ def build_report(
     micro = 100.0 * float(correct.sum()) / len(true_subs) if len(true_subs) else 0.0
     return EvalReport(
         mode=mode,
-        label=label or mode,
         super_names=tuple(manifest.super_names()),
         per_super_accuracy=tuple(per_acc),
         per_super_counts=tuple(per_count),
@@ -247,9 +245,7 @@ def build_report(
     )
 
 
-def _evaluate_routed(
-    mode: str, specialist_for, test: Dataset, routed: np.ndarray, label: str | None
-) -> EvalResult:
+def _evaluate_routed(mode: str, specialist_for, test: Dataset, routed: np.ndarray) -> EvalResult:
     """Stage 2 over the whole test set, given the superclass of every row.
 
     Rows run in batches of identically routed consecutive rows. Row outputs
@@ -270,11 +266,11 @@ def _evaluate_routed(
         local = _local_predictions(specialist_for(s), test.features[start:end])
         pred_subs[start:end] = manifest.sub_offset(s) + local
         start = end
-    report = build_report(mode, manifest, test.sub_labels, routed, pred_subs, label)
+    report = build_report(mode, manifest, test.sub_labels, routed, pred_subs)
     return EvalResult(report, routed, pred_subs)
 
 
-def evaluate_lowerbound(net: Network, test: Dataset, label: str | None = None) -> EvalResult:
+def evaluate_lowerbound(net: Network, test: Dataset) -> EvalResult:
     """Monolithic all-subclasses network; superclass decision is derived."""
     if net.head_dim != test.manifest.n_sub:
         raise ContractError(
@@ -283,26 +279,29 @@ def evaluate_lowerbound(net: Network, test: Dataset, label: str | None = None) -
     logits, _ = forward(net, test.features, training=False)
     pred_subs = _argmax_rows(logits)
     pred_supers = test.manifest.super_of(pred_subs)
-    report = build_report(MODE_LOWERBOUND, test.manifest, test.sub_labels, pred_supers, pred_subs, label)
+    report = build_report(MODE_LOWERBOUND, test.manifest, test.sub_labels, pred_supers, pred_subs)
     return EvalResult(report, pred_supers, pred_subs)
 
 
 def evaluate_upperbound(
-    specialists: dict[int, Network], test: Dataset, label: str | None = None
+    specialists: dict[int, Network], test: Dataset, mode: str = MODE_UPPERBOUND
 ) -> EvalResult:
-    """Oracle routing: the true superclass selects the specialist."""
+    """Oracle routing: the true superclass selects the specialist. The two
+    oracle modes differ only in the specialists: finetuned or from scratch."""
+    if mode not in (MODE_UPPERBOUND, MODE_UPPERBOUND_SCRATCH):
+        raise ParameterError(f"{mode!r} is not an oracle-routed mode")
     _validate_specialists(test.manifest, specialists, test.dim)
-    return _evaluate_routed(MODE_UPPERBOUND, specialists.__getitem__, test, test.super_labels(), label)
+    return _evaluate_routed(mode, specialists.__getitem__, test, test.super_labels())
 
 
-def evaluate_two_stage(registry: ModelRegistry, test: Dataset, label: str | None = None) -> EvalResult:
+def evaluate_two_stage(registry: ModelRegistry, test: Dataset) -> EvalResult:
     """Vanilla two-stage inference over the whole test set, in row order."""
     routed = route_batch(registry.super_net, test.features)
-    return _evaluate_routed(MODE_TWO_STAGE_VANILLA, registry.specialist_for, test, routed, label)
+    return _evaluate_routed(MODE_TWO_STAGE_VANILLA, registry.specialist_for, test, routed)
 
 
-def evaluate_efficient(session: EfficientSession, test: Dataset, label: str | None = None) -> EvalResult:
+def evaluate_efficient(session: EfficientSession, test: Dataset) -> EvalResult:
     """Efficient two-stage inference; ledger reflects the test-order trace."""
     routed = route_batch(session.super_net, test.features)
-    result = _evaluate_routed(MODE_TWO_STAGE_EFFICIENT, session.specialist_for, test, routed, label)
+    result = _evaluate_routed(MODE_TWO_STAGE_EFFICIENT, session.specialist_for, test, routed)
     return replace(result, ledger=replace(session.ledger))

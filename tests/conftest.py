@@ -29,6 +29,15 @@ def with_fixed_crc(data: bytes) -> bytes:
     return data[:-4] + struct.pack("<I", crc32c(data[:-4]))
 
 
+def header_mutations(data: bytes, n: int):
+    """(offset, mutated copy) for each of the first n bytes of a container set
+    to 0x00, 0xFF and its own value ^ 1 (copies equal to data skipped), each
+    with its CRC-32C re-fixed so the mutation reaches the parser."""
+    for at in range(n):
+        for value in sorted({0x00, 0xFF, data[at] ^ 1} - {data[at]}):
+            yield at, with_fixed_crc(data[:at] + bytes([value]) + data[at + 1 :])
+
+
 @pytest.fixture(scope="session")
 def mini_data():
     return generate_synthetic(mini_spec())

@@ -226,6 +226,49 @@ def test_incomplete_quant_block_exits_3(qat_config_path, capsys):
     assert "integrity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", [["unpack", "0"], ["eval", "two_stage_efficient"]], ids=["unpack", "eval"])
+def test_swapped_delta_files_exit_3(config_path, capsys, verb):
+    for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["finetune", "1"],
+                 ["pack", "0"], ["pack", "1"]):
+        assert main(["--config", str(config_path)] + argv) == 0
+    paths = RunPaths(load_config(config_path).out_dir)
+    first, second = paths.delta_file(0).read_bytes(), paths.delta_file(1).read_bytes()
+    paths.delta_file(0).write_bytes(second)
+    paths.delta_file(1).write_bytes(first)
+    capsys.readouterr()
+    assert main(["--config", str(config_path)] + verb) == 3
+    assert "superclass 1, not 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", [["unpack", "0"], ["eval", "two_stage_vanilla"]], ids=["unpack", "eval"])
+def test_zero_width_router_layer_exits_3(config_path, capsys, verb):
+    for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["finetune", "1"], ["pack", "0"]):
+        assert main(["--config", str(config_path)] + argv) == 0
+    from test_network import plain_network_bytes
+
+    RunPaths(load_config(config_path).out_dir).super_net.write_bytes(plain_network_bytes((8, 0, 16, 2)))
+    assert main(["--config", str(config_path)] + verb) == 3
+    assert "integrity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["zero_bits", "fp16_body_entry"])
+def test_invalid_qat_block_in_delta_exits_3(qat_config_path, capsys, edit):
+    for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["pack", "0"]):
+        assert main(["--config", str(qat_config_path)] + argv) == 0
+    from supersub.delta import pack, unpack
+    from test_delta import with_fp16_first_body_entry
+
+    path = RunPaths(load_config(qat_config_path).out_dir).delta_file(0)
+    data = path.read_bytes()
+    if edit == "zero_bits":
+        data = with_fixed_crc(data[:11] + b"\x00" + data[12:])  # the header's bits byte
+    else:
+        data = pack(with_fp16_first_body_entry(unpack(data))).data
+    path.write_bytes(data)
+    assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
+    assert "integrity" in capsys.readouterr().err
+
+
 def test_stale_base_exits_3(qat_config_path, capsys):
     for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["pack", "0"]):
         assert main(["--config", str(qat_config_path)] + argv) == 0
@@ -266,6 +309,68 @@ def test_eval_rerun_byte_identical(config_path):
     first = paths.eval_csv("upperbound_oracle").read_bytes()
     assert main(["--config", str(config_path), "eval", "upperbound_oracle"]) == 0
     assert paths.eval_csv("upperbound_oracle").read_bytes() == first
+
+
+@pytest.mark.parametrize("edit", ["non_number", "nan", "other_mode", "no_summary"])
+def test_malformed_eval_csv_exits_2(tmp_path, capsys, edit):
+    doc = config_doc(tmp_path / "run", epochs=3, eval_modes=["lowerbound"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(path), "run"]) == 0
+    csv = RunPaths(load_config(path).out_dir).eval_csv("lowerbound")
+    lines = csv.read_text(encoding="utf-8").splitlines()
+    if edit in ("non_number", "nan"):
+        cells = lines[1].split(",")
+        lines[1] = ",".join([*cells[:2], "abc" if edit == "non_number" else "nan", cells[3]])
+    elif edit == "other_mode":
+        lines = [line.replace("lowerbound,", "upperbound_oracle,", 1) for line in lines]
+    else:
+        lines = [line for line in lines if not line.startswith("summary,macro")]
+    csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(path), "report"]) == 2
+    err = capsys.readouterr().err
+    assert "eval CSV" in err and "Traceback" not in err
+
+
+def dataset_config(tmp_path):
+    """Synthetic train/test files in tmp_path/source, and a config document
+    whose dataset block points at them."""
+    doc = config_doc(tmp_path / "source", epochs=3)
+    path = tmp_path / "source.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(path), "gen-data"]) == 0
+    source = RunPaths(doc["out_dir"])
+    doc = config_doc(tmp_path / "copy", epochs=3)
+    del doc["synthetic"]
+    doc["dataset"] = {"train": str(source.train_data), "test": str(source.test_data)}
+    return source, doc
+
+
+def test_dataset_block_copies_its_files(tmp_path):
+    source, doc = dataset_config(tmp_path)
+    path = tmp_path / "copy.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(path), "gen-data"]) == 0
+    copies = RunPaths(load_config(path).out_dir)
+    assert copies.train_data.read_bytes() == source.train_data.read_bytes()
+    assert copies.test_data.read_bytes() == source.test_data.read_bytes()
+
+
+@pytest.mark.parametrize("edit, code", [("missing", 2), ("corrupt", 3)])
+def test_dataset_block_bad_file_exits(tmp_path, capsys, edit, code):
+    source, doc = dataset_config(tmp_path)
+    if edit == "missing":
+        source.test_data.unlink()
+    else:
+        data = bytearray(source.test_data.read_bytes())
+        data[20] ^= 0x01
+        source.test_data.write_bytes(bytes(data))
+    path = tmp_path / "copy.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(path), "gen-data"]) == code
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_out_override_redirects_artifacts(config_path, tmp_path):

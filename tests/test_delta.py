@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import with_fixed_crc
+from conftest import header_mutations, with_fixed_crc
 from supersub.container import Writer, crc32c, deflate, inflate
 from supersub.delta import (
     KIND_F16_DELTA,
@@ -32,6 +32,7 @@ from supersub.errors import (
     ParameterError,
 )
 from supersub.network import (
+    deserialize_network,
     init_network,
     serialize_network,
     snap_to_grid,
@@ -58,6 +59,13 @@ def overflowing_shape_pack(data: bytes) -> bytes:
 def trailing_junk_pack(data: bytes) -> bytes:
     """The packed delta with 8 junk bytes after its DEFLATE stream, CRC re-fixed."""
     return with_fixed_crc(data[:-4] + b"JUNKJUNK" + bytes(4))
+
+
+def with_fp16_first_body_entry(d):
+    """The DeltaPack with its first body entry replaced by an all-zero fp16 delta."""
+    first = d.body_entries[0]
+    fp16 = DeltaEntry(first.name, first.shape, KIND_F16_DELTA, np.zeros(first.shape, dtype=np.float16))
+    return replace(d, body_entries=(fp16, *d.body_entries[1:]))
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +118,7 @@ class TestComputeDelta:
     def test_qat_round_trip_bit_exact(self, qat_pair):
         base, specialist = qat_pair
         d = compute_delta(base, specialist, MODE_QAT_INT)
-        rebuilt = reconstruct(base, d, base_fingerprint_of(base))
+        rebuilt = reconstruct(base, d, base_fingerprint_of(base), 0)
         assert serialize_network(rebuilt) == serialize_network(specialist)
 
     def test_qat_requires_quantized_networks(self, plain_pair):
@@ -211,7 +219,7 @@ class TestPackUnpack:
         other_base = build_net(head=2, seed=99, dims=(8, 16, 16))
         again = unpack(packed.data)  # parses fine
         with pytest.raises(BaseMismatchError):
-            reconstruct(other_base, again, base_fingerprint_of(other_base))
+            reconstruct(other_base, again, base_fingerprint_of(other_base), 0)
 
     def test_many_random_packs_round_trip(self):
         rng = Prng(777)
@@ -227,20 +235,20 @@ class TestPackUnpack:
 class TestReconstruct:
     def test_zero_delta_reproduces_base_body(self):
         net = build_net(seed=13)
-        rebuilt = reconstruct(net, compute_delta(net, net, MODE_FP16), base_fingerprint_of(net))
+        rebuilt = reconstruct(net, compute_delta(net, net, MODE_FP16), base_fingerprint_of(net), 0)
         for orig, new in zip(net.layers[:-1], rebuilt.layers[:-1]):
             assert np.array_equal(orig.weight, new.weight)
             assert np.array_equal(orig.bias, new.bias)
 
     def test_fp16_reconstruction_close(self, plain_pair):
         base, specialist = plain_pair
-        rebuilt = reconstruct(base, compute_delta(base, specialist, MODE_FP16), base_fingerprint_of(base))
+        rebuilt = reconstruct(base, compute_delta(base, specialist, MODE_FP16), base_fingerprint_of(base), 0)
         for orig, new in zip(specialist.layers, rebuilt.layers):
             np.testing.assert_allclose(orig.weight, new.weight, rtol=2e-3, atol=2e-3)
 
     def test_head_installed_verbatim(self, plain_pair):
         base, specialist = plain_pair
-        rebuilt = reconstruct(base, compute_delta(base, specialist, MODE_FP16), base_fingerprint_of(base))
+        rebuilt = reconstruct(base, compute_delta(base, specialist, MODE_FP16), base_fingerprint_of(base), 0)
         assert np.array_equal(rebuilt.layers[-1].weight, specialist.layers[-1].weight)
         assert np.array_equal(rebuilt.layers[-1].bias, specialist.layers[-1].bias)
 
@@ -249,7 +257,7 @@ class TestReconstruct:
         base, _ = request.getfixturevalue(pair)
         d = compute_delta(base, base, mode)
         assert [e.kind for e in d.head_entries] == [KIND_XOR32_DELTA] * 2
-        assert serialize_network(reconstruct(base, d, base_fingerprint_of(base))) == serialize_network(base)
+        assert serialize_network(reconstruct(base, d, base_fingerprint_of(base), 0)) == serialize_network(base)
 
     @pytest.mark.parametrize("kind", [KIND_F16_DELTA, KIND_I16_GRID_DELTA])
     def test_head_entry_of_delta_kind_rejected(self, kind):
@@ -258,7 +266,7 @@ class TestReconstruct:
         w = d.head_entries[0]
         bad = DeltaEntry(w.name, w.shape, kind, np.zeros(w.shape, dtype=np.int16), 1.0)
         with pytest.raises(FormatError, match="head entry"):
-            reconstruct(net, replace(d, head_entries=(bad, d.head_entries[1])), base_fingerprint_of(net))
+            reconstruct(net, replace(d, head_entries=(bad, d.head_entries[1])), base_fingerprint_of(net), 0)
 
     @pytest.mark.parametrize("which, shape", [(0, (3, 5)), (0, ()), (1, (7,)), (0, (0, 12))])
     def test_verbatim_head_must_fit_the_body(self, which, shape):
@@ -267,7 +275,7 @@ class TestReconstruct:
         heads = list(d.head_entries)
         heads[which] = DeltaEntry(heads[which].name, shape, KIND_F32_VALUE, np.zeros(shape, dtype=F32))
         with pytest.raises(FormatError):
-            reconstruct(net, replace(d, head_entries=tuple(heads)), base_fingerprint_of(net))
+            reconstruct(net, replace(d, head_entries=tuple(heads)), base_fingerprint_of(net), 0)
 
     @pytest.mark.parametrize("edit", ["missing", "duplicate", "misshapen", "renamed_head"])
     def test_misfit_entries_are_format_errors(self, edit):
@@ -284,7 +292,7 @@ class TestReconstruct:
             heads[1] = replace(heads[1], name="head.extra")
         d = replace(d, body_entries=tuple(body), head_entries=tuple(heads))
         with pytest.raises(FormatError):
-            reconstruct(net, d, base_fingerprint_of(net))
+            reconstruct(net, d, base_fingerprint_of(net), 0)
 
     def test_non_finite_rebuild_is_format_error(self, plain_pair):
         base, specialist = plain_pair
@@ -294,7 +302,7 @@ class TestReconstruct:
         payload.flat[0] = np.nan
         d = replace(d, body_entries=(replace(first, payload=payload), *d.body_entries[1:]))
         with pytest.raises(FormatError, match="non-finite"):
-            reconstruct(base, unpack(pack(d).data), base_fingerprint_of(base))
+            reconstruct(base, unpack(pack(d).data), base_fingerprint_of(base), 0)
 
     @pytest.mark.parametrize("factor", [0.0, 2.0, float("nan")])
     def test_grid_entry_scale_must_be_the_base_grid(self, factor):
@@ -305,14 +313,65 @@ class TestReconstruct:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FormatError, match="scale"):
-                reconstruct(net, unpack(pack(d).data), base_fingerprint_of(net))
+                reconstruct(net, unpack(pack(d).data), base_fingerprint_of(net), 0)
 
     def test_qat_pack_needs_a_quantized_base(self):
         net = snap_to_grid(build_net(seed=47), 8)
         plain = replace(net, quant=None)
         d = replace(compute_delta(net, net, MODE_QAT_INT), base_fingerprint=base_fingerprint_of(plain))
         with pytest.raises(FormatError, match="quantization"):
-            reconstruct(plain, d, base_fingerprint_of(plain))
+            reconstruct(plain, d, base_fingerprint_of(plain), 0)
+
+    def test_pack_of_another_superclass_is_format_error(self):
+        net = build_net(seed=49)
+        d = compute_delta(net, net, MODE_FP16, superclass_id=1)
+        with pytest.raises(FormatError, match="superclass 1, not 0"):
+            reconstruct(net, d, base_fingerprint_of(net), 0)
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["zero_bits", "other_bits", "fp16_body_entry", "no_head_scales", "missing_head_scale",
+         "duplicate_head_scale", "renamed_head_scale", "zero_head_scale", "nan_head_scale"],
+    )
+    def test_qat_quantization_block_must_be_valid(self, qat_pair, edit):
+        base, specialist = qat_pair
+        d = compute_delta(base, specialist, MODE_QAT_INT)
+        (w_name, w_scale), bias_scale = d.head_scales
+        if edit.endswith("_bits"):
+            d = replace(d, qat_bits=0 if edit == "zero_bits" else 7)
+        elif edit == "fp16_body_entry":
+            d = with_fp16_first_body_entry(d)
+        else:
+            d = replace(d, head_scales={
+                "no_head_scales": None,
+                "missing_head_scale": (bias_scale,),
+                "duplicate_head_scale": ((w_name, w_scale), (w_name, w_scale)),
+                "renamed_head_scale": (("head.weights", w_scale), bias_scale),
+                "zero_head_scale": ((w_name, 0.0), bias_scale),
+                "nan_head_scale": ((w_name, float("nan")), bias_scale),
+            }[edit])
+        with pytest.raises(FormatError):
+            reconstruct(base, unpack(pack(d).data), base_fingerprint_of(base), 0)
+
+    def test_header_mutations_are_rejected_or_read_back(self, qat_pair):
+        base, specialist = qat_pair
+        data = pack(compute_delta(base, specialist, MODE_QAT_INT, superclass_id=1)).data
+        fingerprint = base_fingerprint_of(base)
+        rejected = 0
+        for at, mutated in header_mutations(data, 16):
+            superclass_byte = 6 <= at < 10
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    rebuilt = reconstruct(base, unpack(mutated), fingerprint, 1)
+                except (FormatError, BaseMismatchError) as exc:
+                    assert not superclass_byte or "superclass" in str(exc)
+                    rejected += 1
+                    continue
+            assert not superclass_byte, f"a mutated superclass id (byte {at}) was accepted"
+            again = deserialize_network(serialize_network(rebuilt))
+            assert serialize_network(again) == serialize_network(rebuilt)
+        assert rejected
 
 
 class TestBaseFingerprint:

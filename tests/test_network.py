@@ -3,11 +3,12 @@ finite differences."""
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import with_fixed_crc
+from conftest import header_mutations, with_fixed_crc
 from supersub.container import Writer
 from supersub.errors import ContractError, DimensionError, FormatError, ParameterError
 from supersub.network import (
@@ -314,6 +315,17 @@ class TestSnapAndEffectiveWeights:
         assert qat.scales[-1] is None
 
 
+def plain_network_bytes(dims) -> bytes:
+    """An HSNW file of all-zero tensors with these layer dims, written field by
+    field (so any dims), with no batch norm and no quantization block."""
+    w = Writer().raw(b"HSNW").u16(1).u32(len(dims))
+    for dim in dims:
+        w.u32(dim)
+    w.raw(bytes(len(dims) - 2)).u8(0)
+    n_values = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+    return w.raw(bytes(4 * n_values)).finish()
+
+
 class TestNetworkContainer:
     @pytest.mark.parametrize("batchnorm", [False, True])
     def test_round_trip_bit_exact(self, batchnorm):
@@ -370,6 +382,25 @@ class TestNetworkContainer:
             blob[scale : scale + 4] = struct.pack("<f", value)
         with pytest.raises(FormatError):
             deserialize_network(with_fixed_crc(bytes(blob)))
+
+    @pytest.mark.parametrize("dims", [(8, 0, 16, 2), (8, 16, 0)])
+    def test_zero_width_layer_is_format_error(self, dims):
+        with pytest.raises(FormatError, match="dims must be >= 1"):
+            deserialize_network(plain_network_bytes(dims))
+
+    def test_header_mutations_are_rejected_or_read_back(self):
+        data = serialize_network(snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=23), 8))
+        rejected = 0
+        for _, mutated in header_mutations(data, data.index(b"layer0.weight")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    net = deserialize_network(mutated)
+                except FormatError:
+                    rejected += 1
+                    continue
+            assert serialize_network(deserialize_network(serialize_network(net))) == serialize_network(net)
+        assert rejected
 
     def test_truncation_detected(self):
         blob = serialize_network(small_net(seed=1))

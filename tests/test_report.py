@@ -16,12 +16,13 @@ from supersub.runtime import (
     MODE_LOWERBOUND,
     MODE_TWO_STAGE_VANILLA,
     MODE_UPPERBOUND,
+    MODE_UPPERBOUND_SCRATCH,
     CostLedger,
     EvalReport,
 )
 
 
-def make_report(mode, macro, label=None, n_super=10, n_test=12650):
+def make_report(mode, macro, n_super=10, n_test=12650):
     names = tuple(f"class_{i}" for i in range(n_super))
     per = tuple(macro for _ in range(n_super))
     counts = tuple(n_test // n_super for _ in range(n_super))
@@ -30,7 +31,6 @@ def make_report(mode, macro, label=None, n_super=10, n_test=12650):
     )
     return EvalReport(
         mode=mode,
-        label=label or mode,
         super_names=names,
         per_super_accuracy=per,
         per_super_counts=counts,
@@ -79,12 +79,20 @@ class TestGapReport:
 
     def test_canonical_reference_preferred_over_variant(self):
         lower = make_report(MODE_LOWERBOUND, 71.18)
-        variant = make_report(MODE_UPPERBOUND, 99.0, label="upperbound_scratch")
-        canonical = make_report(MODE_UPPERBOUND, 75.07)
-        _, csv = gap_report([lower, variant, canonical])
+        scratch = make_report(MODE_UPPERBOUND_SCRATCH, 99.0)
+        oracle = make_report(MODE_UPPERBOUND, 75.07)
+        _, csv = gap_report([lower, scratch, oracle])
         lower_row = next(line for line in csv.splitlines() if line.startswith(MODE_LOWERBOUND))
-        # deltas vs upperbound must reference the canonical 75.07 report
+        # deltas vs upperbound must reference the upperbound_oracle 75.07 report
         assert "-3.89" in lower_row
+
+
+    def test_scratch_report_is_not_the_upper_reference(self):
+        lower = make_report(MODE_LOWERBOUND, 71.18)
+        scratch = make_report(MODE_UPPERBOUND_SCRATCH, 73.0)
+        _, csv = gap_report([lower, scratch])
+        assert csv.splitlines()[0] == "mode,macro_accuracy_pct,vs_lower_pts,vs_lower_rel_pct"
+        assert csv.splitlines()[2].startswith("upperbound_scratch,73.00,+1.82")
 
 
 class TestConfusionRendering:

@@ -6,7 +6,7 @@ import pytest
 from supersub import runtime
 from supersub.data import Dataset
 from supersub.delta import MODE_QAT_INT, base_fingerprint_of, compute_delta, pack
-from supersub.errors import BaseMismatchError, ContractError, DimensionError
+from supersub.errors import BaseMismatchError, ContractError, DimensionError, ParameterError
 from supersub.hierarchy import make_manifest
 from supersub.network import (
     LayerParams,
@@ -252,6 +252,15 @@ class TestEvaluate:
         res = evaluate_upperbound(specialists, ds)
         assert res.report.macro_accuracy == 100.0
         assert np.array_equal(res.pred_supers, ds.super_labels())
+
+    def test_upperbound_reports_either_oracle_mode_only(self):
+        ds, _, _, specialists = perfect_setup()
+        oracle = evaluate_upperbound(specialists, ds)
+        scratch = evaluate_upperbound(specialists, ds, runtime.MODE_UPPERBOUND_SCRATCH)
+        assert (oracle.report.mode, scratch.report.mode) == ("upperbound_oracle", "upperbound_scratch")
+        assert np.array_equal(oracle.pred_subs, scratch.pred_subs)
+        with pytest.raises(ParameterError):
+            evaluate_upperbound(specialists, ds, runtime.MODE_TWO_STAGE_VANILLA)
 
     def test_mode_ordering_on_mini_golden(self, mini_models, mini_registry, mini_test):
         router, specialists, lower = mini_models
