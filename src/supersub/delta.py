@@ -13,11 +13,14 @@ Each entry has one kind, and `_KIND_DTYPES` gives the element type its
 payload is stored in: verbatim float32 values, binary16 deltas, int16
 grid-index deltas (plus the shared scale), or uint32 XOR deltas.
 
-Head tensors are stored without a value delta: the head is reinitialized
-at a different width during finetuning, so none exists. When the head
-shape happens to match the base (self-deltas, same-width specialists) an
-XOR delta is used; otherwise the tensors are stored verbatim. No other
-kind is valid for a head entry.
+Which tensors form the head, and how a network with the same body and
+another head width looks, is network.py's to say (`HEAD_TENSORS`,
+`NetworkConfig.with_head`); this module only walks `tensor_items`. Head
+tensors are stored without a value delta: the head is reinitialized at a
+different width during finetuning, so none exists. When the head shape
+happens to match the base (self-deltas, same-width specialists) an XOR
+delta is used; otherwise the tensors are stored verbatim. No other kind
+is valid for a head entry.
 
 The packed container records a CRC-32C fingerprint of the base network
 file; reconstruction against any other base fails loudly instead of
@@ -38,7 +41,7 @@ the shared base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +54,7 @@ from .errors import (
     ParameterError,
 )
 from .network import (
+    HEAD_TENSORS,
     Network,
     QuantInfo,
     from_tensors,
@@ -107,23 +111,6 @@ class PackedDelta:
     packed_size: int  # actual container size on the wire
 
 
-def body_tensor_items(net: Network) -> list[tuple[str, np.ndarray, bool]]:
-    """(name, tensor, is_weight) for every non-head tensor, fixed order."""
-    return tensor_items(net)[:-2]
-
-
-def _check_body_compatible(base_items: list, sub_items: list) -> None:
-    if len(base_items) != len(sub_items):
-        raise ContractError(
-            f"body tensor count mismatch: base {len(base_items)}, specialist {len(sub_items)}"
-        )
-    for (name_a, t_a, _), (name_b, t_b, _) in zip(base_items, sub_items):
-        if name_a != name_b or t_a.shape != t_b.shape:
-            raise ContractError(
-                f"body tensor mismatch at {name_a}: {t_a.shape} vs {name_b} {t_b.shape}"
-            )
-
-
 def base_fingerprint_of(base: Network) -> int:
     """The base network file's own trailing checksum.
 
@@ -151,8 +138,8 @@ def compute_delta(base: Network, sub: Network, mode: str, superclass_id: int = 0
     """Extract the specialist's difference against the base network."""
     if mode not in _MODE_CODES:
         raise ParameterError(f"unknown delta mode {mode!r}")
-    base_items, sub_items = tensor_items(base), tensor_items(sub)
-    _check_body_compatible(base_items[:-2], sub_items[:-2])
+    if base.config().with_head(sub.head_dim) != sub.config():
+        raise ContractError(f"specialist {sub.config()} does not share the base's body {base.config()}")
     fingerprint = base_fingerprint_of(base)
 
     qat_bits = 0
@@ -167,11 +154,18 @@ def compute_delta(base: Network, sub: Network, mode: str, superclass_id: int = 0
         if base.quant.body_scales() != sub.quant.body_scales():
             raise DeltaModeError("body quantization scales differ; grids are not shared")
         qat_bits = base.quant.bits
-        head_scales = tuple(s for s in sub.quant.scales if s[0].startswith("head"))
+        head_scales = tuple(s for s in sub.quant.scales if s[0] in HEAD_TENSORS)
 
     body: list[DeltaEntry] = []
-    for (name, t_base, _), (_, t_sub, _) in zip(base_items[:-2], sub_items[:-2]):
-        if mode == MODE_FP16:
+    head: list[DeltaEntry] = []
+    for (name, t_base, _), (_, t_sub, _) in zip(tensor_items(base), tensor_items(sub)):
+        if name in HEAD_TENSORS:
+            if t_sub.shape == t_base.shape:
+                head.append(DeltaEntry(name, t_sub.shape, KIND_XOR32_DELTA, _xor_bits(t_sub, t_base)))
+            else:
+                # Replaced head at a different width: no base tensor to delta against.
+                head.append(DeltaEntry(name, t_sub.shape, KIND_F32_VALUE, t_sub.astype(F32)))
+        elif mode == MODE_FP16:
             delta = f16_round((t_sub - t_base).astype(F32)).astype(np.float16)
             body.append(DeltaEntry(name, t_base.shape, KIND_F16_DELTA, delta))
         else:
@@ -182,14 +176,6 @@ def compute_delta(base: Network, sub: Network, mode: str, superclass_id: int = 0
             if diff.size and max(abs(int(diff.max())), abs(int(diff.min()))) > 32767:
                 raise DeltaModeError(f"grid delta for {name} overflows int16")
             body.append(DeltaEntry(name, t_base.shape, KIND_I16_GRID_DELTA, diff.astype(np.int16), s))
-
-    head = []
-    for (name, t_base, _), (_, t_sub, _) in zip(base_items[-2:], sub_items[-2:]):
-        if t_sub.shape == t_base.shape:
-            head.append(DeltaEntry(name, t_sub.shape, KIND_XOR32_DELTA, _xor_bits(t_sub, t_base)))
-        else:
-            # Replaced head at a different width: no base tensor to delta against.
-            head.append(DeltaEntry(name, t_sub.shape, KIND_F32_VALUE, t_sub.astype(F32)))
     return DeltaPack(superclass_id, mode, qat_bits, fingerprint, tuple(body), tuple(head), head_scales)
 
 
@@ -311,20 +297,20 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int, superclass_i
     if d.mode == MODE_QAT_INT and (base.quant is None or d.qat_bits != base.quant.bits):
         raise FormatError(f"qat-int pack of {d.qat_bits} bits does not fit the base's quantization grids")
     items = tensor_items(base)
-    n_body = len(items) - 2
+    n_body = len(items) - len(HEAD_TENSORS)
     body = {e.name: e for e in d.body_entries}
     head = {e.name: e for e in d.head_entries}
     if len(body) != len(d.body_entries) or len(body) != n_body:
         raise FormatError(
             f"delta has {len(d.body_entries)} body entries, base has {n_body} body tensors"
         )
-    if set(head) != {name for name, _, _ in items[n_body:]}:
+    if set(head) != set(HEAD_TENSORS):
         raise FormatError(f"unexpected head entries {sorted(head)}")
 
     rebuilt: dict[str, np.ndarray] = {}
     scales: list[tuple[str, float]] = []
-    for i, (name, t_base, _) in enumerate(items):
-        is_head = i >= n_body
+    for name, t_base, _ in items:
+        is_head = name in HEAD_TENSORS
         e = head[name] if is_head else body.get(name)
         if e is None:
             raise FormatError(f"delta is missing body entry {name}")
@@ -352,19 +338,15 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int, superclass_i
             raise FormatError(f"delta entry {name} rebuilds to non-finite values")
         rebuilt[name] = t
 
-    width = rebuilt["head.weight"].shape[0]
-    if width == 0 or rebuilt["head.bias"].shape != (width,):
-        raise FormatError(
-            f"head shapes {rebuilt['head.weight'].shape} and {rebuilt['head.bias'].shape} "
-            "do not form a head of width >= 1"
-        )
     quant = None
     if d.mode == MODE_QAT_INT:
         quant = QuantInfo(d.qat_bits, (*scales, *(d.head_scales or ())))
         quant.check([name for name, _, _ in items])
-    config = base.config()
-    config = replace(config, layer_dims=(*config.layer_dims[:-1], width))
-    return from_tensors(config, rebuilt, quant)
+    try:
+        config = base.config().with_head(len(rebuilt[HEAD_TENSORS[0]]))
+        return from_tensors(config, rebuilt, quant)
+    except (ContractError, ParameterError) as exc:
+        raise FormatError(f"head entries do not form a head of width >= 1: {exc}") from exc
 
 
 # --- reporting helpers --------------------------------------------------------

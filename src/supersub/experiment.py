@@ -165,6 +165,8 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
     for mode in eval_modes:
         if not isinstance(mode, str) or mode not in MODES:
             raise ValidationError(f"unknown eval mode {mode!r}")
+    if not eval_modes or len(set(eval_modes)) != len(eval_modes):
+        raise ValidationError(f"eval_modes must name at least one mode, each once; got {list(eval_modes)}")
 
     return ExperimentConfig(
         seed=seed,

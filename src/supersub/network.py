@@ -4,6 +4,14 @@ Hidden layers are dense -> optional batch-norm -> relu; the head is a bare
 dense layer feeding a softmax cross-entropy loss. All math runs through the
 fixed-order float32 kernels in tensor.py so training is bit-reproducible.
 
+Only this module knows three rules; other modules ask it. The tensor
+layout: `tensor_shapes(config)` names every tensor and its shape in file
+order, for `tensor_items`, `from_tensors` and the HSNW reader. The
+body/head split: the head is `HEAD_TENSORS`, the body `body_items`, and
+`NetworkConfig.with_head` keeps a body under another head width. The grid
+rule: `QatConfig.scale` gives a tensor its pinned body scale if it has one,
+else its own live scale, for fake-quantized forwards and `snap_to_grid`.
+
 Networks are immutable: nothing writes into a network's arrays, so
 networks and their layers are shared, never copied, across threads too.
 A gradient is a Network as well: backward returns one with the network's
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +35,7 @@ from .tensor import F32, Prng, matmul, ordered_axis0_sum, relu, softmax_rows
 
 NETWORK_MAGIC = b"HSNW"
 NETWORK_VERSION = 1
+HEAD_TENSORS = ("head.weight", "head.bias")  # the head's (weight, bias), last in every layout
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
 
@@ -52,6 +62,10 @@ class NetworkConfig:
     @property
     def head_dim(self) -> int:
         return self.layer_dims[-1]
+
+    def with_head(self, width: int) -> "NetworkConfig":
+        """The same body with a head of another width."""
+        return replace(self, layer_dims=(*self.layer_dims[:-1], width))
 
 
 def uniform_config(input_dim: int, hidden_dims: list[int], head_dim: int, batchnorm: bool) -> NetworkConfig:
@@ -89,7 +103,7 @@ class QuantInfo:
 
     def body_scales(self) -> tuple[tuple[str, float], ...]:
         """(name, scale) of every non-head tensor, in recorded order."""
-        return tuple(s for s in self.scales if not s[0].startswith("head"))
+        return tuple(s for s in self.scales if s[0] not in HEAD_TENSORS)
 
     def check(self, names: list[str]) -> None:
         """FormatError unless this block has 2..8 bits and one finite,
@@ -166,43 +180,54 @@ def network_bytes(net: Network) -> int:
     return 4 * parameter_count(net)
 
 
+@lru_cache(maxsize=64)
+def tensor_shapes(config: NetworkConfig) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(name, shape) of every tensor of a network of this config, in file
+    order: layer by layer weight, bias, then any batch-norm gamma, beta,
+    running mean and running variance; the head last."""
+    dims = config.layer_dims
+    shapes = []
+    for i, has_bn in enumerate(config.batchnorm):
+        n = dims[i + 1]
+        shapes += [(f"layer{i}.weight", (n, dims[i])), (f"layer{i}.bias", (n,))]
+        if has_bn:
+            shapes += [(f"layer{i}.bn_{k}", (n,)) for k in ("gamma", "beta", "mean", "var")]
+    return (*shapes, *zip(HEAD_TENSORS, ((dims[-1], dims[-2]), (dims[-1],))))
+
+
 def tensor_items(net: Network) -> list[tuple[str, np.ndarray, bool]]:
-    """(name, tensor, is_weight) for every tensor, body first, head last."""
-    items = []
-    for i, layer in enumerate(net.layers[:-1]):
-        items.append((f"layer{i}.weight", layer.weight, True))
-        items.append((f"layer{i}.bias", layer.bias, False))
+    """(name, tensor, is_weight) for every tensor, in tensor_shapes order."""
+    tensors = []
+    for layer in net.layers:
+        tensors += [layer.weight, layer.bias]
         if layer.bn is not None:
-            items.append((f"layer{i}.bn_gamma", layer.bn.gamma, False))
-            items.append((f"layer{i}.bn_beta", layer.bn.beta, False))
-            items.append((f"layer{i}.bn_mean", layer.bn.running_mean, False))
-            items.append((f"layer{i}.bn_var", layer.bn.running_var, False))
-    items.append(("head.weight", net.layers[-1].weight, True))
-    items.append(("head.bias", net.layers[-1].bias, False))
-    return items
+            tensors += [layer.bn.gamma, layer.bn.beta, layer.bn.running_mean, layer.bn.running_var]
+    shapes = tensor_shapes(net.config())
+    return [(name, t, name.endswith(".weight")) for (name, _), t in zip(shapes, tensors)]
+
+
+def body_items(net: Network) -> list[tuple[str, np.ndarray, bool]]:
+    """tensor_items without the HEAD_TENSORS."""
+    return tensor_items(net)[: -len(HEAD_TENSORS)]
 
 
 def from_tensors(
     config: NetworkConfig, tensors: dict[str, np.ndarray], quant: QuantInfo | None = None
 ) -> Network:
     """Inverse of tensor_items: the network of this config holding these tensors."""
-
-    def take(name: str, *shape: int) -> np.ndarray:
+    ordered = []
+    for name, shape in tensor_shapes(config):
         t = tensors.get(name)
         if t is None or t.shape != shape:
             got = "nothing" if t is None else f"shape {t.shape}"
             raise ContractError(f"{name}: got {got}, the config needs shape {shape}")
-        return t
-
-    dims = config.layer_dims
+        ordered.append(t)
+    it = iter(ordered)
     layers = []
-    for i, has_bn in enumerate(config.batchnorm):
-        n = dims[i + 1]
-        bn = None
-        if has_bn:
-            bn = BatchNormParams(*(take(f"layer{i}.bn_{k}", n) for k in ("gamma", "beta", "mean", "var")))
-        layers.append(LayerParams(take(f"layer{i}.weight", n, dims[i]), take(f"layer{i}.bias", n), bn))
-    layers.append(LayerParams(take("head.weight", dims[-1], dims[-2]), take("head.bias", dims[-1]), None))
+    for has_bn in (*config.batchnorm, False):
+        weight, bias = next(it), next(it)
+        bn = BatchNormParams(next(it), next(it), next(it), next(it)) if has_bn else None
+        layers.append(LayerParams(weight, bias, bn))
     return Network(tuple(layers), quant)
 
 
@@ -240,39 +265,32 @@ def grid_indices(t: np.ndarray, scale: float, bits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QatConfig:
-    """Fake-quantization applied to weights during forward passes.
+    """Fake-quantization of the weights in forward passes, and the grid rule.
 
-    scales holds one entry per layer: a fixed float (shared-grid finetuning)
-    or None to derive the scale live from the current master weights.
+    body_scales pins tensors to a base network's grids (shared-grid
+    finetuning); every other tensor, the head always, gets its own live
+    scale, derived from its current values.
     """
 
     bits: int
-    scales: tuple[float | None, ...]
+    body_scales: dict[str, float] | None = None
 
-    @staticmethod
-    def live(net: Network, bits: int) -> "QatConfig":
-        return QatConfig(bits, tuple(None for _ in net.layers))
-
-    @staticmethod
-    def shared_body(base: Network, bits: int) -> "QatConfig":
-        """Body weight scales pinned to the base network's grids; live head."""
-        if base.quant is None or base.quant.bits != bits:
-            raise ContractError("base network carries no matching quantization info")
-        body = tuple(base.quant.scale_of(n) for n, _, is_weight in tensor_items(base)[:-2] if is_weight)
-        return QatConfig(bits, (*body, None))
+    def scale(self, name: str, t: np.ndarray) -> float:
+        """The pinned body scale of tensor `name` if it has one, else t's live scale."""
+        if self.body_scales is not None and name in self.body_scales:
+            return self.body_scales[name]
+        return quantize_scale(t, self.bits)
 
 
 def effective_weights(net: Network, qat: QatConfig | None) -> list[np.ndarray]:
     """Weights as seen by forward passes: masters, or their grid projections."""
     if qat is None:
         return [layer.weight for layer in net.layers]
-    if len(qat.scales) != len(net.layers):
-        raise ContractError(f"{len(qat.scales)} qat scales for {len(net.layers)} layers")
-    out = []
-    for layer, scale in zip(net.layers, qat.scales):
-        s = quantize_scale(layer.weight, qat.bits) if scale is None else scale
-        out.append(quantize_with_scale(layer.weight, s, qat.bits))
-    return out
+    return [
+        quantize_with_scale(t, qat.scale(name, t), qat.bits)
+        for name, t, is_weight in tensor_items(net)
+        if is_weight
+    ]
 
 
 def snap_to_grid(net: Network, bits: int, body_scales: dict[str, float] | None = None) -> Network:
@@ -285,22 +303,18 @@ def snap_to_grid(net: Network, bits: int, body_scales: dict[str, float] | None =
     round without clamping, because running statistics legitimately drift
     far outside the base network's range and clamping them would wreck
     inference. Running variances are floored at one lattice step to stay
-    positive. body_scales pins the body lattices to a base network's
-    (shared grids for delta extraction); the head always uses its own live
-    scales because its shape differs from any base network.
+    positive. Scales follow `QatConfig(bits, body_scales).scale`:
+    body_scales pins the body lattices to a base network's (shared grids
+    for delta extraction); the head always uses its own live scales
+    because its shape differs from any base network.
     """
-    items = tensor_items(net)
-    body_names = {name for name, _, _ in items[:-2]}
-    if body_scales is not None and set(body_scales) != body_names:
+    if body_scales is not None and set(body_scales) != {name for name, _, _ in body_items(net)}:
         raise ContractError("body_scales must cover exactly the body tensors")
-
+    qat = QatConfig(bits, body_scales)
     scales: list[tuple[str, float]] = []
     new_tensors: dict[str, np.ndarray] = {}
-    for name, t, is_weight in items:
-        if body_scales is not None and name in body_scales:
-            s = body_scales[name]
-        else:
-            s = quantize_scale(t, bits)
+    for name, t, is_weight in tensor_items(net):
+        s = qat.scale(name, t)
         scales.append((name, s))
         q = grid_indices(t, s, bits) if is_weight else lattice_indices(t, s)
         if name.endswith(".bn_var"):
@@ -581,7 +595,7 @@ def deserialize_network(data: bytes) -> Network:
     dims = tuple(r.u32() for _ in range(n_dims))
     flags = tuple(bool(r.u8()) for _ in range(n_dims - 2))
     try:
-        NetworkConfig(dims, flags)
+        config = NetworkConfig(dims, flags)
     except ParameterError as exc:
         raise FormatError(f"bad network header: {exc}", offset=r.pos) from exc
     quant = None
@@ -591,24 +605,15 @@ def deserialize_network(data: bytes) -> Network:
         scales = tuple((r.text(), r.f32()) for _ in range(count))
         quant = QuantInfo(bits, scales)
 
-    def read_arr(*shape: int) -> np.ndarray:
-        count = math.prod(shape)
-        return np.frombuffer(r.raw(count * 4), dtype="<f4").reshape(shape).astype(F32)
-
-    layers = []
-    for i in range(n_dims - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
-        weight = read_arr(fan_out, fan_in)
-        bias = read_arr(fan_out)
-        bn = None
-        if i < n_dims - 2 and flags[i]:
-            bn = BatchNormParams(read_arr(fan_out), read_arr(fan_out), read_arr(fan_out), read_arr(fan_out))
-        layers.append(LayerParams(weight, bias, bn))
+    shapes = tensor_shapes(config)
+    tensors = {
+        name: np.frombuffer(r.raw(4 * math.prod(shape)), dtype="<f4").reshape(shape).astype(F32)
+        for name, shape in shapes
+    }
     r.expect_end()
-    net = Network(tuple(layers), quant)
     if quant is not None:
-        quant.check([name for name, _, _ in tensor_items(net)])
-    return net
+        quant.check([name for name, _ in shapes])
+    return from_tensors(config, tensors, quant)
 
 
 def save_network(net: Network, path) -> None:

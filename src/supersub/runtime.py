@@ -22,7 +22,7 @@ import numpy as np
 
 from . import network as net_mod
 from .data import Dataset
-from .delta import base_fingerprint_of, body_tensor_items, reconstruct, unpack
+from .delta import base_fingerprint_of, reconstruct, unpack
 from .errors import ContractError, DimensionError, ParameterError
 from .hierarchy import HierarchyManifest
 from .network import Network, forward
@@ -87,10 +87,11 @@ class EfficientSession:
     Holds the router (`super_net`, the base every delta was computed
     against) plus at most one reconstructed specialist: a single-slot
     cache. A query for the cached superclass costs nothing; any other
-    loads that superclass's packed delta, charging its byte size, and
-    rebuilds the specialist, charging one add per body element. The
-    router's fingerprint, which every rebuild checks the pack against, is
-    taken once, at construction.
+    loads that superclass's packed delta and rebuilds the specialist. Only
+    once the rebuilt specialist has passed its checks does the miss charge
+    the pack's byte size, one switch and one add per body element, so a
+    rejected pack charges nothing. The router's fingerprint, which every
+    rebuild checks the pack against, is taken once, at construction.
 
     Single-owner state: give each thread its own session (the base network
     may be shared read-only).
@@ -106,7 +107,7 @@ class EfficientSession:
         self.manifest = manifest
         self.ledger = CostLedger()
         self._base_bytes = net_mod.network_bytes(base)
-        self._body_elements = sum(t.size for _, t, _ in body_tensor_items(base))
+        self._body_elements = sum(t.size for _, t, _ in net_mod.body_items(base))
         self._base_fingerprint = base_fingerprint_of(base)
         self._cached_super: int | None = None
         self._cached_net: Network | None = None
@@ -117,15 +118,14 @@ class EfficientSession:
         if self._cached_super == super_index:
             return self._cached_net
         blob = self.packed_deltas[super_index]
-        self.ledger.bytes_loaded += len(blob)
-        self.ledger.specialist_switches += 1
-        pack = unpack(blob)
-        specialist = reconstruct(self.super_net, pack, self._base_fingerprint, super_index)
+        specialist = reconstruct(self.super_net, unpack(blob), self._base_fingerprint, super_index)
         if specialist.head_dim != self.manifest.subclass_count(super_index):
             raise ContractError(
                 f"reconstructed specialist {super_index} head {specialist.head_dim} != "
                 f"{self.manifest.subclass_count(super_index)} subclasses"
             )
+        self.ledger.bytes_loaded += len(blob)
+        self.ledger.specialist_switches += 1
         self.ledger.reconstruction_adds += self._body_elements
         resident = self._base_bytes + net_mod.network_bytes(specialist) + len(blob)
         self.ledger.peak_resident_bytes = max(self.ledger.peak_resident_bytes, resident)

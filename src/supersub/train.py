@@ -8,6 +8,11 @@ local view for specialists.
 Training is deterministic per seed: shuffling comes from the splitmix64
 generator and all arithmetic runs through the fixed-order float32 kernels,
 so two runs with the same inputs produce bit-identical networks.
+
+Quantization-aware training has one loop, `_sgd`: given a `QatConfig` it
+fake-quantizes the forward weights by that config's grid rule and returns
+the network snapped onto the same grids. `train` gives every tensor its
+live grid; `finetune_from_super` pins the body to the router's grids.
 """
 
 from __future__ import annotations
@@ -87,25 +92,23 @@ def train(net: Network, ds: Dataset, view: LabelView, config: TrainConfig) -> tu
     With config.qat_bits the forward passes fake-quantize every weight on its
     live grid, and the returned network is snapped onto those grids.
     """
-    bits = config.qat_bits
-    qat = None if bits is None else QatConfig.live(net, bits)
-    trained, history = _sgd(net, ds, view, config, qat)
-    return (trained if bits is None else snap_to_grid(trained, bits)), history
+    qat = None if config.qat_bits is None else QatConfig(config.qat_bits)
+    return _sgd(net, ds, view, config, qat)
 
 
 def _sgd(
     net: Network, ds: Dataset, view: LabelView, config: TrainConfig, qat: QatConfig | None
 ) -> tuple[Network, list[float]]:
-    """The SGD loop shared by train and finetune; returns the master weights."""
+    """The SGD loop shared by train and finetune. Without qat it returns the
+    master weights; with qat it fake-quantizes the forward weights by qat's
+    grid rule and returns the network snapped onto the same grids."""
     features, labels, n_classes = resolve_view(ds, view)
     if net.head_dim != n_classes:
         raise ContractError(
             f"head width {net.head_dim} does not match {n_classes} classes of view {view.kind}"
         )
-    if config.epochs == 0:
-        return net, []
     n = features.shape[0]
-    if n == 0:
+    if n == 0 and config.epochs:
         raise ContractError("cannot train on an empty dataset")
 
     rng = Prng(config.seed)
@@ -129,7 +132,9 @@ def _sgd(
         if not batch_losses:
             raise ContractError(f"batch_size {config.batch_size} yields no usable batches for {n} rows")
         history.append(sum(batch_losses) / len(batch_losses))
-    return current, history
+    if qat is None:
+        return current, history
+    return snap_to_grid(current, qat.bits, qat.body_scales), history
 
 
 def finetune_from_super(
@@ -154,9 +159,9 @@ def finetune_from_super(
     k = manifest.subclass_count(super_index)
     specialized = net_mod.replace_head(super_net, k, child_seed(config.seed, _HEAD_SEED_TAG))
 
-    bits = config.qat_bits
-    qat = None if bits is None else QatConfig.shared_body(super_net, bits)
-    tuned, _ = _sgd(specialized, ds, LabelView.subclass_of(super_index), config, qat)
-    if bits is None:
-        return tuned
-    return snap_to_grid(tuned, bits, body_scales=dict(super_net.quant.body_scales()))
+    qat = None
+    if config.qat_bits is not None:
+        if super_net.quant is None or super_net.quant.bits != config.qat_bits:
+            raise ContractError("base network carries no matching quantization info")
+        qat = QatConfig(config.qat_bits, dict(super_net.quant.body_scales()))
+    return _sgd(specialized, ds, LabelView.subclass_of(super_index), config, qat)[0]

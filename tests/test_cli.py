@@ -55,6 +55,8 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         (("network",), "wide"),
         (("eval_modes",), 5),
         (("eval_modes",), [["lowerbound"]]),
+        (("eval_modes",), []),
+        (("eval_modes",), ["lowerbound", "lowerbound"]),
         (("network", "hidden_dims"), "64"),
         (("synthetic", "subs_per_super"), "44"),
         (("qat_bits",), 9),
@@ -67,7 +69,8 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     ],
     ids=[
         "seed_text", "lr_text", "n_super_text", "train_list", "stage_number", "synthetic_list",
-        "network_text", "eval_modes_number", "eval_mode_list", "hidden_dims_text",
+        "network_text", "eval_modes_number", "eval_mode_list", "eval_modes_empty",
+        "eval_modes_repeated", "hidden_dims_text",
         "subs_per_super_text", "qat_bits_9", "qat_bits_text", "batchnorm_text", "epochs_fraction",
         "epochs_bool", "lr_numeric_text", "noise_sigma_nan",
     ],

@@ -104,12 +104,10 @@ class TestComputeDelta:
 
     def test_fp16_error_within_half_ulp(self, plain_pair):
         # Element-level bound: |f16(d) - d| <= 2^-11 * max(|d|, 2^-14).
-        from supersub.delta import body_tensor_items
+        from supersub.network import body_items
 
         base, specialist = plain_pair
-        for (name, t_base, _), (_, t_sub, _) in zip(
-            body_tensor_items(base), body_tensor_items(specialist)
-        ):
+        for (name, t_base, _), (_, t_sub, _) in zip(body_items(base), body_items(specialist)):
             delta = (t_sub - t_base).astype(F32)
             stored = delta.astype(np.float16).astype(F32)
             bound = np.maximum(np.abs(delta), F32(2**-14)) * F32(2**-11)
@@ -414,7 +412,7 @@ class TestDeltaMagnitude:
         # (Batch-norm running stats legitimately drift by large amounts:
         # they re-estimate the specialist's data distribution.)
         base, specialist = plain_pair
-        from supersub.delta import body_tensor_items
+        from supersub.network import body_items
 
         d = compute_delta(base, specialist, MODE_FP16)
         deltas = np.concatenate(
@@ -422,6 +420,6 @@ class TestDeltaMagnitude:
              if e.kind == KIND_F16_DELTA and e.name.endswith(".weight")]
         )
         base_vals = np.concatenate(
-            [t.astype(np.float64).ravel() for _, t, is_w in body_tensor_items(base) if is_w]
+            [t.astype(np.float64).ravel() for _, t, is_w in body_items(base) if is_w]
         )
         assert np.abs(deltas).mean() < 0.1 * np.abs(base_vals).mean()

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import header_mutations, with_fixed_crc
 from supersub.container import Writer
+from supersub.delta import MODE_QAT_INT, base_fingerprint_of, compute_delta, pack, reconstruct, unpack
 from supersub.errors import ContractError, DimensionError, FormatError, ParameterError
 from supersub.network import (
     BatchNormParams,
@@ -304,15 +305,19 @@ class TestSnapAndEffectiveWeights:
 
     def test_effective_weights_live_grid(self):
         net = small_net((4, 6, 3), seed=13)
-        qat = QatConfig.live(net, 8)
-        for w, layer in zip(effective_weights(net, qat), net.layers):
+        for w, layer in zip(effective_weights(net, QatConfig(8)), net.layers):
             assert np.array_equal(w, own_grid(layer.weight, 8))
 
     def test_shared_body_scales_pinned(self):
         base = snap_to_grid(small_net((4, 6, 3), seed=14), 8)
-        qat = QatConfig.shared_body(base, 8)
-        assert qat.scales[:-1] == (base.quant.scale_of("layer0.weight"),)
-        assert qat.scales[-1] is None
+        net = small_net((4, 6, 5), seed=15)
+        qat = QatConfig(8, dict(base.quant.body_scales()))
+        body_w, head_w = effective_weights(net, qat)
+        # The body weight sits on the base's pinned grid, the head on its own.
+        pinned = base.quant.scale_of("layer0.weight")
+        assert qat.scale("layer0.weight", net.layers[0].weight) == pinned
+        assert np.array_equal(body_w, quantize_with_scale(net.layers[0].weight, pinned, 8))
+        assert np.array_equal(head_w, own_grid(net.layers[1].weight, 8))
 
 
 def plain_network_bytes(dims) -> bytes:
@@ -455,3 +460,62 @@ class TestFromTensors:
         del tensors["layer0.bn_var"]
         with pytest.raises(ContractError, match="layer0.bn_var"):
             from_tensors(net.config(), tensors)
+
+
+def mixed_bn_net(flags, seed):
+    """A (5, 6, 4, 3) network with batch norm on the hidden layers that flags
+    name, every tensor random, built layer by layer without the layout code."""
+    rng = Prng(seed)
+    dims = (5, 6, 4, 3)
+
+    def vec(n):
+        return gaussian_array(rng, (n,), 0.0, 1.0)
+
+    layers = []
+    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+        bn = None
+        if i < len(flags) and flags[i]:
+            bn = BatchNormParams(vec(fan_out), vec(fan_out), vec(fan_out), np.abs(vec(fan_out)) + F32(0.5))
+        layers.append(LayerParams(gaussian_array(rng, (fan_out, fan_in), 0.0, 1.0), vec(fan_out), bn))
+    return Network(tuple(layers))
+
+
+def assert_same_layers(a: Network, b: Network):
+    assert len(a.layers) == len(b.layers)
+    for la, lb in zip(a.layers, b.layers):
+        assert np.array_equal(la.weight, lb.weight) and np.array_equal(la.bias, lb.bias)
+        assert (la.bn is None) == (lb.bn is None)
+        if la.bn is not None:
+            for field in ("gamma", "beta", "running_mean", "running_var"):
+                assert np.array_equal(getattr(la.bn, field), getattr(lb.bn, field)), field
+
+
+@pytest.mark.parametrize("flags", [(True, False), (False, True)], ids=["bn_first", "bn_second"])
+class TestMixedBatchnorm:
+    """Hidden layers that mix batch norm on and off reach the same bytes
+    through every path that reads the tensor layout."""
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_serialize_round_trip(self, flags, quantized):
+        net = mixed_bn_net(flags, seed=61)
+        if quantized:
+            net = snap_to_grid(net, 8)
+        data = serialize_network(net)
+        again = deserialize_network(data)
+        assert again.config() == NetworkConfig((5, 6, 4, 3), flags)
+        assert again.quant == net.quant
+        assert_same_layers(again, net)
+        assert serialize_network(again) == data
+
+    def test_from_tensors_inverts_tensor_items(self, flags):
+        net = snap_to_grid(mixed_bn_net(flags, seed=62), 8)
+        again = from_tensors(net.config(), {n: t for n, t, _ in tensor_items(net)}, net.quant)
+        assert_same_layers(again, net)
+        assert serialize_network(again) == serialize_network(net)
+
+    def test_qat_self_delta_rebuilds_bytes(self, flags):
+        net = snap_to_grid(mixed_bn_net(flags, seed=63), 8)
+        packed = pack(compute_delta(net, net, MODE_QAT_INT, superclass_id=2)).data
+        rebuilt = reconstruct(net, unpack(packed), base_fingerprint_of(net), 2)
+        assert_same_layers(rebuilt, net)
+        assert serialize_network(rebuilt) == serialize_network(net)

@@ -6,7 +6,7 @@ import pytest
 from supersub import runtime
 from supersub.data import Dataset
 from supersub.delta import MODE_QAT_INT, base_fingerprint_of, compute_delta, pack
-from supersub.errors import BaseMismatchError, ContractError, DimensionError, ParameterError
+from supersub.errors import BaseMismatchError, ContractError, DimensionError, FormatError, ParameterError
 from supersub.hierarchy import make_manifest
 from supersub.network import (
     LayerParams,
@@ -179,6 +179,20 @@ class TestEfficientSession:
             session.specialist_for(s)
         assert session.ledger.specialist_switches == 5
         assert len(calls) == 1 and calls[0] is base
+
+    def test_rejected_pack_charges_nothing(self, qat_session_parts, mini_train):
+        base, _, packed = qat_session_parts
+        swapped = {s: packed[(s + 1) % len(packed)] for s in packed}
+        session = EfficientSession(base, swapped, mini_train.manifest)
+        with pytest.raises(FormatError, match="superclass 1, not 0"):
+            session.specialist_for(0)
+        assert session.ledger == EfficientSession(base, packed, mini_train.manifest).ledger
+        session.packed_deltas.update(packed)
+        session.specialist_for(0)
+        fresh = EfficientSession(base, packed, mini_train.manifest)
+        fresh.specialist_for(0)
+        assert session.ledger == fresh.ledger
+        assert (session.ledger.bytes_loaded, session.ledger.specialist_switches) == (len(packed[0]), 1)
 
     def test_missing_delta_rejected_at_construction(self, qat_session_parts, mini_train):
         base, _, packed = qat_session_parts

@@ -7,6 +7,7 @@ from supersub.delta import MODE_QAT_INT, base_fingerprint_of, compute_delta, pac
 from supersub.errors import ContractError, ParameterError
 from supersub.network import (
     QatConfig,
+    body_items,
     effective_weights,
     forward,
     init_network,
@@ -149,9 +150,9 @@ class TestFinetune:
         base, _ = train(base0, mini_train, LabelView.superclass(), tcfg(27, epochs=3, qat_bits=8))
         tuned = finetune_from_super(base, 0, mini_train, tcfg(28, epochs=3, qat_bits=8))
         # Body grids are pinned to the base's scales during the finetune.
-        body = tuple(base.quant.scale_of(f"layer{i}.weight") for i in range(len(base.layers) - 1))
-        qat = QatConfig(8, (*body, None))
-        for w, scale in zip(effective_weights(tuned, qat)[:-1], body):
+        qat = QatConfig(8, dict(base.quant.body_scales()))
+        body = [base.quant.scale_of(name) for name, _, is_weight in body_items(base) if is_weight]
+        for w, scale in zip(effective_weights(tuned, qat)[:-1], body, strict=True):
             assert np.array_equal(quantize_with_scale(w, scale, 8), w)
 
     def test_qat_specialist_shares_base_grids_and_rebuilds_exactly(self, mini_train):
