@@ -2,9 +2,13 @@
 
 One JSON config drives a whole experiment: synthetic data generation,
 router / baseline / specialist training, delta packing, evaluation, and
-report rendering. Every stage derives its seed from the experiment seed
-XOR a fixed stage tag, so the entire pipeline is reproducible byte for
-byte from the single top-level seed.
+report rendering. This module holds only the run plan (which stage runs,
+with which seed) and the file layout (`RunPaths`); the rules belong to
+their owners: each stage's settings are a `TrainConfig`, checked when the
+config loads, a missing input is `open()`'s `FileNotFoundError`, and
+`report` writes and reads the eval CSV. Every stage derives its seed from
+the experiment seed XOR a fixed stage tag, so the entire pipeline is
+reproducible byte for byte from the single top-level seed.
 
 Commands communicate through files in the config's output directory and
 are idempotent: rerunning any of them overwrites its outputs with
@@ -15,14 +19,14 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import delta as delta_mod
 from . import network as net_mod
 from . import report as report_mod
 from . import runtime as runtime_mod
-from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
+from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .errors import ParameterError, ValidationError
 from .network import Network, init_network, load_network, save_network, uniform_config
 from .runtime import (
@@ -56,13 +60,6 @@ MODES = (*EVAL_MODES, MODE_UPPERBOUND_SCRATCH)
 
 
 @dataclass(frozen=True)
-class StageTrainParams:
-    lr: float
-    epochs: int
-    batch_size: int
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
     out_dir: str
@@ -70,9 +67,9 @@ class ExperimentConfig:
     dataset_paths: tuple[str, str] | None  # (train, test) when data comes from files
     hidden_dims: tuple[int, ...]
     batchnorm: bool
-    train_super: StageTrainParams
-    train_subclass: StageTrainParams
-    train_finetune: StageTrainParams
+    train_super: TrainConfig  # seed 0, no grid: each stage sets both with replace()
+    train_subclass: TrainConfig
+    train_finetune: TrainConfig
     delta_mode: str
     qat_bits: int | None = None  # the router's and specialists' grid; set only for qat-int
     eval_modes: tuple[str, ...] = EVAL_MODES
@@ -83,10 +80,13 @@ _SYNTHETIC_FIELDS = dict(n_super=int, dim=int, super_sep=float, sub_sep=float, n
                          n_train_per_sub=int, n_test_per_sub=int)
 
 
+_JSON_KINDS = {dict: "object", list: "list", str: "string"}
+
+
 def _of_type(value, kind: type, where: str):
-    """value itself when it is a JSON object (kind dict) or list (kind list)."""
+    """value itself when it is a JSON object, list or string (kind dict, list, str)."""
     if not isinstance(value, kind):
-        raise ValidationError(f"{where} must be a JSON {'object' if kind is dict else 'list'}")
+        raise ValidationError(f"{where} must be a JSON {_JSON_KINDS[kind]}")
     return value
 
 
@@ -116,10 +116,13 @@ def _fields(block, kinds: dict[str, type], where: str) -> dict:
     return {name: _number(kind, block[name], f"{where}.{name}") for name, kind in kinds.items()}
 
 
-def _stage_params(train_block: dict, key: str) -> StageTrainParams:
+def _stage_params(train_block: dict, key: str) -> TrainConfig:
     if key not in train_block:
         raise ValidationError(f'config "train" section is missing "{key}"')
-    return StageTrainParams(**_fields(train_block[key], _STAGE_FIELDS, f"train.{key}"))
+    try:
+        return TrainConfig(seed=0, **_fields(train_block[key], _STAGE_FIELDS, f"train.{key}"))
+    except ParameterError as exc:
+        raise ValidationError(f"train.{key}: {exc}") from exc
 
 
 def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: int | None = None) -> ExperimentConfig:
@@ -144,7 +147,7 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
         d = _of_type(doc["dataset"], dict, "dataset")
         if "train" not in d or "test" not in d:
             raise ValidationError('dataset block needs "train" and "test" paths')
-        dataset_paths = (str(d["train"]), str(d["test"]))
+        dataset_paths = tuple(_of_type(d[key], str, f"dataset.{key}") for key in ("train", "test"))
     else:
         raise ValidationError('config needs either a "synthetic" or a "dataset" block')
 
@@ -155,7 +158,7 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
     if not isinstance(batchnorm, bool):
         raise ValidationError(f"network.batchnorm must be true or false, got {batchnorm!r}")
     train_block = _of_type(doc["train"], dict, "train")
-    delta_mode = str(doc["delta_mode"])
+    delta_mode = doc["delta_mode"]
     if delta_mode not in (delta_mod.MODE_FP16, delta_mod.MODE_QAT_INT):
         raise ValidationError(f"unknown delta_mode {delta_mode!r}")
     qat_bits = _number(int, doc.get("qat_bits", 8), "qat_bits")
@@ -170,7 +173,7 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
 
     return ExperimentConfig(
         seed=seed,
-        out_dir=out_dir_override or str(doc["out_dir"]),
+        out_dir=out_dir_override or _of_type(doc["out_dir"], str, "out_dir"),
         synthetic=synthetic,
         dataset_paths=dataset_paths,
         hidden_dims=_int_list(net["hidden_dims"], "network.hidden_dims"),
@@ -264,49 +267,23 @@ class RunPaths:
         return self.root / "compression.csv"
 
 
-def _require(path: Path) -> Path:
-    if not path.exists():
-        raise FileNotFoundError(f"missing artifact: {path}")
-    return path
-
-
-def _load_train(paths: RunPaths) -> Dataset:
-    return load_dataset(_require(paths.train_data))
-
-
-def _load_test(paths: RunPaths) -> Dataset:
-    return load_dataset(_require(paths.test_data))
-
-
 # --- commands ------------------------------------------------------------------
 
 
 def cmd_gen_data(config: ExperimentConfig) -> tuple[Path, Path]:
-    """Write train/test dataset files (generating them if synthetic)."""
+    """Write train/test dataset files (generating them if synthetic); a dataset
+    block's two files must share one hierarchy and one feature dim."""
     paths = RunPaths(config.out_dir)
-    paths.ensure()
     if config.synthetic is not None:
         train_ds, test_ds = generate_synthetic(config.synthetic)
     else:
-        train_ds = load_dataset(_require(Path(config.dataset_paths[0])))
-        test_ds = load_dataset(_require(Path(config.dataset_paths[1])))
+        train_ds, test_ds = (load_dataset(path) for path in config.dataset_paths)
+        if train_ds.manifest != test_ds.manifest or train_ds.dim != test_ds.dim:
+            raise ValidationError("dataset block: its train and test files differ in hierarchy or dim")
+    paths.ensure()
     save_dataset(train_ds, paths.train_data)
     save_dataset(test_ds, paths.test_data)
     return paths.train_data, paths.test_data
-
-
-def _network_config(config: ExperimentConfig, input_dim: int, head_dim: int):
-    return uniform_config(input_dim, list(config.hidden_dims), head_dim, config.batchnorm)
-
-
-def _train_config(stage: StageTrainParams, stage_seed: int, qat_bits: int | None) -> TrainConfig:
-    return TrainConfig(
-        lr=stage.lr,
-        epochs=stage.epochs,
-        batch_size=stage.batch_size,
-        seed=stage_seed,
-        qat_bits=qat_bits,
-    )
 
 
 def _write_loss_history(path: Path, history: list[float]) -> None:
@@ -319,7 +296,7 @@ def _write_loss_history(path: Path, history: list[float]) -> None:
 def cmd_train(config: ExperimentConfig, target: str) -> Path:
     """Train one model: target is "super", "lowerbound", or "sub:<i>"."""
     paths = RunPaths(config.out_dir)
-    train_ds = _load_train(paths)
+    train_ds = load_dataset(paths.train_data)
     manifest = train_ds.manifest
 
     if target == "super":
@@ -348,9 +325,10 @@ def cmd_train(config: ExperimentConfig, target: str) -> Path:
         raise ParameterError(f"unknown train target {target!r}")
 
     net0 = init_network(
-        _network_config(config, train_ds.dim, head), child_seed(stage_seed, TAG_INIT)
+        uniform_config(train_ds.dim, list(config.hidden_dims), head, config.batchnorm),
+        child_seed(stage_seed, TAG_INIT),
     )
-    trained, history = train(net0, train_ds, view, _train_config(stage, stage_seed, qat_bits))
+    trained, history = train(net0, train_ds, view, replace(stage, seed=stage_seed, qat_bits=qat_bits))
     save_network(trained, out_path)
     _write_loss_history(paths.loss_csv(target), history)
     return out_path
@@ -369,11 +347,10 @@ def _parse_super_index(text: str, n_super: int) -> int:
 def cmd_finetune(config: ExperimentConfig, super_index: int) -> Path:
     """Finetune the router into the specialist for one superclass."""
     paths = RunPaths(config.out_dir)
-    train_ds = _load_train(paths)
-    _parse_super_index(str(super_index), train_ds.manifest.n_super)
-    base = load_network(_require(paths.super_net))
+    train_ds = load_dataset(paths.train_data)
+    base = load_network(paths.super_net)
     stage_seed = child_seed(config.seed, TAG_FINETUNE, super_index)
-    tcfg = _train_config(config.train_finetune, stage_seed, config.qat_bits)
+    tcfg = replace(config.train_finetune, seed=stage_seed, qat_bits=config.qat_bits)
     tuned = finetune_from_super(base, super_index, train_ds, tcfg)
     save_network(tuned, paths.finetuned_net(super_index))
     return paths.finetuned_net(super_index)
@@ -393,8 +370,8 @@ def pack_reference_bytes(config: ExperimentConfig, specialist: Network) -> tuple
 def cmd_pack(config: ExperimentConfig, super_index: int) -> tuple[Path, str]:
     """Compute, compress and store the delta for one specialist."""
     paths = RunPaths(config.out_dir)
-    base = load_network(_require(paths.super_net))
-    specialist = load_network(_require(paths.finetuned_net(super_index)))
+    base = load_network(paths.super_net)
+    specialist = load_network(paths.finetuned_net(super_index))
     pack = delta_mod.compute_delta(base, specialist, config.delta_mode, super_index)
     packed = delta_mod.pack(pack)
     paths.delta_file(super_index).write_bytes(packed.data)
@@ -410,8 +387,8 @@ def cmd_pack(config: ExperimentConfig, super_index: int) -> tuple[Path, str]:
 def cmd_unpack(config: ExperimentConfig, super_index: int) -> Path:
     """Reconstruct a specialist network file from its stored delta."""
     paths = RunPaths(config.out_dir)
-    base = load_network(_require(paths.super_net))
-    blob = _require(paths.delta_file(super_index)).read_bytes()
+    base = load_network(paths.super_net)
+    blob = paths.delta_file(super_index).read_bytes()
     pack = delta_mod.unpack(blob)
     specialist = delta_mod.reconstruct(base, pack, delta_mod.base_fingerprint_of(base), super_index)
     save_network(specialist, paths.reconstructed_net(super_index))
@@ -419,30 +396,28 @@ def cmd_unpack(config: ExperimentConfig, super_index: int) -> Path:
 
 
 def _load_specialists(path_of, manifest) -> dict[int, Network]:
-    return {i: load_network(_require(path_of(i))) for i in range(manifest.n_super)}
+    return {i: load_network(path_of(i)) for i in range(manifest.n_super)}
 
 
 def cmd_eval(config: ExperimentConfig, mode: str) -> EvalResult:
     """Evaluate one mode over the test set and write its report files."""
     paths = RunPaths(config.out_dir)
-    test_ds = _load_test(paths)
+    test_ds = load_dataset(paths.test_data)
     manifest = test_ds.manifest
 
     if mode == MODE_LOWERBOUND:
-        net = load_network(_require(paths.lower_net))
+        net = load_network(paths.lower_net)
         result = runtime_mod.evaluate_lowerbound(net, test_ds)
     elif mode in (MODE_UPPERBOUND, MODE_UPPERBOUND_SCRATCH):
         path_of = paths.finetuned_net if mode == MODE_UPPERBOUND else paths.scratch_net
         result = runtime_mod.evaluate_upperbound(_load_specialists(path_of, manifest), test_ds, mode)
     elif mode == MODE_TWO_STAGE_VANILLA:
         specialists = _load_specialists(paths.finetuned_net, manifest)
-        registry = ModelRegistry(load_network(_require(paths.super_net)), specialists, manifest)
+        registry = ModelRegistry(load_network(paths.super_net), specialists, manifest)
         result = runtime_mod.evaluate_two_stage(registry, test_ds)
     elif mode == MODE_TWO_STAGE_EFFICIENT:
-        base = load_network(_require(paths.super_net))
-        packed = {
-            i: _require(paths.delta_file(i)).read_bytes() for i in range(manifest.n_super)
-        }
+        base = load_network(paths.super_net)
+        packed = {i: paths.delta_file(i).read_bytes() for i in range(manifest.n_super)}
         session = EfficientSession(base, packed, manifest)
         result = runtime_mod.evaluate_efficient(session, test_ds)
     else:
@@ -468,44 +443,6 @@ def cmd_eval(config: ExperimentConfig, mode: str) -> EvalResult:
     return result
 
 
-def _parse_eval_csv(path: Path, mode: str) -> runtime_mod.EvalReport:
-    """Rebuild mode's aggregate report from its CSV rendering (cmd_report input);
-    a row of another mode, a missing row or a non-number is a ValidationError."""
-    lines = path.read_text(encoding="utf-8").strip().split("\n")
-    names, accs, counts = [], [], []
-    summary = {}
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != 4 or cells[0] not in (mode, "summary"):
-            raise ValidationError(f"eval CSV {path}: {line!r} is not a {mode} or summary row")
-        try:
-            acc, count = float(cells[2]), int(cells[3])
-        except ValueError:
-            acc = float("nan")
-        if not abs(acc) <= sys.float_info.max:
-            raise ValidationError(f"eval CSV {path}: {line!r} holds a non-number")
-        if cells[0] == "summary":
-            summary[cells[1]] = acc, count
-        else:
-            names.append(cells[1])
-            accs.append(acc)
-            counts.append(count)
-    if not names or "macro_accuracy_pct" not in summary or "micro_accuracy_pct" not in summary:
-        raise ValidationError(f"eval CSV {path} is missing rows")
-    macro, n_test = summary["macro_accuracy_pct"]
-    zero = tuple(tuple(0 for _ in names) for _ in names)
-    return runtime_mod.EvalReport(
-        mode=mode,
-        super_names=tuple(names),
-        per_super_accuracy=tuple(accs),
-        per_super_counts=tuple(counts),
-        macro_accuracy=macro,
-        micro_accuracy=summary["micro_accuracy_pct"][0],
-        confusion=zero,
-        n_test=n_test,
-    )
-
-
 def cmd_report(config: ExperimentConfig) -> tuple[str, str]:
     """Render the cross-mode gap summary and the compression table."""
     paths = RunPaths(config.out_dir)
@@ -514,14 +451,14 @@ def cmd_report(config: ExperimentConfig) -> tuple[str, str]:
     for mode in config.eval_modes:
         path = paths.eval_csv(mode)
         if path.exists():
-            reports.append(_parse_eval_csv(path, mode))
+            reports.append(report_mod.parse_eval_csv(path, mode))
         else:
             missing.append(str(path))
 
     manifest = None
     comp_rows: list[report_mod.CompressionRow] = []
     if paths.train_data.exists():
-        manifest = _load_train(paths).manifest
+        manifest = load_dataset(paths.train_data).manifest
         for i in range(manifest.n_super):
             delta_path = paths.delta_file(i)
             ft_path = paths.finetuned_net(i)
@@ -575,8 +512,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
     cmd_train(config, "super")
     if MODE_LOWERBOUND in config.eval_modes:
         cmd_train(config, "lowerbound")
-    train_ds = _load_train(run.paths)
-    n_super = train_ds.manifest.n_super
+    n_super = load_dataset(run.paths.train_data).manifest.n_super
     if MODE_UPPERBOUND_SCRATCH in config.eval_modes:
         for i in range(n_super):
             cmd_train(config, f"sub:{i}")

@@ -2,13 +2,16 @@
 
 Every renderer formats floats with explicit precision and iterates in
 manifest order, so identical inputs produce byte-identical output.
+`parse_eval_csv` reads an eval CSV back for `supersub report`.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
-from .errors import ContractError
+from .errors import ContractError, ValidationError
 from .runtime import MODE_LOWERBOUND, MODE_UPPERBOUND, CostLedger, EvalReport
 
 
@@ -22,6 +25,44 @@ def render_eval_csv(report: EvalReport) -> str:
     lines.append(f"summary,micro_accuracy_pct,{report.micro_accuracy:.4f},{report.n_test}")
     lines.append(f"summary,stage1_accuracy_pct,{report.stage1_accuracy():.4f},{report.n_test}")
     return "\n".join(lines) + "\n"
+
+
+def parse_eval_csv(path: Path, mode: str) -> EvalReport:
+    """Rebuild mode's aggregate report from render_eval_csv's file at path;
+    a row of another mode, a missing row or a non-number is a ValidationError."""
+    lines = path.read_text(encoding="utf-8").strip().split("\n")
+    names, accs, counts = [], [], []
+    summary = {}
+    for line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != 4 or cells[0] not in (mode, "summary"):
+            raise ValidationError(f"eval CSV {path}: {line!r} is not a {mode} or summary row")
+        try:
+            acc, count = float(cells[2]), int(cells[3])
+        except ValueError:
+            acc = float("nan")
+        if not abs(acc) <= sys.float_info.max:
+            raise ValidationError(f"eval CSV {path}: {line!r} holds a non-number")
+        if cells[0] == "summary":
+            summary[cells[1]] = acc, count
+        else:
+            names.append(cells[1])
+            accs.append(acc)
+            counts.append(count)
+    if not names or "macro_accuracy_pct" not in summary or "micro_accuracy_pct" not in summary:
+        raise ValidationError(f"eval CSV {path} is missing rows")
+    macro, n_test = summary["macro_accuracy_pct"]
+    zero = tuple(tuple(0 for _ in names) for _ in names)
+    return EvalReport(
+        mode=mode,
+        super_names=tuple(names),
+        per_super_accuracy=tuple(accs),
+        per_super_counts=tuple(counts),
+        macro_accuracy=macro,
+        micro_accuracy=summary["micro_accuracy_pct"][0],
+        confusion=zero,
+        n_test=n_test,
+    )
 
 
 def render_confusion_csv(confusion, names) -> str:

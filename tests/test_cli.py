@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import with_fixed_crc
+from conftest import mini_spec, with_fixed_crc
 from supersub.cli import main
+from supersub.data import generate_synthetic, save_dataset
 from supersub.experiment import RunPaths, load_config
 from test_experiment import config_doc
 
@@ -66,16 +67,23 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         (("train", "superclass", "epochs"), True),
         (("train", "superclass", "lr"), "0.01"),
         (("synthetic", "noise_sigma"), float("nan")),
+        (("out_dir",), None),
+        (("out_dir",), 5),
+        (("train", "finetune", "lr"), -0.01),
+        (("train", "subclass", "batch_size"), 0),
+        (("train", "superclass", "epochs"), -1),
     ],
     ids=[
         "seed_text", "lr_text", "n_super_text", "train_list", "stage_number", "synthetic_list",
         "network_text", "eval_modes_number", "eval_mode_list", "eval_modes_empty",
         "eval_modes_repeated", "hidden_dims_text",
         "subs_per_super_text", "qat_bits_9", "qat_bits_text", "batchnorm_text", "epochs_fraction",
-        "epochs_bool", "lr_numeric_text", "noise_sigma_nan",
+        "epochs_bool", "lr_numeric_text", "noise_sigma_nan", "out_dir_null", "out_dir_number",
+        "finetune_lr_negative", "subclass_batch_size_0", "superclass_epochs_negative",
     ],
 )
-def test_malformed_config_value_exits_2(tmp_path, capsys, keys, value):
+def test_malformed_config_value_exits_2(tmp_path, monkeypatch, capsys, keys, value):
+    monkeypatch.chdir(tmp_path)  # a relative out_dir such as "None" would land here
     doc = config_doc(tmp_path / "run", epochs=4)
     block = doc
     for key in keys[:-1]:
@@ -86,6 +94,7 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, keys, value):
     assert main(["--config", str(path), "gen-data"]) == 2
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_train_before_gen_data_exits_2(config_path):
@@ -96,6 +105,32 @@ def test_invalid_superclass_index_exits_2(config_path):
     assert main(["--config", str(config_path), "gen-data"]) == 0
     assert main(["--config", str(config_path), "train", "super"]) == 0
     assert main(["--config", str(config_path), "finetune", "9"]) == 2
+
+
+@pytest.mark.parametrize(
+    "steps, verb, missing",
+    [
+        ([], ["finetune", "0"], lambda p: p.super_net),
+        ([["train", "super"]], ["pack", "0"], lambda p: p.finetuned_net(0)),
+        ([["train", "super"], ["finetune", "0"]], ["unpack", "0"], lambda p: p.delta_file(0)),
+        (
+            [["train", "super"], ["finetune", "0"], ["finetune", "1"], ["pack", "0"], ["pack", "1"]],
+            ["eval", "two_stage_efficient"],
+            lambda p: p.delta_file(1),
+        ),
+        ([["train", "sub:0"], ["train", "sub:1"]], ["eval", "upperbound_scratch"], lambda p: p.scratch_net(0)),
+    ],
+    ids=["finetune_before_super", "pack_without_ft", "unpack_without_delta", "eval_efficient", "eval_scratch"],
+)
+def test_missing_artifact_exits_2(config_path, capsys, steps, verb, missing):
+    for argv in (["gen-data"], *steps):
+        assert main(["--config", str(config_path)] + argv) == 0, argv
+    path = missing(RunPaths(load_config(config_path).out_dir))
+    path.unlink(missing_ok=True)
+    capsys.readouterr()
+    assert main(["--config", str(config_path)] + verb) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
 
 
 def test_pack_prints_ratio_matching_compression_ratio(qat_config_path, capsys):
@@ -360,20 +395,26 @@ def test_dataset_block_copies_its_files(tmp_path):
     assert copies.test_data.read_bytes() == source.test_data.read_bytes()
 
 
-@pytest.mark.parametrize("edit, code", [("missing", 2), ("corrupt", 3)])
+@pytest.mark.parametrize(
+    "edit, code", [("missing", 2), ("corrupt", 3), ("other_hierarchy", 2), ("other_dim", 2)]
+)
 def test_dataset_block_bad_file_exits(tmp_path, capsys, edit, code):
     source, doc = dataset_config(tmp_path)
     if edit == "missing":
         source.test_data.unlink()
-    else:
+    elif edit == "corrupt":
         data = bytearray(source.test_data.read_bytes())
         data[20] ^= 0x01
         source.test_data.write_bytes(bytes(data))
+    else:  # a valid test file that does not match the train file
+        spec = mini_spec(subs_per_super=(3, 2)) if edit == "other_hierarchy" else mini_spec(dim=6)
+        save_dataset(generate_synthetic(spec)[1], source.test_data)
     path = tmp_path / "copy.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     assert main(["--config", str(path), "gen-data"]) == code
     assert "Traceback" not in capsys.readouterr().err
+    assert not any(RunPaths(doc["out_dir"]).root.glob("*"))
 
 
 def test_out_override_redirects_artifacts(config_path, tmp_path):

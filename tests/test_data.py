@@ -1,9 +1,11 @@
 """Synthetic generation determinism/geometry and the dataset container."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import mini_spec, with_fixed_crc
+from conftest import header_mutations, mini_spec, with_fixed_crc
 from supersub.data import (
     Dataset,
     SyntheticSpec,
@@ -142,6 +144,24 @@ class TestDatasetContainer:
         with pytest.raises(FormatError) as err:
             deserialize_dataset(with_fixed_crc(bad))
         assert err.value.offset == at
+
+    def test_header_mutations_are_rejected_or_read_back(self, mini_test):
+        data = serialize_dataset(mini_test)
+        # magic, version, dim, row count, subclass count, manifest length, manifest
+        manifest_end = 4 + 2 + 4 + 8 + 4 + 4 + len(mini_test.manifest.to_json())
+        rejected = 0
+        for _, mutated in header_mutations(data, manifest_end):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    ds = deserialize_dataset(mutated)
+                except FormatError:
+                    rejected += 1
+                    continue
+            assert ds.features.tobytes() == mini_test.features.tobytes()
+            assert np.array_equal(ds.sub_labels, mini_test.sub_labels)
+            assert serialize_dataset(deserialize_dataset(serialize_dataset(ds))) == serialize_dataset(ds)
+        assert rejected
 
     def test_empty_dataset_round_trips(self):
         manifest = make_manifest([("A", ["a1", "a2"]), ("B", ["b1", "b2"])])

@@ -78,6 +78,15 @@ class TestConfigParsing:
         assert config.out_dir == "elsewhere"
         assert config.seed == 42
 
+    @pytest.mark.parametrize(
+        "stage, name, value", [("finetune", "lr", -0.01), ("subclass", "batch_size", 0), ("superclass", "epochs", -1)]
+    )
+    def test_bad_stage_value_names_its_stage(self, tmp_path, stage, name, value):
+        doc = config_doc(tmp_path)
+        doc["train"][stage][name] = value
+        with pytest.raises(ValidationError, match=f"train.{stage}: {name}"):
+            parse_config(doc)
+
     def test_stage_seeds_differ(self, tmp_path):
         path, _ = write_config(tmp_path)
         config = load_config(path)
