@@ -157,6 +157,11 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
     batchnorm = net.get("batchnorm", True)
     if not isinstance(batchnorm, bool):
         raise ValidationError(f"network.batchnorm must be true or false, got {batchnorm!r}")
+    hidden_dims = _int_list(net["hidden_dims"], "network.hidden_dims")
+    try:
+        uniform_config(1, list(hidden_dims), 1, batchnorm)  # input and head widths come with the data
+    except ParameterError as exc:
+        raise ValidationError(f"network.hidden_dims {list(hidden_dims)}: {exc}") from exc
     train_block = _of_type(doc["train"], dict, "train")
     delta_mode = doc["delta_mode"]
     if delta_mode not in (delta_mod.MODE_FP16, delta_mod.MODE_QAT_INT):
@@ -176,7 +181,7 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
         out_dir=out_dir_override or _of_type(doc["out_dir"], str, "out_dir"),
         synthetic=synthetic,
         dataset_paths=dataset_paths,
-        hidden_dims=_int_list(net["hidden_dims"], "network.hidden_dims"),
+        hidden_dims=hidden_dims,
         batchnorm=batchnorm,
         train_super=_stage_params(train_block, "superclass"),
         train_subclass=_stage_params(train_block, "subclass"),

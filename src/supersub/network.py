@@ -6,7 +6,9 @@ fixed-order float32 kernels in tensor.py so training is bit-reproducible.
 
 Only this module knows three rules; other modules ask it. The tensor
 layout: `tensor_shapes(config)` names every tensor and its shape in file
-order, for `tensor_items`, `from_tensors` and the HSNW reader. The
+order, for `tensor_items`, `from_tensors`, and `write_tensors` and
+`read_tensors`, which with `write_config` and `read_config` give the HSNW
+and HSDL containers one config header and one payload order. The
 body/head split: the head is `HEAD_TENSORS`, the body `body_items`, and
 `NetworkConfig.with_head` keeps a body under another head width. The grid
 rule: `QatConfig.scale` gives a tensor its pinned body scale if it has one,
@@ -562,16 +564,49 @@ def gradient_check(net: Network, batch: np.ndarray, labels, eps: float = 1e-4) -
 # --- file format --------------------------------------------------------------
 
 
-def serialize_network(net: Network) -> bytes:
-    config = net.config()
-    w = Writer()
-    w.raw(NETWORK_MAGIC)
-    w.u16(NETWORK_VERSION)
+def write_config(w: Writer, config: NetworkConfig) -> None:
+    """The config header HSNW and HSDL share: dim count, dims, batch-norm flags."""
     w.u32(len(config.layer_dims))
     for d in config.layer_dims:
         w.u32(d)
     for flag in config.batchnorm:
         w.u8(1 if flag else 0)
+
+
+def read_config(r: Reader) -> NetworkConfig:
+    """Inverse of write_config; a header NetworkConfig rejects is a FormatError."""
+    n_dims = r.u32()
+    dims = tuple(r.u32() for _ in range(n_dims))
+    flags = tuple(bool(r.u8()) for _ in range(n_dims - 2))
+    try:
+        return NetworkConfig(dims, flags)
+    except ParameterError as exc:
+        raise FormatError(f"bad network header: {exc}", offset=r.pos) from exc
+
+
+def write_tensors(w: Writer, tensors: list[np.ndarray] | tuple[np.ndarray, ...], body_dtype: str = "<f4") -> None:
+    """One raw payload per tensor, in tensor_shapes order: body tensors as
+    body_dtype, the HEAD_TENSORS (last) as float32."""
+    n_body = len(tensors) - len(HEAD_TENSORS)
+    for i, t in enumerate(tensors):
+        w.raw(np.ascontiguousarray(t, dtype=body_dtype if i < n_body else "<f4").tobytes())
+
+
+def read_tensors(r: Reader, config: NetworkConfig, body_dtype: str = "<f4") -> dict[str, np.ndarray]:
+    """Inverse of write_tensors for a network of this config, keyed by name."""
+    tensors = {}
+    for name, shape in tensor_shapes(config):
+        dtype = np.dtype("<f4" if name in HEAD_TENSORS else body_dtype)
+        raw = r.raw(dtype.itemsize * math.prod(shape))
+        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.type)
+    return tensors
+
+
+def serialize_network(net: Network) -> bytes:
+    w = Writer()
+    w.raw(NETWORK_MAGIC)
+    w.u16(NETWORK_VERSION)
+    write_config(w, net.config())
     if net.quant is None:
         w.u8(0)
     else:
@@ -581,8 +616,7 @@ def serialize_network(net: Network) -> bytes:
         for name, s in net.quant.scales:
             w.text(name)
             w.f32(s)
-    for _, t, _ in tensor_items(net):
-        w.raw(np.ascontiguousarray(t, dtype="<f4").tobytes())
+    write_tensors(w, [t for _, t, _ in tensor_items(net)])
     return w.finish()
 
 
@@ -591,13 +625,7 @@ def deserialize_network(data: bytes) -> Network:
     r = Reader(body)
     r.expect_magic(NETWORK_MAGIC)
     r.expect_version(NETWORK_VERSION)
-    n_dims = r.u32()
-    dims = tuple(r.u32() for _ in range(n_dims))
-    flags = tuple(bool(r.u8()) for _ in range(n_dims - 2))
-    try:
-        config = NetworkConfig(dims, flags)
-    except ParameterError as exc:
-        raise FormatError(f"bad network header: {exc}", offset=r.pos) from exc
+    config = read_config(r)
     quant = None
     if r.u8():
         bits = r.u8()
@@ -605,14 +633,10 @@ def deserialize_network(data: bytes) -> Network:
         scales = tuple((r.text(), r.f32()) for _ in range(count))
         quant = QuantInfo(bits, scales)
 
-    shapes = tensor_shapes(config)
-    tensors = {
-        name: np.frombuffer(r.raw(4 * math.prod(shape)), dtype="<f4").reshape(shape).astype(F32)
-        for name, shape in shapes
-    }
+    tensors = read_tensors(r, config)
     r.expect_end()
     if quant is not None:
-        quant.check([name for name, _ in shapes])
+        quant.check(list(tensors))
     return from_tensors(config, tensors, quant)
 
 

@@ -295,13 +295,12 @@ def test_golden_delta_concentration(golden):
     # tailed than a Gaussian, so the classic 99.7% does not apply).
     base, _, _ = golden
     paths = branch_paths(base, "fp16")
-    from supersub.delta import KIND_F16_DELTA
+    from test_delta import body_deltas
 
     for i in range(5):
         d = unpack(paths.delta_file(i).read_bytes())
         values = np.concatenate(
-            [e.payload.astype(np.float64).ravel() for e in d.body_entries
-             if e.kind == KIND_F16_DELTA and e.name.endswith(".weight")]
+            [t.astype(np.float64).ravel() for name, t in body_deltas(d) if name.endswith(".weight")]
         )
         sigma = values.std()
         assert float((np.abs(values) <= 3 * sigma).mean()) >= 0.98

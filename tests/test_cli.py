@@ -59,6 +59,9 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         (("eval_modes",), []),
         (("eval_modes",), ["lowerbound", "lowerbound"]),
         (("network", "hidden_dims"), "64"),
+        (("network", "hidden_dims"), [0]),
+        (("network", "hidden_dims"), [-3]),
+        (("network", "hidden_dims"), []),
         (("synthetic", "subs_per_super"), "44"),
         (("qat_bits",), 9),
         (("qat_bits",), "eight"),
@@ -76,7 +79,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     ids=[
         "seed_text", "lr_text", "n_super_text", "train_list", "stage_number", "synthetic_list",
         "network_text", "eval_modes_number", "eval_mode_list", "eval_modes_empty",
-        "eval_modes_repeated", "hidden_dims_text",
+        "eval_modes_repeated", "hidden_dims_text", "hidden_dims_zero", "hidden_dims_negative", "hidden_dims_empty",
         "subs_per_super_text", "qat_bits_9", "qat_bits_text", "batchnorm_text", "epochs_fraction",
         "epochs_bool", "lr_numeric_text", "noise_sigma_nan", "out_dir_null", "out_dir_number",
         "finetune_lr_negative", "subclass_batch_size_0", "superclass_epochs_negative",
@@ -227,15 +230,20 @@ def test_trailing_bytes_in_delta_exit_3(qat_config_path, capsys):
 
 
 def test_misfit_delta_entry_exits_3(qat_config_path, capsys):
+    # A well-formed pack whose config drops the base's batch-norm layers.
     for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["pack", "0"]):
         assert main(["--config", str(qat_config_path)] + argv) == 0
     from supersub.delta import pack, unpack
+    from supersub.network import NetworkConfig, tensor_shapes
 
     path = RunPaths(load_config(qat_config_path).out_dir).delta_file(0)
     d = unpack(path.read_bytes())
-    path.write_bytes(pack(replace(d, body_entries=d.body_entries[:-1])).data)
+    names = [name for name, _ in tensor_shapes(d.config)]
+    tensors = tuple(t for name, t in zip(names, d.tensors) if ".bn_" not in name)
+    config = NetworkConfig(d.config.layer_dims, (False,) * len(d.config.batchnorm))
+    path.write_bytes(pack(replace(d, config=config, tensors=tensors)).data)
     assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
-    assert "integrity" in capsys.readouterr().err
+    assert "base's body" in capsys.readouterr().err
 
 
 def test_wrong_grid_scale_exits_3(qat_config_path, capsys):
@@ -245,8 +253,7 @@ def test_wrong_grid_scale_exits_3(qat_config_path, capsys):
 
     path = RunPaths(load_config(qat_config_path).out_dir).delta_file(0)
     d = unpack(path.read_bytes())
-    first = replace(d.body_entries[0], scale=0.0)
-    path.write_bytes(pack(replace(d, body_entries=(first, *d.body_entries[1:]))).data)
+    path.write_bytes(pack(replace(d, head_scales=(0.0, d.head_scales[1]))).data)
     assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
     assert "integrity" in capsys.readouterr().err
 
@@ -289,22 +296,34 @@ def test_zero_width_router_layer_exits_3(config_path, capsys, verb):
     assert "integrity" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit", ["zero_bits", "fp16_body_entry"])
-def test_invalid_qat_block_in_delta_exits_3(qat_config_path, capsys, edit):
+@pytest.mark.parametrize("at", [11, 10], ids=["zero_bits", "fp16_mode"])
+def test_invalid_qat_block_in_delta_exits_3(qat_config_path, capsys, at):
+    # Zero the header's bits byte, or its mode byte (fp16 deltas carry no head scales).
     for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["pack", "0"]):
         assert main(["--config", str(qat_config_path)] + argv) == 0
-    from supersub.delta import pack, unpack
-    from test_delta import with_fp16_first_body_entry
-
     path = RunPaths(load_config(qat_config_path).out_dir).delta_file(0)
     data = path.read_bytes()
-    if edit == "zero_bits":
-        data = with_fixed_crc(data[:11] + b"\x00" + data[12:])  # the header's bits byte
-    else:
-        data = pack(with_fp16_first_body_entry(unpack(data))).data
-    path.write_bytes(data)
+    path.write_bytes(with_fixed_crc(data[:at] + b"\x00" + data[at + 1 :]))
     assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
     assert "integrity" in capsys.readouterr().err
+
+
+def test_fp16_overflow_exits_2(config_path, capsys):
+    for argv in (["gen-data"], ["train", "super"], ["finetune", "0"]):
+        assert main(["--config", str(config_path)] + argv) == 0
+    import numpy as np
+
+    from supersub.network import from_tensors, load_network, save_network, tensor_items
+
+    path = RunPaths(load_config(config_path).out_dir).finetuned_net(0)
+    net = load_network(path)
+    tensors = {name: t for name, t, _ in tensor_items(net)}
+    tensors["layer0.bn_var"] = np.full_like(tensors["layer0.bn_var"], 1e6)
+    save_network(from_tensors(net.config(), tensors), path)
+    capsys.readouterr()
+    assert main(["--config", str(config_path), "pack", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "layer0.bn_var" in err and "qat-int" in err and "Traceback" not in err
 
 
 def test_stale_base_exits_3(qat_config_path, capsys):

@@ -9,11 +9,6 @@ import pytest
 from conftest import header_mutations, with_fixed_crc
 from supersub.container import Writer, crc32c, deflate, inflate
 from supersub.delta import (
-    KIND_F16_DELTA,
-    KIND_F32_VALUE,
-    KIND_I16_GRID_DELTA,
-    KIND_XOR32_DELTA,
-    DeltaEntry,
     MODE_FP16,
     MODE_QAT_INT,
     base_fingerprint_of,
@@ -32,11 +27,17 @@ from supersub.errors import (
     ParameterError,
 )
 from supersub.network import (
+    HEAD_TENSORS,
+    NetworkConfig,
+    body_items,
     deserialize_network,
     init_network,
     serialize_network,
     snap_to_grid,
+    tensor_items,
+    tensor_shapes,
     uniform_config,
+    write_config,
 )
 from supersub.tensor import F32, Prng
 from supersub.train import LabelView, TrainConfig, finetune_from_super, train
@@ -48,12 +49,13 @@ def build_net(head=3, seed=0, batchnorm=True, dims=(8, 12, 12)):
 
 
 def overflowing_shape_pack(data: bytes) -> bytes:
-    """The packed delta with its entries replaced by one of shape (2**32 - 1,) * 4."""
-    entries = Writer().u8(0).u32(1).text("layer0.weight").u8(4)
-    for _ in range(4):
-        entries.u32(2**32 - 1)
-    entries.u8(KIND_F32_VALUE)
-    return with_fixed_crc(data[:16] + deflate(entries.body()) + bytes(4))
+    """The packed delta with its section replaced by a config whose hidden
+    layer is 2**32 - 1 wide, room for a qat-int pack's head scales, and no
+    tensors."""
+    section = Writer()
+    write_config(section, NetworkConfig((8, 2**32 - 1, 2), (False,)))
+    section.raw(bytes(8))
+    return with_fixed_crc(data[:16] + deflate(section.body()) + bytes(4))
 
 
 def trailing_junk_pack(data: bytes) -> bytes:
@@ -61,11 +63,22 @@ def trailing_junk_pack(data: bytes) -> bytes:
     return with_fixed_crc(data[:-4] + b"JUNKJUNK" + bytes(4))
 
 
-def with_fp16_first_body_entry(d):
-    """The DeltaPack with its first body entry replaced by an all-zero fp16 delta."""
-    first = d.body_entries[0]
-    fp16 = DeltaEntry(first.name, first.shape, KIND_F16_DELTA, np.zeros(first.shape, dtype=np.float16))
-    return replace(d, body_entries=(fp16, *d.body_entries[1:]))
+def verbatim_head_bytes(net) -> int:
+    """Bytes of the head tensors, which a pack stores as raw float32."""
+    return 4 * sum(t.size for name, t, _ in tensor_items(net) if name in HEAD_TENSORS)
+
+
+def body_deltas(d):
+    """(name, delta) of every body tensor of a DeltaPack, in layout order."""
+    names = [name for name, _ in tensor_shapes(d.config)]
+    return list(zip(names, d.tensors[: -len(HEAD_TENSORS)]))
+
+
+def with_tensor(d, index, t):
+    """The DeltaPack with its tensor at index replaced by t."""
+    tensors = list(d.tensors)
+    tensors[index] = t
+    return replace(d, tensors=tuple(tensors))
 
 
 @pytest.fixture(scope="module")
@@ -98,14 +111,12 @@ class TestComputeDelta:
     def test_identity_delta_is_all_zero(self):
         net = build_net(seed=7)
         d = compute_delta(net, net, MODE_FP16)
-        for entry in d.body_entries:
-            assert entry.kind == KIND_F16_DELTA
-            assert not entry.payload.any()
+        for _, delta in body_deltas(d):
+            assert delta.dtype == np.float16
+            assert not delta.any()
 
     def test_fp16_error_within_half_ulp(self, plain_pair):
         # Element-level bound: |f16(d) - d| <= 2^-11 * max(|d|, 2^-14).
-        from supersub.network import body_items
-
         base, specialist = plain_pair
         for (name, t_base, _), (_, t_sub, _) in zip(body_items(base), body_items(specialist)):
             delta = (t_sub - t_base).astype(F32)
@@ -127,10 +138,9 @@ class TestComputeDelta:
     def test_qat_delta_fits_int16(self, qat_pair):
         base, specialist = qat_pair
         d = compute_delta(base, specialist, MODE_QAT_INT)
-        for entry in d.body_entries:
-            if entry.kind == KIND_I16_GRID_DELTA:
-                assert entry.payload.dtype == np.int16
-                assert int(np.abs(entry.payload).max(initial=0)) <= 254
+        for _, delta in body_deltas(d):
+            assert delta.dtype == np.int16
+            assert int(np.abs(delta).max(initial=0)) <= 254
 
     def test_body_shape_mismatch_rejected(self):
         a = build_net(seed=1, dims=(8, 12, 12))
@@ -164,10 +174,11 @@ class TestPackUnpack:
         assert pack(again).data == packed.data
 
     def test_zero_delta_packs_tiny(self):
+        # The head is stored verbatim; the zero body delta adds under 2%.
         net = build_net(seed=9, dims=(32, 64, 64), head=4)
         d = compute_delta(net, net, MODE_FP16)
         packed = pack(d)
-        assert packed.packed_size < 0.02 * len(serialize_network(net))
+        assert packed.packed_size < verbatim_head_bytes(net) + 0.02 * len(serialize_network(net))
 
     def test_truncated_stream_rejected_without_partial(self, plain_pair):
         base, specialist = plain_pair
@@ -189,15 +200,26 @@ class TestPackUnpack:
         with pytest.raises(FormatError):
             unpack(bytes(data))
 
-    def test_non_utf8_entry_name_is_format_error(self, plain_pair):
+    @pytest.mark.parametrize("pair, mode", [("plain_pair", MODE_FP16), ("qat_pair", MODE_QAT_INT)])
+    def test_section_holds_only_config_head_scales_and_payloads(self, request, pair, mode):
+        # No tensor name, shape or per-tensor body scale: the section is the
+        # config header, the qat-int head scales, and the raw payloads.
+        base, specialist = request.getfixturevalue(pair)
+        d = compute_delta(base, specialist, mode)
+        section = inflate(pack(d).data[16:-4])
+        header = Writer()
+        write_config(header, specialist.config())
+        n_scales = len(HEAD_TENSORS) if mode == MODE_QAT_INT else 0
+        n_body = len(d.tensors) - len(HEAD_TENSORS)
+        payload = sum(t.size * (2 if i < n_body else 4) for i, t in enumerate(d.tensors))
+        assert section.startswith(header.body())
+        assert len(section) == len(header.body()) + 4 * n_scales + payload
+
+    def test_version_1_pack_is_format_error(self, plain_pair):
         base, specialist = plain_pair
         data = pack(compute_delta(base, specialist, MODE_FP16)).data
-        header, entries = data[:16], bytearray(inflate(data[16:-4]))
-        at = entries.index(b"layer0.weight")
-        entries[at] = 0xFF
-        with pytest.raises(FormatError) as err:
-            unpack(with_fixed_crc(header + deflate(bytes(entries)) + bytes(4)))
-        assert err.value.offset == at
+        with pytest.raises(FormatError, match="unsupported version 1"):
+            unpack(with_fixed_crc(data[:4] + (1).to_bytes(2, "little") + data[6:]))
 
     def test_overflowing_shape_is_format_error(self, plain_pair):
         base, specialist = plain_pair
@@ -254,64 +276,50 @@ class TestReconstruct:
     def test_self_delta_reproduces_bytes(self, request, pair, mode):
         base, _ = request.getfixturevalue(pair)
         d = compute_delta(base, base, mode)
-        assert [e.kind for e in d.head_entries] == [KIND_XOR32_DELTA] * 2
         assert serialize_network(reconstruct(base, d, base_fingerprint_of(base), 0)) == serialize_network(base)
-
-    @pytest.mark.parametrize("kind", [KIND_F16_DELTA, KIND_I16_GRID_DELTA])
-    def test_head_entry_of_delta_kind_rejected(self, kind):
-        net = build_net(seed=29)
-        d = compute_delta(net, net, MODE_FP16)
-        w = d.head_entries[0]
-        bad = DeltaEntry(w.name, w.shape, kind, np.zeros(w.shape, dtype=np.int16), 1.0)
-        with pytest.raises(FormatError, match="head entry"):
-            reconstruct(net, replace(d, head_entries=(bad, d.head_entries[1])), base_fingerprint_of(net), 0)
 
     @pytest.mark.parametrize("which, shape", [(0, (3, 5)), (0, ()), (1, (7,)), (0, (0, 12))])
     def test_verbatim_head_must_fit_the_body(self, which, shape):
+        # The head's shape is the config's; a payload of any other size
+        # leaves the section too short or too long.
         net = build_net(seed=31, head=3)
-        d = compute_delta(net, net, MODE_FP16)
-        heads = list(d.head_entries)
-        heads[which] = DeltaEntry(heads[which].name, shape, KIND_F32_VALUE, np.zeros(shape, dtype=F32))
+        d = with_tensor(compute_delta(net, net, MODE_FP16), which - len(HEAD_TENSORS), np.zeros(shape, dtype=F32))
         with pytest.raises(FormatError):
-            reconstruct(net, replace(d, head_entries=tuple(heads)), base_fingerprint_of(net), 0)
+            reconstruct(net, unpack(pack(d).data), base_fingerprint_of(net), 0)
 
-    @pytest.mark.parametrize("edit", ["missing", "duplicate", "misshapen", "renamed_head"])
+    @pytest.mark.parametrize("edit", ["missing", "duplicate", "misshapen"])
     def test_misfit_entries_are_format_errors(self, edit):
         net = build_net(seed=37)
         d = compute_delta(net, net, MODE_FP16)
-        body, heads = list(d.body_entries), list(d.head_entries)
+        tensors = list(d.tensors)
         if edit == "missing":
-            body.pop()
+            tensors.pop()
         elif edit == "duplicate":
-            body[-1] = body[0]
-        elif edit == "misshapen":
-            body[0] = replace(body[0], shape=body[0].shape[::-1], payload=body[0].payload.T)
+            tensors[len(tensors) - len(HEAD_TENSORS) - 1] = tensors[0]
         else:
-            heads[1] = replace(heads[1], name="head.extra")
-        d = replace(d, body_entries=tuple(body), head_entries=tuple(heads))
+            tensors[0] = tensors[0][:-1]
+        d = replace(d, tensors=tuple(tensors))
         with pytest.raises(FormatError):
+            reconstruct(net, unpack(pack(d).data), base_fingerprint_of(net), 0)
+
+    @pytest.mark.parametrize(
+        "config",
+        [((8, 10, 12, 3), (True, True)), ((8, 12, 12, 5), (True, False)), ((9, 12, 12, 3), (True, True))],
+        ids=["hidden_width", "batchnorm_flag", "input_dim"],
+    )
+    def test_config_must_share_the_base_body(self, config):
+        net = build_net(seed=41)
+        d = replace(compute_delta(net, net, MODE_FP16), config=NetworkConfig(*config))
+        with pytest.raises(FormatError, match="base's body"):
             reconstruct(net, d, base_fingerprint_of(net), 0)
 
     def test_non_finite_rebuild_is_format_error(self, plain_pair):
         base, specialist = plain_pair
         d = compute_delta(base, specialist, MODE_FP16)
-        first = d.body_entries[0]
-        payload = first.payload.copy()
-        payload.flat[0] = np.nan
-        d = replace(d, body_entries=(replace(first, payload=payload), *d.body_entries[1:]))
+        first = d.tensors[0].copy()
+        first.flat[0] = np.nan
         with pytest.raises(FormatError, match="non-finite"):
-            reconstruct(base, unpack(pack(d).data), base_fingerprint_of(base), 0)
-
-    @pytest.mark.parametrize("factor", [0.0, 2.0, float("nan")])
-    def test_grid_entry_scale_must_be_the_base_grid(self, factor):
-        net = snap_to_grid(build_net(seed=43), 8)
-        d = compute_delta(net, net, MODE_QAT_INT)
-        first = d.body_entries[0]
-        d = replace(d, body_entries=(replace(first, scale=first.scale * factor), *d.body_entries[1:]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(FormatError, match="scale"):
-                reconstruct(net, unpack(pack(d).data), base_fingerprint_of(net), 0)
+            reconstruct(base, unpack(pack(with_tensor(d, 0, first)).data), base_fingerprint_of(base), 0)
 
     def test_qat_pack_needs_a_quantized_base(self):
         net = snap_to_grid(build_net(seed=47), 8)
@@ -328,25 +336,24 @@ class TestReconstruct:
 
     @pytest.mark.parametrize(
         "edit",
-        ["zero_bits", "other_bits", "fp16_body_entry", "no_head_scales", "missing_head_scale",
-         "duplicate_head_scale", "renamed_head_scale", "zero_head_scale", "nan_head_scale"],
+        ["zero_bits", "other_bits", "fp16_mode", "no_head_scales", "missing_head_scale",
+         "duplicate_head_scale", "zero_head_scale", "nan_head_scale"],
     )
     def test_qat_quantization_block_must_be_valid(self, qat_pair, edit):
         base, specialist = qat_pair
         d = compute_delta(base, specialist, MODE_QAT_INT)
-        (w_name, w_scale), bias_scale = d.head_scales
+        w_scale, bias_scale = d.head_scales
         if edit.endswith("_bits"):
             d = replace(d, qat_bits=0 if edit == "zero_bits" else 7)
-        elif edit == "fp16_body_entry":
-            d = with_fp16_first_body_entry(d)
+        elif edit == "fp16_mode":
+            d = replace(d, mode=MODE_FP16)
         else:
             d = replace(d, head_scales={
                 "no_head_scales": None,
                 "missing_head_scale": (bias_scale,),
-                "duplicate_head_scale": ((w_name, w_scale), (w_name, w_scale)),
-                "renamed_head_scale": (("head.weights", w_scale), bias_scale),
-                "zero_head_scale": ((w_name, 0.0), bias_scale),
-                "nan_head_scale": ((w_name, float("nan")), bias_scale),
+                "duplicate_head_scale": (w_scale, w_scale, bias_scale),
+                "zero_head_scale": (0.0, bias_scale),
+                "nan_head_scale": (float("nan"), bias_scale),
             }[edit])
         with pytest.raises(FormatError):
             reconstruct(base, unpack(pack(d).data), base_fingerprint_of(base), 0)
@@ -370,6 +377,33 @@ class TestReconstruct:
             again = deserialize_network(serialize_network(rebuilt))
             assert serialize_network(again) == serialize_network(rebuilt)
         assert rejected
+
+    @pytest.mark.parametrize("pair, mode", [("plain_pair", MODE_FP16), ("qat_pair", MODE_QAT_INT)])
+    def test_section_mutations_are_rejected_or_read_back(self, request, pair, mode):
+        # Each mutant sets one to three bytes of the inflated section, half
+        # of them in the config header and head scales, to Prng-chosen values.
+        base, specialist = request.getfixturevalue(pair)
+        data = pack(compute_delta(base, specialist, mode, superclass_id=1)).data
+        section = inflate(data[16:-4])
+        fingerprint = base_fingerprint_of(base)
+        rng = Prng(0x5EC7 + len(mode))
+        outcomes = {"rejected": 0, "read_back": 0}
+        for _ in range(150):
+            mutated = bytearray(section)
+            reach = 32 if rng.next_u64() % 2 else len(section)
+            for _ in range(1 + rng.next_u64() % 3):
+                mutated[rng.next_u64() % reach] = rng.next_u64() % 256
+            blob = with_fixed_crc(data[:16] + deflate(bytes(mutated)) + bytes(4))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    rebuilt = reconstruct(base, unpack(blob), fingerprint, 1)
+                except (FormatError, BaseMismatchError):
+                    outcomes["rejected"] += 1
+                    continue
+            assert serialize_network(deserialize_network(serialize_network(rebuilt))) == serialize_network(rebuilt)
+            outcomes["read_back"] += 1
+        assert outcomes["rejected"] and outcomes["read_back"], outcomes
 
 
 class TestBaseFingerprint:
@@ -397,7 +431,8 @@ class TestCompressionAccounting:
     def test_identity_network_ratio_tiny(self):
         net = build_net(seed=17, dims=(32, 64, 64), head=4)
         packed = pack(compute_delta(net, net, MODE_FP16))
-        assert compression_ratio(packed, len(serialize_network(net))) < 0.02
+        reference = len(serialize_network(net))
+        assert compression_ratio(packed, reference) < 0.02 + verbatim_head_bytes(net) / reference
 
     def test_quantized_reference_bytes(self, qat_pair):
         _, specialist = qat_pair
@@ -412,12 +447,9 @@ class TestDeltaMagnitude:
         # (Batch-norm running stats legitimately drift by large amounts:
         # they re-estimate the specialist's data distribution.)
         base, specialist = plain_pair
-        from supersub.network import body_items
-
         d = compute_delta(base, specialist, MODE_FP16)
         deltas = np.concatenate(
-            [e.payload.astype(np.float64).ravel() for e in d.body_entries
-             if e.kind == KIND_F16_DELTA and e.name.endswith(".weight")]
+            [t.astype(np.float64).ravel() for name, t in body_deltas(d) if name.endswith(".weight")]
         )
         base_vals = np.concatenate(
             [t.astype(np.float64).ravel() for _, t, is_w in body_items(base) if is_w]

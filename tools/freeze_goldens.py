@@ -4,7 +4,9 @@
 Writes tests/golden/expected.json: macro accuracies per mode, compression
 numbers, ledger counters, and SHA-256 hashes of every artifact. The
 acceptance suite asserts against these frozen values; regenerate only when
-the pipeline is intentionally changed, and review the diff.
+the pipeline is intentionally changed, and review the diff, which is printed
+before the file is replaced: every artifact whose hash moved, and old -> new
+for every other value that changed.
 
 Note: artifact hashes are exact for reruns in the same environment;
 across numpy/zlib builds the accuracy values are covered by the published
@@ -22,6 +24,34 @@ from golden_pipeline import EXPECTED_PATH, branch_paths, collect_hashes, run_gol
 
 from supersub.delta import MODE_FP16, compute_delta, pack  # noqa: E402
 from supersub.network import load_network, network_bytes  # noqa: E402
+
+
+def leaves(value, path: str = "") -> dict:
+    """Every scalar of a JSON document, keyed by its dotted path."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return {path: value}
+    out = {}
+    for key, child in children:
+        out.update(leaves(child, f"{path}.{key}" if path else str(key)))
+    return out
+
+
+def print_changes(old: dict, new: dict) -> None:
+    """Print each moved hash key, then old -> new for each other changed value."""
+    old_hashes, new_hashes = old.get("hashes", {}), new["hashes"]
+    moved = sorted(k for k in old_hashes.keys() | new_hashes.keys() if old_hashes.get(k) != new_hashes.get(k))
+    for key in moved:
+        print(f"moved hash: {key}")
+    old_values = leaves({k: v for k, v in old.items() if k != "hashes"})
+    new_values = leaves({k: v for k, v in new.items() if k != "hashes"})
+    changed = sorted(k for k in old_values.keys() | new_values.keys() if old_values.get(k) != new_values.get(k))
+    for key in changed:
+        print(f"{key}: {old_values.get(key, 'absent')} -> {new_values.get(key, 'absent')}")
+    print(f"{len(moved)} of {len(new_hashes)} hashes moved; {len(changed)} of {len(new_values)} other values changed")
 
 
 def main() -> int:
@@ -67,6 +97,8 @@ def main() -> int:
         },
         "hashes": collect_hashes(base),
     }
+    old = json.loads(EXPECTED_PATH.read_text(encoding="utf-8")) if EXPECTED_PATH.exists() else {}
+    print_changes(old, expected)
     EXPECTED_PATH.parent.mkdir(parents=True, exist_ok=True)
     EXPECTED_PATH.write_text(json.dumps(expected, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"froze goldens to {EXPECTED_PATH}")
