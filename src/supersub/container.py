@@ -24,6 +24,7 @@ import numpy as np
 from .errors import FormatError
 
 _CRC32C_POLY = 0x82F63B78
+DEFLATE_LEVEL = 9  # zlib's best compression; the packed goldens pin it
 
 
 def _build_crc32c_table() -> list[int]:
@@ -113,9 +114,9 @@ def crc32c(data: bytes | bytearray | memoryview, crc: int = 0) -> int:
     return _crc32c_lanes(body, crc ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
 
 
-def deflate(data: bytes, level: int = 9) -> bytes:
-    """Raw DEFLATE stream (RFC 1951, no zlib wrapper)."""
-    comp = zlib.compressobj(level=level, wbits=-15)
+def deflate(data: bytes) -> bytes:
+    """Raw DEFLATE stream (RFC 1951, no zlib wrapper) at DEFLATE_LEVEL."""
+    comp = zlib.compressobj(level=DEFLATE_LEVEL, wbits=-15)
     return comp.compress(data) + comp.flush()
 
 

@@ -5,6 +5,9 @@ subclass centers scattered around them, and samples scattered around the
 subclass centers. With super_sep well above noise_sigma the superclass
 problem is near-perfectly separable by construction while subclasses stay
 confusable, which is exactly the regime the rest of the pipeline studies.
+
+An HSDS file holds the feature dim, the row count, the manifest as JSON,
+the features and the labels; the subclass count is the manifest's alone.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import ContractError, FormatError, ParameterError, ValidationError
 from .hierarchy import HierarchyManifest, make_manifest, parse_manifest
 
 DATASET_MAGIC = b"HSDS"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,6 @@ def serialize_dataset(ds: Dataset) -> bytes:
     w.u16(DATASET_VERSION)
     w.u32(ds.dim)
     w.u64(ds.n_rows)
-    w.u32(ds.manifest.n_sub)
     w.text(ds.manifest.to_json())
     w.raw(np.ascontiguousarray(ds.features, dtype="<f4").tobytes())
     w.raw(np.ascontiguousarray(ds.sub_labels, dtype="<u4").tobytes())
@@ -164,24 +166,21 @@ def deserialize_dataset(data: bytes) -> Dataset:
     r.expect_version(DATASET_VERSION)
     dim = r.u32()
     n_rows = r.u64()
-    n_sub = r.u32()
     offset = r.pos
     try:
         manifest = parse_manifest(r.text())
     except ValidationError as exc:
         raise FormatError(f"invalid manifest: {exc}", offset=offset) from exc
-    if manifest.n_sub != n_sub:
-        raise FormatError(
-            f"header says {n_sub} subclasses, manifest has {manifest.n_sub}", offset=r.pos
-        )
-    features = np.frombuffer(r.raw(n_rows * dim * 4), dtype="<f4").reshape(n_rows, dim)
+    features = r.raw(n_rows * dim * 4)
     labels_at = r.pos
     labels = np.frombuffer(r.raw(n_rows * 4), dtype="<u4").astype(np.int64)
     r.expect_end()
-    bad = np.flatnonzero(labels >= n_sub)
+    bad = np.flatnonzero(labels >= manifest.n_sub)
     if bad.size:
         at = int(bad[0])
-        raise FormatError(f"label {labels[at]} outside 0..{n_sub - 1}", offset=labels_at + 4 * at)
+        raise FormatError(f"label {labels[at]} outside 0..{manifest.n_sub - 1}", offset=labels_at + 4 * at)
+    # Reshaped once the labels bound n_rows: dim 0 reads no feature bytes.
+    features = np.frombuffer(features, dtype="<f4").reshape(n_rows, dim)
     return Dataset(features.astype(tensor.F32), labels, manifest)
 
 

@@ -14,9 +14,9 @@ holds the specialist's `NetworkConfig`, and one tensor per
 `tensor_shapes(config)` entry in that order, the body as deltas of the
 mode's element type and the head (`HEAD_TENSORS`) verbatim, because the
 head is reinitialized at another width during finetuning and has no base
-tensor to delta against. No tensor name, shape or per-tensor body scale is
-stored: the body is the base's, and so are its qat-int grids. A qat-int
-pack adds only the specialist's two head scales.
+tensor to delta against. No tensor name, shape, per-tensor body scale or
+bit width is stored: the body is the base's, and so are its qat-int grids
+and bits. A qat-int pack adds only the specialist's two head scales.
 
 The packed container records a CRC-32C fingerprint of the base network
 file; reconstruction against any other base fails loudly instead of
@@ -56,14 +56,13 @@ from .network import (
     read_tensors,
     serialize_network,
     tensor_items,
-    tensor_shapes,
     write_config,
     write_tensors,
 )
 from .tensor import F32, f16_round
 
 DELTA_MAGIC = b"HSDL"
-DELTA_VERSION = 2
+DELTA_VERSION = 3
 
 MODE_FP16 = "fp16"
 MODE_QAT_INT = "qat-int"
@@ -77,7 +76,6 @@ _BODY_DTYPES = {MODE_FP16: "<f2", MODE_QAT_INT: "<i2"}
 class DeltaPack:
     superclass_id: int
     mode: str
-    qat_bits: int
     base_fingerprint: int
     config: NetworkConfig  # the specialist's
     # One array per tensor_shapes(config) entry: body deltas (float16 or
@@ -114,22 +112,16 @@ def compute_delta(base: Network, sub: Network, mode: str, superclass_id: int = 0
         raise ContractError(f"specialist {sub.config()} does not share the base's body {base.config()}")
     fingerprint = base_fingerprint_of(base)
 
-    qat_bits = 0
     head_scales = None
     if mode == MODE_QAT_INT:
         if base.quant is None or sub.quant is None:
             raise DeltaModeError("qat-int deltas need both networks snapped to grids")
-        if base.quant.bits != sub.quant.bits:
-            raise DeltaModeError(
-                f"bit width mismatch: base {base.quant.bits}, specialist {sub.quant.bits}"
-            )
-        if base.quant.body_scales() != sub.quant.body_scales():
-            raise DeltaModeError("body quantization scales differ; grids are not shared")
-        qat_bits = base.quant.bits
-        head_scales = tuple(sub.quant.scale_of(name) for name in HEAD_TENSORS)
+        if (base.quant.bits, base.quant.body_scales()) != (sub.quant.bits, sub.quant.body_scales()):
+            raise DeltaModeError("bits or body quantization scales differ; grids are not shared")
+        head_scales = sub.quant.head_scales()
 
     tensors: list[np.ndarray] = []
-    for (name, t_base, _), (_, t_sub, _) in zip(tensor_items(base), tensor_items(sub)):
+    for i, ((name, t_base, _), (_, t_sub, _)) in enumerate(zip(tensor_items(base), tensor_items(sub))):
         if name in HEAD_TENSORS:
             tensors.append(t_sub)
         elif mode == MODE_FP16:
@@ -139,12 +131,12 @@ def compute_delta(base: Network, sub: Network, mode: str, superclass_id: int = 0
                 raise DeltaModeError(f"{name} delta does not fit binary16 ({exc}); use qat-int") from exc
             tensors.append(delta.astype(np.float16))
         else:
-            s = base.quant.scale_of(name)
+            s = base.quant.scales[i]
             diff = _exact_grid(t_sub, s, f"specialist {name}") - _exact_grid(t_base, s, f"base {name}")
             if diff.size and max(abs(int(diff.max())), abs(int(diff.min()))) > 32767:
                 raise DeltaModeError(f"grid delta for {name} overflows int16")
             tensors.append(diff.astype(np.int16))
-    return DeltaPack(superclass_id, mode, qat_bits, fingerprint, sub.config(), tuple(tensors), head_scales)
+    return DeltaPack(superclass_id, mode, fingerprint, sub.config(), tuple(tensors), head_scales)
 
 
 def _exact_grid(t: np.ndarray, scale: float, what: str) -> np.ndarray:
@@ -158,7 +150,7 @@ def _exact_grid(t: np.ndarray, scale: float, what: str) -> np.ndarray:
 
 
 def pack(d: DeltaPack) -> PackedDelta:
-    """Serialize and DEFLATE-compress; the 16-byte header stays uncompressed."""
+    """Serialize and DEFLATE-compress; the 15-byte header stays uncompressed."""
     section = Writer()
     write_config(section, d.config)
     for s in d.head_scales or ():
@@ -172,11 +164,10 @@ def pack(d: DeltaPack) -> PackedDelta:
     w.u16(DELTA_VERSION)
     w.u32(d.superclass_id)
     w.u8(_MODE_CODES[d.mode])
-    w.u8(d.qat_bits)
     w.u32(d.base_fingerprint)
     w.raw(compressed)
     data = w.finish()
-    return PackedDelta(data, raw_size=16 + len(blob) + 4, packed_size=len(data))
+    return PackedDelta(data, raw_size=len(data) - len(compressed) + len(blob), packed_size=len(data))
 
 
 def unpack(data: bytes) -> DeltaPack:
@@ -190,7 +181,6 @@ def unpack(data: bytes) -> DeltaPack:
     if mode_code not in _MODE_NAMES:
         raise FormatError(f"unknown delta mode code {mode_code}", offset=r.pos - 1)
     mode = _MODE_NAMES[mode_code]
-    qat_bits = r.u8()
     fingerprint = r.u32()
 
     section = Reader(inflate(body[r.pos :]))
@@ -198,7 +188,7 @@ def unpack(data: bytes) -> DeltaPack:
     head_scales = tuple(section.f32() for _ in HEAD_TENSORS) if mode == MODE_QAT_INT else None
     tensors = tuple(read_tensors(section, config, _BODY_DTYPES[mode]).values())
     section.expect_end()
-    return DeltaPack(superclass_id, mode, qat_bits, fingerprint, config, tensors, head_scales)
+    return DeltaPack(superclass_id, mode, fingerprint, config, tensors, head_scales)
 
 
 # --- reconstruction ----------------------------------------------------------
@@ -213,9 +203,10 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int, superclass_i
     recover the base's grid indices, add the stored index deltas, rescale —
     which reproduces the stored specialist bit for bit. No pack computed
     against this base holds another superclass, a config that does not
-    share the base's body, bits or head scales that do not form a valid
-    quantization block with the base's body scales, or a delta that
-    rebuilds to NaN or infinity, so each is a FormatError.
+    share the base's body, a qat-int mode for a base without grids, head
+    scales that are not finite and positive, or a delta that rebuilds to
+    NaN or infinity, so each is a FormatError. A qat-int specialist takes
+    its bits and body scales from the base.
     """
     if base_fingerprint != d.base_fingerprint:
         raise BaseMismatchError(
@@ -224,24 +215,24 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int, superclass_i
         )
     if d.superclass_id != superclass_id:
         raise FormatError(f"delta holds superclass {d.superclass_id}, not {superclass_id}")
-    if d.mode == MODE_QAT_INT and (base.quant is None or d.qat_bits != base.quant.bits):
-        raise FormatError(f"qat-int pack of {d.qat_bits} bits does not fit the base's quantization grids")
+    if d.mode == MODE_QAT_INT and base.quant is None:
+        raise FormatError("qat-int pack needs a base with quantization grids")
     if d.config.with_head(base.head_dim) != base.config():
         raise FormatError(f"delta holds specialist {d.config}, which does not share the base's body {base.config()}")
 
     quant = None
     if d.mode == MODE_QAT_INT:
-        quant = QuantInfo(d.qat_bits, (*base.quant.body_scales(), *zip(HEAD_TENSORS, d.head_scales)))
-        quant.check([name for name, _ in tensor_shapes(d.config)])
+        quant = QuantInfo(base.quant.bits, (*base.quant.body_scales(), *d.head_scales))
+        quant.check()
     rebuilt = dict(zip(HEAD_TENSORS, d.tensors[-len(HEAD_TENSORS):]))
     # A corrupt delta (a signalling NaN, a sum past float32) rebuilds to
     # NaN or infinity, which the check below rejects, not to a warning.
     with np.errstate(invalid="ignore", over="ignore"):
-        for (name, t_base, _), delta in zip(body_items(base), d.tensors):
+        for i, ((name, t_base, _), delta) in enumerate(zip(body_items(base), d.tensors)):
             if quant is None:
                 rebuilt[name] = (t_base + delta.astype(F32)).astype(F32)
             else:
-                s = quant.scale_of(name)
+                s = quant.scales[i]
                 q_new = lattice_indices(t_base, s) + delta.astype(np.int32)
                 rebuilt[name] = (q_new.astype(F32) * F32(s)).astype(F32)
     for name, t in rebuilt.items():

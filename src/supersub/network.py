@@ -13,6 +13,9 @@ body/head split: the head is `HEAD_TENSORS`, the body `body_items`, and
 `NetworkConfig.with_head` keeps a body under another head width. The grid
 rule: `QatConfig.scale` gives a tensor its pinned body scale if it has one,
 else its own live scale, for fake-quantized forwards and `snap_to_grid`.
+Quantization scales follow the same layout: `QuantInfo.scales` and
+`QatConfig.body_scales` are positional, one scale per `tensor_shapes` entry,
+and an HSNW file stores them as bare floats in that order, with no names.
 
 Networks are immutable: nothing writes into a network's arrays, so
 networks and their layers are shared, never copied, across threads too.
@@ -36,7 +39,7 @@ from .errors import ContractError, DimensionError, FormatError, ParameterError
 from .tensor import F32, Prng, matmul, ordered_axis0_sum, relu, softmax_rows
 
 NETWORK_MAGIC = b"HSNW"
-NETWORK_VERSION = 1
+NETWORK_VERSION = 2
 HEAD_TENSORS = ("head.weight", "head.bias")  # the head's (weight, bias), last in every layout
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
@@ -95,25 +98,22 @@ class QuantInfo:
     """Records that every tensor sits on its per-tensor quantization lattice."""
 
     bits: int
-    scales: tuple[tuple[str, float], ...]  # tensor name -> scale, fixed order
+    scales: tuple[float, ...]  # one per tensor_shapes entry, in that order
 
-    def scale_of(self, name: str) -> float:
-        for n, s in self.scales:
-            if n == name:
-                return s
-        raise ContractError(f"no quantization scale recorded for {name}")
+    def body_scales(self) -> tuple[float, ...]:
+        """The scales of the body tensors, in layout order."""
+        return self.scales[: -len(HEAD_TENSORS)]
 
-    def body_scales(self) -> tuple[tuple[str, float], ...]:
-        """(name, scale) of every non-head tensor, in recorded order."""
-        return tuple(s for s in self.scales if s[0] not in HEAD_TENSORS)
+    def head_scales(self) -> tuple[float, ...]:
+        """The scales of the HEAD_TENSORS, in that order."""
+        return self.scales[-len(HEAD_TENSORS) :]
 
-    def check(self, names: list[str]) -> None:
-        """FormatError unless this block has 2..8 bits and one finite,
-        positive scale for each of the tensor names, and no other."""
-        scaled = {name for name, _ in self.scales}
-        if not 2 <= self.bits <= 8 or len(self.scales) != len(names) or scaled != set(names):
-            raise FormatError(f"quantization block ({self.bits} bits) must scale each tensor exactly once")
-        if not all(math.isfinite(s) and s > 0 for _, s in self.scales):
+    def check(self) -> None:
+        """FormatError unless this block has 2..8 bits and every scale is
+        finite and positive."""
+        if not 2 <= self.bits <= 8:
+            raise FormatError(f"quantization block has {self.bits} bits, not 2..8")
+        if not all(math.isfinite(s) and s > 0 for s in self.scales):
             raise FormatError("quantization scales must be finite and positive")
 
 
@@ -269,18 +269,18 @@ def grid_indices(t: np.ndarray, scale: float, bits: int) -> np.ndarray:
 class QatConfig:
     """Fake-quantization of the weights in forward passes, and the grid rule.
 
-    body_scales pins tensors to a base network's grids (shared-grid
-    finetuning); every other tensor, the head always, gets its own live
-    scale, derived from its current values.
+    body_scales pins the body tensors, in layout order, to a base
+    network's grids (shared-grid finetuning); every other tensor, the head
+    always, gets its own live scale, derived from its current values.
     """
 
     bits: int
-    body_scales: dict[str, float] | None = None
+    body_scales: tuple[float, ...] | None = None
 
-    def scale(self, name: str, t: np.ndarray) -> float:
-        """The pinned body scale of tensor `name` if it has one, else t's live scale."""
-        if self.body_scales is not None and name in self.body_scales:
-            return self.body_scales[name]
+    def scale(self, i: int, t: np.ndarray) -> float:
+        """The pinned body scale of layout entry i if it has one, else t's live scale."""
+        if self.body_scales is not None and i < len(self.body_scales):
+            return self.body_scales[i]
         return quantize_scale(t, self.bits)
 
 
@@ -289,13 +289,13 @@ def effective_weights(net: Network, qat: QatConfig | None) -> list[np.ndarray]:
     if qat is None:
         return [layer.weight for layer in net.layers]
     return [
-        quantize_with_scale(t, qat.scale(name, t), qat.bits)
-        for name, t, is_weight in tensor_items(net)
+        quantize_with_scale(t, qat.scale(i, t), qat.bits)
+        for i, (_, t, is_weight) in enumerate(tensor_items(net))
         if is_weight
     ]
 
 
-def snap_to_grid(net: Network, bits: int, body_scales: dict[str, float] | None = None) -> Network:
+def snap_to_grid(net: Network, bits: int, body_scales: tuple[float, ...] | None = None) -> Network:
     """Project every tensor onto its integer grid and record the scales.
 
     The whole network is stored quantized, not just the weights: biases and
@@ -310,14 +310,14 @@ def snap_to_grid(net: Network, bits: int, body_scales: dict[str, float] | None =
     for delta extraction); the head always uses its own live scales
     because its shape differs from any base network.
     """
-    if body_scales is not None and set(body_scales) != {name for name, _, _ in body_items(net)}:
-        raise ContractError("body_scales must cover exactly the body tensors")
+    if body_scales is not None and len(body_scales) != len(body_items(net)):
+        raise ContractError(f"{len(body_scales)} body scales for {len(body_items(net))} body tensors")
     qat = QatConfig(bits, body_scales)
-    scales: list[tuple[str, float]] = []
+    scales: list[float] = []
     new_tensors: dict[str, np.ndarray] = {}
-    for name, t, is_weight in tensor_items(net):
-        s = qat.scale(name, t)
-        scales.append((name, s))
+    for i, (name, t, is_weight) in enumerate(tensor_items(net)):
+        s = qat.scale(i, t)
+        scales.append(s)
         q = grid_indices(t, s, bits) if is_weight else lattice_indices(t, s)
         if name.endswith(".bn_var"):
             q = np.maximum(q, 1)  # running variance must stay positive
@@ -612,9 +612,7 @@ def serialize_network(net: Network) -> bytes:
     else:
         w.u8(1)
         w.u8(net.quant.bits)
-        w.u32(len(net.quant.scales))
-        for name, s in net.quant.scales:
-            w.text(name)
+        for s in net.quant.scales:
             w.f32(s)
     write_tensors(w, [t for _, t, _ in tensor_items(net)])
     return w.finish()
@@ -628,15 +626,10 @@ def deserialize_network(data: bytes) -> Network:
     config = read_config(r)
     quant = None
     if r.u8():
-        bits = r.u8()
-        count = r.u32()
-        scales = tuple((r.text(), r.f32()) for _ in range(count))
-        quant = QuantInfo(bits, scales)
-
+        quant = QuantInfo(r.u8(), tuple(r.f32() for _ in tensor_shapes(config)))
+        quant.check()
     tensors = read_tensors(r, config)
     r.expect_end()
-    if quant is not None:
-        quant.check(list(tensors))
     return from_tensors(config, tensors, quant)
 
 

@@ -163,5 +163,5 @@ def finetune_from_super(
     if config.qat_bits is not None:
         if super_net.quant is None or super_net.quant.bits != config.qat_bits:
             raise ContractError("base network carries no matching quantization info")
-        qat = QatConfig(config.qat_bits, dict(super_net.quant.body_scales()))
+        qat = QatConfig(config.qat_bits, super_net.quant.body_scales())
     return _sgd(specialized, ds, LabelView.subclass_of(super_index), config, qat)[0]

@@ -6,6 +6,7 @@ import pytest
 
 from supersub.container import crc32c
 from supersub.data import SyntheticSpec, generate_synthetic
+from supersub.tensor import Prng
 
 
 def mini_spec(**overrides) -> SyntheticSpec:
@@ -36,6 +37,19 @@ def header_mutations(data: bytes, n: int):
     for at in range(n):
         for value in sorted({0x00, 0xFF, data[at] ^ 1} - {data[at]}):
             yield at, with_fixed_crc(data[:at] + bytes([value]) + data[at + 1 :])
+
+
+def body_mutations(data: bytes, n: int, seed: int):
+    """n mutated copies of a container, each with one to three bytes before
+    its CRC set to Prng-chosen values, half of them within the first 64
+    bytes, and the CRC-32C re-fixed so the mutation reaches the parser."""
+    rng = Prng(seed)
+    for _ in range(n):
+        mutated = bytearray(data)
+        reach = min(64, len(data) - 4) if rng.next_u64() % 2 else len(data) - 4
+        for _ in range(1 + rng.next_u64() % 3):
+            mutated[rng.next_u64() % reach] = rng.next_u64() % 256
+        yield with_fixed_crc(bytes(mutated))
 
 
 @pytest.fixture(scope="session")

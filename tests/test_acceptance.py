@@ -254,8 +254,7 @@ def test_c09_container_round_trips():
         if trial % 3 == 0:
             bits = 2 + trial % 7
             a = snap_to_grid(a, bits)
-            scales = {n: s for n, s in a.quant.scales if not n.startswith("head")}
-            b = snap_to_grid(b, bits, body_scales=scales)
+            b = snap_to_grid(b, bits, body_scales=a.quant.body_scales())
             d = compute_delta(a, b, MODE_QAT_INT, superclass_id=trial)
         else:
             d = compute_delta(a, b, MODE_FP16, superclass_id=trial)

@@ -265,8 +265,8 @@ def test_incomplete_quant_block_exits_3(qat_config_path, capsys):
 
     path = RunPaths(load_config(qat_config_path).out_dir).super_net
     base = load_network(path)
-    scales = tuple(s for s in base.quant.scales if s[0] != "layer0.weight")
-    save_network(replace(base, quant=replace(base.quant, scales=scales)), path)
+    # One scale short: every later byte of the file shifts by four.
+    save_network(replace(base, quant=replace(base.quant, scales=base.quant.scales[1:])), path)
     assert main(["--config", str(qat_config_path), "pack", "0"]) == 3
     assert "integrity" in capsys.readouterr().err
 
@@ -296,9 +296,9 @@ def test_zero_width_router_layer_exits_3(config_path, capsys, verb):
     assert "integrity" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("at", [11, 10], ids=["zero_bits", "fp16_mode"])
+@pytest.mark.parametrize("at", [10], ids=["fp16_mode"])
 def test_invalid_qat_block_in_delta_exits_3(qat_config_path, capsys, at):
-    # Zero the header's bits byte, or its mode byte (fp16 deltas carry no head scales).
+    # Zero the header's mode byte: fp16 deltas carry no head scales.
     for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["pack", "0"]):
         assert main(["--config", str(qat_config_path)] + argv) == 0
     path = RunPaths(load_config(qat_config_path).out_dir).delta_file(0)

@@ -1,11 +1,12 @@
 """Synthetic generation determinism/geometry and the dataset container."""
 
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import header_mutations, mini_spec, with_fixed_crc
+from conftest import body_mutations, header_mutations, mini_spec, with_fixed_crc
 from supersub.data import (
     Dataset,
     SyntheticSpec,
@@ -147,8 +148,8 @@ class TestDatasetContainer:
 
     def test_header_mutations_are_rejected_or_read_back(self, mini_test):
         data = serialize_dataset(mini_test)
-        # magic, version, dim, row count, subclass count, manifest length, manifest
-        manifest_end = 4 + 2 + 4 + 8 + 4 + 4 + len(mini_test.manifest.to_json())
+        # magic, version, dim, row count, manifest length, manifest
+        manifest_end = 4 + 2 + 4 + 8 + 4 + len(mini_test.manifest.to_json())
         rejected = 0
         for _, mutated in header_mutations(data, manifest_end):
             with warnings.catch_warnings():
@@ -162,6 +163,40 @@ class TestDatasetContainer:
             assert np.array_equal(ds.sub_labels, mini_test.sub_labels)
             assert serialize_dataset(deserialize_dataset(serialize_dataset(ds))) == serialize_dataset(ds)
         assert rejected
+
+    def test_body_mutations_are_rejected_or_read_back(self, mini_test):
+        data = serialize_dataset(mini_test)
+        outcomes = {"rejected": 0, "read_back": 0}
+        for mutated in body_mutations(data, 300, seed=0xB0D2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    ds = deserialize_dataset(mutated)
+                except FormatError:
+                    outcomes["rejected"] += 1
+                    continue
+            assert serialize_dataset(deserialize_dataset(serialize_dataset(ds))) == serialize_dataset(ds)
+            outcomes["read_back"] += 1
+        assert outcomes["rejected"] and outcomes["read_back"], outcomes
+
+    @pytest.mark.parametrize("n_rows", [2**40, 2**63, 2**64 - 1])
+    def test_row_count_past_the_file_is_format_error(self, mini_test, n_rows):
+        # With dim 0 the features take no bytes, so only the labels bound n_rows.
+        data = serialize_dataset(mini_test)
+        with pytest.raises(FormatError, match="truncated"):
+            deserialize_dataset(with_fixed_crc(data[:6] + struct.pack("<IQ", 0, n_rows) + data[18:]))
+
+    def test_header_holds_no_subclass_count(self, mini_test):
+        # magic, version, dim, row count, then the manifest's length prefix
+        data = serialize_dataset(mini_test)
+        manifest = mini_test.manifest.to_json().encode("utf-8")
+        assert data[6:22] == struct.pack("<IQI", mini_test.dim, mini_test.n_rows, len(manifest))
+        assert data[22 : 22 + len(manifest)] == manifest
+
+    def test_version_1_file_is_format_error(self, mini_test):
+        data = serialize_dataset(mini_test)
+        with pytest.raises(FormatError, match="unsupported version 1"):
+            deserialize_dataset(with_fixed_crc(data[:4] + (1).to_bytes(2, "little") + data[6:]))
 
     def test_empty_dataset_round_trips(self):
         manifest = make_manifest([("A", ["a1", "a2"]), ("B", ["b1", "b2"])])

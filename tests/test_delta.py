@@ -42,6 +42,8 @@ from supersub.network import (
 from supersub.tensor import F32, Prng
 from supersub.train import LabelView, TrainConfig, finetune_from_super, train
 
+HEADER = 15  # magic, version, superclass id, mode, base fingerprint; then the DEFLATE stream
+
 
 def build_net(head=3, seed=0, batchnorm=True, dims=(8, 12, 12)):
     config = uniform_config(dims[0], list(dims[1:]), head, batchnorm)
@@ -55,7 +57,7 @@ def overflowing_shape_pack(data: bytes) -> bytes:
     section = Writer()
     write_config(section, NetworkConfig((8, 2**32 - 1, 2), (False,)))
     section.raw(bytes(8))
-    return with_fixed_crc(data[:16] + deflate(section.body()) + bytes(4))
+    return with_fixed_crc(data[:HEADER] + deflate(section.body()) + bytes(4))
 
 
 def trailing_junk_pack(data: bytes) -> bytes:
@@ -206,7 +208,7 @@ class TestPackUnpack:
         # config header, the qat-int head scales, and the raw payloads.
         base, specialist = request.getfixturevalue(pair)
         d = compute_delta(base, specialist, mode)
-        section = inflate(pack(d).data[16:-4])
+        section = inflate(pack(d).data[HEADER:-4])
         header = Writer()
         write_config(header, specialist.config())
         n_scales = len(HEAD_TENSORS) if mode == MODE_QAT_INT else 0
@@ -214,6 +216,27 @@ class TestPackUnpack:
         payload = sum(t.size * (2 if i < n_body else 4) for i, t in enumerate(d.tensors))
         assert section.startswith(header.body())
         assert len(section) == len(header.body()) + 4 * n_scales + payload
+
+    def test_raw_size_counts_the_inflated_section(self, qat_pair):
+        base, specialist = qat_pair
+        packed = pack(compute_delta(base, specialist, MODE_QAT_INT))
+        assert packed.raw_size == HEADER + len(inflate(packed.data[HEADER:-4])) + 4
+        assert packed.packed_size == len(packed.data)
+
+    def test_no_tensor_name_is_stored(self, qat_pair):
+        # Names live in network.py's layout only: neither a qat network file
+        # nor a pack's inflated section spells one.
+        base, specialist = qat_pair
+        section = inflate(pack(compute_delta(base, specialist, MODE_QAT_INT)).data[HEADER:-4])
+        names = {name for net in qat_pair for name, _ in tensor_shapes(net.config())}
+        for blob in (serialize_network(base), serialize_network(specialist), section):
+            assert not [name for name in names if name.encode("utf-8") in blob]
+
+    def test_version_2_pack_is_format_error(self, qat_pair):
+        base, specialist = qat_pair
+        data = pack(compute_delta(base, specialist, MODE_QAT_INT)).data
+        with pytest.raises(FormatError, match="unsupported version 2"):
+            unpack(with_fixed_crc(data[:4] + (2).to_bytes(2, "little") + data[6:]))
 
     def test_version_1_pack_is_format_error(self, plain_pair):
         base, specialist = plain_pair
@@ -336,16 +359,14 @@ class TestReconstruct:
 
     @pytest.mark.parametrize(
         "edit",
-        ["zero_bits", "other_bits", "fp16_mode", "no_head_scales", "missing_head_scale",
+        ["fp16_mode", "no_head_scales", "missing_head_scale",
          "duplicate_head_scale", "zero_head_scale", "nan_head_scale"],
     )
     def test_qat_quantization_block_must_be_valid(self, qat_pair, edit):
         base, specialist = qat_pair
         d = compute_delta(base, specialist, MODE_QAT_INT)
         w_scale, bias_scale = d.head_scales
-        if edit.endswith("_bits"):
-            d = replace(d, qat_bits=0 if edit == "zero_bits" else 7)
-        elif edit == "fp16_mode":
+        if edit == "fp16_mode":
             d = replace(d, mode=MODE_FP16)
         else:
             d = replace(d, head_scales={
@@ -363,7 +384,7 @@ class TestReconstruct:
         data = pack(compute_delta(base, specialist, MODE_QAT_INT, superclass_id=1)).data
         fingerprint = base_fingerprint_of(base)
         rejected = 0
-        for at, mutated in header_mutations(data, 16):
+        for at, mutated in header_mutations(data, HEADER):
             superclass_byte = 6 <= at < 10
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -384,7 +405,7 @@ class TestReconstruct:
         # of them in the config header and head scales, to Prng-chosen values.
         base, specialist = request.getfixturevalue(pair)
         data = pack(compute_delta(base, specialist, mode, superclass_id=1)).data
-        section = inflate(data[16:-4])
+        section = inflate(data[HEADER:-4])
         fingerprint = base_fingerprint_of(base)
         rng = Prng(0x5EC7 + len(mode))
         outcomes = {"rejected": 0, "read_back": 0}
@@ -393,7 +414,7 @@ class TestReconstruct:
             reach = 32 if rng.next_u64() % 2 else len(section)
             for _ in range(1 + rng.next_u64() % 3):
                 mutated[rng.next_u64() % reach] = rng.next_u64() % 256
-            blob = with_fixed_crc(data[:16] + deflate(bytes(mutated)) + bytes(4))
+            blob = with_fixed_crc(data[:HEADER] + deflate(bytes(mutated)) + bytes(4))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import header_mutations, with_fixed_crc
+from conftest import body_mutations, header_mutations, with_fixed_crc
 from supersub.container import Writer
 from supersub.delta import MODE_QAT_INT, base_fingerprint_of, compute_delta, pack, reconstruct, unpack
 from supersub.errors import ContractError, DimensionError, FormatError, ParameterError
@@ -36,6 +36,7 @@ from supersub.network import (
     snap_to_grid,
     tensor_items,
     uniform_config,
+    write_config,
 )
 from supersub.tensor import F32, Prng, gaussian_array
 
@@ -296,10 +297,9 @@ class TestSnapAndEffectiveWeights:
         snapped = snap_to_grid(net, 8)
         assert snapped.quant is not None
         assert snapped.quant.bits == 8
-        # one scale per tensor: 2 weights, 2 biases, 4 bn tensors
+        # one scale per tensor, in layout order: 2 weights, 2 biases, 4 bn tensors
         assert len(snapped.quant.scales) == 8
-        for name, t, is_weight in tensor_items(snapped):
-            s = snapped.quant.scale_of(name)
+        for (_, t, is_weight), s in zip(tensor_items(snapped), snapped.quant.scales, strict=True):
             if is_weight:
                 assert np.array_equal(quantize_with_scale(t, s, 8), t)
 
@@ -311,11 +311,11 @@ class TestSnapAndEffectiveWeights:
     def test_shared_body_scales_pinned(self):
         base = snap_to_grid(small_net((4, 6, 3), seed=14), 8)
         net = small_net((4, 6, 5), seed=15)
-        qat = QatConfig(8, dict(base.quant.body_scales()))
+        qat = QatConfig(8, base.quant.body_scales())
         body_w, head_w = effective_weights(net, qat)
-        # The body weight sits on the base's pinned grid, the head on its own.
-        pinned = base.quant.scale_of("layer0.weight")
-        assert qat.scale("layer0.weight", net.layers[0].weight) == pinned
+        # The body weight (layout entry 0) sits on the base's pinned grid, the head on its own.
+        pinned = base.quant.scales[0]
+        assert qat.scale(0, net.layers[0].weight) == pinned
         assert np.array_equal(body_w, quantize_with_scale(net.layers[0].weight, pinned, 8))
         assert np.array_equal(head_w, own_grid(net.layers[1].weight, 8))
 
@@ -323,12 +323,20 @@ class TestSnapAndEffectiveWeights:
 def plain_network_bytes(dims) -> bytes:
     """An HSNW file of all-zero tensors with these layer dims, written field by
     field (so any dims), with no batch norm and no quantization block."""
-    w = Writer().raw(b"HSNW").u16(1).u32(len(dims))
+    w = Writer().raw(b"HSNW").u16(2).u32(len(dims))
     for dim in dims:
         w.u32(dim)
     w.raw(bytes(len(dims) - 2)).u8(0)
     n_values = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims, dims[1:]))
     return w.raw(bytes(4 * n_values)).finish()
+
+
+def quant_block_at(config: NetworkConfig) -> int:
+    """Offset of an HSNW file's quantization flag: after the magic, the
+    version and the config header."""
+    header = Writer()
+    write_config(header, config)
+    return 6 + len(header.body())
 
 
 class TestNetworkContainer:
@@ -350,16 +358,23 @@ class TestNetworkContainer:
         with pytest.raises(FormatError):
             deserialize_network(bytes(blob))
 
-    def test_non_utf8_scale_name_is_format_error(self):
-        blob = bytearray(serialize_network(snap_to_grid(small_net((4, 6, 3), seed=22), 8)))
-        at = blob.index(b"layer0.weight")
-        blob[at] = 0xFF
-        with pytest.raises(FormatError) as err:
-            deserialize_network(with_fixed_crc(bytes(blob)))
-        assert err.value.offset == at
+    def test_version_1_file_is_format_error(self):
+        data = serialize_network(snap_to_grid(small_net((4, 6, 3), seed=22), 8))
+        with pytest.raises(FormatError, match="unsupported version 1"):
+            deserialize_network(with_fixed_crc(data[:4] + (1).to_bytes(2, "little") + data[6:]))
+
+    def test_no_tensor_name_or_scale_count_is_stored(self):
+        # The quantization block is the flag, the bits, then one f32 per
+        # tensor_shapes entry in layout order: no count and no names.
+        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=22), 8)
+        data = serialize_network(net)
+        at = quant_block_at(net.config())
+        block = bytes([1, 8]) + struct.pack(f"<{len(net.quant.scales)}f", *net.quant.scales)
+        assert data[at : at + len(block)] == block
+        assert len(data) == at + len(block) + 4 * parameter_count(net) + 4
 
     def test_overflowing_dims_are_format_error(self):
-        w = Writer().raw(b"HSNW").u16(1).u32(3)
+        w = Writer().raw(b"HSNW").u16(2).u32(3)
         for dim in (2**32 - 1, 2**32 - 1, 2):
             w.u32(dim)
         w.u8(0).u8(0)  # no batch-norm, no quant block
@@ -367,21 +382,19 @@ class TestNetworkContainer:
             deserialize_network(w.finish())
 
     @pytest.mark.parametrize(
-        "edit", ["missing_name", "duplicate_name", "bits_1", "bits_9", "zero_scale", "negative_scale", "nan_scale"]
+        "edit", ["one_short", "one_extra", "bits_1", "bits_9", "zero_scale", "negative_scale", "nan_scale"]
     )
     def test_quant_block_must_scale_every_tensor_once(self, edit):
-        blob = bytearray(serialize_network(snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=22), 8)))
-        name = blob.index(b"layer0.weight")
-        scale = name + len(b"layer0.weight")
-        count = name - 8  # u32 scale count, then the name's u32 length prefix
-        if edit == "missing_name":
-            blob[count : count + 4] = struct.pack("<I", struct.unpack_from("<I", blob, count)[0] - 1)
-            del blob[name - 4 : scale + 4]
-        elif edit == "duplicate_name":
-            at = blob.index(b"layer0.bn_var")
-            blob[at : at + len(b"layer0.bn_var")] = b"layer0.weight"
+        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=22), 8)
+        blob = bytearray(serialize_network(net))
+        bits = quant_block_at(net.config()) + 1
+        scale = bits + 1  # the first scale, layer0.weight's
+        if edit == "one_short":
+            del blob[scale : scale + 4]
+        elif edit == "one_extra":
+            blob[scale:scale] = blob[scale : scale + 4]
         elif edit.startswith("bits_"):
-            blob[count - 1] = int(edit[5:])
+            blob[bits] = int(edit[5:])
         else:
             value = {"zero_scale": 0.0, "negative_scale": -1.0, "nan_scale": math.nan}[edit]
             blob[scale : scale + 4] = struct.pack("<f", value)
@@ -394,9 +407,11 @@ class TestNetworkContainer:
             deserialize_network(plain_network_bytes(dims))
 
     def test_header_mutations_are_rejected_or_read_back(self):
-        data = serialize_network(snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=23), 8))
+        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=23), 8)
+        data = serialize_network(net)
         rejected = 0
-        for _, mutated in header_mutations(data, data.index(b"layer0.weight")):
+        # The header runs through the quantization block: flag, bits, scales.
+        for _, mutated in header_mutations(data, quant_block_at(net.config()) + 2 + 4 * len(net.quant.scales)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
@@ -406,6 +421,21 @@ class TestNetworkContainer:
                     continue
             assert serialize_network(deserialize_network(serialize_network(net))) == serialize_network(net)
         assert rejected
+
+    def test_body_mutations_are_rejected_or_read_back(self):
+        data = serialize_network(snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=24), 8))
+        outcomes = {"rejected": 0, "read_back": 0}
+        for mutated in body_mutations(data, 300, seed=0xB0D1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    net = deserialize_network(mutated)
+                except FormatError:
+                    outcomes["rejected"] += 1
+                    continue
+            assert serialize_network(deserialize_network(serialize_network(net))) == serialize_network(net)
+            outcomes["read_back"] += 1
+        assert outcomes["rejected"] and outcomes["read_back"], outcomes
 
     def test_truncation_detected(self):
         blob = serialize_network(small_net(seed=1))

@@ -150,8 +150,8 @@ class TestFinetune:
         base, _ = train(base0, mini_train, LabelView.superclass(), tcfg(27, epochs=3, qat_bits=8))
         tuned = finetune_from_super(base, 0, mini_train, tcfg(28, epochs=3, qat_bits=8))
         # Body grids are pinned to the base's scales during the finetune.
-        qat = QatConfig(8, dict(base.quant.body_scales()))
-        body = [base.quant.scale_of(name) for name, _, is_weight in body_items(base) if is_weight]
+        qat = QatConfig(8, base.quant.body_scales())
+        body = [s for (_, _, is_weight), s in zip(body_items(base), base.quant.body_scales()) if is_weight]
         for w, scale in zip(effective_weights(tuned, qat)[:-1], body, strict=True):
             assert np.array_equal(quantize_with_scale(w, scale, 8), w)
 

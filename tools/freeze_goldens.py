@@ -55,7 +55,13 @@ def print_changes(old: dict, new: dict) -> None:
 
 
 def main() -> int:
-    base = Path(tempfile.mkdtemp(prefix="golden_freeze_"))
+    # The run directories are scratch: removed when the run ends, failed or not.
+    with tempfile.TemporaryDirectory(prefix="golden_freeze_") as tmp:
+        return freeze(Path(tmp))
+
+
+def freeze(base: Path) -> int:
+    """Run the golden pipeline into base and freeze its values."""
     runs = run_golden(base)
 
     fp16 = {mode: res.report.macro_accuracy for mode, res in runs["fp16"].results.items()}
