@@ -49,13 +49,13 @@ from .network import (
     Network,
     NetworkConfig,
     QuantInfo,
-    body_items,
-    from_tensors,
+    exact_lattice_indices,
     lattice_indices,
     read_config,
     read_tensors,
     serialize_network,
     tensor_items,
+    tensor_shapes,
     write_config,
     write_tensors,
 )
@@ -108,8 +108,8 @@ def compute_delta(base: Network, sub: Network, mode: str, superclass_id: int = 0
     """Extract the specialist's difference against the base network."""
     if mode not in _MODE_CODES:
         raise ParameterError(f"unknown delta mode {mode!r}")
-    if base.config().with_head(sub.head_dim) != sub.config():
-        raise ContractError(f"specialist {sub.config()} does not share the base's body {base.config()}")
+    if base.config.with_head(sub.head_dim) != sub.config:
+        raise ContractError(f"specialist {sub.config} does not share the base's body {base.config}")
     fingerprint = base_fingerprint_of(base)
 
     head_scales = None
@@ -136,12 +136,12 @@ def compute_delta(base: Network, sub: Network, mode: str, superclass_id: int = 0
             if diff.size and max(abs(int(diff.max())), abs(int(diff.min()))) > 32767:
                 raise DeltaModeError(f"grid delta for {name} overflows int16")
             tensors.append(diff.astype(np.int16))
-    return DeltaPack(superclass_id, mode, fingerprint, sub.config(), tuple(tensors), head_scales)
+    return DeltaPack(superclass_id, mode, fingerprint, sub.config, tuple(tensors), head_scales)
 
 
 def _exact_grid(t: np.ndarray, scale: float, what: str) -> np.ndarray:
-    q = lattice_indices(t, scale)
-    if not np.array_equal((q.astype(F32) * F32(scale)).astype(F32), t):
+    q = exact_lattice_indices(t, scale)
+    if q is None:
         raise DeltaModeError(f"{what} is not on the shared quantization grid")
     return q
 
@@ -186,7 +186,7 @@ def unpack(data: bytes) -> DeltaPack:
     section = Reader(inflate(body[r.pos :]))
     config = read_config(section)
     head_scales = tuple(section.f32() for _ in HEAD_TENSORS) if mode == MODE_QAT_INT else None
-    tensors = tuple(read_tensors(section, config, _BODY_DTYPES[mode]).values())
+    tensors = read_tensors(section, config, _BODY_DTYPES[mode])
     section.expect_end()
     return DeltaPack(superclass_id, mode, fingerprint, config, tensors, head_scales)
 
@@ -204,9 +204,10 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int, superclass_i
     which reproduces the stored specialist bit for bit. No pack computed
     against this base holds another superclass, a config that does not
     share the base's body, a qat-int mode for a base without grids, head
-    scales that are not finite and positive, or a delta that rebuilds to
-    NaN or infinity, so each is a FormatError. A qat-int specialist takes
-    its bits and body scales from the base.
+    scales that are not finite and positive, a qat-int head off the
+    lattice of its scale, or a delta that rebuilds to NaN or infinity, so
+    each is a FormatError, as the HSNW reader would find it in the rebuilt
+    file. A qat-int specialist takes its bits and body scales from the base.
     """
     if base_fingerprint != d.base_fingerprint:
         raise BaseMismatchError(
@@ -217,38 +218,36 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int, superclass_i
         raise FormatError(f"delta holds superclass {d.superclass_id}, not {superclass_id}")
     if d.mode == MODE_QAT_INT and base.quant is None:
         raise FormatError("qat-int pack needs a base with quantization grids")
-    if d.config.with_head(base.head_dim) != base.config():
-        raise FormatError(f"delta holds specialist {d.config}, which does not share the base's body {base.config()}")
+    if d.config.with_head(base.head_dim) != base.config:
+        raise FormatError(f"delta holds specialist {d.config}, which does not share the base's body {base.config}")
 
     quant = None
     if d.mode == MODE_QAT_INT:
         quant = QuantInfo(base.quant.bits, (*base.quant.body_scales(), *d.head_scales))
         quant.check()
-    rebuilt = dict(zip(HEAD_TENSORS, d.tensors[-len(HEAD_TENSORS):]))
+    rebuilt = []
     # A corrupt delta (a signalling NaN, a sum past float32) rebuilds to
     # NaN or infinity, which the check below rejects, not to a warning.
     with np.errstate(invalid="ignore", over="ignore"):
-        for i, ((name, t_base, _), delta) in enumerate(zip(body_items(base), d.tensors)):
+        for i, (t_base, delta) in enumerate(zip(base.tensors[: -len(HEAD_TENSORS)], d.tensors)):
             if quant is None:
-                rebuilt[name] = (t_base + delta.astype(F32)).astype(F32)
+                rebuilt.append((t_base + delta.astype(F32)).astype(F32))
             else:
                 s = quant.scales[i]
                 q_new = lattice_indices(t_base, s) + delta.astype(np.int32)
-                rebuilt[name] = (q_new.astype(F32) * F32(s)).astype(F32)
-    for name, t in rebuilt.items():
+                rebuilt.append((q_new.astype(F32) * F32(s)).astype(F32))
+    rebuilt += d.tensors[-len(HEAD_TENSORS) :]
+    for (name, _), t in zip(tensor_shapes(d.config), rebuilt):
         if not np.isfinite(t).all():
             raise FormatError(f"delta tensor {name} rebuilds to non-finite values")
-    return from_tensors(d.config, rebuilt, quant)
+    if quant is not None:
+        for name, t, s in zip(HEAD_TENSORS, rebuilt[-len(HEAD_TENSORS) :], quant.head_scales()):
+            if exact_lattice_indices(t, s) is None:
+                raise FormatError(f"delta tensor {name} is off the lattice of its head scale")
+    return Network(d.config, tuple(rebuilt), quant)
 
 
 # --- reporting helpers --------------------------------------------------------
-
-
-def compression_ratio(packed: PackedDelta, reference_model_bytes: int) -> float:
-    """Packed bytes over the matching-precision specialist model bytes."""
-    if reference_model_bytes <= 0:
-        raise ParameterError(f"reference size must be > 0, got {reference_model_bytes}")
-    return packed.packed_size / reference_model_bytes
 
 
 def quantized_network_bytes(net: Network) -> int:
@@ -259,6 +258,6 @@ def quantized_network_bytes(net: Network) -> int:
     (per-tensor scales are already carried in the header's quant block).
     """
     full = len(serialize_network(net))
-    weight_elems = sum(layer.weight.size for layer in net.layers)
+    weight_elems = sum(t.size for _, t, is_weight in tensor_items(net) if is_weight)
     return full - 3 * weight_elems
 

@@ -381,10 +381,10 @@ def cmd_pack(config: ExperimentConfig, super_index: int) -> tuple[Path, str]:
     packed = delta_mod.pack(pack)
     paths.delta_file(super_index).write_bytes(packed.data)
     reference, kind = pack_reference_bytes(config, specialist)
-    ratio = delta_mod.compression_ratio(packed, reference)
+    row = report_mod.CompressionRow(str(super_index), config.delta_mode, packed.packed_size, reference, kind)
     summary = (
         f"superclass {super_index}: raw {packed.raw_size} packed {packed.packed_size} "
-        f"reference {reference} ({kind}) ratio {ratio:.4f}"
+        f"reference {reference} ({kind}) ratio {row.ratio:.4f}"
     )
     return paths.delta_file(super_index), summary
 

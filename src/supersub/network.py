@@ -4,23 +4,31 @@ Hidden layers are dense -> optional batch-norm -> relu; the head is a bare
 dense layer feeding a softmax cross-entropy loss. All math runs through the
 fixed-order float32 kernels in tensor.py so training is bit-reproducible.
 
+A Network is its tensor layout: a config and one array per
+`tensor_shapes(config)` entry, in that order, plus the quantization block
+if it was snapped. The constructor checks the count, every shape and one
+scale per tensor, and the layer-walking code here reads the tuple through
+one private generator, `_layers`.
+
 Only this module knows three rules; other modules ask it. The tensor
 layout: `tensor_shapes(config)` names every tensor and its shape in file
-order, for `tensor_items`, `from_tensors`, and `write_tensors` and
+order, for `Network`, `tensor_items`, and `write_tensors` and
 `read_tensors`, which with `write_config` and `read_config` give the HSNW
 and HSDL containers one config header and one payload order. The
 body/head split: the head is `HEAD_TENSORS`, the body `body_items`, and
 `NetworkConfig.with_head` keeps a body under another head width. The grid
 rule: `QatConfig.scale` gives a tensor its pinned body scale if it has one,
-else its own live scale, for fake-quantized forwards and `snap_to_grid`.
+else its own live scale, for fake-quantized forwards and `snap_to_grid`;
+`exact_lattice_indices` is the one test that a tensor sits on the lattice
+of its scale, for the HSNW reader and qat-int deltas alike.
 Quantization scales follow the same layout: `QuantInfo.scales` and
 `QatConfig.body_scales` are positional, one scale per `tensor_shapes` entry,
 and an HSNW file stores them as bare floats in that order, with no names.
 
 Networks are immutable: nothing writes into a network's arrays, so
-networks and their layers are shared, never copied, across threads too.
+networks and their tensors are shared, never copied, across threads too.
 A gradient is a Network as well: backward returns one with the network's
-own layer layout, and sgd_step pairs the two layer by layer. Batch-norm
+own config, and sgd_step is one zip over the two tensor tuples. Batch-norm
 running statistics are returned inside the forward cache and committed by
 the training loop, not by forward itself.
 """
@@ -79,21 +87,6 @@ def uniform_config(input_dim: int, hidden_dims: list[int], head_dim: int, batchn
 
 
 @dataclass(frozen=True)
-class BatchNormParams:
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-
-
-@dataclass(frozen=True)
-class LayerParams:
-    weight: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
-    bn: BatchNormParams | None
-
-
-@dataclass(frozen=True)
 class QuantInfo:
     """Records that every tensor sits on its per-tensor quantization lattice."""
 
@@ -119,62 +112,66 @@ class QuantInfo:
 
 @dataclass(frozen=True)
 class Network:
-    layers: tuple[LayerParams, ...]  # hidden layers then head (head has bn=None)
+    """A network is its tensor layout: one array per `tensor_shapes(config)`
+    entry, in that order, and the quantization block if it was snapped."""
+
+    config: NetworkConfig
+    tensors: tuple[np.ndarray, ...]
     quant: QuantInfo | None = None
+
+    def __post_init__(self):
+        shapes = tensor_shapes(self.config)
+        if len(self.tensors) != len(shapes):
+            raise ContractError(f"{len(self.tensors)} tensors for the {len(shapes)} of {self.config}")
+        for (name, shape), t in zip(shapes, self.tensors):
+            if t.shape != shape:
+                raise ContractError(f"{name}: got shape {t.shape}, the config needs shape {shape}")
+        if self.quant is not None and len(self.quant.scales) != len(shapes):
+            raise ContractError(f"{len(self.quant.scales)} quantization scales for {len(shapes)} tensors")
 
     @property
     def head_dim(self) -> int:
-        return self.layers[-1].weight.shape[0]
+        return self.config.head_dim
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weight.shape[1]
+        return self.config.input_dim
 
-    def config(self) -> NetworkConfig:
-        dims = [self.input_dim] + [layer.weight.shape[0] for layer in self.layers]
-        flags = tuple(layer.bn is not None for layer in self.layers[:-1])
-        return NetworkConfig(tuple(dims), flags)
+
+def _layers(net: Network):
+    """(weight, bias, (gamma, beta, running mean, running var) or None) of
+    each layer, hidden layers first and the head last."""
+    ts, i = net.tensors, 0
+    for has_bn in (*net.config.batchnorm, False):
+        yield ts[i], ts[i + 1], ts[i + 2 : i + 6] if has_bn else None
+        i += 6 if has_bn else 2
 
 
 def init_network(config: NetworkConfig, seed: int) -> Network:
     """He-initialized weights, zero biases, identity batch-norm, stats (0, 1)."""
     rng = Prng(seed)
-    layers = []
-    n_layers = len(config.layer_dims) - 1
-    for i in range(n_layers):
-        fan_in = config.layer_dims[i]
-        fan_out = config.layer_dims[i + 1]
+    tensors = []
+    dims = config.layer_dims
+    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
         sigma = (2.0 / fan_in) ** 0.5
-        weight = tensor.gaussian_array(rng, (fan_out, fan_in), 0.0, sigma)
-        bias = np.zeros(fan_out, dtype=F32)
-        bn = None
-        if i < n_layers - 1 and config.batchnorm[i]:
-            bn = BatchNormParams(
-                gamma=np.ones(fan_out, dtype=F32),
-                beta=np.zeros(fan_out, dtype=F32),
-                running_mean=np.zeros(fan_out, dtype=F32),
-                running_var=np.ones(fan_out, dtype=F32),
-            )
-        layers.append(LayerParams(weight, bias, bn))
-    return Network(tuple(layers))
+        tensors += [tensor.gaussian_array(rng, (fan_out, fan_in), 0.0, sigma), np.zeros(fan_out, dtype=F32)]
+        if i < len(config.batchnorm) and config.batchnorm[i]:
+            ones, zeros = np.ones(fan_out, dtype=F32), np.zeros(fan_out, dtype=F32)
+            tensors += [ones, zeros, zeros, ones]
+    return Network(config, tuple(tensors))
 
 
 def replace_head(net: Network, head_dim: int, seed: int) -> Network:
-    """Body layers kept bit-exact; head reinitialized at the new width."""
-    body = net.layers[:-1]
-    fan_in = net.layers[-1].weight.shape[1]
+    """Body tensors kept bit-exact; head reinitialized at the new width."""
+    fan_in = net.config.layer_dims[-2]
     rng = Prng(seed)
     sigma = (2.0 / fan_in) ** 0.5
-    head = LayerParams(
-        tensor.gaussian_array(rng, (head_dim, fan_in), 0.0, sigma),
-        np.zeros(head_dim, dtype=F32),
-        None,
-    )
-    return Network((*body, head), None)
+    head = (tensor.gaussian_array(rng, (head_dim, fan_in), 0.0, sigma), np.zeros(head_dim, dtype=F32))
+    return Network(net.config.with_head(head_dim), (*net.tensors[: -len(HEAD_TENSORS)], *head))
 
 
 def parameter_count(net: Network) -> int:
-    return sum(t.size for _, t, _ in tensor_items(net))
+    return sum(t.size for t in net.tensors)
 
 
 def network_bytes(net: Network) -> int:
@@ -199,38 +196,12 @@ def tensor_shapes(config: NetworkConfig) -> tuple[tuple[str, tuple[int, ...]], .
 
 def tensor_items(net: Network) -> list[tuple[str, np.ndarray, bool]]:
     """(name, tensor, is_weight) for every tensor, in tensor_shapes order."""
-    tensors = []
-    for layer in net.layers:
-        tensors += [layer.weight, layer.bias]
-        if layer.bn is not None:
-            tensors += [layer.bn.gamma, layer.bn.beta, layer.bn.running_mean, layer.bn.running_var]
-    shapes = tensor_shapes(net.config())
-    return [(name, t, name.endswith(".weight")) for (name, _), t in zip(shapes, tensors)]
+    return [(name, t, name.endswith(".weight")) for (name, _), t in zip(tensor_shapes(net.config), net.tensors)]
 
 
 def body_items(net: Network) -> list[tuple[str, np.ndarray, bool]]:
     """tensor_items without the HEAD_TENSORS."""
     return tensor_items(net)[: -len(HEAD_TENSORS)]
-
-
-def from_tensors(
-    config: NetworkConfig, tensors: dict[str, np.ndarray], quant: QuantInfo | None = None
-) -> Network:
-    """Inverse of tensor_items: the network of this config holding these tensors."""
-    ordered = []
-    for name, shape in tensor_shapes(config):
-        t = tensors.get(name)
-        if t is None or t.shape != shape:
-            got = "nothing" if t is None else f"shape {t.shape}"
-            raise ContractError(f"{name}: got {got}, the config needs shape {shape}")
-        ordered.append(t)
-    it = iter(ordered)
-    layers = []
-    for has_bn in (*config.batchnorm, False):
-        weight, bias = next(it), next(it)
-        bn = BatchNormParams(next(it), next(it), next(it), next(it)) if has_bn else None
-        layers.append(LayerParams(weight, bias, bn))
-    return Network(tuple(layers), quant)
 
 
 # --- quantization -----------------------------------------------------------
@@ -259,6 +230,19 @@ def lattice_indices(t: np.ndarray, scale: float) -> np.ndarray:
     return q.astype(np.int32)
 
 
+def exact_lattice_indices(t: np.ndarray, scale) -> np.ndarray | None:
+    """t's lattice indices if every element of t sits exactly on the lattice
+    of its scale, else None: the one grid test, shared by the HSNW reader
+    and qat-int deltas. scale is one float, or an array of one scale per
+    element of t. t must be finite. An element more than 2**30 steps out
+    counts as off the lattice, so its index never overflows int32."""
+    s = F32(scale)
+    if not (np.abs(t) * F32(2.0**-30) <= s).all():  # exact, and cannot overflow
+        return None
+    q = lattice_indices(t, scale)
+    return q if (q.astype(F32) * s == t).all() else None
+
+
 def grid_indices(t: np.ndarray, scale: float, bits: int) -> np.ndarray:
     """Integer grid coordinates of each element, clamped to the bit range."""
     qmax = (1 << (bits - 1)) - 1
@@ -284,10 +268,8 @@ class QatConfig:
         return quantize_scale(t, self.bits)
 
 
-def effective_weights(net: Network, qat: QatConfig | None) -> list[np.ndarray]:
-    """Weights as seen by forward passes: masters, or their grid projections."""
-    if qat is None:
-        return [layer.weight for layer in net.layers]
+def effective_weights(net: Network, qat: QatConfig) -> list[np.ndarray]:
+    """Weights as seen by fake-quantized forward passes: their grid projections."""
     return [
         quantize_with_scale(t, qat.scale(i, t), qat.bits)
         for i, (_, t, is_weight) in enumerate(tensor_items(net))
@@ -314,15 +296,15 @@ def snap_to_grid(net: Network, bits: int, body_scales: tuple[float, ...] | None 
         raise ContractError(f"{len(body_scales)} body scales for {len(body_items(net))} body tensors")
     qat = QatConfig(bits, body_scales)
     scales: list[float] = []
-    new_tensors: dict[str, np.ndarray] = {}
+    tensors: list[np.ndarray] = []
     for i, (name, t, is_weight) in enumerate(tensor_items(net)):
         s = qat.scale(i, t)
         scales.append(s)
         q = grid_indices(t, s, bits) if is_weight else lattice_indices(t, s)
         if name.endswith(".bn_var"):
             q = np.maximum(q, 1)  # running variance must stay positive
-        new_tensors[name] = (q.astype(F32) * F32(s)).astype(F32)
-    return from_tensors(net.config(), new_tensors, QuantInfo(bits, tuple(scales)))
+        tensors.append((q.astype(F32) * F32(s)).astype(F32))
+    return Network(net.config, tuple(tensors), QuantInfo(bits, tuple(scales)))
 
 
 # --- forward / backward ------------------------------------------------------
@@ -365,14 +347,17 @@ def forward(
             f"batch shape {batch.shape} does not match input dim {net.input_dim}"
         )
     m = batch.shape[0]
-    weights = effective_weights(net, qat)
+    grid = None if qat is None else effective_weights(net, qat)
+    weights: list[np.ndarray] = []
     caches: list[LayerCache] = []
     a = batch
-    for i, layer in enumerate(net.layers):
-        z = matmul(a, weights[i].T) + layer.bias
-        is_head = i == len(net.layers) - 1
+    head = len(net.config.layer_dims) - 2
+    for i, (weight, bias, bn) in enumerate(_layers(net)):
+        weights.append(weight if grid is None else grid[i])
+        z = matmul(a, weights[i].T) + bias
         xhat = sigma = bn_update = None
-        if layer.bn is not None:
+        if bn is not None:
+            gamma, beta, running_mean, running_var = bn
             if training:
                 if m < 2:
                     raise ContractError("batch-norm training needs batch size >= 2")
@@ -381,15 +366,15 @@ def forward(
                 var = ordered_axis0_sum(centered * centered) / F32(m)
                 sigma = np.sqrt(var + F32(BN_EPSILON))
                 xhat = centered / sigma
-                new_mean = F32(BN_MOMENTUM) * layer.bn.running_mean + F32(1 - BN_MOMENTUM) * mu
-                new_var = F32(BN_MOMENTUM) * layer.bn.running_var + F32(1 - BN_MOMENTUM) * var
+                new_mean = F32(BN_MOMENTUM) * running_mean + F32(1 - BN_MOMENTUM) * mu
+                new_var = F32(BN_MOMENTUM) * running_var + F32(1 - BN_MOMENTUM) * var
                 bn_update = (new_mean, new_var)
             else:
-                sigma = np.sqrt(layer.bn.running_var + F32(BN_EPSILON))
-                xhat = (z - layer.bn.running_mean) / sigma
-            z = layer.bn.gamma * xhat + layer.bn.beta
+                sigma = np.sqrt(running_var + F32(BN_EPSILON))
+                xhat = (z - running_mean) / sigma
+            z = gamma * xhat + beta
         caches.append(LayerCache(a, z, xhat if training else None, sigma, bn_update))
-        a = z if is_head else relu(z)
+        a = z if i == head else relu(z)
     logits = tensor.check_finite(a, "forward logits")
     return logits, ForwardCache(caches, logits, weights, training, m)
 
@@ -397,7 +382,7 @@ def forward(
 def backward(net: Network, cache: ForwardCache, labels) -> Network:
     """Gradient of mean cross-entropy w.r.t. every parameter, as a Network.
 
-    The gradient network has the layers of net, each tensor holding the
+    The gradient network has the config of net, each tensor holding the
     gradient of the matching parameter. A batch-norm layer's running-stat
     slots hold zeros, their true gradient: a training-mode forward never
     reads them.
@@ -425,67 +410,48 @@ def backward(net: Network, cache: ForwardCache, labels) -> Network:
     onehot[np.arange(m), labels] = F32(1.0)
     d_out = (probs - onehot) / F32(m)
 
-    grads: list[LayerParams] = []
-    for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
+    layers = list(_layers(net))
+    grads: list[list[np.ndarray]] = []  # per layer, head first
+    for i in range(len(layers) - 1, -1, -1):
+        _, bias, bn = layers[i]
         lc = cache.layer_caches[i]
-        if i < len(net.layers) - 1:
+        if i < len(layers) - 1:
             d_out = d_out * (lc.pre_act > 0)  # relu mask
-        d_bn = None
-        if layer.bn is not None:
-            zeros = np.zeros_like(layer.bias)  # the pinned bias and the running-stat slots
-            d_bn = BatchNormParams(
-                ordered_axis0_sum(d_out * lc.xhat), ordered_axis0_sum(d_out), zeros, zeros
-            )
-            d_xhat = d_out * layer.bn.gamma
+        d_bn = []
+        if bn is not None:
+            zeros = np.zeros_like(bias)  # the pinned bias and the running-stat slots
+            d_bn = [ordered_axis0_sum(d_out * lc.xhat), ordered_axis0_sum(d_out), zeros, zeros]
+            d_xhat = d_out * bn[0]
             mean_dxhat = ordered_axis0_sum(d_xhat) / F32(m)
             mean_dxhat_xhat = ordered_axis0_sum(d_xhat * lc.xhat) / F32(m)
             d_out = (d_xhat - mean_dxhat - lc.xhat * mean_dxhat_xhat) / lc.sigma
             d_bias = zeros
         else:
             d_bias = ordered_axis0_sum(d_out)
-        d_weight = matmul(d_out.T, lc.x)
-        grads.append(LayerParams(d_weight, d_bias, d_bn))
+        grads.append([matmul(d_out.T, lc.x), d_bias, *d_bn])
         if i > 0:
             d_out = matmul(d_out, cache.eff_weights[i])
-    return Network(tuple(reversed(grads)))
+    return Network(net.config, tuple(t for layer in reversed(grads) for t in layer))
 
 
 def sgd_step(net: Network, grads: Network, lr: float) -> Network:
-    """theta <- theta - lr * g for every parameter; running stats untouched."""
-    if len(grads.layers) != len(net.layers):
-        raise ContractError(f"{len(grads.layers)} gradient layers for {len(net.layers)} layers")
+    """theta <- theta - lr * g for every tensor. The zero gradients of the
+    running statistics and of a batch-norm layer's pinned bias leave those
+    tensors bit-exact."""
+    if grads.config != net.config:
+        raise ContractError(f"gradient of {grads.config} does not match network {net.config}")
     lr32 = F32(lr)
-
-    def step(t: np.ndarray, g: np.ndarray) -> np.ndarray:
-        if t.shape != g.shape:
-            raise ContractError(f"gradient shape {g.shape} does not match parameter {t.shape}")
-        return (t - lr32 * g).astype(F32)
-
-    layers = []
-    for layer, g in zip(net.layers, grads.layers):
-        bn = layer.bn
-        if bn is not None:
-            if g.bn is None:
-                raise ContractError("missing batch-norm gradients for a batch-norm layer")
-            bn = BatchNormParams(
-                step(bn.gamma, g.bn.gamma), step(bn.beta, g.bn.beta), bn.running_mean, bn.running_var
-            )
-        layers.append(LayerParams(step(layer.weight, g.weight), step(layer.bias, g.bias), bn))
-    return Network(tuple(layers), None)
+    return Network(net.config, tuple((t - lr32 * g).astype(F32) for t, g in zip(net.tensors, grads.tensors)))
 
 
 def apply_bn_updates(net: Network, cache: ForwardCache) -> Network:
     """Commit the running-stat momentum updates captured by a training forward."""
-    layers = []
-    for layer, lc in zip(net.layers, cache.layer_caches):
-        if layer.bn is not None and lc.bn_update is not None:
-            new_mean, new_var = lc.bn_update
-            bn = BatchNormParams(layer.bn.gamma, layer.bn.beta, new_mean, new_var)
-            layers.append(replace(layer, bn=bn))
-        else:
-            layers.append(layer)
-    return Network(tuple(layers), net.quant)
+    tensors: list[np.ndarray] = []
+    for (weight, bias, bn), lc in zip(_layers(net), cache.layer_caches):
+        tensors += [weight, bias]
+        if bn is not None:
+            tensors += [*bn[:2], *(bn[2:] if lc.bn_update is None else lc.bn_update)]
+    return Network(net.config, tuple(tensors), net.quant)
 
 
 # --- gradient checking -------------------------------------------------------
@@ -499,14 +465,15 @@ def _forward_loss_f64(net: Network, batch: np.ndarray, labels: np.ndarray) -> fl
     """
     a = np.asarray(batch, dtype=np.float64)
     m = a.shape[0]
-    for i, layer in enumerate(net.layers):
-        z = a @ layer.weight.T.astype(np.float64) + layer.bias.astype(np.float64)
-        if layer.bn is not None:
+    head = len(net.config.layer_dims) - 2
+    for i, (weight, bias, bn) in enumerate(_layers(net)):
+        z = a @ weight.T.astype(np.float64) + bias.astype(np.float64)
+        if bn is not None:
             mu = z.mean(axis=0)
             var = ((z - mu) ** 2).mean(axis=0)
             xhat = (z - mu) / np.sqrt(var + BN_EPSILON)
-            z = layer.bn.gamma.astype(np.float64) * xhat + layer.bn.beta.astype(np.float64)
-        a = z if i == len(net.layers) - 1 else np.maximum(z, 0.0)
+            z = bn[0].astype(np.float64) * xhat + bn[1].astype(np.float64)
+        a = z if i == head else np.maximum(z, 0.0)
     shifted = a - a.max(axis=1, keepdims=True)
     probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
     picked = probs[np.arange(m), labels]
@@ -516,10 +483,6 @@ def _forward_loss_f64(net: Network, batch: np.ndarray, labels: np.ndarray) -> fl
 def _param_views(net: Network) -> list[np.ndarray]:
     """Trainable tensors, in gradient order: all but the running statistics."""
     return [t for n, t, _ in tensor_items(net) if not n.endswith((".bn_mean", ".bn_var"))]
-
-
-def _cast_network(net: Network, dtype) -> Network:
-    return from_tensors(net.config(), {n: t.astype(dtype) for n, t, _ in tensor_items(net)})
 
 
 def gradient_check(net: Network, batch: np.ndarray, labels, eps: float = 1e-4) -> float:
@@ -539,7 +502,7 @@ def gradient_check(net: Network, batch: np.ndarray, labels, eps: float = 1e-4) -
     labels = np.asarray(labels, dtype=np.int64)
     batch64 = np.asarray(batch, dtype=np.float64)
 
-    work = _cast_network(net, np.float64)
+    work = Network(net.config, tuple(t.astype(np.float64) for t in net.tensors))
     _, cache = forward(work, batch64, training=True)
     grads = backward(work, cache, labels)
 
@@ -592,21 +555,21 @@ def write_tensors(w: Writer, tensors: list[np.ndarray] | tuple[np.ndarray, ...],
         w.raw(np.ascontiguousarray(t, dtype=body_dtype if i < n_body else "<f4").tobytes())
 
 
-def read_tensors(r: Reader, config: NetworkConfig, body_dtype: str = "<f4") -> dict[str, np.ndarray]:
-    """Inverse of write_tensors for a network of this config, keyed by name."""
-    tensors = {}
+def read_tensors(r: Reader, config: NetworkConfig, body_dtype: str = "<f4") -> tuple[np.ndarray, ...]:
+    """Inverse of write_tensors for a network of this config."""
+    tensors = []
     for name, shape in tensor_shapes(config):
         dtype = np.dtype("<f4" if name in HEAD_TENSORS else body_dtype)
         raw = r.raw(dtype.itemsize * math.prod(shape))
-        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.type)
-    return tensors
+        tensors.append(np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.type))
+    return tuple(tensors)
 
 
 def serialize_network(net: Network) -> bytes:
     w = Writer()
     w.raw(NETWORK_MAGIC)
     w.u16(NETWORK_VERSION)
-    write_config(w, net.config())
+    write_config(w, net.config)
     if net.quant is None:
         w.u8(0)
     else:
@@ -614,11 +577,13 @@ def serialize_network(net: Network) -> bytes:
         w.u8(net.quant.bits)
         for s in net.quant.scales:
             w.f32(s)
-    write_tensors(w, [t for _, t, _ in tensor_items(net)])
+    write_tensors(w, net.tensors)
     return w.finish()
 
 
 def deserialize_network(data: bytes) -> Network:
+    """Parse an HSNW file. A non-finite tensor, or a tensor of a quantized
+    network off the lattice its scale records, is a FormatError."""
     body = check_trailing_crc(data)
     r = Reader(body)
     r.expect_magic(NETWORK_MAGIC)
@@ -630,7 +595,16 @@ def deserialize_network(data: bytes) -> Network:
         quant.check()
     tensors = read_tensors(r, config)
     r.expect_end()
-    return from_tensors(config, tensors, quant)
+    # One pass over all tensors, each element against its tensor's scale: a
+    # loop over the tensors costs about five times as much per load.
+    flat = np.concatenate([t.ravel() for t in tensors])
+    if not np.isfinite(flat).all():
+        raise FormatError("network tensors hold non-finite values")
+    if quant is not None:
+        scales = np.repeat(np.asarray(quant.scales, dtype=F32), [t.size for t in tensors])
+        if exact_lattice_indices(flat, scales) is None:
+            raise FormatError("a network tensor is off the lattice of its quantization scale")
+    return Network(config, tensors, quant)
 
 
 def save_network(net: Network, path) -> None:

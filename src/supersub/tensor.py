@@ -2,8 +2,12 @@
 
 Everything here is built from elementwise IEEE-754 single-precision
 operations with explicitly fixed accumulation order, so results are
-bit-identical across runs and platforms regardless of SIMD width or BLAS
-backend. Fixed order includes np.add.accumulate, which numpy defines as the
+bit-identical across runs and do not depend on the BLAS backend. They do
+depend on the CPU through np.exp and np.log (softmax_rows, cross_entropy):
+numpy dispatches these float32 kernels by SIMD target, they are not
+correctly rounded, and different targets give different bits. The golden
+hashes hold on numpy's AVX2-or-better kernels and move when numpy is
+limited to its X86_V2 baseline (NPY_DISABLE_CPU_FEATURES). Fixed order includes np.add.accumulate, which numpy defines as the
 running sequence r[t] = r[t-1] + x[t], and forming a block of products in
 one call before adding them to the output one t at a time. It rules out
 np.dot, np.sum and np.add.reduce, whose order is unspecified (pairwise,

@@ -6,6 +6,7 @@ import pytest
 
 from supersub.container import crc32c
 from supersub.data import SyntheticSpec, generate_synthetic
+from supersub.network import tensor_items
 from supersub.tensor import Prng
 
 
@@ -28,6 +29,11 @@ def mini_spec(**overrides) -> SyntheticSpec:
 def with_fixed_crc(data: bytes) -> bytes:
     """Rewrite a container's trailing CRC-32C so a mutation reaches the parser."""
     return data[:-4] + struct.pack("<I", crc32c(data[:-4]))
+
+
+def named(net) -> dict:
+    """A network's tensors keyed by their layout names."""
+    return {name: t for name, t, _ in tensor_items(net)}
 
 
 def header_mutations(data: bytes, n: int):

@@ -143,7 +143,7 @@ def test_pack_prints_ratio_matching_compression_ratio(qat_config_path, capsys):
     assert main(["--config", str(qat_config_path), "pack", "0"]) == 0
     out = capsys.readouterr().out
 
-    from supersub.delta import compression_ratio, compute_delta, pack
+    from supersub.delta import compute_delta, pack
     from supersub.experiment import load_config, pack_reference_bytes
     from supersub.network import load_network
 
@@ -153,7 +153,7 @@ def test_pack_prints_ratio_matching_compression_ratio(qat_config_path, capsys):
     specialist = load_network(paths.finetuned_net(0))
     packed = pack(compute_delta(base, specialist, config.delta_mode, 0))
     reference, _ = pack_reference_bytes(config, specialist)
-    expected = compression_ratio(packed, reference)
+    expected = packed.packed_size / reference
     assert f"ratio {expected:.4f}" in out
 
 
@@ -261,12 +261,34 @@ def test_wrong_grid_scale_exits_3(qat_config_path, capsys):
 def test_incomplete_quant_block_exits_3(qat_config_path, capsys):
     for argv in (["gen-data"], ["train", "super"], ["finetune", "0"]):
         assert main(["--config", str(qat_config_path)] + argv) == 0
-    from supersub.network import load_network, save_network
+    from supersub.network import load_network
+    from test_network import quant_block_at
+
+    path = RunPaths(load_config(qat_config_path).out_dir).super_net
+    data = path.read_bytes()
+    scale = quant_block_at(load_network(path).config) + 2  # the first scale, after the flag and the bits
+    # One scale short: every later byte of the file shifts by four.
+    path.write_bytes(with_fixed_crc(data[:scale] + data[scale + 4 :]))
+    assert main(["--config", str(qat_config_path), "pack", "0"]) == 3
+    assert "integrity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["non_finite", "off_grid"])
+def test_pack_against_corrupt_router_exits_3(qat_config_path, capsys, edit):
+    # A router file whose first weight is NaN, or one float32 step off its
+    # recorded grid, with the CRC re-fixed: an integrity error at load.
+    for argv in (["gen-data"], ["train", "super"], ["finetune", "0"]):
+        assert main(["--config", str(qat_config_path)] + argv) == 0
+    import numpy as np
+
+    from supersub.network import load_network
+    from test_network import with_first_value
 
     path = RunPaths(load_config(qat_config_path).out_dir).super_net
     base = load_network(path)
-    # One scale short: every later byte of the file shifts by four.
-    save_network(replace(base, quant=replace(base.quant, scales=base.quant.scales[1:])), path)
+    first = base.tensors[0].flat[0]
+    path.write_bytes(with_first_value(base, np.nan if edit == "non_finite" else np.nextafter(first, np.inf)))
+    capsys.readouterr()
     assert main(["--config", str(qat_config_path), "pack", "0"]) == 3
     assert "integrity" in capsys.readouterr().err
 
@@ -313,13 +335,12 @@ def test_fp16_overflow_exits_2(config_path, capsys):
         assert main(["--config", str(config_path)] + argv) == 0
     import numpy as np
 
-    from supersub.network import from_tensors, load_network, save_network, tensor_items
+    from supersub.network import Network, load_network, save_network, tensor_items
 
     path = RunPaths(load_config(config_path).out_dir).finetuned_net(0)
     net = load_network(path)
-    tensors = {name: t for name, t, _ in tensor_items(net)}
-    tensors["layer0.bn_var"] = np.full_like(tensors["layer0.bn_var"], 1e6)
-    save_network(from_tensors(net.config(), tensors), path)
+    tensors = [np.full_like(t, 1e6) if name == "layer0.bn_var" else t for name, t, _ in tensor_items(net)]
+    save_network(Network(net.config, tuple(tensors)), path)
     capsys.readouterr()
     assert main(["--config", str(config_path), "pack", "0"]) == 2
     err = capsys.readouterr().err

@@ -6,13 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import header_mutations, with_fixed_crc
+from conftest import header_mutations, named, with_fixed_crc
 from supersub.container import Writer, crc32c, deflate, inflate
 from supersub.delta import (
     MODE_FP16,
     MODE_QAT_INT,
     base_fingerprint_of,
-    compression_ratio,
     compute_delta,
     pack,
     quantized_network_bytes,
@@ -39,6 +38,7 @@ from supersub.network import (
     uniform_config,
     write_config,
 )
+from supersub.report import CompressionRow
 from supersub.tensor import F32, Prng
 from supersub.train import LabelView, TrainConfig, finetune_from_super, train
 
@@ -210,7 +210,7 @@ class TestPackUnpack:
         d = compute_delta(base, specialist, mode)
         section = inflate(pack(d).data[HEADER:-4])
         header = Writer()
-        write_config(header, specialist.config())
+        write_config(header, specialist.config)
         n_scales = len(HEAD_TENSORS) if mode == MODE_QAT_INT else 0
         n_body = len(d.tensors) - len(HEAD_TENSORS)
         payload = sum(t.size * (2 if i < n_body else 4) for i, t in enumerate(d.tensors))
@@ -228,7 +228,7 @@ class TestPackUnpack:
         # nor a pack's inflated section spells one.
         base, specialist = qat_pair
         section = inflate(pack(compute_delta(base, specialist, MODE_QAT_INT)).data[HEADER:-4])
-        names = {name for net in qat_pair for name, _ in tensor_shapes(net.config())}
+        names = {name for net in qat_pair for name, _ in tensor_shapes(net.config)}
         for blob in (serialize_network(base), serialize_network(specialist), section):
             assert not [name for name in names if name.encode("utf-8") in blob]
 
@@ -279,21 +279,21 @@ class TestReconstruct:
     def test_zero_delta_reproduces_base_body(self):
         net = build_net(seed=13)
         rebuilt = reconstruct(net, compute_delta(net, net, MODE_FP16), base_fingerprint_of(net), 0)
-        for orig, new in zip(net.layers[:-1], rebuilt.layers[:-1]):
-            assert np.array_equal(orig.weight, new.weight)
-            assert np.array_equal(orig.bias, new.bias)
+        for (name, orig, _), (_, new, _) in zip(body_items(net), body_items(rebuilt), strict=True):
+            assert np.array_equal(orig, new), name
 
     def test_fp16_reconstruction_close(self, plain_pair):
         base, specialist = plain_pair
         rebuilt = reconstruct(base, compute_delta(base, specialist, MODE_FP16), base_fingerprint_of(base), 0)
-        for orig, new in zip(specialist.layers, rebuilt.layers):
-            np.testing.assert_allclose(orig.weight, new.weight, rtol=2e-3, atol=2e-3)
+        for (_, orig, is_weight), (_, new, _) in zip(tensor_items(specialist), tensor_items(rebuilt), strict=True):
+            if is_weight:
+                np.testing.assert_allclose(orig, new, rtol=2e-3, atol=2e-3)
 
     def test_head_installed_verbatim(self, plain_pair):
         base, specialist = plain_pair
         rebuilt = reconstruct(base, compute_delta(base, specialist, MODE_FP16), base_fingerprint_of(base), 0)
-        assert np.array_equal(rebuilt.layers[-1].weight, specialist.layers[-1].weight)
-        assert np.array_equal(rebuilt.layers[-1].bias, specialist.layers[-1].bias)
+        for name in HEAD_TENSORS:
+            assert np.array_equal(named(rebuilt)[name], named(specialist)[name]), name
 
     @pytest.mark.parametrize("pair, mode", [("plain_pair", MODE_FP16), ("qat_pair", MODE_QAT_INT)])
     def test_self_delta_reproduces_bytes(self, request, pair, mode):
@@ -343,6 +343,17 @@ class TestReconstruct:
         first.flat[0] = np.nan
         with pytest.raises(FormatError, match="non-finite"):
             reconstruct(base, unpack(pack(with_tensor(d, 0, first)).data), base_fingerprint_of(base), 0)
+
+    @pytest.mark.parametrize("index", [-2, -1], ids=list(HEAD_TENSORS))
+    def test_qat_head_off_its_lattice_is_format_error(self, qat_pair, index):
+        # One float32 step off the head scale's lattice: the rebuilt file
+        # would be one the HSNW reader rejects.
+        base, specialist = qat_pair
+        d = compute_delta(base, specialist, MODE_QAT_INT)
+        head = d.tensors[index].copy()
+        head.flat[0] = np.nextafter(head.flat[0], F32(np.inf))
+        with pytest.raises(FormatError, match="off the lattice"):
+            reconstruct(base, unpack(pack(with_tensor(d, index, head)).data), base_fingerprint_of(base), 0)
 
     def test_qat_pack_needs_a_quantized_base(self):
         net = snap_to_grid(build_net(seed=47), 8)
@@ -444,21 +455,20 @@ class TestCompressionAccounting:
     def test_ratio_contract(self, plain_pair):
         base, specialist = plain_pair
         packed = pack(compute_delta(base, specialist, MODE_FP16))
-        ratio = compression_ratio(packed, len(serialize_network(specialist)))
-        assert 0 < ratio < 1
-        with pytest.raises(ParameterError):
-            compression_ratio(packed, 0)
+        row = CompressionRow("0", MODE_FP16, packed.packed_size, len(serialize_network(specialist)), "full_f32")
+        assert 0 < row.ratio < 1
 
     def test_identity_network_ratio_tiny(self):
         net = build_net(seed=17, dims=(32, 64, 64), head=4)
         packed = pack(compute_delta(net, net, MODE_FP16))
         reference = len(serialize_network(net))
-        assert compression_ratio(packed, reference) < 0.02 + verbatim_head_bytes(net) / reference
+        assert packed.packed_size / reference < 0.02 + verbatim_head_bytes(net) / reference
 
     def test_quantized_reference_bytes(self, qat_pair):
         _, specialist = qat_pair
         full = len(serialize_network(specialist))
-        weight_elems = sum(layer.weight.size for layer in specialist.layers)
+        dims = specialist.config.layer_dims
+        weight_elems = sum(fan_in * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
         assert quantized_network_bytes(specialist) == full - 3 * weight_elems
 
 

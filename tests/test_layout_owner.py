@@ -2,8 +2,10 @@
 
 Every other module reaches tensor names, the head and the body through it
 (`tensor_items`, `body_items`, `HEAD_TENSORS`, `NetworkConfig.with_head`),
-so a quoted tensor name, a prefix test for the head or a slice of
-`tensor_items(...)` anywhere else is a second copy of the layout.
+so a quoted tensor name, a prefix test for the head, a slice of
+`tensor_items(...)` or a literal integer index into a `.tensors` tuple
+anywhere else is a second copy of the layout. Slices through
+`HEAD_TENSORS` are the layout's own split and stay allowed.
 """
 
 import re
@@ -15,6 +17,7 @@ FORBIDDEN = {
     "quoted layer tensor name": re.compile(r"""["']layer"""),
     "head test by name prefix": re.compile(r"""startswith\(\s*["']head"""),
     "slice of tensor_items": re.compile(r"tensor_items\([^()]*\)\s*\["),
+    "literal integer into .tensors": re.compile(r"\.tensors\[[^\]]*(?<![\w.])\d"),
 }
 
 
@@ -29,3 +32,11 @@ def test_only_network_spells_the_layout():
         if pattern.search(line)
     ]
     assert not found, "layout spelled outside network.py:\n" + "\n".join(found)
+
+
+def test_literal_tensor_index_patterns():
+    pattern = FORBIDDEN["literal integer into .tensors"]
+    for line in ("net.tensors[0]", "d.tensors[-1]", "base.tensors[:2]", "net.tensors[ 3 ].shape"):
+        assert pattern.search(line), line
+    for line in ("d.tensors[-len(HEAD_TENSORS) :]", "base.tensors[: -len(HEAD_TENSORS)]", "net.tensors[i2]"):
+        assert not pattern.search(line), line

@@ -4,17 +4,16 @@ finite differences."""
 import math
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import body_mutations, header_mutations, with_fixed_crc
+from conftest import body_mutations, header_mutations, named, with_fixed_crc
 from supersub.container import Writer
 from supersub.delta import MODE_QAT_INT, base_fingerprint_of, compute_delta, pack, reconstruct, unpack
 from supersub.errors import ContractError, DimensionError, FormatError, ParameterError
 from supersub.network import (
-    BatchNormParams,
-    LayerParams,
     Network,
     NetworkConfig,
     QatConfig,
@@ -22,7 +21,6 @@ from supersub.network import (
     deserialize_network,
     effective_weights,
     forward,
-    from_tensors,
     gradient_check,
     grid_indices,
     init_network,
@@ -46,12 +44,15 @@ def small_net(dims=(3, 3, 3), batchnorm=False, seed=0):
     return init_network(config, seed)
 
 
-def manual_net(weights, biases):
-    layers = tuple(
-        LayerParams(np.array(w, dtype=F32), np.array(b, dtype=F32), None)
-        for w, b in zip(weights, biases)
-    )
-    return Network(layers)
+def manual_net(weights, biases=None):
+    """A network without batch norm holding these weights and biases (zeros
+    when biases is None)."""
+    weights = [np.array(w, dtype=F32) for w in weights]
+    if biases is None:
+        biases = [np.zeros(len(w), dtype=F32) for w in weights]
+    dims = (weights[0].shape[1], *(w.shape[0] for w in weights))
+    tensors = tuple(t for w, b in zip(weights, biases) for t in (w, np.array(b, dtype=F32)))
+    return Network(NetworkConfig(dims, (False,) * (len(dims) - 2)), tensors)
 
 
 def own_grid(t, bits):
@@ -61,14 +62,12 @@ def own_grid(t, bits):
 
 class TestInit:
     def test_biases_all_zero(self):
-        net = small_net((4, 8, 3), batchnorm=True, seed=5)
-        for layer in net.layers:
-            assert not layer.bias.any()
-            if layer.bn is not None:
-                assert np.array_equal(layer.bn.gamma, np.ones(8, dtype=F32))
-                assert not layer.bn.beta.any()
-                assert not layer.bn.running_mean.any()
-                assert np.array_equal(layer.bn.running_var, np.ones(8, dtype=F32))
+        t = named(small_net((4, 8, 3), batchnorm=True, seed=5))
+        assert not t["layer0.bias"].any() and not t["head.bias"].any()
+        assert np.array_equal(t["layer0.bn_gamma"], np.ones(8, dtype=F32))
+        assert not t["layer0.bn_beta"].any()
+        assert not t["layer0.bn_mean"].any()
+        assert np.array_equal(t["layer0.bn_var"], np.ones(8, dtype=F32))
 
     def test_same_seed_bit_identical(self):
         a = small_net((6, 5, 4), seed=77)
@@ -77,7 +76,7 @@ class TestInit:
 
     def test_he_variance_within_ten_percent(self):
         net = small_net((100, 128, 2), seed=3)
-        w = net.layers[0].weight
+        w = named(net)["layer0.weight"]
         assert w.size >= 10_000
         target = 2.0 / 100
         assert abs(float(w.var()) - target) / target < 0.10
@@ -156,9 +155,7 @@ class TestBackward:
         batch = np.ones((4, 3), dtype=F32)
         _, cache = forward(net, batch, training=True)
         grads = backward(net, cache, [0, 0, 0, 0])
-        worst = max(float(np.abs(g.weight).max()) for g in grads.layers)
-        worst = max(worst, max(float(np.abs(g.bias).max()) for g in grads.layers))
-        assert worst < 1e-6
+        assert max(float(np.abs(g).max()) for g in grads.tensors) < 1e-6
 
     def test_duplicated_batch_same_gradients(self):
         net = small_net((4, 5, 3), batchnorm=False, seed=8)
@@ -172,18 +169,17 @@ class TestBackward:
         twice = backward(net, cache2, np.repeat(labels, 2))
         # The mean gradient is invariant to row duplication; sequential f32
         # accumulation of the halved terms leaves only rounding-level drift.
-        for a, b in zip(base.layers, twice.layers):
-            np.testing.assert_allclose(a.weight, b.weight, atol=1e-6, rtol=1e-5)
-            np.testing.assert_allclose(a.bias, b.bias, atol=1e-6, rtol=1e-5)
+        for a, b in zip(base.tensors, twice.tensors, strict=True):
+            np.testing.assert_allclose(a, b, atol=1e-6, rtol=1e-5)
 
     def test_gradients_share_the_network_layout(self):
         net = small_net((3, 4, 2), batchnorm=True, seed=6)
         _, cache = forward(net, gaussian_array(Prng(1), (4, 3)), training=True)
         grads = backward(net, cache, [0, 1, 0, 1])
-        assert grads.config() == net.config()
-        body = grads.layers[0]
-        assert not body.bias.any()  # pinned on batch-norm layers
-        assert not body.bn.running_mean.any() and not body.bn.running_var.any()  # never read in training
+        assert grads.config == net.config
+        g = named(grads)
+        assert not g["layer0.bias"].any()  # pinned on batch-norm layers
+        assert not g["layer0.bn_mean"].any() and not g["layer0.bn_var"].any()  # never read in training
 
     def test_inference_cache_rejected(self):
         net = small_net((3, 3, 3))
@@ -208,10 +204,7 @@ class TestSgdStep:
 
     def test_zero_gradients_are_identity(self):
         net = small_net((3, 4, 2), seed=6)
-        zeroed = manual_net(
-            [np.zeros_like(layer.weight) for layer in net.layers],
-            [np.zeros_like(layer.bias) for layer in net.layers],
-        )
+        zeroed = Network(net.config, tuple(np.zeros_like(t) for t in net.tensors))
         stepped = sgd_step(net, zeroed, 0.5)
         assert serialize_network(stepped) == serialize_network(net)
 
@@ -220,8 +213,8 @@ class TestSgdStep:
         g = manual_net(weights=[[[0.5]], [[0.0]]], biases=[[0.0], [0.0]])
         stepped = sgd_step(net, g, 0.01)
         expected = F32(1.0) - F32(0.01) * F32(0.5)
-        assert stepped.layers[0].weight[0, 0] == expected
-        assert stepped.layers[0].weight[0, 0] == pytest.approx(0.995, abs=1e-7)
+        assert named(stepped)["layer0.weight"][0, 0] == expected
+        assert named(stepped)["layer0.weight"][0, 0] == pytest.approx(0.995, abs=1e-7)
 
     def test_shape_mismatch_rejected(self):
         net = small_net((3, 4, 2), seed=6)
@@ -232,10 +225,24 @@ class TestSgdStep:
     def test_layer_count_or_missing_batchnorm_gradient_rejected(self):
         net = small_net((3, 4, 2), batchnorm=True, seed=6)
         plain = small_net((3, 4, 2), seed=6)
-        with pytest.raises(ContractError, match="batch-norm"):
+        with pytest.raises(ContractError, match="does not match"):
             sgd_step(net, plain, 0.1)
-        with pytest.raises(ContractError, match="gradient layers"):
+        with pytest.raises(ContractError, match="does not match"):
             sgd_step(net, small_net((3, 4, 4, 2), batchnorm=True, seed=6), 0.1)
+
+    def test_zero_gradient_slots_leave_their_tensors_bit_exact(self):
+        # Random running statistics (one a negative zero) and biases on both
+        # batch-norm layers: their gradients are exact zeros, so a step
+        # leaves them bit for bit, while gamma moves.
+        net = mixed_bn_net((True, True), seed=7)
+        t = named(net)
+        t["layer0.bn_mean"] = np.concatenate([[F32(-0.0)], t["layer0.bn_mean"][1:]]).astype(F32)
+        net = Network(net.config, tuple(t.values()))
+        _, cache = forward(net, gaussian_array(Prng(8), (6, 5)), training=True)
+        stepped = named(sgd_step(net, backward(net, cache, [0, 1, 2, 0, 1, 2]), 0.3))
+        for name in ("layer0.bias", "layer0.bn_mean", "layer0.bn_var", "layer1.bias", "layer1.bn_mean", "layer1.bn_var"):
+            assert stepped[name].tobytes() == t[name].tobytes(), name
+        assert not np.array_equal(stepped["layer0.bn_gamma"], t["layer0.bn_gamma"])
 
 
 class TestGradientCheckContract:
@@ -305,8 +312,9 @@ class TestSnapAndEffectiveWeights:
 
     def test_effective_weights_live_grid(self):
         net = small_net((4, 6, 3), seed=13)
-        for w, layer in zip(effective_weights(net, QatConfig(8)), net.layers):
-            assert np.array_equal(w, own_grid(layer.weight, 8))
+        masters = [t for _, t, is_weight in tensor_items(net) if is_weight]
+        for w, master in zip(effective_weights(net, QatConfig(8)), masters, strict=True):
+            assert np.array_equal(w, own_grid(master, 8))
 
     def test_shared_body_scales_pinned(self):
         base = snap_to_grid(small_net((4, 6, 3), seed=14), 8)
@@ -315,9 +323,10 @@ class TestSnapAndEffectiveWeights:
         body_w, head_w = effective_weights(net, qat)
         # The body weight (layout entry 0) sits on the base's pinned grid, the head on its own.
         pinned = base.quant.scales[0]
-        assert qat.scale(0, net.layers[0].weight) == pinned
-        assert np.array_equal(body_w, quantize_with_scale(net.layers[0].weight, pinned, 8))
-        assert np.array_equal(head_w, own_grid(net.layers[1].weight, 8))
+        t = named(net)
+        assert qat.scale(0, t["layer0.weight"]) == pinned
+        assert np.array_equal(body_w, quantize_with_scale(t["layer0.weight"], pinned, 8))
+        assert np.array_equal(head_w, own_grid(t["head.weight"], 8))
 
 
 def plain_network_bytes(dims) -> bytes:
@@ -337,6 +346,14 @@ def quant_block_at(config: NetworkConfig) -> int:
     header = Writer()
     write_config(header, config)
     return 6 + len(header.body())
+
+
+def with_first_value(net: Network, value) -> bytes:
+    """net's HSNW file with the first element of its first tensor set to
+    value (float32), CRC re-fixed."""
+    data = serialize_network(net)
+    at = quant_block_at(net.config) + (1 if net.quant is None else 2 + 4 * len(net.quant.scales))
+    return with_fixed_crc(data[:at] + struct.pack("<f", value) + data[at + 4 :])
 
 
 class TestNetworkContainer:
@@ -368,7 +385,7 @@ class TestNetworkContainer:
         # tensor_shapes entry in layout order: no count and no names.
         net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=22), 8)
         data = serialize_network(net)
-        at = quant_block_at(net.config())
+        at = quant_block_at(net.config)
         block = bytes([1, 8]) + struct.pack(f"<{len(net.quant.scales)}f", *net.quant.scales)
         assert data[at : at + len(block)] == block
         assert len(data) == at + len(block) + 4 * parameter_count(net) + 4
@@ -387,7 +404,7 @@ class TestNetworkContainer:
     def test_quant_block_must_scale_every_tensor_once(self, edit):
         net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=22), 8)
         blob = bytearray(serialize_network(net))
-        bits = quant_block_at(net.config()) + 1
+        bits = quant_block_at(net.config) + 1
         scale = bits + 1  # the first scale, layer0.weight's
         if edit == "one_short":
             del blob[scale : scale + 4]
@@ -406,12 +423,32 @@ class TestNetworkContainer:
         with pytest.raises(FormatError, match="dims must be >= 1"):
             deserialize_network(plain_network_bytes(dims))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("quantized", [False, True], ids=["plain", "quantized"])
+    def test_non_finite_tensor_is_format_error(self, quantized, value):
+        net = small_net((4, 6, 3), batchnorm=True, seed=25)
+        data = with_first_value(snap_to_grid(net, 8) if quantized else net, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="non-finite"):
+                deserialize_network(data)
+
+    @pytest.mark.parametrize("edit", ["next_float", "huge"])
+    def test_off_grid_tensor_is_format_error(self, edit):
+        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=26), 8)
+        first = named(net)["layer0.weight"].flat[0]
+        value = np.nextafter(first, F32(np.inf)) if edit == "next_float" else 3e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="off the lattice"):
+                deserialize_network(with_first_value(net, value))
+
     def test_header_mutations_are_rejected_or_read_back(self):
         net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=23), 8)
         data = serialize_network(net)
         rejected = 0
         # The header runs through the quantization block: flag, bits, scales.
-        for _, mutated in header_mutations(data, quant_block_at(net.config()) + 2 + 4 * len(net.quant.scales)):
+        for _, mutated in header_mutations(data, quant_block_at(net.config) + 2 + 4 * len(net.quant.scales)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
@@ -457,11 +494,11 @@ class TestStructureHelpers:
         net = small_net((5, 6, 6, 4), batchnorm=True, seed=30)
         wider = replace_head(net, 9, seed=31)
         assert wider.head_dim == 9
-        for old, new in zip(net.layers[:-1], wider.layers[:-1]):
-            assert np.array_equal(old.weight, new.weight)
-            assert np.array_equal(old.bias, new.bias)
-            if old.bn is not None:
-                assert np.array_equal(old.bn.running_var, new.bn.running_var)
+        assert wider.config == net.config.with_head(9)
+        old, new = named(net), named(wider)
+        for name in old:
+            if not name.startswith("head."):
+                assert np.array_equal(old[name], new[name]), name
 
     def test_network_bytes_counts_buffers(self):
         net = small_net((4, 6, 3), batchnorm=True, seed=2)
@@ -471,53 +508,59 @@ class TestStructureHelpers:
 
 
 class TestFromTensors:
+    """A Network is built from its config and one tensor per tensor_shapes
+    entry, and its constructor checks the count, every shape and the
+    quantization block's scale count."""
+
     @pytest.mark.parametrize("batchnorm", [False, True])
     @pytest.mark.parametrize("quantized", [False, True])
     def test_inverts_tensor_items(self, batchnorm, quantized):
         net = small_net((7, 5, 4, 3), batchnorm=batchnorm, seed=23)
         if quantized:
             net = snap_to_grid(net, 8)
-        tensors = {n: t for n, t, _ in tensor_items(net)}
-        again = from_tensors(net.config(), tensors, net.quant)
+        again = Network(net.config, tuple(t for _, t, _ in tensor_items(net)), net.quant)
         assert serialize_network(again) == serialize_network(net)
 
     def test_wrong_or_missing_tensor_rejected(self):
         net = small_net((4, 6, 3), batchnorm=True, seed=2)
-        tensors = {n: t for n, t, _ in tensor_items(net)}
+        tensors = named(net)
         tensors["layer0.bn_var"] = np.ones(5, dtype=F32)
         with pytest.raises(ContractError, match="layer0.bn_var"):
-            from_tensors(net.config(), tensors)
+            Network(net.config, tuple(tensors.values()))
         del tensors["layer0.bn_var"]
-        with pytest.raises(ContractError, match="layer0.bn_var"):
-            from_tensors(net.config(), tensors)
+        with pytest.raises(ContractError, match="7 tensors for the 8"):
+            Network(net.config, tuple(tensors.values()))
+
+    def test_one_quantization_scale_per_tensor(self):
+        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=2), 8)
+        for scales in (net.quant.scales[1:], (*net.quant.scales, 1.0)):
+            with pytest.raises(ContractError, match="quantization scales"):
+                replace(net, quant=replace(net.quant, scales=scales))
 
 
 def mixed_bn_net(flags, seed):
     """A (5, 6, 4, 3) network with batch norm on the hidden layers that flags
-    name, every tensor random, built layer by layer without the layout code."""
+    name, every tensor random, its tuple built layer by layer by hand: weight,
+    bias, then gamma, beta, running mean and running variance."""
     rng = Prng(seed)
     dims = (5, 6, 4, 3)
 
     def vec(n):
         return gaussian_array(rng, (n,), 0.0, 1.0)
 
-    layers = []
+    tensors = []
     for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
-        bn = None
+        bn = []
         if i < len(flags) and flags[i]:
-            bn = BatchNormParams(vec(fan_out), vec(fan_out), vec(fan_out), np.abs(vec(fan_out)) + F32(0.5))
-        layers.append(LayerParams(gaussian_array(rng, (fan_out, fan_in), 0.0, 1.0), vec(fan_out), bn))
-    return Network(tuple(layers))
+            bn = [vec(fan_out), vec(fan_out), vec(fan_out), np.abs(vec(fan_out)) + F32(0.5)]
+        tensors += [gaussian_array(rng, (fan_out, fan_in), 0.0, 1.0), vec(fan_out), *bn]
+    return Network(NetworkConfig(dims, tuple(flags)), tuple(tensors))
 
 
 def assert_same_layers(a: Network, b: Network):
-    assert len(a.layers) == len(b.layers)
-    for la, lb in zip(a.layers, b.layers):
-        assert np.array_equal(la.weight, lb.weight) and np.array_equal(la.bias, lb.bias)
-        assert (la.bn is None) == (lb.bn is None)
-        if la.bn is not None:
-            for field in ("gamma", "beta", "running_mean", "running_var"):
-                assert np.array_equal(getattr(la.bn, field), getattr(lb.bn, field)), field
+    assert a.config == b.config
+    for ta, tb in zip(a.tensors, b.tensors, strict=True):
+        assert np.array_equal(ta, tb)
 
 
 @pytest.mark.parametrize("flags", [(True, False), (False, True)], ids=["bn_first", "bn_second"])
@@ -532,14 +575,14 @@ class TestMixedBatchnorm:
             net = snap_to_grid(net, 8)
         data = serialize_network(net)
         again = deserialize_network(data)
-        assert again.config() == NetworkConfig((5, 6, 4, 3), flags)
+        assert again.config == NetworkConfig((5, 6, 4, 3), flags)
         assert again.quant == net.quant
         assert_same_layers(again, net)
         assert serialize_network(again) == data
 
     def test_from_tensors_inverts_tensor_items(self, flags):
         net = snap_to_grid(mixed_bn_net(flags, seed=62), 8)
-        again = from_tensors(net.config(), {n: t for n, t, _ in tensor_items(net)}, net.quant)
+        again = Network(net.config, tuple(t for _, t, _ in tensor_items(net)), net.quant)
         assert_same_layers(again, net)
         assert serialize_network(again) == serialize_network(net)
 

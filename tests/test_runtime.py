@@ -9,8 +9,6 @@ from supersub.delta import MODE_QAT_INT, base_fingerprint_of, compute_delta, pac
 from supersub.errors import BaseMismatchError, ContractError, DimensionError, FormatError, ParameterError
 from supersub.hierarchy import make_manifest
 from supersub.network import (
-    LayerParams,
-    Network,
     init_network,
     network_bytes,
     snap_to_grid,
@@ -30,6 +28,7 @@ from supersub.runtime import (
 )
 from supersub.tensor import F32, Prng, gaussian_array
 from supersub.train import LabelView, TrainConfig, finetune_from_super, train
+from test_network import manual_net
 
 
 @pytest.fixture(scope="module")
@@ -236,13 +235,10 @@ def perfect_setup():
     labels = np.asarray([0, 1, 2, 3] * 3, dtype=np.int64)
     ds = Dataset(features, labels, manifest)
 
-    def dense(w):
-        return LayerParams(np.asarray(w, dtype=F32), np.zeros(len(w), dtype=F32), None)
-
-    lower = Network((dense(np.eye(4)), dense(np.eye(4))))
-    router = Network((dense(np.eye(4)), dense([[1, 1, 0, 0], [0, 0, 1, 1]])))
-    spec_a = Network((dense(np.eye(4)), dense([[1, 0, 0, 0], [0, 1, 0, 0]])))
-    spec_b = Network((dense(np.eye(4)), dense([[0, 0, 1, 0], [0, 0, 0, 1]])))
+    lower = manual_net([np.eye(4), np.eye(4)])
+    router = manual_net([np.eye(4), [[1, 1, 0, 0], [0, 0, 1, 1]]])
+    spec_a = manual_net([np.eye(4), [[1, 0, 0, 0], [0, 1, 0, 0]]])
+    spec_b = manual_net([np.eye(4), [[0, 0, 1, 0], [0, 0, 0, 1]]])
     return ds, lower, router, {0: spec_a, 1: spec_b}
 
 

@@ -111,11 +111,8 @@ class TestFinetune:
         base = init_network(router_config(mini_train), 15)
         tuned = finetune_from_super(base, 0, mini_train, tcfg(16, epochs=0))
         assert tuned.head_dim == mini_train.manifest.subclass_count(0)
-        for old, new in zip(base.layers[:-1], tuned.layers[:-1]):
-            assert np.array_equal(old.weight, new.weight)
-            assert np.array_equal(old.bias, new.bias)
-            if old.bn is not None:
-                assert np.array_equal(old.bn.running_mean, new.bn.running_mean)
+        for (name, old, _), (_, new, _) in zip(body_items(base), body_items(tuned), strict=True):
+            assert np.array_equal(old, new), name
 
     def test_does_not_mutate_base_network(self, mini_train):
         base = init_network(router_config(mini_train), 19)
