@@ -1,20 +1,20 @@
 """Deterministic numeric substrate: float32 arrays, PRNG, and elementary ops.
 
-Everything here is built from elementwise IEEE-754 single-precision
-operations with explicitly fixed accumulation order, so results are
-bit-identical across runs and do not depend on the BLAS backend. They do
-depend on the CPU through np.exp and np.log (softmax_rows, cross_entropy):
-numpy dispatches these float32 kernels by SIMD target, they are not
-correctly rounded, and different targets give different bits. The golden
-hashes hold on numpy's AVX2-or-better kernels and move when numpy is
-limited to its X86_V2 baseline (NPY_DISABLE_CPU_FEATURES). Fixed order includes np.add.accumulate, which numpy defines as the
-running sequence r[t] = r[t-1] + x[t], and forming a block of products in
-one call before adding them to the output one t at a time. It rules out
-np.dot, np.sum and np.add.reduce, whose order is unspecified (pairwise,
-blocked or SIMD), for anything that feeds a golden file; use matmul() and
-the two ordered sums instead: ordered_axis0_sum adds the rows of a matrix
-(pass the transpose to add its columns, as softmax_rows does) and
-ordered_scalar_sum the elements of a vector.
+Results are bit-identical across runs whatever the BLAS build, its thread
+count or the order of additions. matmul rounds each element's exact dot
+product once to float32 (round_f32 settles what the float64 BLAS product's
+error bound leaves open exactly), and its tests compare it with an exact
+oracle. The two ordered sums fix their order instead, as np.add.accumulate,
+which numpy defines as r[t] = r[t-1] + x[t]: ordered_axis0_sum adds the
+rows of a matrix (pass the transpose to add its columns, as softmax_rows
+does) and ordered_scalar_sum a vector. np.dot, np.sum and np.add.reduce,
+whose order is unspecified, feed no golden file.
+
+Results do depend on the CPU through np.exp and np.log (softmax_rows,
+cross_entropy): numpy dispatches these float32 kernels by SIMD target,
+they are not correctly rounded, and different targets give different
+bits. The golden hashes hold on numpy's AVX2-or-better kernels and move
+when numpy is limited to its X86_V2 baseline (NPY_DISABLE_CPU_FEATURES).
 
 All operations are pure. Prng is single-owner mutable state: never share
 one instance across threads; derive child seeds instead.
@@ -99,35 +99,25 @@ def as_float(values) -> np.ndarray:
 
 
 def check_finite(arr: np.ndarray, context: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ParameterError(f"non-finite values produced in {context}")
     return arr
 
 
-# Largest m*n served by the accumulate kernel, the measured crossover on a
-# 2-core Xeon VM: accumulate costs ~8 ns per product whatever k is, but it
-# strides along t, so at m*n = 3200 it is 3-5x slower than adding contiguous
-# rows of products one t at a time.
-_ACCUMULATE_MAX_OUTPUTS = 512
-
-# Products per block of the blocked kernel: 512 KiB of float32 (1 MiB of
-# float64), small enough to stay in cache while its rows are added, so the
-# temporary adds nothing visible to the resident set. Measured on a 2-core
-# Xeon VM at the training shapes (50-64 rows, 20-64 columns, k = 32-64):
-# 2**14 was 5-35% slower, 2**16 and 2**18 within run-to-run noise of 2**17.
-_BLOCK_ELEMENTS = 1 << 17
+# Elements per float64 array of one block of matmul's rows (128 KiB). A golden
+# fp16 `supersub run` peaked at 36.4 MB RSS unblocked, 34.6 MB blocked.
+_ROW_BLOCK_ELEMENTS = 1 << 14
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C[i,j] = sum_t A[i,t]*B[t,j], accumulated in float32 in fixed t order.
+    """C[i,j] = sum_t A[i,t]*B[t,j]; for float32 inputs, the exact sum rounded
+    once to float32 (nearest, ties to even, an exact zero as +0.0).
 
-    Each output element is an identical scalar IEEE op sequence, so the
-    result is bit-exact on any platform (no BLAS, no reassociation). Three
-    kernels give the same bits: when k >= 1 and 1 <= m*n <= 512, all k*m*n
-    products at once followed by one np.add.accumulate along t; otherwise
-    _matmul_blocked, the products of a block of t in one multiply, then one
-    add per t. _matmul_loop, one multiply and add per t, is the reference
-    both are tested against.
+    The float64 BLAS product c sums exact terms, so |c - exact| <= gamma_k *
+    (|A| @ |B|), gamma_k = k*u/(1 - k*u), u = 2**-53, in any summation order
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1).
+    A float64 input has no bit contract (only gradient_check passes one)
+    and runs as a plain a @ b.
     """
     a = as_float(a)
     b = as_float(b)
@@ -139,51 +129,57 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     m, k = a.shape
     n = b.shape[1]
-    if k == 0 or not 1 <= m * n <= _ACCUMULATE_MAX_OUTPUTS:
-        return _matmul_blocked(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
-        p = a.T[:, :, None] * b[:, None, :]
-        # The loop adds the first product to +0.0, which turns -0.0 into +0.0.
-        p[0] += 0
-        out = np.add.accumulate(p, axis=0)[-1]
+        if a.dtype == np.float64 or b.dtype == np.float64:
+            return check_finite(a @ b, "matmul")
+        b64 = b.astype(np.float64)
+        b_abs = np.abs(b64)
+        out = np.empty((m, n), dtype=F32)
+        rows = max(1, _ROW_BLOCK_ELEMENTS // max(k, n, 1))
+        for s in range(0, m, rows):
+            a64 = a[s : s + rows].astype(np.float64)
+            c = a64 @ b64
+            # (k + 2) * 2**-52 is over twice gamma_k: room for the rounding of
+            # |A| @ |B| (also within gamma_k), of this product and of c -+ radius.
+            radius = np.abs(a64, out=a64) @ b_abs
+            radius *= (k + 2) * 2.0**-52
+            out[s : s + rows] = round_f32(c, radius, lambda ij, s=s: _exact_dot(a[s + ij[0]], b[:, ij[1]]))
     return check_finite(out, "matmul")
 
 
-def _matmul_blocked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """matmul's kernel for batch shapes: the products of up to _BLOCK_ELEMENTS
-    // (m*n) consecutive t in one multiply, then their rows added to the
-    output in t order, as _matmul_loop adds them."""
-    m, k = a.shape
-    n = b.shape[1]
-    out = np.zeros((m, n), dtype=np.result_type(a, b))
-    if k == 0 or m * n == 0:
-        return out
-    step = max(1, _BLOCK_ELEMENTS // (m * n))
-    p = np.empty((min(step, k), m, n), dtype=out.dtype)
+def round_f32(approx: np.ndarray, radius: np.ndarray, exact) -> np.ndarray:
+    """Exact values rounded once to float32, given that the float64 results
+    approx - radius and approx + radius enclose each. Where both round to the
+    same float32 bits, monotone rounding makes that the answer; elsewhere
+    exact(index) returns it as a float (inf from 2**128 on). A non-finite
+    approx comes out as NaN, without calling exact."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, k, step):
-            e = min(s + step, k)
-            block = p[: e - s]
-            np.multiply(a.T[s:e, :, None], b[s:e, None, :], out=block)
-            # Starting from +0.0, as the loop does, turns a -0.0 product into +0.0.
-            for row in block:
-                np.add(out, row, out=out)
-    return check_finite(out, "matmul")
+        out = (approx + radius).astype(F32)
+        lo = (approx - radius).astype(F32)
+        undecided = out.view(np.uint32) != lo.view(np.uint32)
+        for index in zip(*np.nonzero(undecided)) if undecided.any() else ():
+            out[index] = exact(index) if math.isfinite(approx[index]) else math.nan
+    return out
 
 
-def _matmul_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """matmul's reference kernel, one multiply and add per t, which the
-    accumulate and blocked kernels match bit for bit."""
-    m, k = a.shape
-    n = b.shape[1]
-    dtype = np.result_type(a, b)
-    out = np.zeros((m, n), dtype=dtype)
-    tmp = np.empty((m, n), dtype=dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(k):
-            np.multiply(a[:, t : t + 1], b[t : t + 1, :], out=tmp)
-            np.add(out, tmp, out=out)
-    return check_finite(out, "matmul")
+def _exact_dot(x: np.ndarray, y: np.ndarray) -> float:
+    """sum(x * y) of two float32 vectors rounded once to float32. A float32
+    is an integer times 2**-149, so the sum is an exact int times 2**-298."""
+    xs = (x.astype(np.float64) * 2.0**149).tolist()
+    ys = (y.astype(np.float64) * 2.0**149).tolist()
+    return _nearest_f32(sum(int(u) * int(v) for u, v in zip(xs, ys)), -298)
+
+
+def _nearest_f32(n: int, exp: int) -> float:
+    """n * 2**exp rounded to 24 significant bits, or to a multiple of the
+    smallest subnormal 2**-149, ties to even; float32 holds it exactly, or
+    as inf from 2**128 on."""
+    mag = abs(n)
+    drop = max(mag.bit_length() - 24, -149 - exp, 0)
+    q, r = mag >> drop, mag & ((1 << drop) - 1)
+    if drop and (r > 1 << (drop - 1) or (r == 1 << (drop - 1) and q & 1)):
+        q += 1
+    return math.copysign(math.ldexp(q, exp + drop), n)
 
 
 def ordered_axis0_sum(x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from golden_pipeline import EXPECTED_PATH, branch_paths, collect_hashes, run_golden
+from golden_pipeline import EXPECTED_PATH, MACRO_WINDOW, branch_paths, collect_hashes, run_golden
 
 from supersub.data import SyntheticSpec, deserialize_dataset, generate_synthetic, serialize_dataset
 from supersub.delta import MODE_FP16, MODE_QAT_INT, compute_delta, pack, unpack
@@ -94,9 +94,9 @@ def test_c03_bound_gap(golden):
     frozen_upper = expected["fp16_macro"]["upperbound_oracle"]
     criterion(
         3,
-        gap >= 2.0 and abs(lower - frozen_lower) <= 0.5 and abs(upper - frozen_upper) <= 0.5,
+        gap >= 2.0 and abs(lower - frozen_lower) <= MACRO_WINDOW and abs(upper - frozen_upper) <= MACRO_WINDOW,
         f"upper {upper:.2f} - lower {lower:.2f} = {gap:.2f} >= 2.0, "
-        f"within 0.5 of frozen ({frozen_upper:.2f}/{frozen_lower:.2f})",
+        f"within {MACRO_WINDOW} of frozen ({frozen_upper:.2f}/{frozen_lower:.2f})",
     )
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import mini_spec, with_fixed_crc
+from conftest import body_mutations, mini_spec, with_fixed_crc
 from supersub.cli import main
 from supersub.data import generate_synthetic, save_dataset
 from supersub.experiment import RunPaths, load_config
@@ -177,6 +177,38 @@ def test_corrupted_delta_exits_3(qat_config_path, capsys):
     paths.delta_file(0).write_bytes(bytes(blob))
     assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
     assert "integrity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["delta", "router"])
+def test_rejected_body_mutants_exit_3(qat_config_path, capsys, target):
+    # Seeded body mutants of delta_0.hsdl or super.hsnw that the library
+    # rejects: unpack reports each one as an integrity error, no traceback.
+    for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["pack", "0"]):
+        assert main(["--config", str(qat_config_path)] + argv) == 0
+    from supersub.delta import base_fingerprint_of, reconstruct, unpack
+    from supersub.errors import BaseMismatchError, FormatError
+    from supersub.network import deserialize_network, load_network
+
+    paths = RunPaths(load_config(qat_config_path).out_dir)
+    base = load_network(paths.super_net)
+    path = paths.delta_file(0) if target == "delta" else paths.super_net
+    rejected = 0
+    for mutant in body_mutations(path.read_bytes(), 40, seed=0xC11 + len(target)):
+        try:
+            if target == "delta":
+                reconstruct(base, unpack(mutant), base_fingerprint_of(base), 0)
+            else:
+                deserialize_network(mutant)
+        except (FormatError, BaseMismatchError):
+            rejected += 1
+        else:
+            continue  # read back: not a failure
+        path.write_bytes(mutant)
+        capsys.readouterr()
+        assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("integrity error:") and "Traceback" not in err, err
+    assert rejected >= 10, rejected
 
 
 @pytest.mark.parametrize(

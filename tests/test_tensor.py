@@ -1,18 +1,22 @@
 """Numeric substrate: PRNG determinism, elementary ops, precision casts."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from supersub import tensor
 from supersub.errors import DimensionError, ParameterError
 from supersub.tensor import (
     F32,
-    _BLOCK_ELEMENTS,
     Prng,
-    _matmul_blocked,
-    _matmul_loop,
     _ordered_axis0_sum_loop,
     _ordered_scalar_sum_loop,
     cross_entropy,
@@ -159,44 +163,125 @@ def _draw(rng, bound):
     return int(rng.next_u64() % (bound + 1))
 
 
-def _carrier(rng, shape, dtype):
+def _carrier(rng, shape, dtype, scale=1.0):
     """Gaussian entries on a dtype carrier, half the time as a transposed view."""
     if rng.next_u64() % 2:
-        return gaussian_array(rng, shape[::-1]).astype(dtype).T
-    return gaussian_array(rng, shape).astype(dtype)
+        return (gaussian_array(rng, shape[::-1]) * F32(scale)).astype(dtype).T
+    return (gaussian_array(rng, shape) * F32(scale)).astype(dtype)
+
+
+def _units(x) -> int:
+    """A float32 value, on any float carrier, as an exact int times 2**-149."""
+    return int(float(x) * 2.0**149)
+
+
+def _exact_sums(a, b) -> np.ndarray:
+    """sum_t a[i,t]*b[t,j] of float32 values as exact ints times 2**-298."""
+    to_units = np.vectorize(_units, otypes=[object])
+    return to_units(a) @ to_units(b)
+
+
+def _rounded(n: int) -> np.float32:
+    """n * 2**-298 rounded once to float32, ties to even: the float32
+    neighbours of a nearby value compared exactly; an exact zero is +0.0."""
+    if abs(n) >= (2**128 - 2**103) << 298:  # the midpoint above the largest float32
+        return F32(math.copysign(math.inf, n))
+    with np.errstate(over="ignore"):
+        near = F32(float(n) * 2.0**-298)  # within one float32 step of the answer
+    candidates = [near, np.nextafter(near, F32(math.inf)), np.nextafter(near, F32(-math.inf))]
+    best = min(
+        (c for c in candidates if np.isfinite(c)),
+        key=lambda c: (abs((_units(c) << 149) - n), int(c.view(np.uint32)) & 1),
+    )
+    return F32(math.copysign(0.0, n)) if best == 0 else best
+
+
+def _oracle(a, b) -> np.ndarray:
+    """matmul's reference: each exact sum rounded once to float32."""
+    sums = _exact_sums(a, b)
+    return np.array([_rounded(int(s)) for s in sums.flat], dtype=F32).reshape(sums.shape)
+
+
+def _check(a, b):
+    """matmul against the exact oracle: the same bits for float32 operands;
+    with a float64 operand, a float64 result within gamma_k of the exact sum."""
+    got = matmul(a, b)
+    if a.dtype == b.dtype == F32:
+        assert _same_bits(got, _oracle(a, b)), (a.shape, b.shape)
+        return got
+    exact = _exact_sums(a, b).astype(np.float64) * 2.0**-298
+    bound = (a.shape[1] + 2) * 2.0**-52 * (np.abs(a).astype(np.float64) @ np.abs(b).astype(np.float64))
+    assert got.dtype == np.float64 and got.shape == exact.shape, (got.dtype, got.shape)
+    assert np.all(np.abs(got - exact) <= bound), (a.shape, b.shape, a.dtype, b.dtype)
+    return got
+
+
+def _near_ties(rng, m, k):
+    """m rows of k >= 5 float32 values whose exact sum is the midpoint between
+    two float32 neighbours plus -2**-31, 0 or +2**-31 of their spacing,
+    mixed with a cancelling pair of values 2**10 larger and zeros, in a
+    Prng-chosen order, so float64 sums in any order are near a tie."""
+    rows = np.zeros((m, k), dtype=F32)
+    for i in range(m):
+        e = _draw(rng, 40) - 20
+        v = F32(math.ldexp(1 + (1 + _draw(rng, 2**22 - 2)) * 2.0**-23, e))  # not a power of two
+        if rng.next_u64() % 2:
+            v = -v
+        w = F32(math.ldexp(1 + _draw(rng, 2**23 - 1) * 2.0**-23, e + 10))
+        nudge = (_draw(rng, 2) - 1) * 2.0 ** (e - 23 - 31)
+        values = [v, F32(math.ldexp(1, e - 24)), F32(nudge), w, -w] + [F32(0.0)] * (k - 5)
+        order = list(range(k))
+        rng.shuffle(order)
+        rows[i] = [values[t] for t in order]
+    return rows
+
+
+@pytest.fixture()
+def decided(monkeypatch):
+    """One entry per element matmul decides exactly."""
+    calls = []
+    exact_dot = tensor._exact_dot
+    monkeypatch.setattr(tensor, "_exact_dot", lambda x, y: calls.append(1) or exact_dot(x, y))
+    return calls
 
 
 class TestMatmulKernels:
-    """matmul against _matmul_loop, the t-loop its accumulate kernel replaces."""
+    """matmul against the exact oracle at small shapes: each element the exact
+    sum rounded once to float32, whatever order BLAS adds in."""
 
     def test_random_shapes_both_sides_of_the_threshold(self):
+        # Random shapes and scales; one case in eight has k of 500 to 2000,
+        # so its rows run in several blocks.
         rng = Prng(0x4D41544D)
-        outputs = []
+        outputs, blocks = [], []
         for case in range(240):
             m, k, n = _draw(rng, 40), _draw(rng, 40), 1 + _draw(rng, 39)
-            a = _carrier(rng, (m, k), (F32, np.float64)[case % 2])
-            b = _carrier(rng, (k, n), (F32, np.float64)[case % 3 == 0])
+            if case % 8 == 0:
+                k, n = 500 + _draw(rng, 1500), 1 + _draw(rng, 4)
+            scales = [2.0 ** (_draw(rng, 20) - 10) for _ in range(2)]  # about 1e-3 to 1e3
+            a = _carrier(rng, (m, k), (F32, np.float64)[case % 2], scales[0])
+            b = _carrier(rng, (k, n), (F32, np.float64)[case % 3 == 0], scales[1])
             if m and case % 4 == 0:
-                a[_draw(rng, m - 1)] = -0.0
+                a[_draw(rng, m - 1)] = (-0.0, 0.0)[case % 8 == 0]
             if case % 5 == 0:
                 b[:, _draw(rng, n - 1)] = -0.0
-            assert _same_bits(matmul(a, b), _matmul_loop(a, b)), (m, k, n, a.dtype, b.dtype)
+            _check(a, b)
             outputs.append(m * n)
-        assert min(outputs) == 0 and any(1 <= x <= 512 for x in outputs) and max(outputs) > 512
+            blocks.append(-(-m // max(1, tensor._ROW_BLOCK_ELEMENTS // max(k, n, 1))))
+        assert min(outputs) == 0 and max(outputs) > 512
+        assert {0, 1} <= set(blocks) and max(blocks) > 2
 
     @pytest.mark.parametrize("m, k, n", [(1, 7, 5), (1, 64, 64), (8, 3, 64), (3, 1, 2), (9, 4, 60)])
     @pytest.mark.parametrize("dtype", [F32, np.float64])
     def test_signed_zero_rows_and_columns(self, m, k, n, dtype):
-        # A product sums to -0.0 only when all its terms are -0.0; the loop,
-        # starting from +0.0, returns +0.0 there.
+        # A row or column of -0.0 makes every product -0.0, an exact zero sum: +0.0.
         rng = Prng(m * 1000 + k * 100 + n)
         a = np.abs(gaussian_array(rng, (m, k))).astype(dtype)
         b = np.abs(gaussian_array(rng, (k, n))).astype(dtype)
         a[0] = -0.0
         b[:, -1] = -0.0
-        out = matmul(a, b)
-        assert _same_bits(out, _matmul_loop(a, b))
-        assert not np.signbit(out).any()
+        out = _check(a, b)
+        assert dtype is np.float64 or not np.signbit(out).any()
 
     @pytest.mark.parametrize(
         "m, k, n", [(0, 3, 4), (3, 0, 4), (0, 0, 1), (1, 1, 1), (1, 64, 5), (1, 16, 512), (1, 16, 513)]
@@ -206,33 +291,115 @@ class TestMatmulKernels:
         rng = Prng(m + 7 * k + 31 * n)
         a = gaussian_array(rng, (m, k)).astype(dtype)
         b = gaussian_array(rng, (k, n)).astype(dtype)
-        assert _same_bits(matmul(a, b), _matmul_loop(a, b))
+        out = _check(a, b)
+        assert out.shape == (m, n) and out.dtype == dtype
 
     def test_transposed_gradient_views(self):
         # backward's d_weight = matmul(d_out.T, x): a strided left operand.
         rng = Prng(0x7E57)
         d_out = gaussian_array(rng, (16, 5))
         x = gaussian_array(rng, (16, 64))
-        assert _same_bits(matmul(d_out.T, x), _matmul_loop(d_out.T, x))
-        assert _same_bits(matmul(d_out.T, x[:, ::2]), _matmul_loop(d_out.T, x[:, ::2]))
+        _check(d_out.T, x)
+        _check(d_out.T, x[:, ::2])
+
+    def test_near_ties_take_the_exact_fallback(self, decided):
+        rng = Prng(0x7145)
+        for k in (7, 12, 64, 1024):  # at k = 1024 the 24 rows run in two blocks
+            a = _near_ties(rng, 24, k)
+            b = np.zeros((k, 6), dtype=F32)
+            for j in range(6):  # signed powers of two keep every output near its tie
+                b[:, j] = F32(math.ldexp((-1) ** j, _draw(rng, 8) - 4))
+            expected = _oracle(a, b)
+            assert _same_bits(matmul(a, b), expected)
+            with np.errstate(over="ignore"):
+                plain = (a.astype(np.float64) @ b.astype(np.float64)).astype(F32)
+            assert not _same_bits(plain, expected), "the inputs should defeat a float64 product"
+        assert decided
+
+    def test_subnormal_near_ties_take_the_exact_fallback(self, decided):
+        # v + 2**-150 is the midpoint between two subnormals; a +-2**-160
+        # nudge and a cancelling pair of 2**-100 leave float64 near the tie.
+        rng = Prng(0x5AB)
+        a = np.zeros((30, 5), dtype=F32)
+        for i in range(30):
+            v = (-1) ** i * math.ldexp(1 + _draw(rng, 2**22), -149)
+            a[i] = [v, 2.0**-75, 2.0**-80, 2.0**-100, -(2.0**-100)]
+        b = np.array([[1.0] * 3, [2.0**-75] * 3, [-(2.0**-80), 0.0, 2.0**-80], [1.0] * 3, [1.0] * 3], dtype=F32)
+        assert _same_bits(matmul(a, b), _oracle(a, b))
+        assert decided
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflow_boundary_is_decided_exactly(self, sign):
+        # The largest float32 plus half its spacing is a tie that rounds to
+        # even, 2**128: an overflow. A hair less rounds to the largest float32.
+        top = np.finfo(F32).max
+        b = np.ones((3, 1), dtype=F32)
+        tie = np.array([[top, 2.0**103, 0.0]], dtype=F32) * F32(sign)
+        with pytest.raises(ParameterError):
+            matmul(tie, b)
+        below = np.array([[top, 2.0**103, -(2.0**60)]], dtype=F32) * F32(sign)
+        assert _same_bits(matmul(below, b), np.array([[top * F32(sign)]], dtype=F32))
+        assert _same_bits(matmul(below, b), _oracle(below, b))
+        # A cancelling pair of 2**200 products hides an exact 2**128 from float64.
+        hidden = np.array([[2.0**64, 2.0**100, -(2.0**100)]], dtype=F32) * F32(sign)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                matmul(hidden, np.array([[2.0**64], [2.0**100], [2.0**100]], dtype=F32))
+
+    def test_underflow_keeps_its_sign_and_an_exact_zero_is_positive(self):
+        rows = np.array(
+            [
+                [-(2.0**-100), 0.0],  # -2**-200 rounds to -0.0
+                [2.0**-75, 2.0**-75],  # 2 * 2**-150: the smallest subnormal
+                [2.0**-75, 0.0],  # 2**-150, a tie between 0 and 2**-149: +0.0
+                [1.0, -1.0],  # an exact zero by cancellation: +0.0
+            ],
+            dtype=F32,
+        )
+        b = np.array([[2.0**-100, 2.0**-75, 2.0**-75, 1.0], [0.0, 2.0**-75, 0.0, 1.0]], dtype=F32)
+        out = matmul(rows, b)
+        assert _same_bits(out, _oracle(rows, b))
+        assert [out[0, 0], out[1, 1], out[2, 2], out[3, 3]] == [0.0, 2.0**-149, 0.0, 0.0]
+        assert np.signbit([out[0, 0], out[2, 2], out[3, 3]]).tolist() == [True, False, False]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_finite_input_rejected_without_warnings(self, bad, side):
+        a = np.ones((50, 64), dtype=F32)
+        b = np.ones((64, 64), dtype=F32)
+        (a if side == "left" else b)[3, 5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                matmul(a, b)
+
+    def test_single_thread_blas_gives_the_same_bytes(self):
+        code = (
+            "import hashlib, sys\n"
+            "from supersub.tensor import Prng, gaussian_array, matmul\n"
+            "rng = Prng(0x7B1A5)\n"
+            "a, b = gaussian_array(rng, (1000, 64)), gaussian_array(rng, (64, 64))\n"
+            "sys.stdout.write(hashlib.sha256(matmul(a, b).tobytes()).hexdigest())\n"
+        )
+        rng = Prng(0x7B1A5)
+        a, b = gaussian_array(rng, (1000, 64)), gaussian_array(rng, (64, 64))
+        here = hashlib.sha256(matmul(a, b).tobytes()).hexdigest()
+        src = str(Path(tensor.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == here
 
 
 class TestMatmulBlocked:
-    """_matmul_blocked, the kernel matmul runs for m*n > 512, against _matmul_loop."""
-
-    @staticmethod
-    def _check(a, b):
-        expected = _matmul_loop(a, b)
-        assert _same_bits(_matmul_blocked(a, b), expected), (a.shape, b.shape, a.dtype, b.dtype)
-        assert _same_bits(matmul(a, b), expected)
+    """matmul against the exact oracle at batch shapes: the training and
+    evaluation shapes, k = 0 and m*n = 0, strided views and overflow."""
 
     def test_random_batch_shapes(self):
         rng = Prng(0x424C4B44)
-        blocks = []
-        for case in range(120):
+        for case in range(40):
             m, n = 8 + _draw(rng, 72), 8 + _draw(rng, 72)
-            if m * n <= 512:
-                n = 513 // m + 1
             k = _draw(rng, 80)
             a = _carrier(rng, (m, k), (F32, np.float64)[case % 2])
             b = _carrier(rng, (k, n), (F32, np.float64)[case % 3 == 0])
@@ -240,20 +407,18 @@ class TestMatmulBlocked:
                 a[_draw(rng, m - 1)] = -0.0
             if case % 5 == 0:
                 b[:, _draw(rng, n - 1)] = -0.0
-            self._check(a, b)
-            blocks.append(-(-k // (_BLOCK_ELEMENTS // (m * n))))
-        assert {0, 1} <= set(blocks) and max(blocks) > 1
+            _check(a, b)
 
     @pytest.mark.parametrize(
         "m, k, n",
         [
-            (19, 9, 27),  # m*n = 513, just above the accumulate kernel
-            (64, 5, 64),  # step 32: k below it
-            (64, 32, 64),  # k equal to the step
-            (64, 64, 64),  # k a multiple of the step
-            (50, 64, 64),  # step 40: one full block and one of 24
-            (64, 50, 32),  # step 64: k below it
-            (400, 3, 400),  # m*n above _BLOCK_ELEMENTS: step 1
+            (19, 9, 27),
+            (64, 5, 64),
+            (64, 32, 64),
+            (64, 64, 64),
+            (50, 64, 64),  # a training step's forward
+            (64, 50, 32),  # a training step's weight gradient
+            (400, 3, 400),
             (30, 0, 30),  # k = 0
             (0, 6, 600),  # m = 0
         ],
@@ -263,52 +428,53 @@ class TestMatmulBlocked:
         rng = Prng(m * 10000 + k * 100 + n)
         a = gaussian_array(rng, (m, k)).astype(dtypes[0])
         b = gaussian_array(rng, (k, n)).astype(dtypes[1])
-        self._check(a, b)
+        _check(a, b)
 
     @pytest.mark.parametrize("m, k, n", [(9, 4, 60), (50, 64, 64), (64, 50, 32), (400, 2, 400)])
     @pytest.mark.parametrize("dtype", [F32, np.float64])
     def test_signed_zero_rows_and_columns(self, m, k, n, dtype):
-        # The loop adds the first product to +0.0, so an all -0.0 column of
-        # products sums to +0.0; seeding the output from it would keep -0.0.
         rng = Prng(m * 1000 + k * 100 + n)
         a = np.abs(gaussian_array(rng, (m, k))).astype(dtype)
         b = np.abs(gaussian_array(rng, (k, n))).astype(dtype)
         a[0] = -0.0
         b[:, -1] = -0.0
-        self._check(a, b)
-        assert not np.signbit(matmul(a, b)).any()
+        out = _check(a, b)
+        assert dtype is np.float64 or not np.signbit(out).any()
 
     def test_transposed_gradient_views(self):
         # backward's d_weight = matmul(d_out.T, x) at a training shape.
         rng = Prng(0x7E58)
         d_out = gaussian_array(rng, (50, 64))
         x = gaussian_array(rng, (50, 64))
-        self._check(d_out.T, x)
-        self._check(d_out.T, x[:, ::2])
+        _check(d_out.T, x)
+        _check(d_out.T, x[:, ::2])
 
     @pytest.mark.parametrize("m, k, n, at", [(50, 64, 64, 45), (400, 3, 400, 2)])
     def test_overflow_rejected(self, m, k, n, at):
-        # Overflow in a later block, and in step-1 blocks, still raises.
+        # One column of 3e38 * 3e38 products: beyond float32, still a ParameterError.
         a = np.ones((m, k), dtype=F32)
         b = np.ones((k, n), dtype=F32)
         a[:, at] = 3e38
         b[at] = 3e38
-        with pytest.raises(ParameterError):
-            matmul(a, b)
-        with pytest.raises(ParameterError):
-            _matmul_loop(a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                matmul(a, b)
 
     def test_temporary_is_bounded_by_the_block(self):
+        # Besides the output: two float64 copies of b and, per block of rows,
+        # at most six float64 arrays of _ROW_BLOCK_ELEMENTS, whatever m is.
         rng = Prng(0x4D454D)
-        a = gaussian_array(rng, (1000, 64))
-        b = gaussian_array(rng, (64, 64))
-        tracemalloc.start()
-        try:
-            out = matmul(a, b)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= out.nbytes + _BLOCK_ELEMENTS * out.itemsize + 64 * 1024, peak
+        for m, k, n in [(1000, 64, 64), (4000, 64, 64), (4000, 32, 5)]:
+            a = gaussian_array(rng, (m, k))
+            b = gaussian_array(rng, (k, n))
+            tracemalloc.start()
+            try:
+                out = matmul(a, b)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= out.nbytes + 16 * k * n + 6 * 8 * tensor._ROW_BLOCK_ELEMENTS, (m, k, n, peak)
 
 
 class TestOrderedAxis0Sum:

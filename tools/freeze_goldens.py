@@ -5,8 +5,11 @@ Writes tests/golden/expected.json: macro accuracies per mode, compression
 numbers, ledger counters, and SHA-256 hashes of every artifact. The
 acceptance suite asserts against these frozen values; regenerate only when
 the pipeline is intentionally changed, and review the diff, which is printed
-before the file is replaced: every artifact whose hash moved, and old -> new
-for every other value that changed.
+before the file is replaced: every artifact whose hash moved, old -> new
+for every other value that changed, and each macro accuracy's drift from
+the file being replaced, marked within or outside C03's window. A refreeze
+that changes the pipeline on purpose shows C03 against the values frozen
+before it, not against its own new goldens.
 
 Note: artifact hashes are exact for reruns in the same environment;
 across numpy/zlib builds the accuracy values are covered by the published
@@ -20,7 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from golden_pipeline import EXPECTED_PATH, branch_paths, collect_hashes, run_golden  # noqa: E402
+from golden_pipeline import EXPECTED_PATH, MACRO_WINDOW, branch_paths, collect_hashes, run_golden  # noqa: E402
 
 from supersub.delta import MODE_FP16, compute_delta, pack  # noqa: E402
 from supersub.network import load_network, network_bytes  # noqa: E402
@@ -52,6 +55,15 @@ def print_changes(old: dict, new: dict) -> None:
     for key in changed:
         print(f"{key}: {old_values.get(key, 'absent')} -> {new_values.get(key, 'absent')}")
     print(f"{len(moved)} of {len(new_hashes)} hashes moved; {len(changed)} of {len(new_values)} other values changed")
+    for branch in ("fp16_macro", "qat_macro"):
+        for mode, value in sorted(new[branch].items()):
+            before = old.get(branch, {}).get(mode)
+            if before is None:
+                print(f"{branch}.{mode}: {value:.2f}, nothing frozen before")
+                continue
+            drift = value - before
+            where = "within" if abs(drift) <= MACRO_WINDOW else "OUTSIDE"
+            print(f"{branch}.{mode}: {before:.2f} -> {value:.2f}, drift {drift:+.2f}, {where} C03's {MACRO_WINDOW}-point window")
 
 
 def main() -> int:
