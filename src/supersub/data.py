@@ -12,6 +12,7 @@ the features and the labels; the subclass count is the manifest's alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,12 +51,12 @@ class SyntheticSpec:
             raise ParameterError("every superclass needs at least 2 subclasses")
         if self.dim < 1:
             raise ParameterError(f"dim must be >= 1, got {self.dim}")
-        if not (self.super_sep > self.sub_sep > 0):
+        if not math.inf > self.super_sep > self.sub_sep > 0:
             raise ParameterError(
-                f"need super_sep > sub_sep > 0, got {self.super_sep} vs {self.sub_sep}"
+                f"need finite super_sep > sub_sep > 0, got {self.super_sep} vs {self.sub_sep}"
             )
-        if self.noise_sigma <= 0:
-            raise ParameterError(f"noise_sigma must be > 0, got {self.noise_sigma}")
+        if not 0 < self.noise_sigma < math.inf:
+            raise ParameterError(f"noise_sigma must be finite and > 0, got {self.noise_sigma}")
         if self.n_train_per_sub < 0 or self.n_test_per_sub < 0:
             raise ParameterError("per-subclass sample counts must be >= 0")
 

@@ -194,20 +194,22 @@ def unpack(data: bytes) -> DeltaPack:
 # --- reconstruction ----------------------------------------------------------
 
 
-def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int, superclass_id: int) -> Network:
-    """Rebuild superclass_id's specialist: body = base + delta, head verbatim.
+def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int, superclass_id: int, head_dim: int) -> Network:
+    """Rebuild superclass_id's specialist, of head width head_dim (its
+    subclass count): body = base + delta, head verbatim.
 
     `base_fingerprint` is `base_fingerprint_of(base)`, which the caller
     takes once per base; a pack computed against another base raises
     BaseMismatchError. qat-int reconstruction works in the integer domain —
     recover the base's grid indices, add the stored index deltas, rescale —
     which reproduces the stored specialist bit for bit. No pack computed
-    against this base holds another superclass, a config that does not
-    share the base's body, a qat-int mode for a base without grids, head
-    scales that are not finite and positive, a qat-int head off the
-    lattice of its scale, or a delta that rebuilds to NaN or infinity, so
-    each is a FormatError, as the HSNW reader would find it in the rebuilt
-    file. A qat-int specialist takes its bits and body scales from the base.
+    against this base holds another superclass, a head of another width, a
+    config that does not share the base's body, a qat-int mode for a base
+    without grids, head scales that are not finite and positive, a qat-int
+    head off the lattice of its scale, or a delta that rebuilds to NaN or
+    infinity, so each is a FormatError, as the HSNW reader would find it in
+    the rebuilt file. A qat-int specialist takes its bits and body scales
+    from the base.
     """
     if base_fingerprint != d.base_fingerprint:
         raise BaseMismatchError(
@@ -216,6 +218,8 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int, superclass_i
         )
     if d.superclass_id != superclass_id:
         raise FormatError(f"delta holds superclass {d.superclass_id}, not {superclass_id}")
+    if d.config.head_dim != head_dim:
+        raise FormatError(f"delta holds a head of width {d.config.head_dim}, not {head_dim}")
     if d.mode == MODE_QAT_INT and base.quant is None:
         raise FormatError("qat-int pack needs a base with quantization grids")
     if d.config.with_head(base.head_dim) != base.config:

@@ -340,10 +340,14 @@ def cmd_train(config: ExperimentConfig, target: str) -> Path:
 
 
 def _parse_super_index(text: str, n_super: int) -> int:
+    """The index i with str(i) == text: no sign, space, underscore or leading
+    zero, so each superclass has one loss CSV name."""
     try:
         i = int(text)
-    except ValueError as exc:
-        raise ParameterError(f"superclass index must be an integer, got {text!r}") from exc
+    except ValueError:
+        i = None
+    if i is None or str(i) != text:
+        raise ParameterError(f"superclass index must be an integer, got {text!r}")
     if not 0 <= i < n_super:
         raise IndexError(f"superclass index {i} out of range 0..{n_super - 1}")
     return i
@@ -393,9 +397,9 @@ def cmd_unpack(config: ExperimentConfig, super_index: int) -> Path:
     """Reconstruct a specialist network file from its stored delta."""
     paths = RunPaths(config.out_dir)
     base = load_network(paths.super_net)
-    blob = paths.delta_file(super_index).read_bytes()
-    pack = delta_mod.unpack(blob)
-    specialist = delta_mod.reconstruct(base, pack, delta_mod.base_fingerprint_of(base), super_index)
+    pack = delta_mod.unpack(paths.delta_file(super_index).read_bytes())
+    head_dim = load_dataset(paths.test_data).manifest.subclass_count(super_index)
+    specialist = delta_mod.reconstruct(base, pack, delta_mod.base_fingerprint_of(base), super_index, head_dim)
     save_network(specialist, paths.reconstructed_net(super_index))
     return paths.reconstructed_net(super_index)
 

@@ -27,10 +27,9 @@ and an HSNW file stores them as bare floats in that order, with no names.
 
 Networks are immutable: nothing writes into a network's arrays, so
 networks and their tensors are shared, never copied, across threads too.
-A gradient is a Network as well: backward returns one with the network's
-own config, and sgd_step is one zip over the two tensor tuples. Batch-norm
-running statistics are returned inside the forward cache and committed by
-the training loop, not by forward itself.
+A gradient is a Network as well, of the network's own config. A training
+forward returns the batch-norm running-stat updates inside its cache, and
+sgd_step builds the next network from the stepped tensors and those updates.
 """
 
 from __future__ import annotations
@@ -322,10 +321,8 @@ class LayerCache:
 @dataclass
 class ForwardCache:
     layer_caches: list[LayerCache]
-    logits: np.ndarray
     eff_weights: list[np.ndarray]
     training: bool
-    batch_size: int
 
 
 def forward(
@@ -375,12 +372,14 @@ def forward(
             z = gamma * xhat + beta
         caches.append(LayerCache(a, z, xhat if training else None, sigma, bn_update))
         a = z if i == head else relu(z)
-    logits = tensor.check_finite(a, "forward logits")
-    return logits, ForwardCache(caches, logits, weights, training, m)
+    return tensor.check_finite(a, "forward logits"), ForwardCache(caches, weights, training)
 
 
-def backward(net: Network, cache: ForwardCache, labels) -> Network:
+def backward(net: Network, cache: ForwardCache, probs: np.ndarray, labels) -> Network:
     """Gradient of mean cross-entropy w.r.t. every parameter, as a Network.
+
+    probs is `softmax_rows` of the logits of the training forward that
+    filled cache; the caller takes it once, for its loss too.
 
     The gradient network has the config of net, each tensor holding the
     gradient of the matching parameter. A batch-norm layer's running-stat
@@ -397,15 +396,15 @@ def backward(net: Network, cache: ForwardCache, labels) -> Network:
     """
     if not cache.training:
         raise ContractError("backward needs a cache from a training-mode forward")
+    m, n = len(cache.layer_caches[0].x), net.head_dim
+    if np.shape(probs) != (m, n):
+        raise ContractError(f"probabilities of shape {np.shape(probs)} for a batch of {m} rows and {n} classes")
     labels = np.asarray(labels, dtype=np.int64)
-    m = cache.batch_size
     if labels.shape != (m,):
         raise ContractError(f"{labels.shape[0] if labels.ndim else 0} labels for batch of {m}")
-    n = net.head_dim
     if np.any(labels < 0) or np.any(labels >= n):
         raise ContractError(f"labels outside 0..{n - 1}")
 
-    probs = softmax_rows(cache.logits)
     onehot = np.zeros_like(probs)
     onehot[np.arange(m), labels] = F32(1.0)
     d_out = (probs - onehot) / F32(m)
@@ -434,24 +433,24 @@ def backward(net: Network, cache: ForwardCache, labels) -> Network:
     return Network(net.config, tuple(t for layer in reversed(grads) for t in layer))
 
 
-def sgd_step(net: Network, grads: Network, lr: float) -> Network:
-    """theta <- theta - lr * g for every tensor. The zero gradients of the
-    running statistics and of a batch-norm layer's pinned bias leave those
-    tensors bit-exact."""
+def sgd_step(net: Network, grads: Network, lr: float, cache: ForwardCache) -> Network:
+    """theta <- theta - lr * g for every trainable tensor; each batch-norm
+    layer's running mean and variance become the momentum update in its
+    LayerCache. The zero gradient of a batch-norm layer's pinned bias leaves
+    it bit-exact."""
     if grads.config != net.config:
         raise ContractError(f"gradient of {grads.config} does not match network {net.config}")
     lr32 = F32(lr)
-    return Network(net.config, tuple((t - lr32 * g).astype(F32) for t, g in zip(net.tensors, grads.tensors)))
 
+    def step(t, g):
+        return (t - lr32 * g).astype(F32)
 
-def apply_bn_updates(net: Network, cache: ForwardCache) -> Network:
-    """Commit the running-stat momentum updates captured by a training forward."""
     tensors: list[np.ndarray] = []
-    for (weight, bias, bn), lc in zip(_layers(net), cache.layer_caches):
-        tensors += [weight, bias]
+    for (weight, bias, bn), (d_weight, d_bias, d_bn), lc in zip(_layers(net), _layers(grads), cache.layer_caches):
+        tensors += [step(weight, d_weight), step(bias, d_bias)]
         if bn is not None:
-            tensors += [*bn[:2], *(bn[2:] if lc.bn_update is None else lc.bn_update)]
-    return Network(net.config, tuple(tensors), net.quant)
+            tensors += [step(bn[0], d_bn[0]), step(bn[1], d_bn[1]), *lc.bn_update]
+    return Network(net.config, tuple(tensors))
 
 
 # --- gradient checking -------------------------------------------------------
@@ -503,8 +502,8 @@ def gradient_check(net: Network, batch: np.ndarray, labels, eps: float = 1e-4) -
     batch64 = np.asarray(batch, dtype=np.float64)
 
     work = Network(net.config, tuple(t.astype(np.float64) for t in net.tensors))
-    _, cache = forward(work, batch64, training=True)
-    grads = backward(work, cache, labels)
+    logits, cache = forward(work, batch64, training=True)
+    grads = backward(work, cache, softmax_rows(logits), labels)
 
     worst = 0.0
     for p, g in zip(_param_views(work), _param_views(grads)):

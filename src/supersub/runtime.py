@@ -118,12 +118,8 @@ class EfficientSession:
         if self._cached_super == super_index:
             return self._cached_net
         blob = self.packed_deltas[super_index]
-        specialist = reconstruct(self.super_net, unpack(blob), self._base_fingerprint, super_index)
-        if specialist.head_dim != self.manifest.subclass_count(super_index):
-            raise ContractError(
-                f"reconstructed specialist {super_index} head {specialist.head_dim} != "
-                f"{self.manifest.subclass_count(super_index)} subclasses"
-            )
+        k = self.manifest.subclass_count(super_index)
+        specialist = reconstruct(self.super_net, unpack(blob), self._base_fingerprint, super_index, k)
         self.ledger.bytes_loaded += len(blob)
         self.ledger.specialist_switches += 1
         self.ledger.reconstruction_adds += self._body_elements

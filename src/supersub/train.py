@@ -9,14 +9,16 @@ Training is deterministic per seed: shuffling comes from the splitmix64
 generator and all arithmetic runs through the fixed-order float32 kernels,
 so two runs with the same inputs produce bit-identical networks.
 
-Quantization-aware training has one loop, `_sgd`: given a `QatConfig` it
-fake-quantizes the forward weights by that config's grid rule and returns
+Every network trains through one loop, `_sgd`; its body is the training
+step: forward, one softmax for the loss and `backward`, one `sgd_step`.
+Given a `QatConfig` the loop fake-quantizes the forward weights by that config's grid rule and returns
 the network snapped onto the same grids. `train` gives every tensor its
 live grid; `finetune_from_super` pins the body to the router's grids.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,7 @@ import numpy as np
 from . import network as net_mod
 from .data import Dataset
 from .errors import ContractError, ParameterError
-from .network import Network, QatConfig, apply_bn_updates, backward, forward, sgd_step, snap_to_grid
+from .network import Network, QatConfig, backward, forward, sgd_step, snap_to_grid
 from .tensor import Prng, child_seed, cross_entropy, softmax_rows
 
 _HEAD_SEED_TAG = 0x48454144  # "HEAD"
@@ -39,8 +41,8 @@ class TrainConfig:
     qat_bits: int | None = None  # None trains in float; 2..8 trains on that grid
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ParameterError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ParameterError(f"lr must be finite and > 0, got {self.lr}")
         if self.epochs < 0:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -125,10 +127,9 @@ def _sgd(
             xb = features[idx]
             yb = labels[idx]
             logits, cache = forward(current, xb, training=True, qat=qat)
-            batch_losses.append(cross_entropy(softmax_rows(logits), yb))
-            grads = backward(current, cache, yb)
-            current = sgd_step(current, grads, config.lr)
-            current = apply_bn_updates(current, cache)
+            probs = softmax_rows(logits)
+            batch_losses.append(cross_entropy(probs, yb))
+            current = sgd_step(current, backward(current, cache, probs, yb), config.lr, cache)
         if not batch_losses:
             raise ContractError(f"batch_size {config.batch_size} yields no usable batches for {n} rows")
         history.append(sum(batch_losses) / len(batch_losses))

@@ -110,6 +110,18 @@ def test_invalid_superclass_index_exits_2(config_path):
     assert main(["--config", str(config_path), "finetune", "9"]) == 2
 
 
+@pytest.mark.parametrize("text", ["+1", " 1", "1 ", "1_0", "01", "1.0", "", "x", "-1", "2"])
+def test_train_sub_index_spelled_otherwise_exits_2(config_path, capsys, text):
+    # Only the index as str(i) spells it names a superclass, so each one
+    # writes one sub_<i>.hsnw and one loss CSV.
+    assert main(["--config", str(config_path), "gen-data"]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(config_path), "train", f"sub:{text}"]) == 2
+    err = capsys.readouterr().err
+    assert ("out of range" if text in ("-1", "2") else "must be an integer") in err and "Traceback" not in err
+    assert not list(RunPaths(load_config(config_path).out_dir).root.glob("*sub_*"))
+
+
 @pytest.mark.parametrize(
     "steps, verb, missing",
     [
@@ -196,7 +208,7 @@ def test_rejected_body_mutants_exit_3(qat_config_path, capsys, target):
     for mutant in body_mutations(path.read_bytes(), 40, seed=0xC11 + len(target)):
         try:
             if target == "delta":
-                reconstruct(base, unpack(mutant), base_fingerprint_of(base), 0)
+                reconstruct(base, unpack(mutant), base_fingerprint_of(base), 0, 2)
             else:
                 deserialize_network(mutant)
         except (FormatError, BaseMismatchError):
@@ -337,6 +349,30 @@ def test_swapped_delta_files_exit_3(config_path, capsys, verb):
     capsys.readouterr()
     assert main(["--config", str(config_path)] + verb) == 3
     assert "superclass 1, not 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", [["unpack", "0"], ["eval", "two_stage_efficient"]], ids=["unpack", "eval"])
+def test_delta_with_another_head_width_exits_3(config_path, capsys, verb):
+    # A well-formed pack for superclass 0 whose head is one class wider than
+    # the superclass's two subclasses.
+    for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["finetune", "1"],
+                 ["pack", "0"], ["pack", "1"]):
+        assert main(["--config", str(config_path)] + argv) == 0
+    import numpy as np
+
+    from supersub.delta import pack, unpack
+
+    paths = RunPaths(load_config(config_path).out_dir)
+    d = unpack(paths.delta_file(0).read_bytes())
+    weight, bias = d.tensors[-2:]
+    head = (np.vstack([weight, weight[:1]]), np.append(bias, bias[:1]))
+    wide = replace(d, config=d.config.with_head(d.config.head_dim + 1), tensors=(*d.tensors[:-2], *head))
+    paths.delta_file(0).write_bytes(pack(wide).data)
+    capsys.readouterr()
+    assert main(["--config", str(config_path)] + verb) == 3
+    err = capsys.readouterr().err
+    assert "head of width 3, not 2" in err and "Traceback" not in err
+    assert not paths.reconstructed_net(0).exists()
 
 
 @pytest.mark.parametrize("verb", [["unpack", "0"], ["eval", "two_stage_vanilla"]], ids=["unpack", "eval"])

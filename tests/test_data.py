@@ -23,12 +23,15 @@ from supersub.tensor import F32
 
 class TestSyntheticSpec:
     def test_separation_ordering_enforced(self):
-        with pytest.raises(ParameterError):
-            mini_spec(super_sep=1.0, sub_sep=2.0)
+        nan, inf = float("nan"), float("inf")
+        for super_sep, sub_sep in ((1.0, 2.0), (inf, 1.5), (nan, 1.5), (6.0, nan), (inf, inf), (6.0, -inf)):
+            with pytest.raises(ParameterError, match="super_sep"):
+                mini_spec(super_sep=super_sep, sub_sep=sub_sep)
 
     def test_noise_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            mini_spec(noise_sigma=0.0)
+        for sigma in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="noise_sigma"):
+                mini_spec(noise_sigma=sigma)
 
     def test_subs_per_super_length_checked(self):
         with pytest.raises(ParameterError):

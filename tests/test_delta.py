@@ -31,6 +31,7 @@ from supersub.network import (
     body_items,
     deserialize_network,
     init_network,
+    replace_head,
     serialize_network,
     snap_to_grid,
     tensor_items,
@@ -129,7 +130,7 @@ class TestComputeDelta:
     def test_qat_round_trip_bit_exact(self, qat_pair):
         base, specialist = qat_pair
         d = compute_delta(base, specialist, MODE_QAT_INT)
-        rebuilt = reconstruct(base, d, base_fingerprint_of(base), 0)
+        rebuilt = reconstruct(base, d, base_fingerprint_of(base), 0, specialist.head_dim)
         assert serialize_network(rebuilt) == serialize_network(specialist)
 
     def test_qat_requires_quantized_networks(self, plain_pair):
@@ -262,7 +263,7 @@ class TestPackUnpack:
         other_base = build_net(head=2, seed=99, dims=(8, 16, 16))
         again = unpack(packed.data)  # parses fine
         with pytest.raises(BaseMismatchError):
-            reconstruct(other_base, again, base_fingerprint_of(other_base), 0)
+            reconstruct(other_base, again, base_fingerprint_of(other_base), 0, specialist.head_dim)
 
     def test_many_random_packs_round_trip(self):
         rng = Prng(777)
@@ -278,20 +279,20 @@ class TestPackUnpack:
 class TestReconstruct:
     def test_zero_delta_reproduces_base_body(self):
         net = build_net(seed=13)
-        rebuilt = reconstruct(net, compute_delta(net, net, MODE_FP16), base_fingerprint_of(net), 0)
+        rebuilt = reconstruct(net, compute_delta(net, net, MODE_FP16), base_fingerprint_of(net), 0, net.head_dim)
         for (name, orig, _), (_, new, _) in zip(body_items(net), body_items(rebuilt), strict=True):
             assert np.array_equal(orig, new), name
 
     def test_fp16_reconstruction_close(self, plain_pair):
         base, specialist = plain_pair
-        rebuilt = reconstruct(base, compute_delta(base, specialist, MODE_FP16), base_fingerprint_of(base), 0)
+        rebuilt = reconstruct(base, compute_delta(base, specialist, MODE_FP16), base_fingerprint_of(base), 0, specialist.head_dim)
         for (_, orig, is_weight), (_, new, _) in zip(tensor_items(specialist), tensor_items(rebuilt), strict=True):
             if is_weight:
                 np.testing.assert_allclose(orig, new, rtol=2e-3, atol=2e-3)
 
     def test_head_installed_verbatim(self, plain_pair):
         base, specialist = plain_pair
-        rebuilt = reconstruct(base, compute_delta(base, specialist, MODE_FP16), base_fingerprint_of(base), 0)
+        rebuilt = reconstruct(base, compute_delta(base, specialist, MODE_FP16), base_fingerprint_of(base), 0, specialist.head_dim)
         for name in HEAD_TENSORS:
             assert np.array_equal(named(rebuilt)[name], named(specialist)[name]), name
 
@@ -299,7 +300,7 @@ class TestReconstruct:
     def test_self_delta_reproduces_bytes(self, request, pair, mode):
         base, _ = request.getfixturevalue(pair)
         d = compute_delta(base, base, mode)
-        assert serialize_network(reconstruct(base, d, base_fingerprint_of(base), 0)) == serialize_network(base)
+        assert serialize_network(reconstruct(base, d, base_fingerprint_of(base), 0, base.head_dim)) == serialize_network(base)
 
     @pytest.mark.parametrize("which, shape", [(0, (3, 5)), (0, ()), (1, (7,)), (0, (0, 12))])
     def test_verbatim_head_must_fit_the_body(self, which, shape):
@@ -308,7 +309,7 @@ class TestReconstruct:
         net = build_net(seed=31, head=3)
         d = with_tensor(compute_delta(net, net, MODE_FP16), which - len(HEAD_TENSORS), np.zeros(shape, dtype=F32))
         with pytest.raises(FormatError):
-            reconstruct(net, unpack(pack(d).data), base_fingerprint_of(net), 0)
+            reconstruct(net, unpack(pack(d).data), base_fingerprint_of(net), 0, net.head_dim)
 
     @pytest.mark.parametrize("edit", ["missing", "duplicate", "misshapen"])
     def test_misfit_entries_are_format_errors(self, edit):
@@ -323,7 +324,7 @@ class TestReconstruct:
             tensors[0] = tensors[0][:-1]
         d = replace(d, tensors=tuple(tensors))
         with pytest.raises(FormatError):
-            reconstruct(net, unpack(pack(d).data), base_fingerprint_of(net), 0)
+            reconstruct(net, unpack(pack(d).data), base_fingerprint_of(net), 0, net.head_dim)
 
     @pytest.mark.parametrize(
         "config",
@@ -334,7 +335,7 @@ class TestReconstruct:
         net = build_net(seed=41)
         d = replace(compute_delta(net, net, MODE_FP16), config=NetworkConfig(*config))
         with pytest.raises(FormatError, match="base's body"):
-            reconstruct(net, d, base_fingerprint_of(net), 0)
+            reconstruct(net, d, base_fingerprint_of(net), 0, d.config.head_dim)
 
     def test_non_finite_rebuild_is_format_error(self, plain_pair):
         base, specialist = plain_pair
@@ -342,7 +343,7 @@ class TestReconstruct:
         first = d.tensors[0].copy()
         first.flat[0] = np.nan
         with pytest.raises(FormatError, match="non-finite"):
-            reconstruct(base, unpack(pack(with_tensor(d, 0, first)).data), base_fingerprint_of(base), 0)
+            reconstruct(base, unpack(pack(with_tensor(d, 0, first)).data), base_fingerprint_of(base), 0, d.config.head_dim)
 
     @pytest.mark.parametrize("index", [-2, -1], ids=list(HEAD_TENSORS))
     def test_qat_head_off_its_lattice_is_format_error(self, qat_pair, index):
@@ -353,20 +354,28 @@ class TestReconstruct:
         head = d.tensors[index].copy()
         head.flat[0] = np.nextafter(head.flat[0], F32(np.inf))
         with pytest.raises(FormatError, match="off the lattice"):
-            reconstruct(base, unpack(pack(with_tensor(d, index, head)).data), base_fingerprint_of(base), 0)
+            reconstruct(base, unpack(pack(with_tensor(d, index, head)).data), base_fingerprint_of(base), 0, d.config.head_dim)
 
     def test_qat_pack_needs_a_quantized_base(self):
         net = snap_to_grid(build_net(seed=47), 8)
         plain = replace(net, quant=None)
         d = replace(compute_delta(net, net, MODE_QAT_INT), base_fingerprint=base_fingerprint_of(plain))
         with pytest.raises(FormatError, match="quantization"):
-            reconstruct(plain, d, base_fingerprint_of(plain), 0)
+            reconstruct(plain, d, base_fingerprint_of(plain), 0, plain.head_dim)
 
     def test_pack_of_another_superclass_is_format_error(self):
         net = build_net(seed=49)
         d = compute_delta(net, net, MODE_FP16, superclass_id=1)
         with pytest.raises(FormatError, match="superclass 1, not 0"):
-            reconstruct(net, d, base_fingerprint_of(net), 0)
+            reconstruct(net, d, base_fingerprint_of(net), 0, net.head_dim)
+
+    @pytest.mark.parametrize("head_dim", [3, 5])
+    def test_other_head_width_rejected(self, head_dim):
+        # A valid pack of a 4-wide specialist, asked for as one of another width.
+        base = build_net(seed=50)
+        d = compute_delta(base, replace_head(base, 4, seed=51), MODE_FP16)
+        with pytest.raises(FormatError, match=f"head of width 4, not {head_dim}"):
+            reconstruct(base, d, base_fingerprint_of(base), 0, head_dim)
 
     @pytest.mark.parametrize(
         "edit",
@@ -388,7 +397,7 @@ class TestReconstruct:
                 "nan_head_scale": (float("nan"), bias_scale),
             }[edit])
         with pytest.raises(FormatError):
-            reconstruct(base, unpack(pack(d).data), base_fingerprint_of(base), 0)
+            reconstruct(base, unpack(pack(d).data), base_fingerprint_of(base), 0, d.config.head_dim)
 
     def test_header_mutations_are_rejected_or_read_back(self, qat_pair):
         base, specialist = qat_pair
@@ -400,7 +409,7 @@ class TestReconstruct:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
-                    rebuilt = reconstruct(base, unpack(mutated), fingerprint, 1)
+                    rebuilt = reconstruct(base, unpack(mutated), fingerprint, 1, specialist.head_dim)
                 except (FormatError, BaseMismatchError) as exc:
                     assert not superclass_byte or "superclass" in str(exc)
                     rejected += 1
@@ -429,7 +438,7 @@ class TestReconstruct:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
-                    rebuilt = reconstruct(base, unpack(blob), fingerprint, 1)
+                    rebuilt = reconstruct(base, unpack(blob), fingerprint, 1, specialist.head_dim)
                 except (FormatError, BaseMismatchError):
                     outcomes["rejected"] += 1
                     continue

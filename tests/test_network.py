@@ -36,7 +36,7 @@ from supersub.network import (
     uniform_config,
     write_config,
 )
-from supersub.tensor import F32, Prng, gaussian_array
+from supersub.tensor import F32, Prng, gaussian_array, softmax_rows
 
 
 def small_net(dims=(3, 3, 3), batchnorm=False, seed=0):
@@ -153,8 +153,8 @@ class TestBackward:
             biases=[[0.0, 0.0, 0.0], [50.0, 0.0, 0.0]],
         )
         batch = np.ones((4, 3), dtype=F32)
-        _, cache = forward(net, batch, training=True)
-        grads = backward(net, cache, [0, 0, 0, 0])
+        logits, cache = forward(net, batch, training=True)
+        grads = backward(net, cache, softmax_rows(logits), [0, 0, 0, 0])
         assert max(float(np.abs(g).max()) for g in grads.tensors) < 1e-6
 
     def test_duplicated_batch_same_gradients(self):
@@ -162,11 +162,11 @@ class TestBackward:
         rng = Prng(80)
         batch = gaussian_array(rng, (6, 4))
         labels = np.array([rng.next_u64() % 3 for _ in range(6)], dtype=np.int64)
-        _, cache = forward(net, batch, training=True)
-        base = backward(net, cache, labels)
+        logits, cache = forward(net, batch, training=True)
+        base = backward(net, cache, softmax_rows(logits), labels)
         doubled = np.repeat(batch, 2, axis=0)
-        _, cache2 = forward(net, doubled, training=True)
-        twice = backward(net, cache2, np.repeat(labels, 2))
+        logits2, cache2 = forward(net, doubled, training=True)
+        twice = backward(net, cache2, softmax_rows(logits2), np.repeat(labels, 2))
         # The mean gradient is invariant to row duplication; sequential f32
         # accumulation of the halved terms leaves only rounding-level drift.
         for a, b in zip(base.tensors, twice.tensors, strict=True):
@@ -174,8 +174,8 @@ class TestBackward:
 
     def test_gradients_share_the_network_layout(self):
         net = small_net((3, 4, 2), batchnorm=True, seed=6)
-        _, cache = forward(net, gaussian_array(Prng(1), (4, 3)), training=True)
-        grads = backward(net, cache, [0, 1, 0, 1])
+        logits, cache = forward(net, gaussian_array(Prng(1), (4, 3)), training=True)
+        grads = backward(net, cache, softmax_rows(logits), [0, 1, 0, 1])
         assert grads.config == net.config
         g = named(grads)
         assert not g["layer0.bias"].any()  # pinned on batch-norm layers
@@ -183,35 +183,55 @@ class TestBackward:
 
     def test_inference_cache_rejected(self):
         net = small_net((3, 3, 3))
-        _, cache = forward(net, np.zeros((2, 3), dtype=F32), training=False)
+        logits, cache = forward(net, np.zeros((2, 3), dtype=F32), training=False)
         with pytest.raises(ContractError):
-            backward(net, cache, [0, 0])
+            backward(net, cache, softmax_rows(logits), [0, 0])
 
     def test_label_count_mismatch(self):
         net = small_net((3, 3, 3))
-        _, cache = forward(net, np.zeros((2, 3), dtype=F32), training=True)
+        logits, cache = forward(net, np.zeros((2, 3), dtype=F32), training=True)
         with pytest.raises(ContractError):
-            backward(net, cache, [0])
+            backward(net, cache, softmax_rows(logits), [0])
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 3), (5, 3), (12,), (4, 3, 1)])
+    def test_probabilities_of_another_shape_rejected(self, shape):
+        # A batch of 4 rows over 3 classes needs probabilities of shape (4, 3).
+        net = small_net((3, 4, 3))
+        _, cache = forward(net, gaussian_array(Prng(2), (4, 3)), training=True)
+        with pytest.raises(ContractError, match="probabilities of shape"):
+            backward(net, cache, np.full(shape, F32(0.25)), [0, 1, 2, 0])
+
+
+def training_cache(net, rows=4, seed=1):
+    """The cache of a training forward of net over rows seeded rows."""
+    return forward(net, gaussian_array(Prng(seed), (rows, net.input_dim)), training=True)[1]
 
 
 class TestSgdStep:
     def test_lr_zero_is_identity(self):
+        # lr 0 keeps every trainable tensor bit for bit; the running
+        # statistics are still committed from the cache.
         net = small_net((3, 4, 2), batchnorm=True, seed=6)
-        _, cache = forward(net, gaussian_array(Prng(1), (4, 3)), training=True)
-        grads = backward(net, cache, [0, 1, 0, 1])
-        stepped = sgd_step(net, grads, 0.0)
-        assert serialize_network(stepped) == serialize_network(net)
+        logits, cache = forward(net, gaussian_array(Prng(1), (4, 3)), training=True)
+        grads = backward(net, cache, softmax_rows(logits), [0, 1, 0, 1])
+        stepped, t = named(sgd_step(net, grads, 0.0, cache)), named(net)
+        for name in ("layer0.weight", "layer0.bias", "layer0.bn_gamma", "layer0.bn_beta", "head.weight", "head.bias"):
+            assert stepped[name].tobytes() == t[name].tobytes(), name
+        mean, var = cache.layer_caches[0].bn_update
+        assert stepped["layer0.bn_mean"].tobytes() == mean.tobytes()
+        assert stepped["layer0.bn_var"].tobytes() == var.tobytes()
+        assert not np.array_equal(mean, t["layer0.bn_mean"])
 
     def test_zero_gradients_are_identity(self):
         net = small_net((3, 4, 2), seed=6)
         zeroed = Network(net.config, tuple(np.zeros_like(t) for t in net.tensors))
-        stepped = sgd_step(net, zeroed, 0.5)
+        stepped = sgd_step(net, zeroed, 0.5, training_cache(net))
         assert serialize_network(stepped) == serialize_network(net)
 
     def test_single_weight_arithmetic(self):
         net = manual_net(weights=[[[1.0]], [[1.0]]], biases=[[0.0], [0.0]])
         g = manual_net(weights=[[[0.5]], [[0.0]]], biases=[[0.0], [0.0]])
-        stepped = sgd_step(net, g, 0.01)
+        stepped = sgd_step(net, g, 0.01, training_cache(net))
         expected = F32(1.0) - F32(0.01) * F32(0.5)
         assert named(stepped)["layer0.weight"][0, 0] == expected
         assert named(stepped)["layer0.weight"][0, 0] == pytest.approx(0.995, abs=1e-7)
@@ -220,29 +240,55 @@ class TestSgdStep:
         net = small_net((3, 4, 2), seed=6)
         bad = manual_net(weights=[[[0.0]], [[0.0]]], biases=[[0.0], [0.0]])
         with pytest.raises(ContractError):
-            sgd_step(net, bad, 0.1)
+            sgd_step(net, bad, 0.1, training_cache(net))
 
     def test_layer_count_or_missing_batchnorm_gradient_rejected(self):
         net = small_net((3, 4, 2), batchnorm=True, seed=6)
         plain = small_net((3, 4, 2), seed=6)
+        cache = training_cache(net)
         with pytest.raises(ContractError, match="does not match"):
-            sgd_step(net, plain, 0.1)
+            sgd_step(net, plain, 0.1, cache)
         with pytest.raises(ContractError, match="does not match"):
-            sgd_step(net, small_net((3, 4, 4, 2), batchnorm=True, seed=6), 0.1)
+            sgd_step(net, small_net((3, 4, 4, 2), batchnorm=True, seed=6), 0.1, cache)
 
     def test_zero_gradient_slots_leave_their_tensors_bit_exact(self):
-        # Random running statistics (one a negative zero) and biases on both
-        # batch-norm layers: their gradients are exact zeros, so a step
-        # leaves them bit for bit, while gamma moves.
+        # Random biases (one a negative zero) on both batch-norm layers:
+        # their gradients are exact zeros, so a step leaves them bit for
+        # bit, while gamma moves.
         net = mixed_bn_net((True, True), seed=7)
         t = named(net)
-        t["layer0.bn_mean"] = np.concatenate([[F32(-0.0)], t["layer0.bn_mean"][1:]]).astype(F32)
+        t["layer0.bias"] = np.concatenate([[F32(-0.0)], t["layer0.bias"][1:]]).astype(F32)
         net = Network(net.config, tuple(t.values()))
-        _, cache = forward(net, gaussian_array(Prng(8), (6, 5)), training=True)
-        stepped = named(sgd_step(net, backward(net, cache, [0, 1, 2, 0, 1, 2]), 0.3))
-        for name in ("layer0.bias", "layer0.bn_mean", "layer0.bn_var", "layer1.bias", "layer1.bn_mean", "layer1.bn_var"):
+        logits, cache = forward(net, gaussian_array(Prng(8), (6, 5)), training=True)
+        stepped = named(sgd_step(net, backward(net, cache, softmax_rows(logits), [0, 1, 2, 0, 1, 2]), 0.3, cache))
+        for name in ("layer0.bias", "layer1.bias"):
             assert stepped[name].tobytes() == t[name].tobytes(), name
         assert not np.array_equal(stepped["layer0.bn_gamma"], t["layer0.bn_gamma"])
+
+    @pytest.mark.parametrize("flags", [(True, False), (False, True), (True, True)], ids=["bn_first", "bn_second", "bn_both"])
+    def test_running_stats_come_from_the_cache_and_every_other_slot_steps(self, flags):
+        # Every tensor random, a negative zero in the first running mean and
+        # the first weight: each running-stat slot is its layer's bn_update,
+        # bit for bit, and every other slot is t - lr * g in float32.
+        net = mixed_bn_net(flags, seed=11)
+        t = named(net)
+        i = flags.index(True)
+        for name in (f"layer{i}.bn_mean", "layer0.weight"):
+            t[name] = t[name].copy()
+            t[name].flat[0] = F32(-0.0)
+        net = Network(net.config, tuple(t.values()))
+        logits, cache = forward(net, gaussian_array(Prng(12), (6, 5)), training=True)
+        grads = named(backward(net, cache, softmax_rows(logits), [2, 1, 0, 0, 1, 2]))
+        stepped = named(sgd_step(net, Network(net.config, tuple(grads.values())), 0.3, cache))
+        assert list(stepped) == list(t)
+        for name, got in stepped.items():
+            layer, _, slot = name.partition(".")
+            if slot in ("bn_mean", "bn_var"):
+                want = cache.layer_caches[int(layer[5:])].bn_update[slot == "bn_var"]
+            else:
+                want = (t[name] - F32(0.3) * grads[name]).astype(F32)
+            assert got.dtype == F32 and got.tobytes() == want.tobytes(), name
+        assert stepped[f"layer{i}.bn_mean"].tobytes() != t[f"layer{i}.bn_mean"].tobytes()
 
 
 class TestGradientCheckContract:
@@ -589,6 +635,6 @@ class TestMixedBatchnorm:
     def test_qat_self_delta_rebuilds_bytes(self, flags):
         net = snap_to_grid(mixed_bn_net(flags, seed=63), 8)
         packed = pack(compute_delta(net, net, MODE_QAT_INT, superclass_id=2)).data
-        rebuilt = reconstruct(net, unpack(packed), base_fingerprint_of(net), 2)
+        rebuilt = reconstruct(net, unpack(packed), base_fingerprint_of(net), 2, net.head_dim)
         assert_same_layers(rebuilt, net)
         assert serialize_network(rebuilt) == serialize_network(net)

@@ -1,5 +1,7 @@
 """Training loop contracts: label views, determinism, finetuning, QAT."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -29,8 +31,9 @@ def tcfg(seed, epochs=10, qat_bits=None):
 
 class TestTrainConfig:
     def test_rejects_bad_values(self):
-        with pytest.raises(ParameterError):
-            TrainConfig(lr=0.0, epochs=1, batch_size=1, seed=0)
+        for lr in (0.0, -0.1, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ParameterError, match="lr"):
+                TrainConfig(lr=lr, epochs=1, batch_size=1, seed=0)
         with pytest.raises(ParameterError):
             TrainConfig(lr=0.1, epochs=-1, batch_size=1, seed=0)
         with pytest.raises(ParameterError):
@@ -99,6 +102,29 @@ class TestTrain:
         assert trained.quant is not None and trained.quant.bits == 8
         assert serialize_network(snap_to_grid(trained, 8)) == serialize_network(trained)
 
+    def test_one_softmax_per_step(self, mini_train, monkeypatch):
+        # A step takes the softmax of its logits once, for the loss and the
+        # gradient alike, and calls sgd_step once.
+        calls = {"softmax_rows": 0, "sgd_step": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in map(importlib.import_module, ("supersub.tensor", "supersub.network", "supersub.train")):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        net = init_network(router_config(mini_train), 13)
+        config = tcfg(14, epochs=3)
+        train(net, mini_train, LabelView.superclass(), config)
+        rows = len(mini_train.features)
+        steps = config.epochs * sum(min(config.batch_size, rows - s) >= 2 for s in range(0, rows, config.batch_size))
+        assert calls == {"softmax_rows": steps, "sgd_step": steps}
+
     def test_does_not_mutate_input_network(self, mini_train):
         net = init_network(router_config(mini_train), 13)
         before = serialize_network(net)
@@ -158,5 +184,5 @@ class TestFinetune:
         tuned = finetune_from_super(base, 1, mini_train, tcfg(33, epochs=3, qat_bits=8))
         assert tuned.quant.body_scales() == base.quant.body_scales()
         packed = pack(compute_delta(base, tuned, MODE_QAT_INT, superclass_id=1)).data
-        rebuilt = reconstruct(base, unpack(packed), base_fingerprint_of(base), 1)
+        rebuilt = reconstruct(base, unpack(packed), base_fingerprint_of(base), 1, tuned.head_dim)
         assert serialize_network(rebuilt) == serialize_network(tuned)
