@@ -6,12 +6,14 @@ byte. Readers fail with FormatError carrying the byte offset of the first
 inconsistency; they never return partially parsed objects.
 
 CRC-32C has two kernels with identical results. The byte-at-a-time table
-loop is the reference and serves short inputs. Long inputs are cut into
-16-byte lanes that numpy steps through the same table together; the lane
-registers are then folded pairwise, each earlier half shifted over the
-later half's length in zero bytes by a precomputed operator (the
-`crc32_combine` construction from zlib), so the cost per byte is a few
-vectorised table lookups instead of an interpreted loop iteration.
+loop is the reference and serves inputs under 4 bytes. Every longer input
+is cut into 256-byte blocks: a 256x256 position table maps a byte value at
+each position of a block to the raw register that byte alone leaves, so
+one gather and one XOR reduce give the register of every block. The block
+registers then fold pairwise, each earlier half shifted over the later
+half's length in zero bytes by a precomputed operator (the `crc32_combine`
+construction from zlib), so the cost per byte is one vectorised table
+lookup instead of an interpreted loop iteration.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ def _build_crc32c_table() -> list[int]:
 
 
 _CRC32C_TABLE = _build_crc32c_table()
-_CRC32C_LANE_TABLE = np.array(_CRC32C_TABLE, dtype=np.uint32)
-_LANE = 16  # bytes per lane
-# Below this many bytes the byte loop beats the lanes' fixed numpy cost.
-_LANE_THRESHOLD = 1536
-_FOLD_LEVELS = 48  # lane counts up to 2**48
+_BLOCK = 256  # bytes per block
+_FOLD_LEVELS = 32  # block counts up to 2**32 (1 TiB)
+# Blocks per gather: bounds its intp index array at 128 KiB for any input.
+_GATHER_BLOCKS = 64
+# Where each block position's row starts in a flattened position table.
+_ROW_STARTS = np.arange(_BLOCK, dtype=np.intp) << 8
 
 
 def _crc32c_bytewise(data: bytes, crc: int = 0) -> int:
@@ -53,24 +56,47 @@ def _crc32c_bytewise(data: bytes, crc: int = 0) -> int:
     return crc ^ 0xFFFFFFFF
 
 
-def _shift(op: np.ndarray, regs: np.ndarray) -> np.ndarray:
-    """Apply a zero-bytes operator, four 256-entry tables (one per register byte)."""
-    return op[0][regs & 0xFF] ^ op[1][(regs >> 8) & 0xFF] ^ op[2][(regs >> 16) & 0xFF] ^ op[3][regs >> 24]
+def _build_positions() -> np.ndarray:
+    """The position table, flattened: row p, column v holds the raw register
+    a block leaves (from a zero register) when its only nonzero byte is v,
+    at position p.
+
+    A raw register (no pre- or post-inversion) is linear over GF(2) in the
+    bytes it runs over, so a block's register is the XOR of its bytes' rows.
+    """
+    table = np.array(_CRC32C_TABLE, dtype=np.uint32)
+    rows = np.empty((_BLOCK, 256), dtype=np.uint32)
+    rows[-1] = table  # the last position: one table step
+    for p in range(_BLOCK - 2, -1, -1):
+        rows[p] = (rows[p + 1] >> 8) ^ table[rows[p + 1] & 0xFF]  # one zero byte more after it
+    return rows.reshape(-1)
+
+
+_POSITIONS = _build_positions()
+
+
+def _xor_rows(table: np.ndarray, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """XOR over p of table's row p at data[..., p]: the register of each
+    row of uint8 data, for a flattened table of 256-entry rows."""
+    return np.bitwise_xor.reduce(table[data + _ROW_STARTS[: data.shape[-1]]], axis=-1, out=out)
+
+
+def _register_bytes(regs: np.ndarray) -> np.ndarray:
+    """The little-endian bytes of each register, one row per register."""
+    return regs.astype("<u4", copy=False).view(np.uint8).reshape(*regs.shape, 4)
 
 
 def _build_fold_operators() -> list[np.ndarray]:
-    """Operator k advances a raw CRC register over _LANE * 2**k zero bytes.
+    """Operator k advances a raw CRC register over _BLOCK * 2**k zero bytes.
 
-    A raw register (no pre- or post-inversion) is linear over GF(2) in its
-    bits, so an operator is fixed by its image of each byte value in each
-    byte position; applying operator k to itself gives operator k + 1.
+    Running register r over zero bytes is running a zero register over
+    bytes that start with r's four bytes, so operator 0 is the position
+    table's first four rows; applying operator k to itself gives k + 1.
     """
-    op = np.arange(256, dtype=np.uint32) << (8 * np.arange(4, dtype=np.uint32))[:, None]
-    for _ in range(_LANE):
-        op = (op >> 8) ^ _CRC32C_LANE_TABLE[op & 0xFF]
+    op = _POSITIONS[: 4 * 256]
     ops = [op]
     for _ in range(_FOLD_LEVELS - 1):
-        op = _shift(op, op)
+        op = _xor_rows(op, _register_bytes(op))
         ops.append(op)
     return ops
 
@@ -78,40 +104,43 @@ def _build_fold_operators() -> list[np.ndarray]:
 _FOLD_OPERATORS = _build_fold_operators()
 
 
-def _crc32c_lanes(data: np.ndarray, register: int) -> int:
-    """Advance a raw register over uint8 data whose length is a multiple of _LANE."""
-    n = data.size // _LANE
-    lanes = data.reshape(n, _LANE).T.copy()  # row j: byte j of every lane
-    regs = np.zeros(n, dtype=np.uint32)
-    regs[0] = register
-    for column in lanes:
-        regs = (regs >> 8) ^ _CRC32C_LANE_TABLE[(regs ^ column) & 0xFF]
-    # Leading zero registers stand for zero bytes before the data, which
-    # leave a zero register at zero, so padding to a power of two is exact.
-    width = 1 << (n - 1).bit_length()
-    regs = np.concatenate((np.zeros(width - n, dtype=np.uint32), regs))
-    for level in range(width.bit_length() - 1):
-        regs = _shift(_FOLD_OPERATORS[level], regs[0::2]) ^ regs[1::2]
-    return int(regs[0])
-
-
 def crc32c(data: bytes | bytearray | memoryview, crc: int = 0) -> int:
     """CRC-32C (Castagnoli). crc32c(b"123456789") == 0xE3069283.
 
     `crc` is the result over earlier bytes, so crc32c(b, crc32c(a)) ==
-    crc32c(a + b). Inputs of at least _LANE_THRESHOLD bytes run in 16-byte
-    lanes: the unaligned head goes through the byte loop, then every lane
-    steps through the table at once from a zero register (the first lane
-    from the running one), and adjacent lanes fold pairwise, the earlier
-    one shifted over its successor's length in zero bytes. The result is
-    identical to the byte loop, which stays the reference.
+    crc32c(a + b). Inputs of 4 bytes or more run in 256-byte blocks: the
+    running register is XORed into the data's first 4 bytes, and zero bytes
+    pad the front to whole blocks, which leaves the result as it was since
+    a zero register stays zero over zero bytes. Only the unaligned head is
+    copied, into at most two blocks. Each block's register comes from the
+    position table, _GATHER_BLOCKS blocks per gather, and adjacent blocks
+    fold pairwise, the earlier one shifted over its successor's length in
+    zero bytes, after zero blocks in front up to a power of two. The result
+    is identical to the byte loop, which stays the reference.
     """
-    if len(data) < _LANE_THRESHOLD:
+    n = len(data)
+    if n < 4:
         return _crc32c_bytewise(data, crc)
-    head = len(data) % _LANE
-    crc = _crc32c_bytewise(data[:head], crc)
-    body = np.frombuffer(data, dtype=np.uint8)[head:]
-    return _crc32c_lanes(body, crc ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
+    data = np.frombuffer(data, dtype=np.uint8)
+    head = n % _BLOCK or _BLOCK
+    if head < 4:  # 1-3 data bytes cannot take the register's 4: lead with two blocks
+        head += _BLOCK
+    lead = np.zeros(-(-head // _BLOCK) * _BLOCK, dtype=np.uint8)
+    pad = len(lead) - head
+    lead[pad:] = data[:head]
+    lead[pad : pad + 4] ^= np.frombuffer((crc ^ 0xFFFFFFFF).to_bytes(4, "little"), dtype=np.uint8)
+    blocks = data[head:].reshape(-1, _BLOCK)
+    count = len(lead) // _BLOCK + len(blocks)
+    width = 1 << (count - 1).bit_length()
+    regs = np.zeros(width, dtype=np.uint32)
+    first = width - len(blocks)
+    _xor_rows(_POSITIONS, lead.reshape(-1, _BLOCK), out=regs[width - count : first])
+    for start in range(0, len(blocks), _GATHER_BLOCKS):
+        chunk = blocks[start : start + _GATHER_BLOCKS]
+        _xor_rows(_POSITIONS, chunk, out=regs[first + start : first + start + len(chunk)])
+    for op in _FOLD_OPERATORS[: width.bit_length() - 1]:
+        regs = _xor_rows(op, _register_bytes(regs)[0::2]) ^ regs[1::2]
+    return int(regs[0]) ^ 0xFFFFFFFF
 
 
 def deflate(data: bytes) -> bytes:

@@ -54,6 +54,7 @@ from .network import (
     read_config,
     read_tensors,
     serialize_network,
+    split_flat,
     tensor_items,
     tensor_shapes,
     write_config,
@@ -202,14 +203,16 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int, superclass_i
     takes once per base; a pack computed against another base raises
     BaseMismatchError. qat-int reconstruction works in the integer domain —
     recover the base's grid indices, add the stored index deltas, rescale —
-    which reproduces the stored specialist bit for bit. No pack computed
-    against this base holds another superclass, a head of another width, a
-    config that does not share the base's body, a qat-int mode for a base
-    without grids, head scales that are not finite and positive, a qat-int
-    head off the lattice of its scale, or a delta that rebuilds to NaN or
-    infinity, so each is a FormatError, as the HSNW reader would find it in
-    the rebuilt file. A qat-int specialist takes its bits and body scales
-    from the base.
+    which reproduces the stored specialist bit for bit. Either mode runs
+    one pass over the body laid end to end, each element against its own
+    tensor's scale, and the rebuilt body tensors are views of that one
+    array. No pack computed against this base holds another superclass, a
+    head of another width, a config that does not share the base's body, a
+    qat-int mode for a base without grids, head scales that are not finite
+    and positive, a qat-int head off the lattice of its scale, or a delta
+    that rebuilds to NaN or infinity, so each is a FormatError, as the HSNW
+    reader would find it in the rebuilt file. A qat-int specialist takes its
+    bits and body scales from the base.
     """
     if base_fingerprint != d.base_fingerprint:
         raise BaseMismatchError(
@@ -229,23 +232,24 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int, superclass_i
     if d.mode == MODE_QAT_INT:
         quant = QuantInfo(base.quant.bits, (*base.quant.body_scales(), *d.head_scales))
         quant.check()
-    rebuilt = []
+    body = base.tensors[: -len(HEAD_TENSORS)]
+    head = d.tensors[len(body) :]
+    flat_base = np.concatenate([t.ravel() for t in body])
+    flat_delta = np.concatenate([t.ravel() for t in d.tensors[: len(body)]])
     # A corrupt delta (a signalling NaN, a sum past float32) rebuilds to
     # NaN or infinity, which the check below rejects, not to a warning.
     with np.errstate(invalid="ignore", over="ignore"):
-        for i, (t_base, delta) in enumerate(zip(base.tensors[: -len(HEAD_TENSORS)], d.tensors)):
-            if quant is None:
-                rebuilt.append((t_base + delta.astype(F32)).astype(F32))
-            else:
-                s = quant.scales[i]
-                q_new = lattice_indices(t_base, s) + delta.astype(np.int32)
-                rebuilt.append((q_new.astype(F32) * F32(s)).astype(F32))
-    rebuilt += d.tensors[-len(HEAD_TENSORS) :]
-    for (name, _), t in zip(tensor_shapes(d.config), rebuilt):
-        if not np.isfinite(t).all():
-            raise FormatError(f"delta tensor {name} rebuilds to non-finite values")
+        if quant is None:
+            flat = flat_base + flat_delta.astype(F32)
+        else:
+            scales = np.repeat(np.array(quant.body_scales(), dtype=F32), [t.size for t in body])
+            flat = (lattice_indices(flat_base, scales) + flat_delta).astype(F32) * scales
+    rebuilt = [*split_flat(flat, tensor_shapes(d.config)[: len(body)]), *head]
+    if not (np.isfinite(flat).all() and all(np.isfinite(t).all() for t in head)):
+        name = next(name for (name, _), t in zip(tensor_shapes(d.config), rebuilt) if not np.isfinite(t).all())
+        raise FormatError(f"delta tensor {name} rebuilds to non-finite values")
     if quant is not None:
-        for name, t, s in zip(HEAD_TENSORS, rebuilt[-len(HEAD_TENSORS) :], quant.head_scales()):
+        for name, t, s in zip(HEAD_TENSORS, head, quant.head_scales()):
             if exact_lattice_indices(t, s) is None:
                 raise FormatError(f"delta tensor {name} is off the lattice of its head scale")
     return Network(d.config, tuple(rebuilt), quant)

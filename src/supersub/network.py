@@ -437,9 +437,12 @@ def sgd_step(net: Network, grads: Network, lr: float, cache: ForwardCache) -> Ne
     """theta <- theta - lr * g for every trainable tensor; each batch-norm
     layer's running mean and variance become the momentum update in its
     LayerCache. The zero gradient of a batch-norm layer's pinned bias leaves
-    it bit-exact."""
+    it bit-exact. cache must come from a training-mode forward of net: one
+    of inference mode, or of another depth, is a ContractError."""
     if grads.config != net.config:
         raise ContractError(f"gradient of {grads.config} does not match network {net.config}")
+    if not cache.training or len(cache.layer_caches) != len(net.config.layer_dims) - 1:
+        raise ContractError("sgd_step needs the cache of a training-mode forward of this network")
     lr32 = F32(lr)
 
     def step(t, g):
@@ -555,13 +558,24 @@ def write_tensors(w: Writer, tensors: list[np.ndarray] | tuple[np.ndarray, ...],
 
 
 def read_tensors(r: Reader, config: NetworkConfig, body_dtype: str = "<f4") -> tuple[np.ndarray, ...]:
-    """Inverse of write_tensors for a network of this config."""
+    """Inverse of write_tensors for a network of this config: the body in
+    one read and the head in another, each split into its tensors."""
+    shapes = tensor_shapes(config)
+    n_body = len(shapes) - len(HEAD_TENSORS)
     tensors = []
-    for name, shape in tensor_shapes(config):
-        dtype = np.dtype("<f4" if name in HEAD_TENSORS else body_dtype)
-        raw = r.raw(dtype.itemsize * math.prod(shape))
-        tensors.append(np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.type))
+    for part, dtype in ((shapes[:n_body], np.dtype(body_dtype)), (shapes[n_body:], np.dtype("<f4"))):
+        raw = r.raw(dtype.itemsize * sum(math.prod(shape) for _, shape in part))
+        tensors += split_flat(np.frombuffer(raw, dtype=dtype).astype(dtype.type), part)
     return tuple(tensors)
+
+
+def split_flat(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive runs of flat, one per (name, shape) of shapes."""
+    views, end = [], 0
+    for _, shape in shapes:
+        start, end = end, end + math.prod(shape)
+        views.append(flat[start:end].reshape(shape))
+    return views
 
 
 def serialize_network(net: Network) -> bytes:

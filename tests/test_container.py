@@ -1,10 +1,11 @@
 """Container plumbing: CRC-32C vectors and kernels, primitives, DEFLATE round trip."""
 
+import tracemalloc
+
 import pytest
 
 from supersub.container import (
-    _LANE,
-    _LANE_THRESHOLD,
+    _BLOCK,
     Reader,
     Writer,
     _crc32c_bytewise,
@@ -39,14 +40,19 @@ def test_crc32c_empty():
 
 def test_crc32c_incremental_equals_one_shot():
     data = bytes(range(256)) * 12
-    # Split points on both sides of the lane threshold, for either part.
-    for split in (100, _LANE_THRESHOLD - 1, _LANE_THRESHOLD + 5):
+    # Split points on both sides of the 4-byte head, of a block boundary
+    # and of a power-of-two block count, for either part.
+    splits = (1, 3, 4, 5, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 3, _BLOCK + 4, 4 * _BLOCK - 1, 4 * _BLOCK + 1)
+    for split in splits:
         assert crc32c(data) == crc32c(data[split:], crc32c(data[:split])), split
 
 
 def test_crc32c_lanes_equal_byte_loop_at_every_short_length(pool):
+    # Every length to three blocks and a bit: inputs under 4 bytes (the
+    # byte loop), a first block of 1-3 data bytes (a two-block zero lead),
+    # and whole blocks, among them 1 and 2 (no zero block in front).
     prng = Prng(0x1A4E)
-    for n in range(_LANE_THRESHOLD + 3 * _LANE + 1):
+    for n in range(3 * _BLOCK + 9):
         data = pool[n % 61 : n % 61 + n]
         start = prng.next_u64() & 0xFFFFFFFF
         assert crc32c(data, start) == _crc32c_bytewise(data, start), n
@@ -62,6 +68,21 @@ def test_crc32c_lanes_equal_byte_loop_at_random_lengths(pool):
         expected = _crc32c_bytewise(data, start)
         for view in (data, bytearray(data), memoryview(data)):
             assert crc32c(view, start) == expected, (n, type(view))
+
+
+def test_crc32c_memory_stays_bounded_on_a_large_input(pool):
+    # The block registers take 4 bytes per 256-byte block, and each gather
+    # runs over a bounded number of blocks; gathering all at once would
+    # build an index array of 8 bytes per input byte (32 MiB here).
+    data = pool[:65536] * 64  # 4 MiB
+    expected = crc32c(data)
+    tracemalloc.start()
+    try:
+        assert crc32c(data) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_writer_reader_round_trip():

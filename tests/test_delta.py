@@ -31,6 +31,7 @@ from supersub.network import (
     body_items,
     deserialize_network,
     init_network,
+    lattice_indices,
     replace_head,
     serialize_network,
     snap_to_grid,
@@ -108,6 +109,42 @@ def qat_pair(mini_train):
         base, 0, mini_train, TrainConfig(lr=0.01, epochs=8, batch_size=16, seed=42, qat_bits=8)
     )
     return base, specialist
+
+
+def random_body_deltas(d, seed):
+    """The DeltaPack with every body delta replaced by seeded random values
+    of its mode's element type, each tensor's first elements the extremes:
+    the float16 maximum of either sign and -0.0, or int16 +-32767 and 0."""
+    prng = Prng(seed)
+    tensors = list(d.tensors)
+    for i, t in enumerate(tensors[: -len(HEAD_TENSORS)]):
+        words = b"".join(prng.next_u64().to_bytes(8, "little") for _ in range(-(-t.size // 4)))
+        bits = np.frombuffer(words, dtype="<u2")[: t.size]
+        if d.mode == MODE_FP16:
+            new = bits.astype(np.uint16).view(np.float16)
+            new[~np.isfinite(new)] = np.float16(0.0)
+            extremes = [np.finfo(np.float16).max, -np.finfo(np.float16).max, -0.0]
+        else:
+            new = np.clip(bits.astype(np.uint16).view(np.int16), -32767, 32767).astype(np.int16)
+            extremes = [32767, -32767, 0]
+        new[: len(extremes)] = extremes[: t.size]
+        tensors[i] = new.reshape(t.shape)
+    return replace(d, tensors=tuple(tensors))
+
+
+def reference_body(base, d):
+    """The per-tensor rebuild loop that reconstruct's one pass over the flat
+    body replaced: the reference it must equal byte for byte."""
+    rebuilt = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i, (t_base, delta) in enumerate(zip(base.tensors[: -len(HEAD_TENSORS)], d.tensors)):
+            if d.mode == MODE_FP16:
+                rebuilt.append((t_base + delta.astype(F32)).astype(F32))
+            else:
+                s = base.quant.scales[i]
+                q_new = lattice_indices(t_base, s) + delta.astype(np.int32)
+                rebuilt.append((q_new.astype(F32) * F32(s)).astype(F32))
+    return rebuilt
 
 
 class TestComputeDelta:
@@ -344,6 +381,38 @@ class TestReconstruct:
         first.flat[0] = np.nan
         with pytest.raises(FormatError, match="non-finite"):
             reconstruct(base, unpack(pack(with_tensor(d, 0, first)).data), base_fingerprint_of(base), 0, d.config.head_dim)
+
+    @pytest.mark.parametrize("pair, mode", [("plain_pair", MODE_FP16), ("qat_pair", MODE_QAT_INT)])
+    def test_flat_rebuild_equals_the_per_tensor_loop(self, request, pair, mode):
+        base, specialist = request.getfixturevalue(pair)
+        fingerprint = base_fingerprint_of(base)
+        for seed in range(4):
+            d = unpack(pack(random_body_deltas(compute_delta(base, specialist, mode), seed)).data)
+            rebuilt = reconstruct(base, d, fingerprint, 0, specialist.head_dim)
+            expected = [*reference_body(base, d), *d.tensors[-len(HEAD_TENSORS) :]]
+            for (name, _), got, want in zip(tensor_shapes(d.config), rebuilt.tensors, expected, strict=True):
+                assert got.dtype == F32 and got.shape == want.shape, (seed, name)
+                assert got.tobytes() == want.tobytes(), (seed, name)
+
+    @pytest.mark.parametrize("kind", ["nan", "overflow"])
+    @pytest.mark.parametrize("index", [0, 1, 5, 6, 11])
+    def test_non_finite_rebuild_names_its_tensor(self, kind, index):
+        # A NaN fp16 delta, or an int16 delta whose rebuilt value passes
+        # float32 on a body scale of 1e35, in the last element of one body
+        # tensor: the error names that tensor, not a neighbour in the flat body.
+        net = build_net(seed=53)
+        if kind == "nan":
+            d = compute_delta(net, net, MODE_FP16)
+            bad = np.float16(np.nan)
+        else:
+            net = snap_to_grid(net, 8, (1e35,) * len(body_items(net)))
+            d = compute_delta(net, net, MODE_QAT_INT)
+            bad = np.int16(32767)
+        name = tensor_shapes(net.config)[index][0]
+        t = d.tensors[index].copy()
+        t.flat[-1] = bad
+        with pytest.raises(FormatError, match=rf"delta tensor {name} rebuilds to non-finite"):
+            reconstruct(net, unpack(pack(with_tensor(d, index, t)).data), base_fingerprint_of(net), 0, net.head_dim)
 
     @pytest.mark.parametrize("index", [-2, -1], ids=list(HEAD_TENSORS))
     def test_qat_head_off_its_lattice_is_format_error(self, qat_pair, index):

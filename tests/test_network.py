@@ -251,6 +251,21 @@ class TestSgdStep:
         with pytest.raises(ContractError, match="does not match"):
             sgd_step(net, small_net((3, 4, 4, 2), batchnorm=True, seed=6), 0.1, cache)
 
+    @pytest.mark.parametrize("batchnorm", [True, False], ids=["batchnorm", "plain"])
+    def test_inference_cache_rejected(self, batchnorm):
+        net = small_net((3, 4, 2), batchnorm=batchnorm, seed=6)
+        _, cache = forward(net, gaussian_array(Prng(1), (4, 3)), training=False)
+        with pytest.raises(ContractError, match="training-mode forward"):
+            sgd_step(net, net, 0.1, cache)
+
+    @pytest.mark.parametrize(
+        "net_dims, cache_dims", [((3, 4, 2), (3, 4, 4, 2)), ((3, 4, 4, 2), (3, 4, 2))], ids=["deeper", "shallower"]
+    )
+    def test_cache_of_another_depth_rejected(self, net_dims, cache_dims):
+        net = small_net(net_dims, seed=6)
+        with pytest.raises(ContractError, match="training-mode forward"):
+            sgd_step(net, net, 0.1, training_cache(small_net(cache_dims, seed=6)))
+
     def test_zero_gradient_slots_leave_their_tensors_bit_exact(self):
         # Random biases (one a negative zero) on both batch-norm layers:
         # their gradients are exact zeros, so a step leaves them bit for
