@@ -3,7 +3,10 @@
 All on-disk formats in this package share the same skeleton: 4-byte magic,
 u16 version, format-specific body, trailing CRC-32C over every preceding
 byte. Readers fail with FormatError carrying the byte offset of the first
-inconsistency; they never return partially parsed objects.
+inconsistency; they never return partially parsed objects. A compressed
+section is read through an InflatingReader, which inflates only the bytes
+its reads take, so what a section's own header implies bounds how much a
+stream inflates, and a stream longer or shorter than that is a FormatError.
 
 CRC-32C has two kernels with identical results. The byte-at-a-time table
 loop is the reference and serves inputs under 4 bytes. Every longer input
@@ -19,6 +22,7 @@ lookup instead of an interpreted loop iteration.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -149,18 +153,16 @@ def deflate(data: bytes) -> bytes:
     return comp.compress(data) + comp.flush()
 
 
-def inflate(data: bytes) -> bytes:
+def inflate(decomp, data: bytes, n: int) -> bytes:
+    """At most n more bytes (n > 0) of the raw DEFLATE stream that decomp, a
+    zlib.decompressobj(wbits=-15), inflates from data, the stream's input
+    not yet consumed, which decomp.unconsumed_tail holds after each call.
+    Fewer come back only where the stream or its input ends; a corrupt
+    stream is a FormatError."""
     try:
-        decomp = zlib.decompressobj(wbits=-15)
-        out = decomp.decompress(data)
-        out += decomp.flush()
+        return decomp.decompress(data, min(n, sys.maxsize))  # no stream holds more
     except zlib.error as exc:
         raise FormatError(f"DEFLATE decompression failed: {exc}") from exc
-    if not decomp.eof:
-        raise FormatError("DEFLATE stream is truncated")
-    if decomp.unused_data:
-        raise FormatError("trailing garbage after DEFLATE stream")
-    return out
 
 
 class Writer:
@@ -271,6 +273,41 @@ class Reader:
             raise FormatError(
                 f"{len(self.data) - self.pos} unexpected trailing bytes", offset=self.pos
             )
+
+
+class InflatingReader(Reader):
+    """A Reader over a raw DEFLATE stream (RFC 1951, no zlib wrapper) that
+    inflates exactly the bytes each read takes, so no stream is inflated
+    past what its reader asks for. Reads run front to back, so nothing
+    inflated is kept; expect_end also requires the stream to end there,
+    with no input after it."""
+
+    def __init__(self, stream: bytes):
+        super().__init__(b"")
+        self._input = stream
+        self._decomp = zlib.decompressobj(wbits=-15)
+
+    def _take(self, n: int) -> bytes:
+        if n < 0:
+            raise FormatError(f"negative length {n}", offset=self.pos)
+        chunk = self._inflate(n) if n else b""
+        if len(chunk) < n:
+            raise FormatError(f"truncated: wanted {n} bytes, the stream holds {len(chunk)}", offset=self.pos)
+        self.pos += n
+        return chunk
+
+    def _inflate(self, n: int) -> bytes:
+        chunk = inflate(self._decomp, self._input, n)
+        self._input = self._decomp.unconsumed_tail
+        return chunk
+
+    def expect_end(self) -> None:
+        if self._inflate(1):
+            raise FormatError("DEFLATE stream runs past the end of its section", offset=self.pos)
+        if not self._decomp.eof:
+            raise FormatError("DEFLATE stream is truncated", offset=self.pos)
+        if self._decomp.unused_data:
+            raise FormatError("trailing garbage after DEFLATE stream", offset=self.pos)
 
 
 def check_trailing_crc(data: bytes) -> bytes:

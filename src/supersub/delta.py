@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import Reader, Writer, check_trailing_crc, deflate, inflate
+from .container import InflatingReader, Reader, Writer, check_trailing_crc, deflate
 from .errors import (
     BaseMismatchError,
     ContractError,
@@ -172,7 +172,12 @@ def pack(d: DeltaPack) -> PackedDelta:
 
 
 def unpack(data: bytes) -> DeltaPack:
-    """Parse a packed delta; needs no base, so a pack can be read on its own."""
+    """Parse a packed delta; needs no base, so a pack can be read on its own.
+
+    The section inflates only as far as its reads go: the config header,
+    then exactly the head scales and tensors that config and the mode imply.
+    A stream that runs on past them, or ends before them, is a FormatError.
+    """
     body = check_trailing_crc(data)
     r = Reader(body)
     r.expect_magic(DELTA_MAGIC)
@@ -184,7 +189,7 @@ def unpack(data: bytes) -> DeltaPack:
     mode = _MODE_NAMES[mode_code]
     fingerprint = r.u32()
 
-    section = Reader(inflate(body[r.pos :]))
+    section = InflatingReader(body[r.pos :])
     config = read_config(section)
     head_scales = tuple(section.f32() for _ in HEAD_TENSORS) if mode == MODE_QAT_INT else None
     tensors = read_tensors(section, config, _BODY_DTYPES[mode])

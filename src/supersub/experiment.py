@@ -12,12 +12,21 @@ reproducible byte for byte from the single top-level seed.
 
 Commands communicate through files in the config's output directory and
 are idempotent: rerunning any of them overwrites its outputs with
-identical bytes.
+identical bytes. Each training stage writes only its own files, so
+`run_experiment` can train two chains of stages at once: this process
+trains the router chain (super, then each finetune and its pack) while one
+forked helper process trains the baselines chain (the monolithic network,
+then the from-scratch specialists), and the evals and the report start
+once both are done. A config that lists neither `lowerbound` nor
+`upperbound_scratch`, or a process allowed only one CPU, runs both chains
+here, one after the other, and writes the same bytes.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -198,7 +207,11 @@ def load_config(path, out_dir_override: str | None = None, seed_override: int | 
             doc = json.load(f)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(doc, out_dir_override, seed_override)
+    config = parse_config(doc, out_dir_override, seed_override)
+    out = Path(config.out_dir)
+    if out.exists() and not out.is_dir():
+        raise ValidationError(f"output directory {out} exists and is not a directory")
+    return config
 
 
 # --- paths ---------------------------------------------------------------------
@@ -513,23 +526,72 @@ class ExperimentRun:
 def run_experiment(config: ExperimentConfig) -> ExperimentRun:
     """Run the whole pipeline for one config: data to summary files.
 
-    The monolithic and the from-scratch networks are trained only when
-    their eval modes (lowerbound, upperbound_scratch) are in the config.
+    The monolithic and the from-scratch networks, the baselines chain, are
+    trained only when their eval modes (lowerbound, upperbound_scratch) are
+    in the config; with two CPUs or more a forked helper trains them while
+    this process trains the router chain (see the module docstring). An
+    exception that stops either chain is raised here, and no helper process
+    outlives the call.
     """
     run = ExperimentRun(config, RunPaths(config.out_dir))
     cmd_gen_data(config)
-    cmd_train(config, "super")
-    if MODE_LOWERBOUND in config.eval_modes:
-        cmd_train(config, "lowerbound")
     n_super = load_dataset(run.paths.train_data).manifest.n_super
+    baselines = ["lowerbound"] if MODE_LOWERBOUND in config.eval_modes else []
     if MODE_UPPERBOUND_SCRATCH in config.eval_modes:
+        baselines += [f"sub:{i}" for i in range(n_super)]
+    helper = reply = None
+    if baselines and len(os.sched_getaffinity(0)) >= 2:
+        fork = multiprocessing.get_context("fork")
+        reply, sender = fork.Pipe(duplex=False)
+        helper = fork.Process(target=_helper, args=(config, baselines, sender))
+        helper.start()
+        sender.close()  # so the helper's exit ends the pipe
+    try:
+        cmd_train(config, "super")
         for i in range(n_super):
-            cmd_train(config, f"sub:{i}")
-    for i in range(n_super):
-        cmd_finetune(config, i)
-        _, summary = cmd_pack(config, i)
-        run.pack_summaries.append(summary)
+            cmd_finetune(config, i)
+            _, summary = cmd_pack(config, i)
+            run.pack_summaries.append(summary)
+        if helper is None:
+            _train_each(config, baselines)
+        else:
+            _wait_for(helper, reply, baselines)
+    finally:
+        if helper is not None:
+            helper.terminate()  # a no-op once it has been joined
+            helper.join()
+            reply.close()
     for mode in config.eval_modes:
         run.results[mode] = cmd_eval(config, mode)
     cmd_report(config)
     return run
+
+
+def _train_each(config: ExperimentConfig, targets: list[str]) -> None:
+    for target in targets:
+        cmd_train(config, target)
+
+
+def _wait_for(helper, reply, targets: list[str]) -> None:
+    """Join the helper and raise the exception that stopped its chain, if any."""
+    try:
+        failure = reply.recv()
+    except EOFError:  # it exited without sending
+        helper.join()
+        raise ChildProcessError(
+            f"the process training {', '.join(targets)} exited with code {helper.exitcode} before reporting"
+        ) from None
+    helper.join()
+    if failure is not None:
+        raise failure
+
+
+def _helper(config: ExperimentConfig, targets: list[str], sender) -> None:
+    """The helper process: train targets, then send None or the exception
+    that stopped them."""
+    try:
+        _train_each(config, targets)
+    except Exception as exc:
+        sender.send(exc)
+    else:
+        sender.send(None)

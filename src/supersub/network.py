@@ -35,6 +35,7 @@ sgd_step builds the next network from the stepped tensors and those updates.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -541,8 +542,8 @@ def write_config(w: Writer, config: NetworkConfig) -> None:
 def read_config(r: Reader) -> NetworkConfig:
     """Inverse of write_config; a header NetworkConfig rejects is a FormatError."""
     n_dims = r.u32()
-    dims = tuple(r.u32() for _ in range(n_dims))
-    flags = tuple(bool(r.u8()) for _ in range(n_dims - 2))
+    dims = struct.unpack(f"<{n_dims}I", r.raw(4 * n_dims))
+    flags = tuple(map(bool, r.raw(max(n_dims - 2, 0))))
     try:
         return NetworkConfig(dims, flags)
     except ParameterError as exc:

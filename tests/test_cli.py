@@ -539,3 +539,19 @@ def test_run_verb_executes_pipeline(tmp_path, capsys):
     assert main(["--config", str(path), "run"]) == 0
     out = capsys.readouterr().out
     assert "two_stage_vanilla: macro" in out
+
+
+@pytest.mark.parametrize("verb", [["gen-data"], ["train", "super"], ["run"]])
+@pytest.mark.parametrize("where", ["--out", "out_dir"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, where, verb):
+    target = tmp_path / "a_file"
+    target.write_bytes(b"not a directory")
+    doc = config_doc(target if where == "out_dir" else tmp_path / "run", epochs=2)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    override = ["--out", str(target)] if where == "--out" else []
+    capsys.readouterr()
+    assert main(["--config", str(path), *override, *verb]) == 2
+    err = capsys.readouterr().err
+    assert str(target) in err and "Traceback" not in err
+    assert target.read_bytes() == b"not a directory"

@@ -6,13 +6,13 @@ import pytest
 
 from supersub.container import (
     _BLOCK,
+    InflatingReader,
     Reader,
     Writer,
     _crc32c_bytewise,
     check_trailing_crc,
     crc32c,
     deflate,
-    inflate,
 )
 from supersub.errors import FormatError
 from supersub.tensor import Prng
@@ -148,20 +148,50 @@ def test_invalid_utf8_text_reports_offset():
     assert "UTF-8" in str(err.value)
 
 
+def _inflate_all(stream: bytes, n: int) -> bytes:
+    r = InflatingReader(stream)
+    out = r.raw(n)
+    r.expect_end()
+    return out
+
+
 def test_deflate_round_trip():
     payload = b"abc" * 1000 + bytes(range(256))
-    assert inflate(deflate(payload)) == payload
+    assert _inflate_all(deflate(payload), len(payload)) == payload
 
 
 def test_inflate_rejects_garbage():
     with pytest.raises(FormatError):
-        inflate(b"\xff\xff\xff\xff not a deflate stream")
+        InflatingReader(b"\xff\xff\xff\xff not a deflate stream").u8()
 
 
 @pytest.mark.parametrize(
     "cut", [lambda s: s + b"GARBAGE", lambda s: s[:-3]], ids=["trailing_bytes", "truncated"]
 )
 def test_inflate_rejects_a_stream_that_does_not_end_at_the_end(cut):
-    stream = deflate(bytes(range(256)) * 4 + b"abc" * 25)
+    payload = bytes(range(256)) * 4 + b"abc" * 25
     with pytest.raises(FormatError):
-        inflate(cut(stream))
+        _inflate_all(cut(deflate(payload)), len(payload))
+
+
+@pytest.mark.parametrize("size", [-1, 1], ids=["longer", "shorter"])
+def test_inflating_reader_rejects_a_stream_of_another_length(size):
+    payload = bytes(range(256)) * 4
+    with pytest.raises(FormatError, match="past the end" if size < 0 else "truncated"):
+        _inflate_all(deflate(payload), len(payload) + size)
+
+
+def test_inflating_reader_reads_in_pieces_and_inflates_only_what_it_reads():
+    payload = bytes(range(256)) * 16
+    r = InflatingReader(deflate(payload + bytes(16 << 20)))
+    tracemalloc.start()
+    try:
+        pieces = [r.u8(), r.u16(), r.u32(), r.raw(len(payload) - 7)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pieces[:3] == [0, 0x0201, 0x06050403] and pieces[3] == payload[7:]
+    assert r.pos == len(payload)
+    assert peak < 1 << 20
+    with pytest.raises(FormatError, match="past the end"):
+        r.expect_end()

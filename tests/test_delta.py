@@ -1,13 +1,15 @@
 """Delta extraction, lossless packing, exact qat-int reconstruction."""
 
+import tracemalloc
 import warnings
+import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import header_mutations, named, with_fixed_crc
-from supersub.container import Writer, crc32c, deflate, inflate
+from supersub.container import Writer, crc32c, deflate
 from supersub.delta import (
     MODE_FP16,
     MODE_QAT_INT,
@@ -45,6 +47,16 @@ from supersub.tensor import F32, Prng
 from supersub.train import LabelView, TrainConfig, finetune_from_super, train
 
 HEADER = 15  # magic, version, superclass id, mode, base fingerprint; then the DEFLATE stream
+
+
+def inflate(stream: bytes) -> bytes:
+    """A whole raw DEFLATE stream, inflated by zlib in one call."""
+    return zlib.decompress(stream, wbits=-15)
+
+
+def with_section(data: bytes, section: bytes) -> bytes:
+    """The packed delta with its section replaced, CRC re-fixed."""
+    return with_fixed_crc(data[:HEADER] + deflate(section) + bytes(4))
 
 
 def build_net(head=3, seed=0, batchnorm=True, dims=(8, 12, 12)):
@@ -287,6 +299,34 @@ class TestPackUnpack:
         data = pack(compute_delta(base, specialist, MODE_FP16)).data
         with pytest.raises(FormatError):
             unpack(overflowing_shape_pack(data))
+
+    @pytest.mark.parametrize("after", ["nothing", "the_section"])
+    def test_a_section_of_zeros_is_rejected_in_bounded_memory(self, plain_pair, after):
+        # 20 MiB of zeros deflate to about 20 KB. Alone they spell a config
+        # of no layers; after a whole section they run past its end. The
+        # reader inflates the config header, or the section and one byte.
+        base, specialist = plain_pair
+        data = pack(compute_delta(base, specialist, MODE_FP16)).data
+        section = inflate(data[HEADER:-4]) if after == "the_section" else b""
+        blob = with_section(data, section + bytes(20 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="past the end" if section else "bad network header"):
+                unpack(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("size", [-1, 1], ids=["one_byte_short", "one_byte_long"])
+    @pytest.mark.parametrize("pair, mode", [("plain_pair", MODE_FP16), ("qat_pair", MODE_QAT_INT)])
+    def test_a_section_of_another_length_is_format_error(self, request, pair, mode, size):
+        base, specialist = request.getfixturevalue(pair)
+        data = pack(compute_delta(base, specialist, mode)).data
+        section = inflate(data[HEADER:-4])
+        section = section[:-1] if size < 0 else section + b"\0"
+        with pytest.raises(FormatError, match="truncated" if size < 0 else "past the end"):
+            unpack(with_section(data, section))
 
     def test_trailing_bytes_after_deflate_stream_are_format_error(self):
         net = build_net(seed=5)

@@ -1,12 +1,22 @@
 """Config-driven pipeline: artifacts, determinism, idempotent commands."""
 
+import contextlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import supersub
+from supersub import experiment
+from supersub.cli import main
 from supersub.errors import ValidationError
 from supersub.experiment import (
     EVAL_MODES,
+    MODES,
     RunPaths,
     cmd_eval,
     cmd_finetune,
@@ -262,3 +272,83 @@ class TestRunPlan:
         assert paths.lower_net.exists() == ("lowerbound" in modes)
         assert paths.scratch_net(0).exists() == ("upperbound_scratch" in modes)
         assert paths.scratch_net(1).exists() == ("upperbound_scratch" in modes)
+
+
+CPUS = os.sched_getaffinity(0)
+needs_two_cpus = pytest.mark.skipif(len(CPUS) < 2, reason="this process sees one CPU, so every run is serial")
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+class TestTwoChains:
+    """With two CPUs a forked helper trains the baselines chain (lowerbound,
+    sub:<i>) while this process trains the router chain; with one, this
+    process trains both, one after the other."""
+
+    @needs_two_cpus
+    def test_two_chain_run_equals_a_one_cpu_run(self, tmp_path, monkeypatch):
+        path, _ = write_config(tmp_path, epochs=2, eval_modes=list(MODES))
+        src = str(Path(supersub.__file__).resolve().parents[1])
+        script = (
+            f"import os, sys; os.sched_setaffinity(0, {{{min(CPUS)}}}); assert len(os.sched_getaffinity(0)) == 1; "
+            "print('before the run'); from supersub.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script, "--config", str(path), "--out", str(tmp_path / "serial"), "run"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+
+        pids = tmp_path / "helper_pids.txt"
+        train_each = experiment._train_each
+
+        def recording(config, targets):
+            with open(pids, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()}\n")
+            train_each(config, targets)
+
+        monkeypatch.setattr(experiment, "_train_each", recording)
+        stdout = tmp_path / "stdout.txt"
+        with open(stdout, "w", encoding="utf-8") as f, contextlib.redirect_stdout(f):
+            print("before the run")  # still buffered when the helper forks
+            assert main(["--config", str(path), "--out", str(tmp_path / "chains"), "run"]) == 0
+        trained_by = pids.read_text().split()
+        assert len(trained_by) == 1 and trained_by[0] != str(os.getpid())
+        assert stdout.read_text(encoding="utf-8") == child.stdout
+        assert _tree(tmp_path / "chains") == _tree(tmp_path / "serial")
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("blocked", ["lower.hsnw", "super.hsnw"], ids=["helper_chain", "main_chain"])
+    def test_a_failing_chain_raises_what_the_serial_run_raises(self, tmp_path, monkeypatch, blocked):
+        # A directory where a chain saves a network makes that chain fail.
+        raised = {}
+        for name, cpus in (("serial", {min(CPUS)}), ("chains", CPUS)):
+            if name == "chains" and len(cpus) < 2:
+                pytest.skip("this process sees one CPU, so every run is serial")
+            (tmp_path / name).mkdir()
+            path, out_dir = write_config(tmp_path / name, epochs=2, eval_modes=list(MODES))
+            (out_dir / blocked).mkdir(parents=True)
+            with monkeypatch.context() as m:
+                m.setattr(experiment.os, "sched_getaffinity", lambda pid: cpus)
+                with pytest.raises(Exception) as err:
+                    run_experiment(load_config(path))
+            raised[name] = type(err.value)
+            assert not multiprocessing.active_children()
+        assert raised["chains"] is raised["serial"] is IsADirectoryError
+
+    @needs_two_cpus
+    def test_a_helper_that_exits_without_reporting_raises(self, tmp_path, monkeypatch):
+        cmd_train_ = experiment.cmd_train
+
+        def dying(config, target):
+            if target != "super":
+                os._exit(7)  # the forked helper inherits this patch
+            return cmd_train_(config, target)
+
+        monkeypatch.setattr(experiment, "cmd_train", dying)
+        path, _ = write_config(tmp_path, epochs=2, eval_modes=["lowerbound"])
+        with pytest.raises(ChildProcessError, match="lowerbound exited with code 7 before reporting"):
+            run_experiment(load_config(path))
+        assert not multiprocessing.active_children()
