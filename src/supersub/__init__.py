@@ -34,6 +34,6 @@ from .runtime import (
     infer_vanilla,
 )
 from .tensor import Prng, cross_entropy, f16_round, gaussian, matmul, relu, softmax_rows
-from .train import LabelView, TrainConfig, finetune_from_super, train
+from .train import TrainConfig, finetune_from_super, train
 
 __version__ = "0.1.0"

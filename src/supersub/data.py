@@ -94,10 +94,12 @@ class Dataset:
         """Superclass index of every row, derived through the manifest."""
         return self.manifest.super_of(self.sub_labels)
 
-    def restrict_to_super(self, super_index: int) -> "Dataset":
-        """Rows of one superclass only; labels stay global."""
+    def rows_of_super(self, super_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Features of one superclass's rows and their local labels 0..k-1,
+        the labels of that superclass's specialist."""
+        offset = self.manifest.sub_offset(super_index)
         mask = self.super_labels() == super_index
-        return Dataset(self.features[mask], self.sub_labels[mask], self.manifest)
+        return self.features[mask], self.sub_labels[mask] - offset
 
 
 def _default_manifest(spec: SyntheticSpec) -> HierarchyManifest:

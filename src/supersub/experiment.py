@@ -49,7 +49,7 @@ from .runtime import (
     ModelRegistry,
 )
 from .tensor import child_seed
-from .train import LabelView, TrainConfig, finetune_from_super, train
+from .train import TrainConfig, finetune_from_super, train
 
 # Stage seed tags; values are arbitrary fixed constants, never change them.
 TAG_DATA = 0x4441544100000001
@@ -319,22 +319,22 @@ def cmd_train(config: ExperimentConfig, target: str) -> Path:
 
     if target == "super":
         stage_seed = child_seed(config.seed, TAG_SUPER)
-        view = LabelView.superclass()
+        features, labels = train_ds.features, train_ds.super_labels()
         head = manifest.n_super
         stage = config.train_super
         qat_bits = config.qat_bits
         out_path = paths.super_net
     elif target == "lowerbound":
         stage_seed = child_seed(config.seed, TAG_LOWER)
-        view = LabelView.all_subclasses()
+        features, labels = train_ds.features, train_ds.sub_labels
         head = manifest.n_sub
         stage = config.train_subclass
         qat_bits = None
         out_path = paths.lower_net
     elif target.startswith("sub:"):
-        i = _parse_super_index(target[4:], manifest.n_super)
+        i = _parse_super_index(target[4:])
+        features, labels = train_ds.rows_of_super(i)
         stage_seed = child_seed(config.seed, TAG_SCRATCH, i)
-        view = LabelView.subclass_of(i)
         head = manifest.subclass_count(i)
         stage = config.train_subclass
         qat_bits = None
@@ -346,23 +346,22 @@ def cmd_train(config: ExperimentConfig, target: str) -> Path:
         uniform_config(train_ds.dim, list(config.hidden_dims), head, config.batchnorm),
         child_seed(stage_seed, TAG_INIT),
     )
-    trained, history = train(net0, train_ds, view, replace(stage, seed=stage_seed, qat_bits=qat_bits))
+    trained, history = train(net0, features, labels, replace(stage, seed=stage_seed, qat_bits=qat_bits))
     save_network(trained, out_path)
     _write_loss_history(paths.loss_csv(target), history)
     return out_path
 
 
-def _parse_super_index(text: str, n_super: int) -> int:
-    """The index i with str(i) == text: no sign, space, underscore or leading
-    zero, so each superclass has one loss CSV name."""
+def _parse_super_index(text: str) -> int:
+    """The index i with str(i) == text: no plus sign, space, underscore or
+    leading zero, so each superclass has one loss CSV name. The manifest
+    checks its range."""
     try:
         i = int(text)
     except ValueError:
         i = None
     if i is None or str(i) != text:
         raise ParameterError(f"superclass index must be an integer, got {text!r}")
-    if not 0 <= i < n_super:
-        raise IndexError(f"superclass index {i} out of range 0..{n_super - 1}")
     return i
 
 

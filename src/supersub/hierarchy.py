@@ -41,17 +41,23 @@ class HierarchyManifest:
         return self._offsets[-1] + len(self.superclasses[-1][1])
 
     def super_name(self, super_index: int) -> str:
-        return self.superclasses[super_index][0]
+        return self.superclasses[self._checked(super_index)][0]
 
     def super_names(self) -> list[str]:
         return [name for name, _ in self.superclasses]
 
     def subclass_count(self, super_index: int) -> int:
-        return len(self.superclasses[super_index][1])
+        return len(self.superclasses[self._checked(super_index)][1])
 
     def sub_offset(self, super_index: int) -> int:
         """Global index of the first subclass of a superclass."""
-        return self._offsets[super_index]
+        return self._offsets[self._checked(super_index)]
+
+    def _checked(self, super_index: int) -> int:
+        """The one superclass-index check: a negative index is no alias."""
+        if not 0 <= super_index < self.n_super:
+            raise IndexError(f"superclass index {super_index} out of range 0..{self.n_super - 1}")
+        return super_index
 
     def super_of(self, sub_index: int | np.ndarray) -> int | np.ndarray:
         """Superclass index of a global subclass index, or of each in an int array."""

@@ -4,10 +4,10 @@ Results are bit-identical across runs whatever the BLAS build, its thread
 count or the order of additions. matmul rounds each element's exact dot
 product once to float32 (round_f32 settles what the float64 BLAS product's
 error bound leaves open exactly), and its tests compare it with an exact
-oracle. The two ordered sums fix their order instead, as np.add.accumulate,
-which numpy defines as r[t] = r[t-1] + x[t]: ordered_axis0_sum adds the
-rows of a matrix (pass the transpose to add its columns, as softmax_rows
-does) and ordered_scalar_sum a vector. np.dot, np.sum and np.add.reduce,
+oracle. The one ordered sum, ordered_axis0_sum, fixes its order instead,
+as np.add.accumulate, which numpy defines as r[t] = r[t-1] + x[t]: it adds
+the rows of a matrix (softmax_rows passes a transpose to add columns, and
+cross_entropy a column to add a vector). np.dot, np.sum and np.add.reduce,
 whose order is unspecified, feed no golden file.
 
 Results do depend on the CPU through np.exp and np.log (softmax_rows,
@@ -203,29 +203,6 @@ def _ordered_axis0_sum_loop(x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def ordered_scalar_sum(vec: np.ndarray) -> float:
-    """Sum a 1-D array front to back in its own precision; returns a float.
-
-    The last element of np.add.accumulate, the order of
-    _ordered_scalar_sum_loop; an empty input sums to 0.0.
-    """
-    vec = np.array(as_float(vec))
-    if not vec.size:
-        return 0.0
-    # The loop starts from +0.0, which turns a leading -0.0 into +0.0.
-    vec[0] += 0
-    return float(np.add.accumulate(vec)[-1])
-
-
-def _ordered_scalar_sum_loop(vec: np.ndarray) -> float:
-    """Element-by-element reference for ordered_scalar_sum."""
-    vec = as_float(vec)
-    acc = vec.dtype.type(0.0)
-    for v in vec:
-        acc = vec.dtype.type(acc + v)
-    return float(acc)
-
-
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(as_float(x), F32(0.0))
 
@@ -256,7 +233,8 @@ def cross_entropy(probs: np.ndarray, labels) -> float:
         raise IndexError(f"label {bad} out of range for {n} classes")
     picked = probs[np.arange(m), labels]
     logs = np.log(picked + F32(CE_EPSILON))
-    return -ordered_scalar_sum(logs) / m
+    # float() before the division: a float32 divided by an int stays float32.
+    return -float(ordered_axis0_sum(logs[:, None])[0]) / m
 
 
 def f16_round(x: np.ndarray) -> np.ndarray:

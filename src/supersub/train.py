@@ -1,9 +1,9 @@
-"""Mini-batch SGD training over the three label views, plus finetuning.
+"""Mini-batch SGD training, plus finetuning.
 
-A label view projects the dataset's global subclass labels onto the space a
-particular network predicts: the superclass view for the router, the
-all-subclasses view for the monolithic baseline, and the per-superclass
-local view for specialists.
+`train` takes the rows and the labels its network's head predicts: the
+superclass labels for the router, the global subclass labels for the
+monolithic baseline, a superclass's local labels (`Dataset.rows_of_super`)
+for a specialist. The head width is the one statement of the class count.
 
 Training is deterministic per seed: shuffling comes from the splitmix64
 generator and all arithmetic runs through the fixed-order float32 kernels,
@@ -11,9 +11,10 @@ so two runs with the same inputs produce bit-identical networks.
 
 Every network trains through one loop, `_sgd`; its body is the training
 step: forward, one softmax for the loss and `backward`, one `sgd_step`.
-Given a `QatConfig` the loop fake-quantizes the forward weights by that config's grid rule and returns
-the network snapped onto the same grids. `train` gives every tensor its
-live grid; `finetune_from_super` pins the body to the router's grids.
+Given a `QatConfig` the loop fake-quantizes the forward weights by that
+config's grid rule and returns the network snapped onto the same grids.
+`train` gives every tensor its live grid; `finetune_from_super` pins the
+body to the router's grids.
 """
 
 from __future__ import annotations
@@ -51,65 +52,30 @@ class TrainConfig:
             raise ParameterError(f"qat_bits must be in [2, 8], got {self.qat_bits}")
 
 
-@dataclass(frozen=True)
-class LabelView:
-    """Which label space a training run predicts."""
-
-    kind: str  # "superclass" | "all_subclasses" | "subclass_of"
-    super_index: int | None = None
-
-    @staticmethod
-    def superclass() -> "LabelView":
-        return LabelView("superclass")
-
-    @staticmethod
-    def all_subclasses() -> "LabelView":
-        return LabelView("all_subclasses")
-
-    @staticmethod
-    def subclass_of(super_index: int) -> "LabelView":
-        return LabelView("subclass_of", super_index)
-
-
-def resolve_view(ds: Dataset, view: LabelView) -> tuple[np.ndarray, np.ndarray, int]:
-    """(features, projected labels, class count) for a label view."""
-    manifest = ds.manifest
-    if view.kind == "superclass":
-        return ds.features, ds.super_labels(), manifest.n_super
-    if view.kind == "all_subclasses":
-        return ds.features, ds.sub_labels.copy(), manifest.n_sub
-    if view.kind == "subclass_of":
-        i = view.super_index
-        if i is None or not 0 <= i < manifest.n_super:
-            raise IndexError(f"superclass index {i} out of range 0..{manifest.n_super - 1}")
-        sub = ds.restrict_to_super(i)
-        local = sub.sub_labels - manifest.sub_offset(i)
-        return sub.features, local, manifest.subclass_count(i)
-    raise ParameterError(f"unknown label view {view.kind!r}")
-
-
-def train(net: Network, ds: Dataset, view: LabelView, config: TrainConfig) -> tuple[Network, list[float]]:
-    """Epochs of shuffled mini-batch SGD; returns the network and loss history.
+def train(
+    net: Network, features: np.ndarray, labels: np.ndarray, config: TrainConfig
+) -> tuple[Network, list[float]]:
+    """Epochs of shuffled mini-batch SGD on the rows `features` with class
+    labels 0..net.head_dim-1; returns the network and loss history.
 
     With config.qat_bits the forward passes fake-quantize every weight on its
     live grid, and the returned network is snapped onto those grids.
     """
     qat = None if config.qat_bits is None else QatConfig(config.qat_bits)
-    return _sgd(net, ds, view, config, qat)
+    return _sgd(net, features, labels, config, qat)
 
 
 def _sgd(
-    net: Network, ds: Dataset, view: LabelView, config: TrainConfig, qat: QatConfig | None
+    net: Network, features: np.ndarray, labels: np.ndarray, config: TrainConfig, qat: QatConfig | None
 ) -> tuple[Network, list[float]]:
     """The SGD loop shared by train and finetune. Without qat it returns the
     master weights; with qat it fake-quantizes the forward weights by qat's
     grid rule and returns the network snapped onto the same grids."""
-    features, labels, n_classes = resolve_view(ds, view)
-    if net.head_dim != n_classes:
-        raise ContractError(
-            f"head width {net.head_dim} does not match {n_classes} classes of view {view.kind}"
-        )
     n = features.shape[0]
+    if len(labels) != n:
+        raise ContractError(f"{len(labels)} labels for {n} rows")
+    if n and not 0 <= labels.min() <= labels.max() < net.head_dim:
+        raise ContractError(f"labels outside 0..{net.head_dim - 1} of head width {net.head_dim}")
     if n == 0 and config.epochs:
         raise ContractError("cannot train on an empty dataset")
 
@@ -154,10 +120,8 @@ def finetune_from_super(
     those grids, so its weight delta against the base is an exact integer
     difference.
     """
-    manifest = ds.manifest
-    if not 0 <= super_index < manifest.n_super:
-        raise IndexError(f"superclass index {super_index} out of range 0..{manifest.n_super - 1}")
-    k = manifest.subclass_count(super_index)
+    features, labels = ds.rows_of_super(super_index)
+    k = ds.manifest.subclass_count(super_index)
     specialized = net_mod.replace_head(super_net, k, child_seed(config.seed, _HEAD_SEED_TAG))
 
     qat = None
@@ -165,4 +129,4 @@ def finetune_from_super(
         if super_net.quant is None or super_net.quant.bits != config.qat_bits:
             raise ContractError("base network carries no matching quantization info")
         qat = QatConfig(config.qat_bits, super_net.quant.body_scales())
-    return _sgd(specialized, ds, LabelView.subclass_of(super_index), config, qat)[0]
+    return _sgd(specialized, features, labels, config, qat)[0]

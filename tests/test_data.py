@@ -234,7 +234,8 @@ class TestDatasetViews:
         expected = np.asarray([manifest.super_of(int(s)) for s in mini_train.sub_labels])
         assert np.array_equal(mini_train.super_labels(), expected)
 
-    def test_restrict_to_super(self, mini_train):
-        sub = mini_train.restrict_to_super(1)
-        assert sub.n_rows == 40
-        assert set(int(s) for s in sub.super_labels()) == {1}
+    def test_rows_of_super(self, mini_train):
+        features, labels = mini_train.rows_of_super(1)
+        rows = np.flatnonzero(mini_train.super_labels() == 1)
+        assert np.array_equal(features, mini_train.features[rows])
+        assert np.array_equal(labels, mini_train.sub_labels[rows] - mini_train.manifest.sub_offset(1))

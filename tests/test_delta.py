@@ -44,7 +44,7 @@ from supersub.network import (
 )
 from supersub.report import CompressionRow
 from supersub.tensor import F32, Prng
-from supersub.train import LabelView, TrainConfig, finetune_from_super, train
+from supersub.train import TrainConfig, finetune_from_super, train
 
 HEADER = 15  # magic, version, superclass id, mode, base fingerprint; then the DEFLATE stream
 
@@ -102,7 +102,7 @@ def plain_pair(mini_train):
     """Full-precision router plus one genuinely finetuned specialist."""
     config = uniform_config(mini_train.dim, [16, 16], mini_train.manifest.n_super, True)
     base0 = init_network(config, 11)
-    base, _ = train(base0, mini_train, LabelView.superclass(),
+    base, _ = train(base0, mini_train.features, mini_train.super_labels(),
                     TrainConfig(lr=0.01, epochs=8, batch_size=16, seed=21))
     specialist = finetune_from_super(
         base, 0, mini_train, TrainConfig(lr=0.01, epochs=8, batch_size=16, seed=22)
@@ -116,7 +116,7 @@ def qat_pair(mini_train):
     config = uniform_config(mini_train.dim, [16, 16], mini_train.manifest.n_super, True)
     base0 = init_network(config, 31)
     tcfg = TrainConfig(lr=0.01, epochs=8, batch_size=16, seed=41, qat_bits=8)
-    base, _ = train(base0, mini_train, LabelView.superclass(), tcfg)
+    base, _ = train(base0, mini_train.features, mini_train.super_labels(), tcfg)
     specialist = finetune_from_super(
         base, 0, mini_train, TrainConfig(lr=0.01, epochs=8, batch_size=16, seed=42, qat_bits=8)
     )

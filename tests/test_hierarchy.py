@@ -128,3 +128,13 @@ class TestSuperOf:
         manifest = make_manifest([("A", ["a1", "a2"]), ("B", ["b1", "b2"])])
         with pytest.raises(IndexError, match="index 4 "):
             manifest.super_of(np.asarray([0, 3, 4, -1]))
+
+
+class TestSuperclassIndex:
+    @pytest.mark.parametrize("method", ["subclass_count", "sub_offset", "super_name"])
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_out_of_range_rejected(self, method, index):
+        # -1 is no alias for the last superclass.
+        manifest = make_manifest([("a", ["a1", "a2"]), ("b", ["b1", "b2", "b3"])])
+        with pytest.raises(IndexError, match=f"superclass index {index} out of range 0..1"):
+            getattr(manifest, method)(index)

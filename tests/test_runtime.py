@@ -27,7 +27,7 @@ from supersub.runtime import (
     build_report,
 )
 from supersub.tensor import F32, Prng, gaussian_array
-from supersub.train import LabelView, TrainConfig, finetune_from_super, train
+from supersub.train import TrainConfig, finetune_from_super, train
 from test_network import manual_net
 
 
@@ -37,7 +37,7 @@ def mini_models(mini_train):
     manifest = mini_train.manifest
     cfg = uniform_config(mini_train.dim, [16, 16], manifest.n_super, True)
     router0 = init_network(cfg, 101)
-    router, _ = train(router0, mini_train, LabelView.superclass(),
+    router, _ = train(router0, mini_train.features, mini_train.super_labels(),
                       TrainConfig(lr=0.01, epochs=12, batch_size=16, seed=102))
     specialists = {
         i: finetune_from_super(router, i, mini_train,
@@ -45,7 +45,7 @@ def mini_models(mini_train):
         for i in range(manifest.n_super)
     }
     lower_cfg = uniform_config(mini_train.dim, [16, 16], manifest.n_sub, True)
-    lower, _ = train(init_network(lower_cfg, 104), mini_train, LabelView.all_subclasses(),
+    lower, _ = train(init_network(lower_cfg, 104), mini_train.features, mini_train.sub_labels,
                      TrainConfig(lr=0.01, epochs=12, batch_size=16, seed=105))
     return router, specialists, lower
 
@@ -62,7 +62,7 @@ def qat_session_parts(mini_train):
     manifest = mini_train.manifest
     cfg = uniform_config(mini_train.dim, [16, 16], manifest.n_super, True)
     tcfg = TrainConfig(lr=0.01, epochs=12, batch_size=16, seed=201, qat_bits=8)
-    base, _ = train(init_network(cfg, 200), mini_train, LabelView.superclass(), tcfg)
+    base, _ = train(init_network(cfg, 200), mini_train.features, mini_train.super_labels(), tcfg)
     specialists = {}
     packed = {}
     for i in range(manifest.n_super):

@@ -18,14 +18,12 @@ from supersub.tensor import (
     F32,
     Prng,
     _ordered_axis0_sum_loop,
-    _ordered_scalar_sum_loop,
     cross_entropy,
     f16_round,
     gaussian,
     gaussian_array,
     matmul,
     ordered_axis0_sum,
-    ordered_scalar_sum,
     relu,
     softmax_rows,
 )
@@ -538,40 +536,6 @@ class TestOrderedAxis1Sum:
             assert _same_bits(ordered_axis0_sum(x.T), _ordered_axis0_sum_loop(x.T))
 
 
-class TestOrderedScalarSum:
-    """ordered_scalar_sum against _ordered_scalar_sum_loop, its element-by-element reference."""
-
-    @staticmethod
-    def _check(vec):
-        got, expected = ordered_scalar_sum(vec), _ordered_scalar_sum_loop(vec)
-        assert type(got) is float
-        assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (vec, got, expected)
-
-    def test_random_lengths(self):
-        rng = Prng(0x53554D32)
-        for case in range(160):
-            vec = gaussian_array(rng, (_draw(rng, 70),)).astype((F32, np.float64)[case % 2])
-            if vec.size and case % 3 == 0:
-                vec[: _draw(rng, vec.size - 1) + 1] = -0.0
-            self._check(vec)
-
-    @pytest.mark.parametrize(
-        "values", [[], [-0.0], [-0.0, -0.0, -0.0], [0.0, -0.0], [-0.0, 2.5, -2.5, -0.0], [1.0, -1.0]]
-    )
-    @pytest.mark.parametrize("dtype", [F32, np.float64])
-    def test_signed_zeros(self, values, dtype):
-        # The loop starts from +0.0, so it never returns -0.0.
-        vec = np.array(values, dtype=dtype)
-        self._check(vec)
-        assert math.copysign(1.0, ordered_scalar_sum(vec)) == 1.0
-
-    def test_non_finite_and_overflow(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._check(np.array([3e38, 3e38, -np.inf], dtype=F32))
-            self._check(np.array([1.0, np.nan, 2.0], dtype=F32))
-            self._check(np.array([np.inf, -np.inf], dtype=np.float64))
-
-
 class TestRelu:
     def test_sign_cases(self):
         x = np.array([-1.0, 0.0, 2.0], dtype=F32)
@@ -627,6 +591,19 @@ class TestCrossEntropy:
     def test_empty_batch_rejected(self):
         with pytest.raises(DimensionError):
             cross_entropy(np.zeros((0, 3), dtype=F32), [])
+
+    def test_sums_logs_left_to_right_in_float32(self):
+        rng = Prng(0x43453332)
+        for _ in range(60):
+            m, n = 1 + _draw(rng, 69), 1 + _draw(rng, 9)
+            probs = softmax_rows(gaussian_array(rng, (m, n), 0.0, 4.0))
+            labels = [_draw(rng, n - 1) for _ in range(m)]
+            acc = F32(0.0)
+            for v in np.log(probs[np.arange(m), labels] + F32(tensor.CE_EPSILON)):
+                acc = F32(acc + v)
+            got = cross_entropy(probs, labels)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(-float(acc) / m).tobytes()
 
 
 class TestF16Round:

@@ -1,4 +1,4 @@
-"""Training loop contracts: label views, determinism, finetuning, QAT."""
+"""Training loop contracts: the labels each network trains on, determinism, finetuning, QAT."""
 
 import importlib
 
@@ -18,11 +18,15 @@ from supersub.network import (
     snap_to_grid,
     uniform_config,
 )
-from supersub.train import LabelView, TrainConfig, finetune_from_super, resolve_view, train
+from supersub.train import TrainConfig, finetune_from_super, train
 
 
 def router_config(ds, hidden=(16, 16)):
     return uniform_config(ds.dim, list(hidden), ds.manifest.n_super, True)
+
+
+def router_data(ds):
+    return ds.features, ds.super_labels()
 
 
 def tcfg(seed, epochs=10, qat_bits=None):
@@ -45,60 +49,74 @@ class TestTrainConfig:
 
 
 class TestLabelViews:
+    """The router trains on superclass labels, the monolithic baseline on
+    global subclass labels, a specialist on one superclass's local labels."""
+
     def test_superclass_view(self, mini_train):
-        _, labels, n = resolve_view(mini_train, LabelView.superclass())
-        assert n == mini_train.manifest.n_super
+        labels = mini_train.super_labels()
         assert set(int(v) for v in labels) == {0, 1}
+        net = init_network(router_config(mini_train), 3)
+        _, history = train(net, mini_train.features, labels, tcfg(4, epochs=1))
+        assert len(history) == 1
 
     def test_all_subclasses_view(self, mini_train):
-        _, labels, n = resolve_view(mini_train, LabelView.all_subclasses())
-        assert n == mini_train.manifest.n_sub
-        assert labels.max() == n - 1
+        labels = mini_train.sub_labels
+        assert labels.max() == mini_train.manifest.n_sub - 1
+        net = init_network(uniform_config(mini_train.dim, [16], mini_train.manifest.n_sub, True), 3)
+        _, history = train(net, mini_train.features, labels, tcfg(4, epochs=1))
+        assert len(history) == 1
 
     def test_subclass_view_filters_and_reindexes(self, mini_train):
-        features, labels, n = resolve_view(mini_train, LabelView.subclass_of(1))
-        assert n == mini_train.manifest.subclass_count(1)
-        assert features.shape[0] == 40
+        features, labels = mini_train.rows_of_super(1)
+        assert features.shape[0] == len(labels) == 40
         assert set(int(v) for v in labels) == {0, 1}
 
     def test_invalid_super_index(self, mini_train):
-        with pytest.raises(IndexError):
-            resolve_view(mini_train, LabelView.subclass_of(9))
+        for index in (9, -1):
+            with pytest.raises(IndexError, match=f"superclass index {index} out of range"):
+                mini_train.rows_of_super(index)
 
 
 class TestTrain:
     def test_zero_epochs_identity_and_empty_history(self, mini_train):
         net = init_network(router_config(mini_train), 5)
-        out, history = train(net, mini_train, LabelView.superclass(), tcfg(6, epochs=0))
+        out, history = train(net, *router_data(mini_train), tcfg(6, epochs=0))
         assert history == []
         assert serialize_network(out) == serialize_network(net)
 
     def test_head_width_contract(self, mini_train):
         net = init_network(router_config(mini_train), 5)  # head 2
-        with pytest.raises(ContractError):
-            train(net, mini_train, LabelView.all_subclasses(), tcfg(6))
+        with pytest.raises(ContractError, match="outside 0..1"):
+            train(net, mini_train.features, mini_train.sub_labels, tcfg(6))
+        with pytest.raises(ContractError, match="outside 0..1"):
+            train(net, mini_train.features, mini_train.super_labels() - 1, tcfg(6))
+
+    def test_label_count_contract(self, mini_train):
+        net = init_network(router_config(mini_train), 5)
+        with pytest.raises(ContractError, match="labels for"):
+            train(net, mini_train.features, mini_train.super_labels()[:-1], tcfg(6, epochs=0))
 
     def test_deterministic_bit_identical(self, mini_train):
         net = init_network(router_config(mini_train), 7)
-        a, hist_a = train(net, mini_train, LabelView.superclass(), tcfg(8, epochs=5))
-        b, hist_b = train(net, mini_train, LabelView.superclass(), tcfg(8, epochs=5))
+        a, hist_a = train(net, *router_data(mini_train), tcfg(8, epochs=5))
+        b, hist_b = train(net, *router_data(mini_train), tcfg(8, epochs=5))
         assert serialize_network(a) == serialize_network(b)
         assert hist_a == hist_b
 
     def test_loss_halves_on_mini_golden(self, mini_train):
         net = init_network(router_config(mini_train), 9)
-        _, history = train(net, mini_train, LabelView.superclass(), tcfg(10, epochs=12))
+        _, history = train(net, *router_data(mini_train), tcfg(10, epochs=12))
         assert all(np.isfinite(history))
         assert history[-1] < 0.5 * history[0]
 
     def test_loss_history_length_matches_epochs(self, mini_train):
         net = init_network(router_config(mini_train), 11)
-        _, history = train(net, mini_train, LabelView.superclass(), tcfg(12, epochs=4))
+        _, history = train(net, *router_data(mini_train), tcfg(12, epochs=4))
         assert len(history) == 4
 
     def test_qat_returns_network_on_its_grid(self, mini_train):
         net = init_network(router_config(mini_train), 29)
-        trained, _ = train(net, mini_train, LabelView.superclass(), tcfg(30, epochs=3, qat_bits=8))
+        trained, _ = train(net, *router_data(mini_train), tcfg(30, epochs=3, qat_bits=8))
         assert trained.quant is not None and trained.quant.bits == 8
         assert serialize_network(snap_to_grid(trained, 8)) == serialize_network(trained)
 
@@ -120,7 +138,7 @@ class TestTrain:
                     monkeypatch.setattr(module, name, counted(getattr(module, name)))
         net = init_network(router_config(mini_train), 13)
         config = tcfg(14, epochs=3)
-        train(net, mini_train, LabelView.superclass(), config)
+        train(net, *router_data(mini_train), config)
         rows = len(mini_train.features)
         steps = config.epochs * sum(min(config.batch_size, rows - s) >= 2 for s in range(0, rows, config.batch_size))
         assert calls == {"softmax_rows": steps, "sgd_step": steps}
@@ -128,7 +146,7 @@ class TestTrain:
     def test_does_not_mutate_input_network(self, mini_train):
         net = init_network(router_config(mini_train), 13)
         before = serialize_network(net)
-        train(net, mini_train, LabelView.superclass(), tcfg(14, epochs=2))
+        train(net, *router_data(mini_train), tcfg(14, epochs=2))
         assert serialize_network(net) == before
 
 
@@ -156,12 +174,11 @@ class TestFinetune:
         # golden-scale property (asserted in the acceptance suite); at mini
         # scale just require that finetuning produces a working specialist.
         base0 = init_network(router_config(mini_train), 19)
-        base, _ = train(base0, mini_train, LabelView.superclass(), tcfg(20, epochs=12))
+        base, _ = train(base0, *router_data(mini_train), tcfg(20, epochs=12))
         specialist = finetune_from_super(base, 0, mini_train, tcfg(21, epochs=12))
-        sub0 = mini_test.restrict_to_super(0)
-        offset = mini_test.manifest.sub_offset(0)
-        logits, _ = forward(specialist, sub0.features)
-        assert float((logits.argmax(axis=1) == sub0.sub_labels - offset).mean()) >= 0.6
+        features, labels = mini_test.rows_of_super(0)
+        logits, _ = forward(specialist, features)
+        assert float((logits.argmax(axis=1) == labels).mean()) >= 0.6
 
     def test_qat_requires_snapped_base(self, mini_train):
         base = init_network(router_config(mini_train), 24)
@@ -170,7 +187,7 @@ class TestFinetune:
 
     def test_qat_effective_weights_live_on_grid(self, mini_train):
         base0 = init_network(router_config(mini_train), 26)
-        base, _ = train(base0, mini_train, LabelView.superclass(), tcfg(27, epochs=3, qat_bits=8))
+        base, _ = train(base0, *router_data(mini_train), tcfg(27, epochs=3, qat_bits=8))
         tuned = finetune_from_super(base, 0, mini_train, tcfg(28, epochs=3, qat_bits=8))
         # Body grids are pinned to the base's scales during the finetune.
         qat = QatConfig(8, base.quant.body_scales())
@@ -180,7 +197,7 @@ class TestFinetune:
 
     def test_qat_specialist_shares_base_grids_and_rebuilds_exactly(self, mini_train):
         base0 = init_network(router_config(mini_train), 31)
-        base, _ = train(base0, mini_train, LabelView.superclass(), tcfg(32, epochs=3, qat_bits=8))
+        base, _ = train(base0, *router_data(mini_train), tcfg(32, epochs=3, qat_bits=8))
         tuned = finetune_from_super(base, 1, mini_train, tcfg(33, epochs=3, qat_bits=8))
         assert tuned.quant.body_scales() == base.quant.body_scales()
         packed = pack(compute_delta(base, tuned, MODE_QAT_INT, superclass_id=1)).data
