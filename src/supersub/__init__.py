@@ -8,7 +8,7 @@ memory.
 """
 
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
-from .delta import DeltaPack, PackedDelta, compute_delta, pack, reconstruct, unpack
+from .delta import DeltaPack, compute_delta, pack, reconstruct, unpack
 from .errors import SuperSubError
 from .hierarchy import HierarchyManifest, make_manifest, parse_manifest
 from .network import (

@@ -87,13 +87,6 @@ class DeltaPack:
     head_scales: tuple[float, ...] | None
 
 
-@dataclass(frozen=True)
-class PackedDelta:
-    data: bytes
-    raw_size: int  # container size had the tensor section not been compressed
-    packed_size: int  # actual container size on the wire
-
-
 def base_fingerprint_of(base: Network) -> int:
     """The base network file's own trailing checksum.
 
@@ -150,25 +143,21 @@ def _exact_grid(t: np.ndarray, scale: float, what: str) -> np.ndarray:
 # --- container ---------------------------------------------------------------
 
 
-def pack(d: DeltaPack) -> PackedDelta:
+def pack(d: DeltaPack) -> bytes:
     """Serialize and DEFLATE-compress; the 15-byte header stays uncompressed."""
     section = Writer()
     write_config(section, d.config)
     for s in d.head_scales or ():
         section.f32(s)
     write_tensors(section, d.tensors, _BODY_DTYPES[d.mode])
-    blob = section.body()
-    compressed = deflate(blob)
-
     w = Writer()
     w.raw(DELTA_MAGIC)
     w.u16(DELTA_VERSION)
     w.u32(d.superclass_id)
     w.u8(_MODE_CODES[d.mode])
     w.u32(d.base_fingerprint)
-    w.raw(compressed)
-    data = w.finish()
-    return PackedDelta(data, raw_size=len(data) - len(compressed) + len(blob), packed_size=len(data))
+    w.raw(deflate(section.body()))
+    return w.finish()
 
 
 def unpack(data: bytes) -> DeltaPack:
@@ -258,19 +247,4 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int, superclass_i
             if exact_lattice_indices(t, s) is None:
                 raise FormatError(f"delta tensor {name} is off the lattice of its head scale")
     return Network(d.config, tuple(rebuilt), quant)
-
-
-# --- reporting helpers --------------------------------------------------------
-
-
-def quantized_network_bytes(net: Network) -> int:
-    """Size of the network container had weights been stored as int8.
-
-    This is the reference for qat-int compression ratios: identical layout
-    to the float32 container, with each weight element taking one byte
-    (per-tensor scales are already carried in the header's quant block).
-    """
-    full = len(serialize_network(net))
-    weight_elems = sum(t.size for _, t, is_weight in tensor_items(net) if is_weight)
-    return full - 3 * weight_elems
 

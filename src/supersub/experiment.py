@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import delta as delta_mod
-from . import network as net_mod
 from . import report as report_mod
 from . import runtime as runtime_mod
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
@@ -143,6 +142,8 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
 
     synthetic = None
     dataset_paths = None
+    if doc.get("synthetic") is not None and doc.get("dataset") is not None:
+        raise ValidationError('config holds both a "synthetic" and a "dataset" block; give one')
     if doc.get("synthetic") is not None:
         s = _of_type(doc["synthetic"], dict, "synthetic")
         if "subs_per_super" not in s:
@@ -202,11 +203,13 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
 
 
 def load_config(path, out_dir_override: str | None = None, seed_override: int | None = None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"config {path} is not a UTF-8 text file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     config = parse_config(doc, out_dir_override, seed_override)
     out = Path(config.out_dir)
     if out.exists() and not out.is_dir():
@@ -377,15 +380,12 @@ def cmd_finetune(config: ExperimentConfig, super_index: int) -> Path:
     return paths.finetuned_net(super_index)
 
 
-def pack_reference_bytes(config: ExperimentConfig, specialist: Network) -> tuple[int, str]:
-    """Reference model size for compression ratios, with its kind label.
-
-    fp16 deltas compare against the full-precision specialist file; qat-int
-    deltas compare against the specialist stored with int8 weight payloads.
-    """
-    if config.delta_mode == delta_mod.MODE_FP16:
-        return len(net_mod.serialize_network(specialist)), "full_f32"
-    return delta_mod.quantized_network_bytes(specialist), "int8+scales"
+def _compression_row(config: ExperimentConfig, paths: RunPaths, i: int, superclass: str) -> report_mod.CompressionRow:
+    """Superclass i's pack measured against its specialist's network file,
+    each by its length on disk, in either delta mode."""
+    return report_mod.CompressionRow(
+        superclass, config.delta_mode, paths.delta_file(i).stat().st_size, paths.finetuned_net(i).stat().st_size
+    )
 
 
 def cmd_pack(config: ExperimentConfig, super_index: int) -> tuple[Path, str]:
@@ -394,13 +394,11 @@ def cmd_pack(config: ExperimentConfig, super_index: int) -> tuple[Path, str]:
     base = load_network(paths.super_net)
     specialist = load_network(paths.finetuned_net(super_index))
     pack = delta_mod.compute_delta(base, specialist, config.delta_mode, super_index)
-    packed = delta_mod.pack(pack)
-    paths.delta_file(super_index).write_bytes(packed.data)
-    reference, kind = pack_reference_bytes(config, specialist)
-    row = report_mod.CompressionRow(str(super_index), config.delta_mode, packed.packed_size, reference, kind)
+    paths.delta_file(super_index).write_bytes(delta_mod.pack(pack))
+    row = _compression_row(config, paths, super_index, str(super_index))
     summary = (
-        f"superclass {super_index}: raw {packed.raw_size} packed {packed.packed_size} "
-        f"reference {reference} ({kind}) ratio {row.ratio:.4f}"
+        f"superclass {super_index}: packed {row.packed_bytes} "
+        f"reference {row.reference_bytes} ratio {row.ratio:.4f}"
     )
     return paths.delta_file(super_index), summary
 
@@ -481,22 +479,10 @@ def cmd_report(config: ExperimentConfig) -> tuple[str, str]:
     if paths.train_data.exists():
         manifest = load_dataset(paths.train_data).manifest
         for i in range(manifest.n_super):
-            delta_path = paths.delta_file(i)
-            ft_path = paths.finetuned_net(i)
-            if not delta_path.exists() or not ft_path.exists():
-                missing.append(str(delta_path if not delta_path.exists() else ft_path))
-                continue
-            specialist = load_network(ft_path)
-            reference, kind = pack_reference_bytes(config, specialist)
-            comp_rows.append(
-                report_mod.CompressionRow(
-                    superclass=manifest.super_name(i),
-                    mode=config.delta_mode,
-                    packed_bytes=len(delta_path.read_bytes()),
-                    reference_bytes=reference,
-                    reference_kind=kind,
-                )
-            )
+            try:
+                comp_rows.append(_compression_row(config, paths, i, manifest.super_name(i)))
+            except FileNotFoundError as exc:
+                missing.append(str(exc.filename))
     else:
         missing.append(str(paths.train_data))
 

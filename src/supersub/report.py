@@ -153,9 +153,8 @@ def _delta_cells(value: float, reference: float) -> list[str]:
 class CompressionRow:
     superclass: str
     mode: str
-    packed_bytes: int
-    reference_bytes: int
-    reference_kind: str  # "full_f32" | "int8+scales"
+    packed_bytes: int  # the pack file's length
+    reference_bytes: int  # the length of the specialist's own network file
 
     @property
     def ratio(self) -> float:
@@ -170,18 +169,17 @@ def compression_summary(rows: list[CompressionRow]) -> tuple[str, str]:
     """
     if not rows:
         raise ContractError("compression_summary needs at least one row")
-    lines = ["superclass,mode,packed_bytes,reference_bytes,reference_kind,ratio"]
+    lines = ["superclass,mode,packed_bytes,reference_bytes,ratio"]
     by_mode: dict[str, list[float]] = {}
     for row in rows:
         lines.append(
-            f"{row.superclass},{row.mode},{row.packed_bytes},{row.reference_bytes},"
-            f"{row.reference_kind},{row.ratio:.6f}"
+            f"{row.superclass},{row.mode},{row.packed_bytes},{row.reference_bytes},{row.ratio:.6f}"
         )
         by_mode.setdefault(row.mode, []).append(row.ratio)
     text_lines = []
     for mode in sorted(by_mode):
         avg = sum(by_mode[mode]) / len(by_mode[mode])
-        lines.append(f"average,{mode},,,,{avg:.6f}")
+        lines.append(f"average,{mode},,,{avg:.6f}")
         text_lines.append(f"avg ratio {avg:.2f} ({mode}, {len(by_mode[mode])} superclasses)")
     csv = "\n".join(lines) + "\n"
     text = "\n".join(text_lines) + "\n"

@@ -150,7 +150,7 @@ def test_c07_compression_ordering(golden):
     for i in range(5):
         specialist = load_network(qat_paths.finetuned_net(i))
         qat_bytes = len(qat_paths.delta_file(i).read_bytes())
-        fp16_bytes = pack(compute_delta(base_net, specialist, MODE_FP16, i)).packed_size
+        fp16_bytes = len(pack(compute_delta(base_net, specialist, MODE_FP16, i)))
         ordering_ok = ordering_ok and qat_bytes < fp16_bytes
 
     fp16_paths = branch_paths(base, "fp16")
@@ -258,8 +258,8 @@ def test_c09_container_round_trips():
             d = compute_delta(a, b, MODE_QAT_INT, superclass_id=trial)
         else:
             d = compute_delta(a, b, MODE_FP16, superclass_id=trial)
-        blob = pack(d).data
-        assert pack(unpack(blob)).data == blob
+        blob = pack(d)
+        assert pack(unpack(blob)) == blob
         checked += 1
         if trial % 10 == 0:
             corrupt_and_expect_failure(blob, unpack)
@@ -333,6 +333,22 @@ def test_golden_fp16_ratios_under_point_six(golden):
         assert packed / reference < 0.6
 
 
+@pytest.mark.parametrize("branch", ["fp16", "qat"])
+def test_golden_compression_ratio_is_pack_over_specialist_file(golden, branch):
+    # One storage unit in both delta modes: the pack file's length over the
+    # length of its specialist's network file, as compression.csv prints it.
+    base, _, _ = golden
+    paths = branch_paths(base, branch)
+    header, *rows = paths.compression_csv.read_text(encoding="utf-8").splitlines()
+    assert header == "superclass,mode,packed_bytes,reference_bytes,ratio"
+    rows = [row.split(",") for row in rows if not row.startswith("average,")]
+    assert len(rows) == 5
+    for i, row in enumerate(rows):
+        packed = len(paths.delta_file(i).read_bytes())
+        reference = len(paths.finetuned_net(i).read_bytes())
+        assert row[2:] == [str(packed), str(reference), f"{packed / reference:.6f}"]
+
+
 def test_c11_published_value_rendering():
     lower = make_report("lowerbound", 71.18)
     upper = make_report("upperbound_oracle", 75.07)
@@ -346,8 +362,8 @@ def test_c11_published_value_rendering():
     rendered = render_confusion_percent(confusion, ("Bird", "Car", "Other"))
     confusion_ok = rendered.splitlines()[1] == "Bird,96.77,0.08,3.15"
 
-    plain = [CompressionRow(f"s{i}", "fp16", 440, 1000, "full_f32") for i in range(5)]
-    qat = [CompressionRow(f"s{i}", "qat-int", 200, 1000, "int8+scales") for i in range(5)]
+    plain = [CompressionRow(f"s{i}", "fp16", 440, 1000) for i in range(5)]
+    qat = [CompressionRow(f"s{i}", "qat-int", 200, 1000) for i in range(5)]
     text, _ = compression_summary(plain + qat)
     ratios_ok = "avg ratio 0.44" in text and "avg ratio 0.20" in text
 

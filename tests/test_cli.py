@@ -38,6 +38,18 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "non_utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"seed": "\xff"}')
+    assert main(["--config", str(path), "gen-data"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_invalid_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"seed": 1}', encoding="utf-8")
@@ -75,6 +87,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         (("train", "finetune", "lr"), -0.01),
         (("train", "subclass", "batch_size"), 0),
         (("train", "superclass", "epochs"), -1),
+        (("dataset",), {"train": "missing/train.hsds", "test": "missing/test.hsds"}),
     ],
     ids=[
         "seed_text", "lr_text", "n_super_text", "train_list", "stage_number", "synthetic_list",
@@ -82,7 +95,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         "eval_modes_repeated", "hidden_dims_text", "hidden_dims_zero", "hidden_dims_negative", "hidden_dims_empty",
         "subs_per_super_text", "qat_bits_9", "qat_bits_text", "batchnorm_text", "epochs_fraction",
         "epochs_bool", "lr_numeric_text", "noise_sigma_nan", "out_dir_null", "out_dir_number",
-        "finetune_lr_negative", "subclass_batch_size_0", "superclass_epochs_negative",
+        "finetune_lr_negative", "subclass_batch_size_0", "superclass_epochs_negative", "synthetic_and_dataset",
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, monkeypatch, capsys, keys, value):
@@ -155,17 +168,8 @@ def test_pack_prints_ratio_matching_compression_ratio(qat_config_path, capsys):
     assert main(["--config", str(qat_config_path), "pack", "0"]) == 0
     out = capsys.readouterr().out
 
-    from supersub.delta import compute_delta, pack
-    from supersub.experiment import load_config, pack_reference_bytes
-    from supersub.network import load_network
-
-    config = load_config(qat_config_path)
-    paths = RunPaths(config.out_dir)
-    base = load_network(paths.super_net)
-    specialist = load_network(paths.finetuned_net(0))
-    packed = pack(compute_delta(base, specialist, config.delta_mode, 0))
-    reference, _ = pack_reference_bytes(config, specialist)
-    expected = packed.packed_size / reference
+    paths = RunPaths(load_config(qat_config_path).out_dir)
+    expected = len(paths.delta_file(0).read_bytes()) / len(paths.finetuned_net(0).read_bytes())
     assert f"ratio {expected:.4f}" in out
 
 
@@ -285,7 +289,7 @@ def test_misfit_delta_entry_exits_3(qat_config_path, capsys):
     names = [name for name, _ in tensor_shapes(d.config)]
     tensors = tuple(t for name, t in zip(names, d.tensors) if ".bn_" not in name)
     config = NetworkConfig(d.config.layer_dims, (False,) * len(d.config.batchnorm))
-    path.write_bytes(pack(replace(d, config=config, tensors=tensors)).data)
+    path.write_bytes(pack(replace(d, config=config, tensors=tensors)))
     assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
     assert "base's body" in capsys.readouterr().err
 
@@ -297,7 +301,7 @@ def test_wrong_grid_scale_exits_3(qat_config_path, capsys):
 
     path = RunPaths(load_config(qat_config_path).out_dir).delta_file(0)
     d = unpack(path.read_bytes())
-    path.write_bytes(pack(replace(d, head_scales=(0.0, d.head_scales[1]))).data)
+    path.write_bytes(pack(replace(d, head_scales=(0.0, d.head_scales[1]))))
     assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
     assert "integrity" in capsys.readouterr().err
 
@@ -367,7 +371,7 @@ def test_delta_with_another_head_width_exits_3(config_path, capsys, verb):
     weight, bias = d.tensors[-2:]
     head = (np.vstack([weight, weight[:1]]), np.append(bias, bias[:1]))
     wide = replace(d, config=d.config.with_head(d.config.head_dim + 1), tensors=(*d.tensors[:-2], *head))
-    paths.delta_file(0).write_bytes(pack(wide).data)
+    paths.delta_file(0).write_bytes(pack(wide))
     capsys.readouterr()
     assert main(["--config", str(config_path)] + verb) == 3
     err = capsys.readouterr().err

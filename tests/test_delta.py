@@ -16,7 +16,6 @@ from supersub.delta import (
     base_fingerprint_of,
     compute_delta,
     pack,
-    quantized_network_bytes,
     reconstruct,
     unpack,
 )
@@ -211,43 +210,43 @@ class TestPackUnpack:
         base, specialist = plain_pair
         d = compute_delta(base, specialist, MODE_FP16, superclass_id=1)
         packed = pack(d)
-        again = unpack(packed.data)
+        again = unpack(packed)
         assert again.superclass_id == 1
         assert again.mode == MODE_FP16
         assert again.base_fingerprint == d.base_fingerprint
-        assert pack(again).data == packed.data
+        assert pack(again) == packed
 
     def test_qat_round_trip_identity(self, qat_pair):
         base, specialist = qat_pair
         d = compute_delta(base, specialist, MODE_QAT_INT)
         packed = pack(d)
-        again = unpack(packed.data)
+        again = unpack(packed)
         assert again.head_scales == d.head_scales
-        assert pack(again).data == packed.data
+        assert pack(again) == packed
 
     def test_zero_delta_packs_tiny(self):
         # The head is stored verbatim; the zero body delta adds under 2%.
         net = build_net(seed=9, dims=(32, 64, 64), head=4)
         d = compute_delta(net, net, MODE_FP16)
         packed = pack(d)
-        assert packed.packed_size < verbatim_head_bytes(net) + 0.02 * len(serialize_network(net))
+        assert len(packed) < verbatim_head_bytes(net) + 0.02 * len(serialize_network(net))
 
     def test_truncated_stream_rejected_without_partial(self, plain_pair):
         base, specialist = plain_pair
         packed = pack(compute_delta(base, specialist, MODE_FP16))
         with pytest.raises(FormatError):
-            unpack(packed.data[: len(packed.data) // 3])
+            unpack(packed[: len(packed) // 3])
 
     def test_corrupted_crc_detected(self, plain_pair):
         base, specialist = plain_pair
-        data = bytearray(pack(compute_delta(base, specialist, MODE_FP16)).data)
+        data = bytearray(pack(compute_delta(base, specialist, MODE_FP16)))
         data[-3] ^= 0x20
         with pytest.raises(FormatError):
             unpack(bytes(data))
 
     def test_corrupted_compressed_body_detected(self, plain_pair):
         base, specialist = plain_pair
-        data = bytearray(pack(compute_delta(base, specialist, MODE_FP16)).data)
+        data = bytearray(pack(compute_delta(base, specialist, MODE_FP16)))
         data[30] ^= 0x04
         with pytest.raises(FormatError):
             unpack(bytes(data))
@@ -258,7 +257,7 @@ class TestPackUnpack:
         # config header, the qat-int head scales, and the raw payloads.
         base, specialist = request.getfixturevalue(pair)
         d = compute_delta(base, specialist, mode)
-        section = inflate(pack(d).data[HEADER:-4])
+        section = inflate(pack(d)[HEADER:-4])
         header = Writer()
         write_config(header, specialist.config)
         n_scales = len(HEAD_TENSORS) if mode == MODE_QAT_INT else 0
@@ -267,36 +266,30 @@ class TestPackUnpack:
         assert section.startswith(header.body())
         assert len(section) == len(header.body()) + 4 * n_scales + payload
 
-    def test_raw_size_counts_the_inflated_section(self, qat_pair):
-        base, specialist = qat_pair
-        packed = pack(compute_delta(base, specialist, MODE_QAT_INT))
-        assert packed.raw_size == HEADER + len(inflate(packed.data[HEADER:-4])) + 4
-        assert packed.packed_size == len(packed.data)
-
     def test_no_tensor_name_is_stored(self, qat_pair):
         # Names live in network.py's layout only: neither a qat network file
         # nor a pack's inflated section spells one.
         base, specialist = qat_pair
-        section = inflate(pack(compute_delta(base, specialist, MODE_QAT_INT)).data[HEADER:-4])
+        section = inflate(pack(compute_delta(base, specialist, MODE_QAT_INT))[HEADER:-4])
         names = {name for net in qat_pair for name, _ in tensor_shapes(net.config)}
         for blob in (serialize_network(base), serialize_network(specialist), section):
             assert not [name for name in names if name.encode("utf-8") in blob]
 
     def test_version_2_pack_is_format_error(self, qat_pair):
         base, specialist = qat_pair
-        data = pack(compute_delta(base, specialist, MODE_QAT_INT)).data
+        data = pack(compute_delta(base, specialist, MODE_QAT_INT))
         with pytest.raises(FormatError, match="unsupported version 2"):
             unpack(with_fixed_crc(data[:4] + (2).to_bytes(2, "little") + data[6:]))
 
     def test_version_1_pack_is_format_error(self, plain_pair):
         base, specialist = plain_pair
-        data = pack(compute_delta(base, specialist, MODE_FP16)).data
+        data = pack(compute_delta(base, specialist, MODE_FP16))
         with pytest.raises(FormatError, match="unsupported version 1"):
             unpack(with_fixed_crc(data[:4] + (1).to_bytes(2, "little") + data[6:]))
 
     def test_overflowing_shape_is_format_error(self, plain_pair):
         base, specialist = plain_pair
-        data = pack(compute_delta(base, specialist, MODE_FP16)).data
+        data = pack(compute_delta(base, specialist, MODE_FP16))
         with pytest.raises(FormatError):
             unpack(overflowing_shape_pack(data))
 
@@ -306,7 +299,7 @@ class TestPackUnpack:
         # of no layers; after a whole section they run past its end. The
         # reader inflates the config header, or the section and one byte.
         base, specialist = plain_pair
-        data = pack(compute_delta(base, specialist, MODE_FP16)).data
+        data = pack(compute_delta(base, specialist, MODE_FP16))
         section = inflate(data[HEADER:-4]) if after == "the_section" else b""
         blob = with_section(data, section + bytes(20 << 20))
         tracemalloc.start()
@@ -322,7 +315,7 @@ class TestPackUnpack:
     @pytest.mark.parametrize("pair, mode", [("plain_pair", MODE_FP16), ("qat_pair", MODE_QAT_INT)])
     def test_a_section_of_another_length_is_format_error(self, request, pair, mode, size):
         base, specialist = request.getfixturevalue(pair)
-        data = pack(compute_delta(base, specialist, mode)).data
+        data = pack(compute_delta(base, specialist, mode))
         section = inflate(data[HEADER:-4])
         section = section[:-1] if size < 0 else section + b"\0"
         with pytest.raises(FormatError, match="truncated" if size < 0 else "past the end"):
@@ -330,7 +323,7 @@ class TestPackUnpack:
 
     def test_trailing_bytes_after_deflate_stream_are_format_error(self):
         net = build_net(seed=5)
-        data = pack(compute_delta(net, net, MODE_FP16)).data
+        data = pack(compute_delta(net, net, MODE_FP16))
         with pytest.raises(FormatError):
             unpack(trailing_junk_pack(data))
 
@@ -338,7 +331,7 @@ class TestPackUnpack:
         base, specialist = plain_pair
         packed = pack(compute_delta(base, specialist, MODE_FP16))
         other_base = build_net(head=2, seed=99, dims=(8, 16, 16))
-        again = unpack(packed.data)  # parses fine
+        again = unpack(packed)  # parses fine
         with pytest.raises(BaseMismatchError):
             reconstruct(other_base, again, base_fingerprint_of(other_base), 0, specialist.head_dim)
 
@@ -350,7 +343,7 @@ class TestPackUnpack:
             net_b = build_net(head=head, seed=trial + 100, batchnorm=bool(trial % 2))
             d = compute_delta(net_a, net_b, MODE_FP16, superclass_id=trial)
             packed = pack(d)
-            assert pack(unpack(packed.data)).data == packed.data
+            assert pack(unpack(packed)) == packed
 
 
 class TestReconstruct:
@@ -386,7 +379,7 @@ class TestReconstruct:
         net = build_net(seed=31, head=3)
         d = with_tensor(compute_delta(net, net, MODE_FP16), which - len(HEAD_TENSORS), np.zeros(shape, dtype=F32))
         with pytest.raises(FormatError):
-            reconstruct(net, unpack(pack(d).data), base_fingerprint_of(net), 0, net.head_dim)
+            reconstruct(net, unpack(pack(d)), base_fingerprint_of(net), 0, net.head_dim)
 
     @pytest.mark.parametrize("edit", ["missing", "duplicate", "misshapen"])
     def test_misfit_entries_are_format_errors(self, edit):
@@ -401,7 +394,7 @@ class TestReconstruct:
             tensors[0] = tensors[0][:-1]
         d = replace(d, tensors=tuple(tensors))
         with pytest.raises(FormatError):
-            reconstruct(net, unpack(pack(d).data), base_fingerprint_of(net), 0, net.head_dim)
+            reconstruct(net, unpack(pack(d)), base_fingerprint_of(net), 0, net.head_dim)
 
     @pytest.mark.parametrize(
         "config",
@@ -420,14 +413,14 @@ class TestReconstruct:
         first = d.tensors[0].copy()
         first.flat[0] = np.nan
         with pytest.raises(FormatError, match="non-finite"):
-            reconstruct(base, unpack(pack(with_tensor(d, 0, first)).data), base_fingerprint_of(base), 0, d.config.head_dim)
+            reconstruct(base, unpack(pack(with_tensor(d, 0, first))), base_fingerprint_of(base), 0, d.config.head_dim)
 
     @pytest.mark.parametrize("pair, mode", [("plain_pair", MODE_FP16), ("qat_pair", MODE_QAT_INT)])
     def test_flat_rebuild_equals_the_per_tensor_loop(self, request, pair, mode):
         base, specialist = request.getfixturevalue(pair)
         fingerprint = base_fingerprint_of(base)
         for seed in range(4):
-            d = unpack(pack(random_body_deltas(compute_delta(base, specialist, mode), seed)).data)
+            d = unpack(pack(random_body_deltas(compute_delta(base, specialist, mode), seed)))
             rebuilt = reconstruct(base, d, fingerprint, 0, specialist.head_dim)
             expected = [*reference_body(base, d), *d.tensors[-len(HEAD_TENSORS) :]]
             for (name, _), got, want in zip(tensor_shapes(d.config), rebuilt.tensors, expected, strict=True):
@@ -452,7 +445,7 @@ class TestReconstruct:
         t = d.tensors[index].copy()
         t.flat[-1] = bad
         with pytest.raises(FormatError, match=rf"delta tensor {name} rebuilds to non-finite"):
-            reconstruct(net, unpack(pack(with_tensor(d, index, t)).data), base_fingerprint_of(net), 0, net.head_dim)
+            reconstruct(net, unpack(pack(with_tensor(d, index, t))), base_fingerprint_of(net), 0, net.head_dim)
 
     @pytest.mark.parametrize("index", [-2, -1], ids=list(HEAD_TENSORS))
     def test_qat_head_off_its_lattice_is_format_error(self, qat_pair, index):
@@ -463,7 +456,7 @@ class TestReconstruct:
         head = d.tensors[index].copy()
         head.flat[0] = np.nextafter(head.flat[0], F32(np.inf))
         with pytest.raises(FormatError, match="off the lattice"):
-            reconstruct(base, unpack(pack(with_tensor(d, index, head)).data), base_fingerprint_of(base), 0, d.config.head_dim)
+            reconstruct(base, unpack(pack(with_tensor(d, index, head))), base_fingerprint_of(base), 0, d.config.head_dim)
 
     def test_qat_pack_needs_a_quantized_base(self):
         net = snap_to_grid(build_net(seed=47), 8)
@@ -506,11 +499,11 @@ class TestReconstruct:
                 "nan_head_scale": (float("nan"), bias_scale),
             }[edit])
         with pytest.raises(FormatError):
-            reconstruct(base, unpack(pack(d).data), base_fingerprint_of(base), 0, d.config.head_dim)
+            reconstruct(base, unpack(pack(d)), base_fingerprint_of(base), 0, d.config.head_dim)
 
     def test_header_mutations_are_rejected_or_read_back(self, qat_pair):
         base, specialist = qat_pair
-        data = pack(compute_delta(base, specialist, MODE_QAT_INT, superclass_id=1)).data
+        data = pack(compute_delta(base, specialist, MODE_QAT_INT, superclass_id=1))
         fingerprint = base_fingerprint_of(base)
         rejected = 0
         for at, mutated in header_mutations(data, HEADER):
@@ -533,7 +526,7 @@ class TestReconstruct:
         # Each mutant sets one to three bytes of the inflated section, half
         # of them in the config header and head scales, to Prng-chosen values.
         base, specialist = request.getfixturevalue(pair)
-        data = pack(compute_delta(base, specialist, mode, superclass_id=1)).data
+        data = pack(compute_delta(base, specialist, mode, superclass_id=1))
         section = inflate(data[HEADER:-4])
         fingerprint = base_fingerprint_of(base)
         rng = Prng(0x5EC7 + len(mode))
@@ -568,26 +561,19 @@ class TestCompressionAccounting:
         base, specialist = qat_pair
         fp16_packed = pack(compute_delta(base, specialist, MODE_FP16))
         qat_packed = pack(compute_delta(base, specialist, MODE_QAT_INT))
-        assert qat_packed.packed_size <= fp16_packed.packed_size
+        assert len(qat_packed) <= len(fp16_packed)
 
     def test_ratio_contract(self, plain_pair):
         base, specialist = plain_pair
         packed = pack(compute_delta(base, specialist, MODE_FP16))
-        row = CompressionRow("0", MODE_FP16, packed.packed_size, len(serialize_network(specialist)), "full_f32")
+        row = CompressionRow("0", MODE_FP16, len(packed), len(serialize_network(specialist)))
         assert 0 < row.ratio < 1
 
     def test_identity_network_ratio_tiny(self):
         net = build_net(seed=17, dims=(32, 64, 64), head=4)
         packed = pack(compute_delta(net, net, MODE_FP16))
         reference = len(serialize_network(net))
-        assert packed.packed_size / reference < 0.02 + verbatim_head_bytes(net) / reference
-
-    def test_quantized_reference_bytes(self, qat_pair):
-        _, specialist = qat_pair
-        full = len(serialize_network(specialist))
-        dims = specialist.config.layer_dims
-        weight_elems = sum(fan_in * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
-        assert quantized_network_bytes(specialist) == full - 3 * weight_elems
+        assert len(packed) / reference < 0.02 + verbatim_head_bytes(net) / reference
 
 
 class TestDeltaMagnitude:

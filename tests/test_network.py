@@ -649,7 +649,7 @@ class TestMixedBatchnorm:
 
     def test_qat_self_delta_rebuilds_bytes(self, flags):
         net = snap_to_grid(mixed_bn_net(flags, seed=63), 8)
-        packed = pack(compute_delta(net, net, MODE_QAT_INT, superclass_id=2)).data
+        packed = pack(compute_delta(net, net, MODE_QAT_INT, superclass_id=2))
         rebuilt = reconstruct(net, unpack(packed), base_fingerprint_of(net), 2, net.head_dim)
         assert_same_layers(rebuilt, net)
         assert serialize_network(rebuilt) == serialize_network(net)

@@ -139,7 +139,7 @@ class TestLedgerCsv:
 class TestCompressionSummary:
     def test_average_is_mean_of_ratios(self):
         rows = [
-            CompressionRow(f"s{i}", "fp16", packed, 1000, "full_f32")
+            CompressionRow(f"s{i}", "fp16", packed, 1000)
             for i, packed in enumerate((400, 440, 480))
         ]
         text, csv = compression_summary(rows)
@@ -149,15 +149,15 @@ class TestCompressionSummary:
 
     def test_published_qat_average_renders(self):
         rows = [
-            CompressionRow(f"s{i}", "qat-int", 200, 1000, "int8+scales") for i in range(5)
+            CompressionRow(f"s{i}", "qat-int", 200, 1000) for i in range(5)
         ]
         text, _ = compression_summary(rows)
         assert "avg ratio 0.20" in text
 
     def test_per_mode_averages_kept_separate(self):
         rows = [
-            CompressionRow("a", "fp16", 440, 1000, "full_f32"),
-            CompressionRow("a", "qat-int", 200, 1000, "int8+scales"),
+            CompressionRow("a", "fp16", 440, 1000),
+            CompressionRow("a", "qat-int", 200, 1000),
         ]
         _, csv = compression_summary(rows)
         averages = [line for line in csv.splitlines() if line.startswith("average")]

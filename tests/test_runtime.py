@@ -68,7 +68,7 @@ def qat_session_parts(mini_train):
     for i in range(manifest.n_super):
         ft_cfg = TrainConfig(lr=0.01, epochs=12, batch_size=16, seed=202 + i, qat_bits=8)
         specialists[i] = finetune_from_super(base, i, mini_train, ft_cfg)
-        packed[i] = pack(compute_delta(base, specialists[i], MODE_QAT_INT, superclass_id=i)).data
+        packed[i] = pack(compute_delta(base, specialists[i], MODE_QAT_INT, superclass_id=i))
     return base, specialists, packed
 
 

@@ -200,6 +200,6 @@ class TestFinetune:
         base, _ = train(base0, *router_data(mini_train), tcfg(32, epochs=3, qat_bits=8))
         tuned = finetune_from_super(base, 1, mini_train, tcfg(33, epochs=3, qat_bits=8))
         assert tuned.quant.body_scales() == base.quant.body_scales()
-        packed = pack(compute_delta(base, tuned, MODE_QAT_INT, superclass_id=1)).data
+        packed = pack(compute_delta(base, tuned, MODE_QAT_INT, superclass_id=1))
         rebuilt = reconstruct(base, unpack(packed), base_fingerprint_of(base), 1, tuned.head_dim)
         assert serialize_network(rebuilt) == serialize_network(tuned)

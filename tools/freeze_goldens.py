@@ -85,9 +85,9 @@ def freeze(base: Path) -> int:
     base_net = load_network(qat_paths.super_net)
     specialists = {i: load_network(qat_paths.finetuned_net(i)) for i in qat_supers}
     qat_packed = [len(qat_paths.delta_file(i).read_bytes()) for i in qat_supers]
-    fp16_of_same = [
-        pack(compute_delta(base_net, specialists[i], MODE_FP16, i)).packed_size for i in qat_supers
-    ]
+    qat_refs = [len(qat_paths.finetuned_net(i).read_bytes()) for i in qat_supers]
+    qat_ratios = [p / r for p, r in zip(qat_packed, qat_refs)]
+    fp16_of_same = [len(pack(compute_delta(base_net, specialists[i], MODE_FP16, i))) for i in qat_supers]
     vanilla_total = network_bytes(base_net) + sum(network_bytes(n) for n in specialists.values())
 
     fp16_paths = branch_paths(base, "fp16")
@@ -105,6 +105,7 @@ def freeze(base: Path) -> int:
         "fp16_packed_sizes": fp16_packed,
         "fp16_ratios": fp16_ratios,
         "qat_packed_sizes": qat_packed,
+        "qat_ratios": qat_ratios,
         "fp16_packed_of_qat_finetunes": fp16_of_same,
         "qat_vanilla_total_bytes": vanilla_total,
         "qat_ledger": {
