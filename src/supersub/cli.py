@@ -30,6 +30,8 @@ _USER_ERRORS = (
     DimensionError,
     IndexError,
     FileNotFoundError,
+    IsADirectoryError,
+    NotADirectoryError,
 )
 _INTEGRITY_ERRORS = (FormatError, BaseMismatchError)
 

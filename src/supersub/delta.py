@@ -14,9 +14,9 @@ holds the specialist's `NetworkConfig`, and one tensor per
 `tensor_shapes(config)` entry in that order, the body as deltas of the
 mode's element type and the head (`HEAD_TENSORS`) verbatim, because the
 head is reinitialized at another width during finetuning and has no base
-tensor to delta against. No tensor name, shape, per-tensor body scale or
-bit width is stored: the body is the base's, and so are its qat-int grids
-and bits. A qat-int pack adds only the specialist's two head scales.
+tensor to delta against. No tensor name, shape or per-tensor body scale is
+stored: the body is the base's, and so are its qat-int grids. A qat-int
+pack adds only the specialist's two head scales.
 
 The packed container records a CRC-32C fingerprint of the base network
 file; reconstruction against any other base fails loudly instead of
@@ -110,8 +110,8 @@ def compute_delta(base: Network, sub: Network, mode: str, superclass_id: int = 0
     if mode == MODE_QAT_INT:
         if base.quant is None or sub.quant is None:
             raise DeltaModeError("qat-int deltas need both networks snapped to grids")
-        if (base.quant.bits, base.quant.body_scales()) != (sub.quant.bits, sub.quant.body_scales()):
-            raise DeltaModeError("bits or body quantization scales differ; grids are not shared")
+        if base.quant.body_scales() != sub.quant.body_scales():
+            raise DeltaModeError("body quantization scales differ; grids are not shared")
         head_scales = sub.quant.head_scales()
 
     tensors: list[np.ndarray] = []
@@ -206,7 +206,7 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int, superclass_i
     and positive, a qat-int head off the lattice of its scale, or a delta
     that rebuilds to NaN or infinity, so each is a FormatError, as the HSNW
     reader would find it in the rebuilt file. A qat-int specialist takes its
-    bits and body scales from the base.
+    body scales from the base.
     """
     if base_fingerprint != d.base_fingerprint:
         raise BaseMismatchError(
@@ -224,7 +224,7 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int, superclass_i
 
     quant = None
     if d.mode == MODE_QAT_INT:
-        quant = QuantInfo(base.quant.bits, (*base.quant.body_scales(), *d.head_scales))
+        quant = QuantInfo((*base.quant.body_scales(), *d.head_scales))
         quant.check()
     body = base.tensors[: -len(HEAD_TENSORS)]
     head = d.tensors[len(body) :]

@@ -75,11 +75,10 @@ class ExperimentConfig:
     dataset_paths: tuple[str, str] | None  # (train, test) when data comes from files
     hidden_dims: tuple[int, ...]
     batchnorm: bool
-    train_super: TrainConfig  # seed 0, no grid: each stage sets both with replace()
+    train_super: TrainConfig  # seed 0, float: each stage sets both with replace()
     train_subclass: TrainConfig
     train_finetune: TrainConfig
-    delta_mode: str
-    qat_bits: int | None = None  # the router's and specialists' grid; set only for qat-int
+    delta_mode: str  # qat-int also trains the router and specialists on grids
     eval_modes: tuple[str, ...] = EVAL_MODES
 
 
@@ -111,33 +110,40 @@ def _number(kind: type, value, where: str):
     raise ValidationError(f"{where} must be {what}, got {value!r}")
 
 
+def _object(value, where: str, keys, optional=()) -> dict:
+    """value when it is a JSON object holding every one of keys and no key
+    but those and optional: a missing key is a ValidationError, and so is any
+    other key, which nothing would read (a typo, a removed setting)."""
+    block = _of_type(value, dict, where)
+    for key in keys:
+        if key not in block:
+            raise ValidationError(f"{where} is missing {key!r}")
+    for key in block:
+        if key not in keys and key not in optional:
+            raise ValidationError(f"{where} holds unknown key {key!r}; its keys are {', '.join((*keys, *optional))}")
+    return block
+
+
 def _int_list(value, where: str) -> tuple[int, ...]:
     return tuple(_number(int, v, where) for v in _of_type(value, list, where))
 
 
-def _fields(block, kinds: dict[str, type], where: str) -> dict:
+def _fields(block: dict, kinds: dict[str, type], where: str) -> dict:
     """The named number fields of a config object, each converted to its kind."""
-    block = _of_type(block, dict, where)
-    for name in kinds:
-        if name not in block:
-            raise ValidationError(f"{where} is missing {name!r}")
     return {name: _number(kind, block[name], f"{where}.{name}") for name, kind in kinds.items()}
 
 
 def _stage_params(train_block: dict, key: str) -> TrainConfig:
-    if key not in train_block:
-        raise ValidationError(f'config "train" section is missing "{key}"')
+    block = _object(train_block[key], f"train.{key}", tuple(_STAGE_FIELDS))
     try:
-        return TrainConfig(seed=0, **_fields(train_block[key], _STAGE_FIELDS, f"train.{key}"))
+        return TrainConfig(seed=0, **_fields(block, _STAGE_FIELDS, f"train.{key}"))
     except ParameterError as exc:
         raise ValidationError(f"train.{key}: {exc}") from exc
 
 
 def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: int | None = None) -> ExperimentConfig:
-    doc = _of_type(doc, dict, "config")
-    for required in ("seed", "out_dir", "network", "train", "delta_mode"):
-        if required not in doc:
-            raise ValidationError(f'config is missing "{required}"')
+    doc = _object(doc, "config", ("seed", "out_dir", "network", "train", "delta_mode"),
+                  ("synthetic", "dataset", "eval_modes"))
     seed = _number(int, doc["seed"], "seed") if seed_override is None else seed_override
 
     synthetic = None
@@ -145,25 +151,19 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
     if doc.get("synthetic") is not None and doc.get("dataset") is not None:
         raise ValidationError('config holds both a "synthetic" and a "dataset" block; give one')
     if doc.get("synthetic") is not None:
-        s = _of_type(doc["synthetic"], dict, "synthetic")
-        if "subs_per_super" not in s:
-            raise ValidationError("synthetic is missing 'subs_per_super'")
+        s = _object(doc["synthetic"], "synthetic", ("subs_per_super", *_SYNTHETIC_FIELDS))
         synthetic = SyntheticSpec(
             subs_per_super=_int_list(s["subs_per_super"], "synthetic.subs_per_super"),
             seed=child_seed(seed, TAG_DATA),
             **_fields(s, _SYNTHETIC_FIELDS, "synthetic"),
         )
     elif doc.get("dataset") is not None:
-        d = _of_type(doc["dataset"], dict, "dataset")
-        if "train" not in d or "test" not in d:
-            raise ValidationError('dataset block needs "train" and "test" paths')
+        d = _object(doc["dataset"], "dataset", ("train", "test"))
         dataset_paths = tuple(_of_type(d[key], str, f"dataset.{key}") for key in ("train", "test"))
     else:
         raise ValidationError('config needs either a "synthetic" or a "dataset" block')
 
-    net = _of_type(doc["network"], dict, "network")
-    if "hidden_dims" not in net:
-        raise ValidationError('network block needs "hidden_dims"')
+    net = _object(doc["network"], "network", ("hidden_dims",), ("batchnorm",))
     batchnorm = net.get("batchnorm", True)
     if not isinstance(batchnorm, bool):
         raise ValidationError(f"network.batchnorm must be true or false, got {batchnorm!r}")
@@ -172,13 +172,10 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
         uniform_config(1, list(hidden_dims), 1, batchnorm)  # input and head widths come with the data
     except ParameterError as exc:
         raise ValidationError(f"network.hidden_dims {list(hidden_dims)}: {exc}") from exc
-    train_block = _of_type(doc["train"], dict, "train")
+    train_block = _object(doc["train"], "train", ("superclass", "subclass", "finetune"))
     delta_mode = doc["delta_mode"]
     if delta_mode not in (delta_mod.MODE_FP16, delta_mod.MODE_QAT_INT):
         raise ValidationError(f"unknown delta_mode {delta_mode!r}")
-    qat_bits = _number(int, doc.get("qat_bits", 8), "qat_bits")
-    if not 2 <= qat_bits <= 8:
-        raise ValidationError(f"qat_bits must be in 2..8, got {qat_bits}")
     eval_modes = tuple(_of_type(doc.get("eval_modes", list(EVAL_MODES)), list, "eval_modes"))
     for mode in eval_modes:
         if not isinstance(mode, str) or mode not in MODES:
@@ -197,7 +194,6 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
         train_subclass=_stage_params(train_block, "subclass"),
         train_finetune=_stage_params(train_block, "finetune"),
         delta_mode=delta_mode,
-        qat_bits=qat_bits if delta_mode == delta_mod.MODE_QAT_INT else None,
         eval_modes=eval_modes,
     )
 
@@ -206,7 +202,7 @@ def load_config(path, out_dir_override: str | None = None, seed_override: int | 
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except (IsADirectoryError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise ValidationError(f"config {path} is not a UTF-8 text file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
@@ -325,14 +321,14 @@ def cmd_train(config: ExperimentConfig, target: str) -> Path:
         features, labels = train_ds.features, train_ds.super_labels()
         head = manifest.n_super
         stage = config.train_super
-        qat_bits = config.qat_bits
+        qat = config.delta_mode == delta_mod.MODE_QAT_INT
         out_path = paths.super_net
     elif target == "lowerbound":
         stage_seed = child_seed(config.seed, TAG_LOWER)
         features, labels = train_ds.features, train_ds.sub_labels
         head = manifest.n_sub
         stage = config.train_subclass
-        qat_bits = None
+        qat = False
         out_path = paths.lower_net
     elif target.startswith("sub:"):
         i = _parse_super_index(target[4:])
@@ -340,7 +336,7 @@ def cmd_train(config: ExperimentConfig, target: str) -> Path:
         stage_seed = child_seed(config.seed, TAG_SCRATCH, i)
         head = manifest.subclass_count(i)
         stage = config.train_subclass
-        qat_bits = None
+        qat = False
         out_path = paths.scratch_net(i)
     else:
         raise ParameterError(f"unknown train target {target!r}")
@@ -349,7 +345,7 @@ def cmd_train(config: ExperimentConfig, target: str) -> Path:
         uniform_config(train_ds.dim, list(config.hidden_dims), head, config.batchnorm),
         child_seed(stage_seed, TAG_INIT),
     )
-    trained, history = train(net0, features, labels, replace(stage, seed=stage_seed, qat_bits=qat_bits))
+    trained, history = train(net0, features, labels, replace(stage, seed=stage_seed, qat=qat))
     save_network(trained, out_path)
     _write_loss_history(paths.loss_csv(target), history)
     return out_path
@@ -374,7 +370,7 @@ def cmd_finetune(config: ExperimentConfig, super_index: int) -> Path:
     train_ds = load_dataset(paths.train_data)
     base = load_network(paths.super_net)
     stage_seed = child_seed(config.seed, TAG_FINETUNE, super_index)
-    tcfg = replace(config.train_finetune, seed=stage_seed, qat_bits=config.qat_bits)
+    tcfg = replace(config.train_finetune, seed=stage_seed, qat=config.delta_mode == delta_mod.MODE_QAT_INT)
     tuned = finetune_from_super(base, super_index, train_ds, tcfg)
     save_network(tuned, paths.finetuned_net(super_index))
     return paths.finetuned_net(super_index)

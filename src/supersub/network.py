@@ -17,8 +17,9 @@ order, for `Network`, `tensor_items`, and `write_tensors` and
 and HSDL containers one config header and one payload order. The
 body/head split: the head is `HEAD_TENSORS`, the body `body_items`, and
 `NetworkConfig.with_head` keeps a body under another head width. The grid
-rule: `QatConfig.scale` gives a tensor its pinned body scale if it has one,
-else its own live scale, for fake-quantized forwards and `snap_to_grid`;
+rule: every grid is `QAT_BITS` wide, and `QatConfig.scale` gives a tensor
+its pinned body scale if it has one, else its own live scale, for
+fake-quantized forwards and `snap_to_grid`;
 `exact_lattice_indices` is the one test that a tensor sits on the lattice
 of its scale, for the HSNW reader and qat-int deltas alike.
 Quantization scales follow the same layout: `QuantInfo.scales` and
@@ -51,6 +52,7 @@ NETWORK_VERSION = 2
 HEAD_TENSORS = ("head.weight", "head.bias")  # the head's (weight, bias), last in every layout
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
+QAT_BITS = 8  # the width of every quantization grid
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,6 @@ def uniform_config(input_dim: int, hidden_dims: list[int], head_dim: int, batchn
 class QuantInfo:
     """Records that every tensor sits on its per-tensor quantization lattice."""
 
-    bits: int
     scales: tuple[float, ...]  # one per tensor_shapes entry, in that order
 
     def body_scales(self) -> tuple[float, ...]:
@@ -102,10 +103,7 @@ class QuantInfo:
         return self.scales[-len(HEAD_TENSORS) :]
 
     def check(self) -> None:
-        """FormatError unless this block has 2..8 bits and every scale is
-        finite and positive."""
-        if not 2 <= self.bits <= 8:
-            raise FormatError(f"quantization block has {self.bits} bits, not 2..8")
+        """FormatError unless every scale is finite and positive."""
         if not all(math.isfinite(s) and s > 0 for s in self.scales):
             raise FormatError("quantization scales must be finite and positive")
 
@@ -207,19 +205,20 @@ def body_items(net: Network) -> list[tuple[str, np.ndarray, bool]]:
 # --- quantization -----------------------------------------------------------
 
 
-def quantize_scale(t: np.ndarray, bits: int) -> float:
+_QMAX = (1 << (QAT_BITS - 1)) - 1  # the largest grid index
+
+
+def quantize_scale(t: np.ndarray) -> float:
     """Symmetric per-tensor scale; an all-zero tensor gets scale 1."""
-    if not 2 <= bits <= 8:
-        raise ParameterError(f"bits must be in [2, 8], got {bits}")
     amax = F32(np.max(np.abs(t))) if t.size else F32(0.0)
     if amax == 0:
         return 1.0
-    return float(amax / F32((1 << (bits - 1)) - 1))
+    return float(amax / F32(_QMAX))
 
 
-def quantize_with_scale(t: np.ndarray, scale: float, bits: int) -> np.ndarray:
+def quantize_with_scale(t: np.ndarray, scale: float) -> np.ndarray:
     """Round to the integer grid (half away from zero), clamp, rescale."""
-    q = grid_indices(t, scale, bits)
+    q = grid_indices(t, scale)
     return (q.astype(F32) * F32(scale)).astype(F32)
 
 
@@ -243,10 +242,9 @@ def exact_lattice_indices(t: np.ndarray, scale) -> np.ndarray | None:
     return q if (q.astype(F32) * s == t).all() else None
 
 
-def grid_indices(t: np.ndarray, scale: float, bits: int) -> np.ndarray:
-    """Integer grid coordinates of each element, clamped to the bit range."""
-    qmax = (1 << (bits - 1)) - 1
-    return np.clip(lattice_indices(t, scale), -qmax, qmax).astype(np.int32)
+def grid_indices(t: np.ndarray, scale: float) -> np.ndarray:
+    """Integer grid coordinates of each element, clamped to +-_QMAX."""
+    return np.clip(lattice_indices(t, scale), -_QMAX, _QMAX).astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -258,26 +256,25 @@ class QatConfig:
     always, gets its own live scale, derived from its current values.
     """
 
-    bits: int
     body_scales: tuple[float, ...] | None = None
 
     def scale(self, i: int, t: np.ndarray) -> float:
         """The pinned body scale of layout entry i if it has one, else t's live scale."""
         if self.body_scales is not None and i < len(self.body_scales):
             return self.body_scales[i]
-        return quantize_scale(t, self.bits)
+        return quantize_scale(t)
 
 
 def effective_weights(net: Network, qat: QatConfig) -> list[np.ndarray]:
     """Weights as seen by fake-quantized forward passes: their grid projections."""
     return [
-        quantize_with_scale(t, qat.scale(i, t), qat.bits)
+        quantize_with_scale(t, qat.scale(i, t))
         for i, (_, t, is_weight) in enumerate(tensor_items(net))
         if is_weight
     ]
 
 
-def snap_to_grid(net: Network, bits: int, body_scales: tuple[float, ...] | None = None) -> Network:
+def snap_to_grid(net: Network, body_scales: tuple[float, ...] | None = None) -> Network:
     """Project every tensor onto its integer grid and record the scales.
 
     The whole network is stored quantized, not just the weights: biases and
@@ -287,24 +284,24 @@ def snap_to_grid(net: Network, bits: int, body_scales: tuple[float, ...] | None 
     round without clamping, because running statistics legitimately drift
     far outside the base network's range and clamping them would wreck
     inference. Running variances are floored at one lattice step to stay
-    positive. Scales follow `QatConfig(bits, body_scales).scale`:
+    positive. Scales follow `QatConfig(body_scales).scale`:
     body_scales pins the body lattices to a base network's (shared grids
     for delta extraction); the head always uses its own live scales
     because its shape differs from any base network.
     """
     if body_scales is not None and len(body_scales) != len(body_items(net)):
         raise ContractError(f"{len(body_scales)} body scales for {len(body_items(net))} body tensors")
-    qat = QatConfig(bits, body_scales)
+    qat = QatConfig(body_scales)
     scales: list[float] = []
     tensors: list[np.ndarray] = []
     for i, (name, t, is_weight) in enumerate(tensor_items(net)):
         s = qat.scale(i, t)
         scales.append(s)
-        q = grid_indices(t, s, bits) if is_weight else lattice_indices(t, s)
+        q = grid_indices(t, s) if is_weight else lattice_indices(t, s)
         if name.endswith(".bn_var"):
             q = np.maximum(q, 1)  # running variance must stay positive
         tensors.append((q.astype(F32) * F32(s)).astype(F32))
-    return Network(net.config, tuple(tensors), QuantInfo(bits, tuple(scales)))
+    return Network(net.config, tuple(tensors), QuantInfo(tuple(scales)))
 
 
 # --- forward / backward ------------------------------------------------------
@@ -588,7 +585,7 @@ def serialize_network(net: Network) -> bytes:
         w.u8(0)
     else:
         w.u8(1)
-        w.u8(net.quant.bits)
+        w.u8(QAT_BITS)  # the format keeps its bits byte; a reader takes no other value
         for s in net.quant.scales:
             w.f32(s)
     write_tensors(w, net.tensors)
@@ -605,7 +602,9 @@ def deserialize_network(data: bytes) -> Network:
     config = read_config(r)
     quant = None
     if r.u8():
-        quant = QuantInfo(r.u8(), tuple(r.f32() for _ in tensor_shapes(config)))
+        if (bits := r.u8()) != QAT_BITS:
+            raise FormatError(f"quantization block has {bits} bits, not {QAT_BITS}", offset=r.pos - 1)
+        quant = QuantInfo(tuple(r.f32() for _ in tensor_shapes(config)))
         quant.check()
     tensors = read_tensors(r, config)
     r.expect_end()

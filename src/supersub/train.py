@@ -39,7 +39,7 @@ class TrainConfig:
     epochs: int
     batch_size: int
     seed: int
-    qat_bits: int | None = None  # None trains in float; 2..8 trains on that grid
+    qat: bool = False  # train on the QAT_BITS grids instead of in float
 
     def __post_init__(self):
         if not 0 < self.lr < math.inf:
@@ -48,8 +48,6 @@ class TrainConfig:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.qat_bits is not None and not 2 <= self.qat_bits <= 8:
-            raise ParameterError(f"qat_bits must be in [2, 8], got {self.qat_bits}")
 
 
 def train(
@@ -58,11 +56,10 @@ def train(
     """Epochs of shuffled mini-batch SGD on the rows `features` with class
     labels 0..net.head_dim-1; returns the network and loss history.
 
-    With config.qat_bits the forward passes fake-quantize every weight on its
+    With config.qat the forward passes fake-quantize every weight on its
     live grid, and the returned network is snapped onto those grids.
     """
-    qat = None if config.qat_bits is None else QatConfig(config.qat_bits)
-    return _sgd(net, features, labels, config, qat)
+    return _sgd(net, features, labels, config, QatConfig() if config.qat else None)
 
 
 def _sgd(
@@ -101,7 +98,7 @@ def _sgd(
         history.append(sum(batch_losses) / len(batch_losses))
     if qat is None:
         return current, history
-    return snap_to_grid(current, qat.bits, qat.body_scales), history
+    return snap_to_grid(current, qat.body_scales), history
 
 
 def finetune_from_super(
@@ -114,7 +111,7 @@ def finetune_from_super(
 
     The body is copied bit-exactly; the head is reinitialized at the
     superclass's subclass count and everything then trains on that
-    superclass's rows with local labels. With config.qat_bits the body is
+    superclass's rows with local labels. With config.qat the body is
     fake-quantized on the base network's grids (shared scales) and the fresh
     head on its own live grid, and the specialist comes back snapped onto
     those grids, so its weight delta against the base is an exact integer
@@ -125,8 +122,8 @@ def finetune_from_super(
     specialized = net_mod.replace_head(super_net, k, child_seed(config.seed, _HEAD_SEED_TAG))
 
     qat = None
-    if config.qat_bits is not None:
-        if super_net.quant is None or super_net.quant.bits != config.qat_bits:
-            raise ContractError("base network carries no matching quantization info")
-        qat = QatConfig(config.qat_bits, super_net.quant.body_scales())
+    if config.qat:
+        if super_net.quant is None:
+            raise ContractError("base network carries no quantization grids")
+        qat = QatConfig(super_net.quant.body_scales())
     return _sgd(specialized, features, labels, config, qat)[0]

@@ -239,7 +239,7 @@ def test_c09_container_round_trips():
         dims = (2 + trial % 4, 3 + trial % 5, 2 + (trial + 1) % 4)
         net = init_network(uniform_config(dims[0], [dims[1]], dims[2], bool(trial % 2)), trial)
         if trial % 3 == 0:
-            net = snap_to_grid(net, 2 + trial % 7)
+            net = snap_to_grid(net)
         blob = serialize_network(net)
         assert serialize_network(deserialize_network(blob)) == blob
         checked += 1
@@ -252,9 +252,8 @@ def test_c09_container_round_trips():
         a = init_network(uniform_config(3, [4], head, bn), trial)
         b = init_network(uniform_config(3, [4], head, bn), trial + 5000)
         if trial % 3 == 0:
-            bits = 2 + trial % 7
-            a = snap_to_grid(a, bits)
-            b = snap_to_grid(b, bits, body_scales=a.quant.body_scales())
+            a = snap_to_grid(a)
+            b = snap_to_grid(b, body_scales=a.quant.body_scales())
             d = compute_delta(a, b, MODE_QAT_INT, superclass_id=trial)
         else:
             d = compute_delta(a, b, MODE_FP16, superclass_id=trial)

@@ -75,8 +75,8 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         (("network", "hidden_dims"), [-3]),
         (("network", "hidden_dims"), []),
         (("synthetic", "subs_per_super"), "44"),
-        (("qat_bits",), 9),
-        (("qat_bits",), "eight"),
+        (("qat_bits",), 8),
+        (("network", "batchnorms"), False),
         (("network", "batchnorm"), "false"),
         (("train", "superclass", "epochs"), 2.7),
         (("train", "superclass", "epochs"), True),
@@ -93,7 +93,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         "seed_text", "lr_text", "n_super_text", "train_list", "stage_number", "synthetic_list",
         "network_text", "eval_modes_number", "eval_mode_list", "eval_modes_empty",
         "eval_modes_repeated", "hidden_dims_text", "hidden_dims_zero", "hidden_dims_negative", "hidden_dims_empty",
-        "subs_per_super_text", "qat_bits_9", "qat_bits_text", "batchnorm_text", "epochs_fraction",
+        "subs_per_super_text", "qat_bits_unknown", "batchnorms_typo", "batchnorm_text", "epochs_fraction",
         "epochs_bool", "lr_numeric_text", "noise_sigma_nan", "out_dir_null", "out_dir_number",
         "finetune_lr_negative", "subclass_batch_size_0", "superclass_epochs_negative", "synthetic_and_dataset",
     ],
@@ -527,6 +527,27 @@ def test_dataset_block_bad_file_exits(tmp_path, capsys, edit, code):
     assert main(["--config", str(path), "gen-data"]) == code
     assert "Traceback" not in capsys.readouterr().err
     assert not any(RunPaths(doc["out_dir"]).root.glob("*"))
+
+
+@pytest.mark.parametrize("kind", ["out_under_a_file", "dataset_train_a_directory"])
+def test_path_of_the_wrong_kind_exits_2(tmp_path, capsys, kind):
+    doc = config_doc(tmp_path / "run", epochs=2)
+    if kind == "out_under_a_file":
+        (tmp_path / "a_file").write_bytes(b"not a directory")
+        bad = tmp_path / "a_file" / "x"
+        override = ["--out", str(bad)]
+    else:
+        bad = tmp_path / "a_directory"
+        bad.mkdir()
+        del doc["synthetic"]
+        doc["dataset"] = {"train": str(bad), "test": str(bad)}
+        override = []
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(path), *override, "gen-data"]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
 
 
 def test_out_override_redirects_artifacts(config_path, tmp_path):

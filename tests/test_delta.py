@@ -114,10 +114,10 @@ def qat_pair(mini_train):
     """Grid-snapped router and specialist sharing body scales."""
     config = uniform_config(mini_train.dim, [16, 16], mini_train.manifest.n_super, True)
     base0 = init_network(config, 31)
-    tcfg = TrainConfig(lr=0.01, epochs=8, batch_size=16, seed=41, qat_bits=8)
+    tcfg = TrainConfig(lr=0.01, epochs=8, batch_size=16, seed=41, qat=True)
     base, _ = train(base0, mini_train.features, mini_train.super_labels(), tcfg)
     specialist = finetune_from_super(
-        base, 0, mini_train, TrainConfig(lr=0.01, epochs=8, batch_size=16, seed=42, qat_bits=8)
+        base, 0, mini_train, TrainConfig(lr=0.01, epochs=8, batch_size=16, seed=42, qat=True)
     )
     return base, specialist
 
@@ -438,7 +438,7 @@ class TestReconstruct:
             d = compute_delta(net, net, MODE_FP16)
             bad = np.float16(np.nan)
         else:
-            net = snap_to_grid(net, 8, (1e35,) * len(body_items(net)))
+            net = snap_to_grid(net, (1e35,) * len(body_items(net)))
             d = compute_delta(net, net, MODE_QAT_INT)
             bad = np.int16(32767)
         name = tensor_shapes(net.config)[index][0]
@@ -459,7 +459,7 @@ class TestReconstruct:
             reconstruct(base, unpack(pack(with_tensor(d, index, head))), base_fingerprint_of(base), 0, d.config.head_dim)
 
     def test_qat_pack_needs_a_quantized_base(self):
-        net = snap_to_grid(build_net(seed=47), 8)
+        net = snap_to_grid(build_net(seed=47))
         plain = replace(net, quant=None)
         d = replace(compute_delta(net, net, MODE_QAT_INT), base_fingerprint=base_fingerprint_of(plain))
         with pytest.raises(FormatError, match="quantization"):

@@ -53,7 +53,6 @@ def config_doc(out_dir, delta_mode="fp16", epochs=6, **extra):
             "finetune": {"lr": 0.01, "epochs": epochs, "batch_size": 16},
         },
         "delta_mode": delta_mode,
-        "qat_bits": 8,
     }
     doc.update(extra)
     return doc
@@ -81,6 +80,43 @@ class TestConfigParsing:
     def test_unknown_delta_mode_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             parse_config(config_doc(tmp_path, delta_mode="bzip2"))
+
+    @staticmethod
+    def block_of(tmp_path, where):
+        """A config document, and its object named where ("config" for the
+        document itself, "train.finetune" for a stage)."""
+        doc = config_doc(tmp_path)
+        if where == "dataset":
+            doc["dataset"] = {"train": "train.hsds", "test": "test.hsds"}
+            del doc["synthetic"]
+        block = doc
+        for name in where.split(".") if where != "config" else ():
+            block = block[name]
+        return doc, block
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [("config", "qat_bits"), ("config", "eval_mode"), ("config", "include_lowerbound"),
+         ("synthetic", "n_supers"), ("dataset", "validation"), ("network", "batchnorms"), ("train", "router"),
+         ("train.finetune", "momentum")],
+    )
+    def test_unknown_key_is_named(self, tmp_path, where, key):
+        # A key nothing reads would silently fall back to a default.
+        doc, block = self.block_of(tmp_path, where)
+        block[key] = 1
+        with pytest.raises(ValidationError, match=f"{where} holds unknown key '{key}'"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [("config", "delta_mode"), ("synthetic", "subs_per_super"), ("synthetic", "dim"), ("dataset", "test"),
+         ("network", "hidden_dims"), ("train", "finetune"), ("train.subclass", "lr")],
+    )
+    def test_missing_key_is_named(self, tmp_path, where, key):
+        doc, block = self.block_of(tmp_path, where)
+        del block[key]
+        with pytest.raises(ValidationError, match=f"{where} is missing '{key}'"):
+            parse_config(doc)
 
     def test_overrides_apply(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -263,8 +299,7 @@ class TestQatPipeline:
 class TestRunPlan:
     @pytest.mark.parametrize("modes", [["lowerbound"], ["two_stage_vanilla"], ["upperbound_scratch"]])
     def test_optional_nets_trained_only_when_evaluated(self, tmp_path, modes):
-        # include_lowerbound is a key older configs carried; it is ignored now.
-        path, _ = write_config(tmp_path, epochs=2, include_lowerbound=False, eval_modes=modes)
+        path, _ = write_config(tmp_path, epochs=2, eval_modes=modes)
         config = load_config(path)
         run = run_experiment(config)
         assert list(run.results) == modes

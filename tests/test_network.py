@@ -55,9 +55,9 @@ def manual_net(weights, biases=None):
     return Network(NetworkConfig(dims, (False,) * (len(dims) - 2)), tensors)
 
 
-def own_grid(t, bits):
+def own_grid(t):
     """t quantized and dequantized on the grid of its own scale."""
-    return quantize_with_scale(t, quantize_scale(t, bits), bits)
+    return quantize_with_scale(t, quantize_scale(t))
 
 
 class TestInit:
@@ -328,66 +328,61 @@ class TestGradientCheckContract:
 class TestFakeQuantize:
     def test_zero_tensor_unchanged(self):
         z = np.zeros(7, dtype=F32)
-        assert np.array_equal(own_grid(z, 8), z)
+        assert np.array_equal(own_grid(z), z)
 
     def test_idempotent_on_grid(self):
         rng = Prng(44)
         t = gaussian_array(rng, (64,))
-        once = own_grid(t, 8)
-        assert np.array_equal(own_grid(once, 8), once)
+        once = own_grid(t)
+        assert np.array_equal(own_grid(once), once)
 
     def test_half_rounds_away_from_zero(self):
         t = np.array([-1.0, 0.5, 1.0], dtype=F32)
-        out = own_grid(t, 8)
+        out = own_grid(t)
         scale = F32(1.0) / F32(127)
         assert out[0] == -F32(127) * scale
         assert out[1] == F32(64) * scale  # 63.5 rounds away from zero to 64
         assert out[1] == pytest.approx(0.503937, abs=1e-6)
         assert out[2] == F32(127) * scale
 
-    def test_bits_range_enforced(self):
-        with pytest.raises(ParameterError):
-            quantize_scale(np.ones(3, dtype=F32), 9)
-
     def test_grid_membership_via_indices(self):
         rng = Prng(45)
         t = gaussian_array(rng, (33,), 0.0, 2.0)
-        s = quantize_scale(t, 6)
-        q = quantize_with_scale(t, s, 6)
-        idx = grid_indices(q, s, 6)
+        s = quantize_scale(t)
+        q = quantize_with_scale(t, s)
+        idx = grid_indices(q, s)
         assert np.array_equal((idx.astype(F32) * F32(s)).astype(F32), q)
-        assert int(np.abs(idx).max()) <= 31
+        assert int(np.abs(idx).max()) <= 127
 
 
 class TestSnapAndEffectiveWeights:
     def test_snap_records_quant_info(self):
         net = small_net((4, 6, 3), batchnorm=True, seed=12)
-        snapped = snap_to_grid(net, 8)
+        snapped = snap_to_grid(net)
         assert snapped.quant is not None
-        assert snapped.quant.bits == 8
         # one scale per tensor, in layout order: 2 weights, 2 biases, 4 bn tensors
         assert len(snapped.quant.scales) == 8
         for (_, t, is_weight), s in zip(tensor_items(snapped), snapped.quant.scales, strict=True):
             if is_weight:
-                assert np.array_equal(quantize_with_scale(t, s, 8), t)
+                assert np.array_equal(quantize_with_scale(t, s), t)
 
     def test_effective_weights_live_grid(self):
         net = small_net((4, 6, 3), seed=13)
         masters = [t for _, t, is_weight in tensor_items(net) if is_weight]
-        for w, master in zip(effective_weights(net, QatConfig(8)), masters, strict=True):
-            assert np.array_equal(w, own_grid(master, 8))
+        for w, master in zip(effective_weights(net, QatConfig()), masters, strict=True):
+            assert np.array_equal(w, own_grid(master))
 
     def test_shared_body_scales_pinned(self):
-        base = snap_to_grid(small_net((4, 6, 3), seed=14), 8)
+        base = snap_to_grid(small_net((4, 6, 3), seed=14))
         net = small_net((4, 6, 5), seed=15)
-        qat = QatConfig(8, base.quant.body_scales())
+        qat = QatConfig(base.quant.body_scales())
         body_w, head_w = effective_weights(net, qat)
         # The body weight (layout entry 0) sits on the base's pinned grid, the head on its own.
         pinned = base.quant.scales[0]
         t = named(net)
         assert qat.scale(0, t["layer0.weight"]) == pinned
-        assert np.array_equal(body_w, quantize_with_scale(t["layer0.weight"], pinned, 8))
-        assert np.array_equal(head_w, own_grid(t["head.weight"], 8))
+        assert np.array_equal(body_w, quantize_with_scale(t["layer0.weight"], pinned))
+        assert np.array_equal(head_w, own_grid(t["head.weight"]))
 
 
 def plain_network_bytes(dims) -> bytes:
@@ -426,7 +421,7 @@ class TestNetworkContainer:
         assert serialize_network(again) == blob
 
     def test_quant_info_round_trips(self):
-        net = snap_to_grid(small_net((4, 6, 3), seed=22), 8)
+        net = snap_to_grid(small_net((4, 6, 3), seed=22))
         again = deserialize_network(serialize_network(net))
         assert again.quant == net.quant
 
@@ -437,14 +432,14 @@ class TestNetworkContainer:
             deserialize_network(bytes(blob))
 
     def test_version_1_file_is_format_error(self):
-        data = serialize_network(snap_to_grid(small_net((4, 6, 3), seed=22), 8))
+        data = serialize_network(snap_to_grid(small_net((4, 6, 3), seed=22)))
         with pytest.raises(FormatError, match="unsupported version 1"):
             deserialize_network(with_fixed_crc(data[:4] + (1).to_bytes(2, "little") + data[6:]))
 
     def test_no_tensor_name_or_scale_count_is_stored(self):
         # The quantization block is the flag, the bits, then one f32 per
         # tensor_shapes entry in layout order: no count and no names.
-        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=22), 8)
+        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=22))
         data = serialize_network(net)
         at = quant_block_at(net.config)
         block = bytes([1, 8]) + struct.pack(f"<{len(net.quant.scales)}f", *net.quant.scales)
@@ -460,10 +455,11 @@ class TestNetworkContainer:
             deserialize_network(w.finish())
 
     @pytest.mark.parametrize(
-        "edit", ["one_short", "one_extra", "bits_1", "bits_9", "zero_scale", "negative_scale", "nan_scale"]
+        "edit",
+        ["one_short", "one_extra", "bits_1", "bits_4", "bits_7", "bits_9", "zero_scale", "negative_scale", "nan_scale"],
     )
     def test_quant_block_must_scale_every_tensor_once(self, edit):
-        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=22), 8)
+        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=22))
         blob = bytearray(serialize_network(net))
         bits = quant_block_at(net.config) + 1
         scale = bits + 1  # the first scale, layer0.weight's
@@ -488,7 +484,7 @@ class TestNetworkContainer:
     @pytest.mark.parametrize("quantized", [False, True], ids=["plain", "quantized"])
     def test_non_finite_tensor_is_format_error(self, quantized, value):
         net = small_net((4, 6, 3), batchnorm=True, seed=25)
-        data = with_first_value(snap_to_grid(net, 8) if quantized else net, value)
+        data = with_first_value(snap_to_grid(net) if quantized else net, value)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FormatError, match="non-finite"):
@@ -496,7 +492,7 @@ class TestNetworkContainer:
 
     @pytest.mark.parametrize("edit", ["next_float", "huge"])
     def test_off_grid_tensor_is_format_error(self, edit):
-        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=26), 8)
+        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=26))
         first = named(net)["layer0.weight"].flat[0]
         value = np.nextafter(first, F32(np.inf)) if edit == "next_float" else 3e38
         with warnings.catch_warnings():
@@ -505,7 +501,7 @@ class TestNetworkContainer:
                 deserialize_network(with_first_value(net, value))
 
     def test_header_mutations_are_rejected_or_read_back(self):
-        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=23), 8)
+        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=23))
         data = serialize_network(net)
         rejected = 0
         # The header runs through the quantization block: flag, bits, scales.
@@ -521,7 +517,7 @@ class TestNetworkContainer:
         assert rejected
 
     def test_body_mutations_are_rejected_or_read_back(self):
-        data = serialize_network(snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=24), 8))
+        data = serialize_network(snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=24)))
         outcomes = {"rejected": 0, "read_back": 0}
         for mutated in body_mutations(data, 300, seed=0xB0D1):
             with warnings.catch_warnings():
@@ -578,7 +574,7 @@ class TestFromTensors:
     def test_inverts_tensor_items(self, batchnorm, quantized):
         net = small_net((7, 5, 4, 3), batchnorm=batchnorm, seed=23)
         if quantized:
-            net = snap_to_grid(net, 8)
+            net = snap_to_grid(net)
         again = Network(net.config, tuple(t for _, t, _ in tensor_items(net)), net.quant)
         assert serialize_network(again) == serialize_network(net)
 
@@ -593,7 +589,7 @@ class TestFromTensors:
             Network(net.config, tuple(tensors.values()))
 
     def test_one_quantization_scale_per_tensor(self):
-        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=2), 8)
+        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=2))
         for scales in (net.quant.scales[1:], (*net.quant.scales, 1.0)):
             with pytest.raises(ContractError, match="quantization scales"):
                 replace(net, quant=replace(net.quant, scales=scales))
@@ -633,7 +629,7 @@ class TestMixedBatchnorm:
     def test_serialize_round_trip(self, flags, quantized):
         net = mixed_bn_net(flags, seed=61)
         if quantized:
-            net = snap_to_grid(net, 8)
+            net = snap_to_grid(net)
         data = serialize_network(net)
         again = deserialize_network(data)
         assert again.config == NetworkConfig((5, 6, 4, 3), flags)
@@ -642,13 +638,13 @@ class TestMixedBatchnorm:
         assert serialize_network(again) == data
 
     def test_from_tensors_inverts_tensor_items(self, flags):
-        net = snap_to_grid(mixed_bn_net(flags, seed=62), 8)
+        net = snap_to_grid(mixed_bn_net(flags, seed=62))
         again = Network(net.config, tuple(t for _, t, _ in tensor_items(net)), net.quant)
         assert_same_layers(again, net)
         assert serialize_network(again) == serialize_network(net)
 
     def test_qat_self_delta_rebuilds_bytes(self, flags):
-        net = snap_to_grid(mixed_bn_net(flags, seed=63), 8)
+        net = snap_to_grid(mixed_bn_net(flags, seed=63))
         packed = pack(compute_delta(net, net, MODE_QAT_INT, superclass_id=2))
         rebuilt = reconstruct(net, unpack(packed), base_fingerprint_of(net), 2, net.head_dim)
         assert_same_layers(rebuilt, net)

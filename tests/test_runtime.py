@@ -61,12 +61,12 @@ def qat_session_parts(mini_train):
     """Snapped router + packed qat-int deltas for an exact efficient runtime."""
     manifest = mini_train.manifest
     cfg = uniform_config(mini_train.dim, [16, 16], manifest.n_super, True)
-    tcfg = TrainConfig(lr=0.01, epochs=12, batch_size=16, seed=201, qat_bits=8)
+    tcfg = TrainConfig(lr=0.01, epochs=12, batch_size=16, seed=201, qat=True)
     base, _ = train(init_network(cfg, 200), mini_train.features, mini_train.super_labels(), tcfg)
     specialists = {}
     packed = {}
     for i in range(manifest.n_super):
-        ft_cfg = TrainConfig(lr=0.01, epochs=12, batch_size=16, seed=202 + i, qat_bits=8)
+        ft_cfg = TrainConfig(lr=0.01, epochs=12, batch_size=16, seed=202 + i, qat=True)
         specialists[i] = finetune_from_super(base, i, mini_train, ft_cfg)
         packed[i] = pack(compute_delta(base, specialists[i], MODE_QAT_INT, superclass_id=i))
     return base, specialists, packed
@@ -203,7 +203,7 @@ class TestEfficientSession:
     def test_wrong_base_detected(self, qat_session_parts, mini_train):
         _, _, packed = qat_session_parts
         cfg = uniform_config(mini_train.dim, [16, 16], mini_train.manifest.n_super, True)
-        stranger = snap_to_grid(init_network(cfg, 900), 8)
+        stranger = snap_to_grid(init_network(cfg, 900))
         session = EfficientSession(stranger, packed, mini_train.manifest)
         with pytest.raises(BaseMismatchError):
             session.specialist_for(0)

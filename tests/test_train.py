@@ -29,8 +29,8 @@ def router_data(ds):
     return ds.features, ds.super_labels()
 
 
-def tcfg(seed, epochs=10, qat_bits=None):
-    return TrainConfig(lr=0.01, epochs=epochs, batch_size=16, seed=seed, qat_bits=qat_bits)
+def tcfg(seed, epochs=10, qat=False):
+    return TrainConfig(lr=0.01, epochs=epochs, batch_size=16, seed=seed, qat=qat)
 
 
 class TestTrainConfig:
@@ -42,10 +42,6 @@ class TestTrainConfig:
             TrainConfig(lr=0.1, epochs=-1, batch_size=1, seed=0)
         with pytest.raises(ParameterError):
             TrainConfig(lr=0.1, epochs=1, batch_size=0, seed=0)
-        with pytest.raises(ParameterError):
-            TrainConfig(lr=0.1, epochs=1, batch_size=1, seed=0, qat_bits=1)
-        with pytest.raises(ParameterError):
-            TrainConfig(lr=0.1, epochs=1, batch_size=1, seed=0, qat_bits=9)
 
 
 class TestLabelViews:
@@ -116,9 +112,9 @@ class TestTrain:
 
     def test_qat_returns_network_on_its_grid(self, mini_train):
         net = init_network(router_config(mini_train), 29)
-        trained, _ = train(net, *router_data(mini_train), tcfg(30, epochs=3, qat_bits=8))
-        assert trained.quant is not None and trained.quant.bits == 8
-        assert serialize_network(snap_to_grid(trained, 8)) == serialize_network(trained)
+        trained, _ = train(net, *router_data(mini_train), tcfg(30, epochs=3, qat=True))
+        assert trained.quant is not None
+        assert serialize_network(snap_to_grid(trained)) == serialize_network(trained)
 
     def test_one_softmax_per_step(self, mini_train, monkeypatch):
         # A step takes the softmax of its logits once, for the loss and the
@@ -183,22 +179,22 @@ class TestFinetune:
     def test_qat_requires_snapped_base(self, mini_train):
         base = init_network(router_config(mini_train), 24)
         with pytest.raises(ContractError):
-            finetune_from_super(base, 0, mini_train, tcfg(25, qat_bits=8))
+            finetune_from_super(base, 0, mini_train, tcfg(25, qat=True))
 
     def test_qat_effective_weights_live_on_grid(self, mini_train):
         base0 = init_network(router_config(mini_train), 26)
-        base, _ = train(base0, *router_data(mini_train), tcfg(27, epochs=3, qat_bits=8))
-        tuned = finetune_from_super(base, 0, mini_train, tcfg(28, epochs=3, qat_bits=8))
+        base, _ = train(base0, *router_data(mini_train), tcfg(27, epochs=3, qat=True))
+        tuned = finetune_from_super(base, 0, mini_train, tcfg(28, epochs=3, qat=True))
         # Body grids are pinned to the base's scales during the finetune.
-        qat = QatConfig(8, base.quant.body_scales())
+        qat = QatConfig(base.quant.body_scales())
         body = [s for (_, _, is_weight), s in zip(body_items(base), base.quant.body_scales()) if is_weight]
         for w, scale in zip(effective_weights(tuned, qat)[:-1], body, strict=True):
-            assert np.array_equal(quantize_with_scale(w, scale, 8), w)
+            assert np.array_equal(quantize_with_scale(w, scale), w)
 
     def test_qat_specialist_shares_base_grids_and_rebuilds_exactly(self, mini_train):
         base0 = init_network(router_config(mini_train), 31)
-        base, _ = train(base0, *router_data(mini_train), tcfg(32, epochs=3, qat_bits=8))
-        tuned = finetune_from_super(base, 1, mini_train, tcfg(33, epochs=3, qat_bits=8))
+        base, _ = train(base0, *router_data(mini_train), tcfg(32, epochs=3, qat=True))
+        tuned = finetune_from_super(base, 1, mini_train, tcfg(33, epochs=3, qat=True))
         assert tuned.quant.body_scales() == base.quant.body_scales()
         packed = pack(compute_delta(base, tuned, MODE_QAT_INT, superclass_id=1))
         rebuilt = reconstruct(base, unpack(packed), base_fingerprint_of(base), 1, tuned.head_dim)
