@@ -12,11 +12,12 @@ CRC-32C has two kernels with identical results. The byte-at-a-time table
 loop is the reference and serves inputs under 4 bytes. Every longer input
 is cut into 256-byte blocks: a 256x256 position table maps a byte value at
 each position of a block to the raw register that byte alone leaves, so
-one gather and one XOR reduce give the register of every block. The block
-registers then fold pairwise, each earlier half shifted over the later
-half's length in zero bytes by a precomputed operator (the `crc32_combine`
-construction from zlib), so the cost per byte is one vectorised table
-lookup instead of an interpreted loop iteration.
+one gather and one XOR reduce give the register of every block. One pass
+then folds the block registers front to back: the running register is
+shifted over one block of zero bytes by four rows of the same table (zlib's
+`crc32_combine` step for a fixed length) and XORed with the next block's
+register, so the cost per byte is one vectorised table lookup instead of
+an interpreted loop iteration.
 """
 
 from __future__ import annotations
@@ -45,16 +46,15 @@ def _build_crc32c_table() -> list[int]:
 
 _CRC32C_TABLE = _build_crc32c_table()
 _BLOCK = 256  # bytes per block
-_FOLD_LEVELS = 32  # block counts up to 2**32 (1 TiB)
 # Blocks per gather: bounds its intp index array at 128 KiB for any input.
 _GATHER_BLOCKS = 64
 # Where each block position's row starts in a flattened position table.
 _ROW_STARTS = np.arange(_BLOCK, dtype=np.intp) << 8
 
 
-def _crc32c_bytewise(data: bytes, crc: int = 0) -> int:
+def _crc32c_bytewise(data: bytes) -> int:
     """The byte-at-a-time table loop: the reference crc32c must equal."""
-    crc ^= 0xFFFFFFFF
+    crc = 0xFFFFFFFF
     for byte in data:
         crc = (crc >> 8) ^ _CRC32C_TABLE[(crc ^ byte) & 0xFF]
     return crc ^ 0xFFFFFFFF
@@ -77,54 +77,33 @@ def _build_positions() -> np.ndarray:
 
 
 _POSITIONS = _build_positions()
+# Running register r over a block of zero bytes is running a zero register
+# over a block that starts with r's four little-endian bytes: rows 0-3.
+_SHIFT = _POSITIONS[: 4 * 256].reshape(4, 256).tolist()
 
 
-def _xor_rows(table: np.ndarray, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """XOR over p of table's row p at data[..., p]: the register of each
-    row of uint8 data, for a flattened table of 256-entry rows."""
-    return np.bitwise_xor.reduce(table[data + _ROW_STARTS[: data.shape[-1]]], axis=-1, out=out)
+def _fold(reg: int, blocks: np.ndarray) -> int:
+    """The raw register reg run on over blocks, rows of _BLOCK uint8 bytes."""
+    s0, s1, s2, s3 = _SHIFT
+    for block in np.bitwise_xor.reduce(_POSITIONS[blocks + _ROW_STARTS], axis=-1).tolist():
+        reg = s0[reg & 0xFF] ^ s1[(reg >> 8) & 0xFF] ^ s2[(reg >> 16) & 0xFF] ^ s3[reg >> 24] ^ block
+    return reg
 
 
-def _register_bytes(regs: np.ndarray) -> np.ndarray:
-    """The little-endian bytes of each register, one row per register."""
-    return regs.astype("<u4", copy=False).view(np.uint8).reshape(*regs.shape, 4)
-
-
-def _build_fold_operators() -> list[np.ndarray]:
-    """Operator k advances a raw CRC register over _BLOCK * 2**k zero bytes.
-
-    Running register r over zero bytes is running a zero register over
-    bytes that start with r's four bytes, so operator 0 is the position
-    table's first four rows; applying operator k to itself gives k + 1.
-    """
-    op = _POSITIONS[: 4 * 256]
-    ops = [op]
-    for _ in range(_FOLD_LEVELS - 1):
-        op = _xor_rows(op, _register_bytes(op))
-        ops.append(op)
-    return ops
-
-
-_FOLD_OPERATORS = _build_fold_operators()
-
-
-def crc32c(data: bytes | bytearray | memoryview, crc: int = 0) -> int:
+def crc32c(data: bytes | bytearray | memoryview) -> int:
     """CRC-32C (Castagnoli). crc32c(b"123456789") == 0xE3069283.
 
-    `crc` is the result over earlier bytes, so crc32c(b, crc32c(a)) ==
-    crc32c(a + b). Inputs of 4 bytes or more run in 256-byte blocks: the
-    running register is XORed into the data's first 4 bytes, and zero bytes
-    pad the front to whole blocks, which leaves the result as it was since
-    a zero register stays zero over zero bytes. Only the unaligned head is
-    copied, into at most two blocks. Each block's register comes from the
-    position table, _GATHER_BLOCKS blocks per gather, and adjacent blocks
-    fold pairwise, the earlier one shifted over its successor's length in
-    zero bytes, after zero blocks in front up to a power of two. The result
-    is identical to the byte loop, which stays the reference.
+    Inputs of 4 bytes or more run in 256-byte blocks: the initial register
+    is XORed into the data's first 4 bytes, and zero bytes pad the front to
+    whole blocks, which leaves the result as it was since a zero register
+    stays zero over zero bytes. Only the unaligned head is copied, into at
+    most two blocks. Each block's register comes from the position table,
+    _GATHER_BLOCKS blocks per gather, and the registers fold front to back.
+    The result is identical to the byte loop, which stays the reference.
     """
     n = len(data)
     if n < 4:
-        return _crc32c_bytewise(data, crc)
+        return _crc32c_bytewise(data)
     data = np.frombuffer(data, dtype=np.uint8)
     head = n % _BLOCK or _BLOCK
     if head < 4:  # 1-3 data bytes cannot take the register's 4: lead with two blocks
@@ -132,19 +111,12 @@ def crc32c(data: bytes | bytearray | memoryview, crc: int = 0) -> int:
     lead = np.zeros(-(-head // _BLOCK) * _BLOCK, dtype=np.uint8)
     pad = len(lead) - head
     lead[pad:] = data[:head]
-    lead[pad : pad + 4] ^= np.frombuffer((crc ^ 0xFFFFFFFF).to_bytes(4, "little"), dtype=np.uint8)
+    lead[pad : pad + 4] ^= 0xFF
+    reg = _fold(0, lead.reshape(-1, _BLOCK))
     blocks = data[head:].reshape(-1, _BLOCK)
-    count = len(lead) // _BLOCK + len(blocks)
-    width = 1 << (count - 1).bit_length()
-    regs = np.zeros(width, dtype=np.uint32)
-    first = width - len(blocks)
-    _xor_rows(_POSITIONS, lead.reshape(-1, _BLOCK), out=regs[width - count : first])
     for start in range(0, len(blocks), _GATHER_BLOCKS):
-        chunk = blocks[start : start + _GATHER_BLOCKS]
-        _xor_rows(_POSITIONS, chunk, out=regs[first + start : first + start + len(chunk)])
-    for op in _FOLD_OPERATORS[: width.bit_length() - 1]:
-        regs = _xor_rows(op, _register_bytes(regs)[0::2]) ^ regs[1::2]
-    return int(regs[0]) ^ 0xFFFFFFFF
+        reg = _fold(reg, blocks[start : start + _GATHER_BLOCKS])
+    return reg ^ 0xFFFFFFFF
 
 
 def deflate(data: bytes) -> bytes:
@@ -230,6 +202,16 @@ class Reader:
 
     def u8(self) -> int:
         return struct.unpack("<B", self._take(1))[0]
+
+    def flags(self, n: int, what: str) -> tuple[bool, ...]:
+        """n flag bytes in one read, each 0 or 1: any other value is a
+        FormatError, so a flag has one encoding and a file that reads back
+        writes back the same bytes."""
+        raw = self._take(n)
+        for i, value in enumerate(raw):
+            if value > 1:
+                raise FormatError(f"{what} flag byte {value:#04x} is neither 0 nor 1", offset=self.pos - n + i)
+        return tuple(value == 1 for value in raw)
 
     def u16(self) -> int:
         return struct.unpack("<H", self._take(2))[0]

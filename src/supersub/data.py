@@ -30,8 +30,7 @@ DATASET_VERSION = 2
 class SyntheticSpec:
     """Geometry and sizing of a generated hierarchy; fully determined by seed."""
 
-    n_super: int
-    subs_per_super: tuple[int, ...]
+    subs_per_super: tuple[int, ...]  # subclass count of each superclass
     dim: int
     super_sep: float
     sub_sep: float
@@ -40,13 +39,13 @@ class SyntheticSpec:
     n_test_per_sub: int
     seed: int
 
+    @property
+    def n_super(self) -> int:
+        return len(self.subs_per_super)
+
     def __post_init__(self):
         if self.n_super < 2:
-            raise ParameterError(f"need n_super >= 2, got {self.n_super}")
-        if len(self.subs_per_super) != self.n_super:
-            raise ParameterError(
-                f"subs_per_super has {len(self.subs_per_super)} entries for {self.n_super} superclasses"
-            )
+            raise ParameterError(f"need at least 2 superclasses, got {self.n_super}")
         if any(k < 2 for k in self.subs_per_super):
             raise ParameterError("every superclass needs at least 2 subclasses")
         if self.dim < 1:

@@ -83,7 +83,7 @@ class ExperimentConfig:
 
 
 _STAGE_FIELDS = {"lr": float, "epochs": int, "batch_size": int}
-_SYNTHETIC_FIELDS = dict(n_super=int, dim=int, super_sep=float, sub_sep=float, noise_sigma=float,
+_SYNTHETIC_FIELDS = dict(dim=int, super_sep=float, sub_sep=float, noise_sigma=float,
                          n_train_per_sub=int, n_test_per_sub=int)
 
 

@@ -540,7 +540,7 @@ def read_config(r: Reader) -> NetworkConfig:
     """Inverse of write_config; a header NetworkConfig rejects is a FormatError."""
     n_dims = r.u32()
     dims = struct.unpack(f"<{n_dims}I", r.raw(4 * n_dims))
-    flags = tuple(map(bool, r.raw(max(n_dims - 2, 0))))
+    flags = r.flags(max(n_dims - 2, 0), "batch-norm")
     try:
         return NetworkConfig(dims, flags)
     except ParameterError as exc:
@@ -601,7 +601,8 @@ def deserialize_network(data: bytes) -> Network:
     r.expect_version(NETWORK_VERSION)
     config = read_config(r)
     quant = None
-    if r.u8():
+    (quantized,) = r.flags(1, "quantization")
+    if quantized:
         if (bits := r.u8()) != QAT_BITS:
             raise FormatError(f"quantization block has {bits} bits, not {QAT_BITS}", offset=r.pos - 1)
         quant = QuantInfo(tuple(r.f32() for _ in tensor_shapes(config)))

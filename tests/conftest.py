@@ -12,7 +12,6 @@ from supersub.tensor import Prng
 
 def mini_spec(**overrides) -> SyntheticSpec:
     params = dict(
-        n_super=2,
         subs_per_super=(2, 2),
         dim=8,
         super_sep=6.0,

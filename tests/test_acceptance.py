@@ -218,7 +218,6 @@ def test_c09_container_round_trips():
 
     for trial in range(340):
         spec = SyntheticSpec(
-            n_super=2 + trial % 3,
             subs_per_super=tuple([2 + (trial + 1) % 3] * (2 + trial % 3)),
             dim=1 + trial % 5,
             super_sep=4.0 + trial % 7,

@@ -61,7 +61,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     [
         (("seed",), "abc"),
         (("train", "superclass", "lr"), "fast"),
-        (("synthetic", "n_super"), "five"),
+        (("synthetic", "n_super"), 5),
         (("train",), []),
         (("train", "finetune"), 3),
         (("synthetic",), [1]),
@@ -90,7 +90,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         (("dataset",), {"train": "missing/train.hsds", "test": "missing/test.hsds"}),
     ],
     ids=[
-        "seed_text", "lr_text", "n_super_text", "train_list", "stage_number", "synthetic_list",
+        "seed_text", "lr_text", "n_super_removed", "train_list", "stage_number", "synthetic_list",
         "network_text", "eval_modes_number", "eval_mode_list", "eval_modes_empty",
         "eval_modes_repeated", "hidden_dims_text", "hidden_dims_zero", "hidden_dims_negative", "hidden_dims_empty",
         "subs_per_super_text", "qat_bits_unknown", "batchnorms_typo", "batchnorm_text", "epochs_fraction",

@@ -6,6 +6,7 @@ import pytest
 
 from supersub.container import (
     _BLOCK,
+    _GATHER_BLOCKS,
     InflatingReader,
     Reader,
     Writer,
@@ -38,41 +39,35 @@ def test_crc32c_empty():
     assert crc32c(b"") == 0
 
 
-def test_crc32c_incremental_equals_one_shot():
-    data = bytes(range(256)) * 12
-    # Split points on both sides of the 4-byte head, of a block boundary
-    # and of a power-of-two block count, for either part.
-    splits = (1, 3, 4, 5, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 3, _BLOCK + 4, 4 * _BLOCK - 1, 4 * _BLOCK + 1)
-    for split in splits:
-        assert crc32c(data) == crc32c(data[split:], crc32c(data[:split])), split
-
-
 def test_crc32c_lanes_equal_byte_loop_at_every_short_length(pool):
     # Every length to three blocks and a bit: inputs under 4 bytes (the
     # byte loop), a first block of 1-3 data bytes (a two-block zero lead),
-    # and whole blocks, among them 1 and 2 (no zero block in front).
-    prng = Prng(0x1A4E)
+    # and whole blocks, among them 1 and 2 (the lead is the first block).
     for n in range(3 * _BLOCK + 9):
         data = pool[n % 61 : n % 61 + n]
-        start = prng.next_u64() & 0xFFFFFFFF
-        assert crc32c(data, start) == _crc32c_bytewise(data, start), n
+        assert crc32c(data) == _crc32c_bytewise(data), n
 
 
 def test_crc32c_lanes_equal_byte_loop_at_random_lengths(pool):
     prng = Prng(0xB16)
-    for trial in range(24):
-        n = prng.next_u64() % (_MAX_LEN + 1)
+    lengths = [prng.next_u64() % (_MAX_LEN + 1) for _ in range(24)]
+    # At and across the end of a gather: a head plus one, one and a bit and
+    # two and a bit gathers of blocks, +-1 byte, and a two-block lead
+    # (n % _BLOCK in 1..3) before more than one gather of blocks.
+    gathers = (_GATHER_BLOCKS, _GATHER_BLOCKS + 1, 2 * _GATHER_BLOCKS + 1)
+    lengths += [100 + k * _BLOCK + d for k in gathers for d in (-1, 0, 1)]
+    lengths += [(k + 2) * _BLOCK + r for k in gathers[1:] for r in (1, 2, 3)]
+    for n in lengths:
         offset = prng.next_u64() % 64
-        start = 0 if trial % 3 == 0 else prng.next_u64() & 0xFFFFFFFF
         data = pool[offset : offset + n]
-        expected = _crc32c_bytewise(data, start)
+        expected = _crc32c_bytewise(data)
         for view in (data, bytearray(data), memoryview(data)):
-            assert crc32c(view, start) == expected, (n, type(view))
+            assert crc32c(view) == expected, (n, type(view))
 
 
 def test_crc32c_memory_stays_bounded_on_a_large_input(pool):
-    # The block registers take 4 bytes per 256-byte block, and each gather
-    # runs over a bounded number of blocks; gathering all at once would
+    # The fold keeps one running register, and each gather runs over a
+    # bounded number of blocks; gathering all at once would
     # build an index array of 8 bytes per input byte (32 MiB here).
     data = pool[:65536] * 64  # 4 MiB
     expected = crc32c(data)

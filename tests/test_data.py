@@ -34,8 +34,9 @@ class TestSyntheticSpec:
                 mini_spec(noise_sigma=sigma)
 
     def test_subs_per_super_length_checked(self):
-        with pytest.raises(ParameterError):
-            mini_spec(subs_per_super=(2, 2, 2))
+        for subs in ((), (3,)):
+            with pytest.raises(ParameterError, match="at least 2 superclasses"):
+                mini_spec(subs_per_super=subs)
 
 
 class TestGenerateSynthetic:
@@ -62,8 +63,7 @@ class TestGenerateSynthetic:
     def test_nearest_centroid_oracle_separates_superclasses(self):
         # With super_sep/noise at 6:1 the superclass problem is near-trivial:
         # a nearest-superclass-centroid classifier fit on train must clear 99%.
-        spec = mini_spec(n_super=4, subs_per_super=(3, 3, 3, 3), dim=16,
-                         n_train_per_sub=30, n_test_per_sub=25)
+        spec = mini_spec(subs_per_super=(3, 3, 3, 3), dim=16, n_train_per_sub=30, n_test_per_sub=25)
         train, test = generate_synthetic(spec)
         train_supers = train.super_labels()
         centroids = np.stack([
@@ -77,8 +77,7 @@ class TestGenerateSynthetic:
 
     def test_partition_property_random_specs(self):
         for seed in range(5):
-            spec = mini_spec(n_super=2 + seed % 3,
-                             subs_per_super=tuple([2 + seed % 2] * (2 + seed % 3)),
+            spec = mini_spec(subs_per_super=tuple([2 + seed % 2] * (2 + seed % 3)),
                              seed=seed, n_train_per_sub=3, n_test_per_sub=2)
             train, _ = generate_synthetic(spec)
             manifest = train.manifest
@@ -212,7 +211,6 @@ class TestDatasetContainer:
     def test_round_trip_many_random_specs(self):
         for seed in range(25):
             spec = SyntheticSpec(
-                n_super=2 + seed % 3,
                 subs_per_super=tuple([2 + (seed + 1) % 3] * (2 + seed % 3)),
                 dim=1 + seed % 6,
                 super_sep=5.0 + seed,

@@ -287,6 +287,16 @@ class TestPackUnpack:
         with pytest.raises(FormatError, match="unsupported version 1"):
             unpack(with_fixed_crc(data[:4] + (1).to_bytes(2, "little") + data[6:]))
 
+    @pytest.mark.parametrize("value", [2, 7, 0xFF])
+    def test_batchnorm_flag_other_than_0_or_1_is_format_error(self, plain_pair, value):
+        base, specialist = plain_pair
+        data = pack(compute_delta(base, specialist, MODE_FP16))
+        section = inflate(data[HEADER:-4])
+        at = 4 + 4 * len(specialist.config.layer_dims)  # the first hidden layer's flag
+        assert section[at] == 1
+        with pytest.raises(FormatError, match=rf"batch-norm flag byte {value:#04x} .* offset {at}\)"):
+            unpack(with_section(data, section[:at] + bytes([value]) + section[at + 1 :]))
+
     def test_overflowing_shape_is_format_error(self, plain_pair):
         base, specialist = plain_pair
         data = pack(compute_delta(base, specialist, MODE_FP16))
@@ -540,11 +550,12 @@ class TestReconstruct:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
-                    rebuilt = reconstruct(base, unpack(blob), fingerprint, 1, specialist.head_dim)
+                    d = unpack(blob)
+                    reconstruct(base, d, fingerprint, 1, specialist.head_dim)
                 except (FormatError, BaseMismatchError):
                     outcomes["rejected"] += 1
                     continue
-            assert serialize_network(deserialize_network(serialize_network(rebuilt))) == serialize_network(rebuilt)
+            assert pack(d) == blob  # one encoding per section
             outcomes["read_back"] += 1
         assert outcomes["rejected"] and outcomes["read_back"], outcomes
 

@@ -37,7 +37,6 @@ def config_doc(out_dir, delta_mode="fp16", epochs=6, **extra):
         "seed": 777,
         "out_dir": str(out_dir),
         "synthetic": {
-            "n_super": 2,
             "subs_per_super": [2, 2],
             "dim": 8,
             "super_sep": 6.0,
@@ -97,8 +96,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "where, key",
         [("config", "qat_bits"), ("config", "eval_mode"), ("config", "include_lowerbound"),
-         ("synthetic", "n_supers"), ("dataset", "validation"), ("network", "batchnorms"), ("train", "router"),
-         ("train.finetune", "momentum")],
+         ("synthetic", "n_super"), ("synthetic", "n_supers"), ("dataset", "validation"), ("network", "batchnorms"),
+         ("train", "router"), ("train.finetune", "momentum")],
     )
     def test_unknown_key_is_named(self, tmp_path, where, key):
         # A key nothing reads would silently fall back to a default.

@@ -446,6 +446,19 @@ class TestNetworkContainer:
         assert data[at : at + len(block)] == block
         assert len(data) == at + len(block) + 4 * parameter_count(net) + 4
 
+    @pytest.mark.parametrize("value", [2, 7, 0xFF])
+    @pytest.mark.parametrize("flag", ["batch-norm", "quantization"])
+    def test_flag_byte_other_than_0_or_1_is_format_error(self, flag, value):
+        # Read as true, such a byte would load the network its 1 gives, whose
+        # file, and so its fingerprint, would be other bytes.
+        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=22))
+        data = serialize_network(net)
+        quant = quant_block_at(net.config)
+        at = {"batch-norm": quant - 1, "quantization": quant}[flag]  # one hidden layer: one batch-norm flag
+        assert data[at] == 1
+        with pytest.raises(FormatError, match=rf"{flag} flag byte {value:#04x} .* offset {at}\)"):
+            deserialize_network(with_fixed_crc(data[:at] + bytes([value]) + data[at + 1 :]))
+
     def test_overflowing_dims_are_format_error(self):
         w = Writer().raw(b"HSNW").u16(2).u32(3)
         for dim in (2**32 - 1, 2**32 - 1, 2):
@@ -513,7 +526,7 @@ class TestNetworkContainer:
                 except FormatError:
                     rejected += 1
                     continue
-            assert serialize_network(deserialize_network(serialize_network(net))) == serialize_network(net)
+            assert serialize_network(net) == mutated  # one encoding per network
         assert rejected
 
     def test_body_mutations_are_rejected_or_read_back(self):
@@ -527,7 +540,7 @@ class TestNetworkContainer:
                 except FormatError:
                     outcomes["rejected"] += 1
                     continue
-            assert serialize_network(deserialize_network(serialize_network(net))) == serialize_network(net)
+            assert serialize_network(net) == mutated
             outcomes["read_back"] += 1
         assert outcomes["rejected"] and outcomes["read_back"], outcomes
 
