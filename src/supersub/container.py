@@ -203,15 +203,14 @@ class Reader:
     def u8(self) -> int:
         return struct.unpack("<B", self._take(1))[0]
 
-    def flags(self, n: int, what: str) -> tuple[bool, ...]:
-        """n flag bytes in one read, each 0 or 1: any other value is a
-        FormatError, so a flag has one encoding and a file that reads back
-        writes back the same bytes."""
-        raw = self._take(n)
-        for i, value in enumerate(raw):
-            if value > 1:
-                raise FormatError(f"{what} flag byte {value:#04x} is neither 0 nor 1", offset=self.pos - n + i)
-        return tuple(value == 1 for value in raw)
+    def flag(self, what: str) -> bool:
+        """One flag byte, 0 or 1: any other value is a FormatError, so a
+        flag has one encoding and a file that reads back writes back the
+        same bytes."""
+        value = self.u8()
+        if value > 1:
+            raise FormatError(f"{what} flag byte {value:#04x} is neither 0 nor 1", offset=self.pos - 1)
+        return value == 1
 
     def u16(self) -> int:
         return struct.unpack("<H", self._take(2))[0]

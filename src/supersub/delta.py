@@ -63,7 +63,7 @@ from .network import (
 from .tensor import F32, f16_round
 
 DELTA_MAGIC = b"HSDL"
-DELTA_VERSION = 3
+DELTA_VERSION = 4
 
 MODE_FP16 = "fp16"
 MODE_QAT_INT = "qat-int"

@@ -36,7 +36,7 @@ from . import report as report_mod
 from . import runtime as runtime_mod
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .errors import ParameterError, ValidationError
-from .network import Network, init_network, load_network, save_network, uniform_config
+from .network import Network, NetworkConfig, init_network, load_network, save_network
 from .runtime import (
     MODE_LOWERBOUND,
     MODE_TWO_STAGE_EFFICIENT,
@@ -74,7 +74,6 @@ class ExperimentConfig:
     synthetic: SyntheticSpec | None
     dataset_paths: tuple[str, str] | None  # (train, test) when data comes from files
     hidden_dims: tuple[int, ...]
-    batchnorm: bool
     train_super: TrainConfig  # seed 0, float: each stage sets both with replace()
     train_subclass: TrainConfig
     train_finetune: TrainConfig
@@ -163,13 +162,10 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
     else:
         raise ValidationError('config needs either a "synthetic" or a "dataset" block')
 
-    net = _object(doc["network"], "network", ("hidden_dims",), ("batchnorm",))
-    batchnorm = net.get("batchnorm", True)
-    if not isinstance(batchnorm, bool):
-        raise ValidationError(f"network.batchnorm must be true or false, got {batchnorm!r}")
+    net = _object(doc["network"], "network", ("hidden_dims",))
     hidden_dims = _int_list(net["hidden_dims"], "network.hidden_dims")
     try:
-        uniform_config(1, list(hidden_dims), 1, batchnorm)  # input and head widths come with the data
+        NetworkConfig((1, *hidden_dims, 1))  # input and head widths come with the data
     except ParameterError as exc:
         raise ValidationError(f"network.hidden_dims {list(hidden_dims)}: {exc}") from exc
     train_block = _object(doc["train"], "train", ("superclass", "subclass", "finetune"))
@@ -189,7 +185,6 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
         synthetic=synthetic,
         dataset_paths=dataset_paths,
         hidden_dims=hidden_dims,
-        batchnorm=batchnorm,
         train_super=_stage_params(train_block, "superclass"),
         train_subclass=_stage_params(train_block, "subclass"),
         train_finetune=_stage_params(train_block, "finetune"),
@@ -341,10 +336,7 @@ def cmd_train(config: ExperimentConfig, target: str) -> Path:
     else:
         raise ParameterError(f"unknown train target {target!r}")
 
-    net0 = init_network(
-        uniform_config(train_ds.dim, list(config.hidden_dims), head, config.batchnorm),
-        child_seed(stage_seed, TAG_INIT),
-    )
+    net0 = init_network(NetworkConfig((train_ds.dim, *config.hidden_dims, head)), child_seed(stage_seed, TAG_INIT))
     trained, history = train(net0, features, labels, replace(stage, seed=stage_seed, qat=qat))
     save_network(trained, out_path)
     _write_loss_history(paths.loss_csv(target), history)

@@ -1,8 +1,10 @@
 """Feedforward network: parameters, forward/backward, quantization, file IO.
 
-Hidden layers are dense -> optional batch-norm -> relu; the head is a bare
-dense layer feeding a softmax cross-entropy loss. All math runs through the
-fixed-order float32 kernels in tensor.py so training is bit-reproducible.
+Every hidden layer is dense -> batch norm -> relu, its dense layer without
+a bias (batch centering would cancel one; beta is the shift); the head is
+a bare dense layer, weight and bias, feeding a softmax cross-entropy loss.
+All math runs through the fixed-order float32 kernels in tensor.py so
+training is bit-reproducible.
 
 A Network is its tensor layout: a config and one array per
 `tensor_shapes(config)` entry, in that order, plus the quantization block
@@ -24,7 +26,8 @@ fake-quantized forwards and `snap_to_grid`;
 of its scale, for the HSNW reader and qat-int deltas alike.
 Quantization scales follow the same layout: `QuantInfo.scales` and
 `QatConfig.body_scales` are positional, one scale per `tensor_shapes` entry,
-and an HSNW file stores them as bare floats in that order, with no names.
+and an HSNW file stores them as bare floats in that order, with no names
+and no bit width.
 
 Networks are immutable: nothing writes into a network's arrays, so
 networks and their tensors are shared, never copied, across threads too.
@@ -48,7 +51,7 @@ from .errors import ContractError, DimensionError, FormatError, ParameterError
 from .tensor import F32, Prng, matmul, ordered_axis0_sum, relu, softmax_rows
 
 NETWORK_MAGIC = b"HSNW"
-NETWORK_VERSION = 2
+NETWORK_VERSION = 3
 HEAD_TENSORS = ("head.weight", "head.bias")  # the head's (weight, bias), last in every layout
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
@@ -58,17 +61,12 @@ QAT_BITS = 8  # the width of every quantization grid
 @dataclass(frozen=True)
 class NetworkConfig:
     layer_dims: tuple[int, ...]  # input, hidden..., output
-    batchnorm: tuple[bool, ...]  # one flag per hidden layer
 
     def __post_init__(self):
         if len(self.layer_dims) < 3:
             raise ParameterError("need at least one hidden layer")
         if any(d < 1 for d in self.layer_dims):
             raise ParameterError(f"all dims must be >= 1, got {self.layer_dims}")
-        if len(self.batchnorm) != len(self.layer_dims) - 2:
-            raise ParameterError(
-                f"{len(self.batchnorm)} batchnorm flags for {len(self.layer_dims) - 2} hidden layers"
-            )
 
     @property
     def input_dim(self) -> int:
@@ -81,11 +79,6 @@ class NetworkConfig:
     def with_head(self, width: int) -> "NetworkConfig":
         """The same body with a head of another width."""
         return replace(self, layer_dims=(*self.layer_dims[:-1], width))
-
-
-def uniform_config(input_dim: int, hidden_dims: list[int], head_dim: int, batchnorm: bool) -> NetworkConfig:
-    dims = (input_dim, *hidden_dims, head_dim)
-    return NetworkConfig(dims, tuple(batchnorm for _ in hidden_dims))
 
 
 @dataclass(frozen=True)
@@ -137,25 +130,25 @@ class Network:
 
 
 def _layers(net: Network):
-    """(weight, bias, (gamma, beta, running mean, running var) or None) of
-    each layer, hidden layers first and the head last."""
-    ts, i = net.tensors, 0
-    for has_bn in (*net.config.batchnorm, False):
-        yield ts[i], ts[i + 1], ts[i + 2 : i + 6] if has_bn else None
-        i += 6 if has_bn else 2
+    """(weight, None, (gamma, beta, running mean, running var)) of each
+    hidden layer, then (weight, bias, None) of the head."""
+    ts = net.tensors
+    for i in range(0, len(ts) - len(HEAD_TENSORS), 5):
+        yield ts[i], None, ts[i + 1 : i + 5]
+    yield ts[-2], ts[-1], None
 
 
 def init_network(config: NetworkConfig, seed: int) -> Network:
-    """He-initialized weights, zero biases, identity batch-norm, stats (0, 1)."""
+    """He-initialized weights, identity batch norm with stats (0, 1), a
+    zero head bias."""
     rng = Prng(seed)
     tensors = []
     dims = config.layer_dims
     for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
         sigma = (2.0 / fan_in) ** 0.5
-        tensors += [tensor.gaussian_array(rng, (fan_out, fan_in), 0.0, sigma), np.zeros(fan_out, dtype=F32)]
-        if i < len(config.batchnorm) and config.batchnorm[i]:
-            ones, zeros = np.ones(fan_out, dtype=F32), np.zeros(fan_out, dtype=F32)
-            tensors += [ones, zeros, zeros, ones]
+        ones, zeros = np.ones(fan_out, dtype=F32), np.zeros(fan_out, dtype=F32)
+        tensors.append(tensor.gaussian_array(rng, (fan_out, fan_in), 0.0, sigma))
+        tensors += [ones, zeros, zeros, ones] if i < len(dims) - 2 else [zeros]
     return Network(config, tuple(tensors))
 
 
@@ -180,15 +173,15 @@ def network_bytes(net: Network) -> int:
 @lru_cache(maxsize=64)
 def tensor_shapes(config: NetworkConfig) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """(name, shape) of every tensor of a network of this config, in file
-    order: layer by layer weight, bias, then any batch-norm gamma, beta,
-    running mean and running variance; the head last."""
+    order: hidden layer by hidden layer its weight, then batch-norm gamma,
+    beta, running mean and running variance; the head's weight and bias
+    last."""
     dims = config.layer_dims
     shapes = []
-    for i, has_bn in enumerate(config.batchnorm):
+    for i in range(len(dims) - 2):
         n = dims[i + 1]
-        shapes += [(f"layer{i}.weight", (n, dims[i])), (f"layer{i}.bias", (n,))]
-        if has_bn:
-            shapes += [(f"layer{i}.bn_{k}", (n,)) for k in ("gamma", "beta", "mean", "var")]
+        shapes.append((f"layer{i}.weight", (n, dims[i])))
+        shapes += [(f"layer{i}.bn_{k}", (n,)) for k in ("gamma", "beta", "mean", "var")]
     return (*shapes, *zip(HEAD_TENSORS, ((dims[-1], dims[-2]), (dims[-1],))))
 
 
@@ -277,14 +270,14 @@ def effective_weights(net: Network, qat: QatConfig) -> list[np.ndarray]:
 def snap_to_grid(net: Network, body_scales: tuple[float, ...] | None = None) -> Network:
     """Project every tensor onto its integer grid and record the scales.
 
-    The whole network is stored quantized, not just the weights: biases and
-    batch-norm tensors land on their own per-tensor lattices so that delta
-    extraction yields exact integer differences everywhere. Weights clamp
-    to the fake-quantization grid they trained against; the other tensors
-    round without clamping, because running statistics legitimately drift
-    far outside the base network's range and clamping them would wreck
-    inference. Running variances are floored at one lattice step to stay
-    positive. Scales follow `QatConfig(body_scales).scale`:
+    The whole network is stored quantized, not just the weights: the head
+    bias and the batch-norm tensors land on their own per-tensor lattices
+    so that delta extraction yields exact integer differences everywhere.
+    Weights clamp to the fake-quantization grid they trained against; the
+    other tensors round without clamping, because running statistics
+    legitimately drift far outside the base network's range and clamping
+    them would wreck inference. Running variances are floored at one
+    lattice step to stay positive. Scales follow `QatConfig(body_scales).scale`:
     body_scales pins the body lattices to a base network's (shared grids
     for delta extraction); the head always uses its own live scales
     because its shape differs from any base network.
@@ -346,12 +339,13 @@ def forward(
     weights: list[np.ndarray] = []
     caches: list[LayerCache] = []
     a = batch
-    head = len(net.config.layer_dims) - 2
     for i, (weight, bias, bn) in enumerate(_layers(net)):
         weights.append(weight if grid is None else grid[i])
-        z = matmul(a, weights[i].T) + bias
+        z = matmul(a, weights[i].T)
         xhat = sigma = bn_update = None
-        if bn is not None:
+        if bn is None:
+            z = z + bias  # the head
+        else:
             gamma, beta, running_mean, running_var = bn
             if training:
                 if m < 2:
@@ -369,7 +363,7 @@ def forward(
                 xhat = (z - running_mean) / sigma
             z = gamma * xhat + beta
         caches.append(LayerCache(a, z, xhat if training else None, sigma, bn_update))
-        a = z if i == head else relu(z)
+        a = z if bn is None else relu(z)
     return tensor.check_finite(a, "forward logits"), ForwardCache(caches, weights, training)
 
 
@@ -387,10 +381,6 @@ def backward(net: Network, cache: ForwardCache, probs: np.ndarray, labels) -> Ne
     With fake-quantized forward weights the gradients pass straight through
     to the full-precision masters: input gradients use the effective
     weights, parameter gradients land on the master tensors unchanged.
-
-    On batch-norm layers the dense bias is a degenerate direction (batch
-    centering cancels it exactly; beta provides the shift), so its gradient
-    is pinned to exact zeros and the bias stays at its zero initialization.
     """
     if not cache.training:
         raise ContractError("backward needs a cache from a training-mode forward")
@@ -410,22 +400,19 @@ def backward(net: Network, cache: ForwardCache, probs: np.ndarray, labels) -> Ne
     layers = list(_layers(net))
     grads: list[list[np.ndarray]] = []  # per layer, head first
     for i in range(len(layers) - 1, -1, -1):
-        _, bias, bn = layers[i]
+        _, _, bn = layers[i]
         lc = cache.layer_caches[i]
-        if i < len(layers) - 1:
+        if bn is None:
+            d_rest = [ordered_axis0_sum(d_out)]  # the head bias
+        else:
             d_out = d_out * (lc.pre_act > 0)  # relu mask
-        d_bn = []
-        if bn is not None:
-            zeros = np.zeros_like(bias)  # the pinned bias and the running-stat slots
-            d_bn = [ordered_axis0_sum(d_out * lc.xhat), ordered_axis0_sum(d_out), zeros, zeros]
+            zeros = np.zeros_like(bn[0])  # the running-stat slots
+            d_rest = [ordered_axis0_sum(d_out * lc.xhat), ordered_axis0_sum(d_out), zeros, zeros]
             d_xhat = d_out * bn[0]
             mean_dxhat = ordered_axis0_sum(d_xhat) / F32(m)
             mean_dxhat_xhat = ordered_axis0_sum(d_xhat * lc.xhat) / F32(m)
             d_out = (d_xhat - mean_dxhat - lc.xhat * mean_dxhat_xhat) / lc.sigma
-            d_bias = zeros
-        else:
-            d_bias = ordered_axis0_sum(d_out)
-        grads.append([matmul(d_out.T, lc.x), d_bias, *d_bn])
+        grads.append([matmul(d_out.T, lc.x), *d_rest])
         if i > 0:
             d_out = matmul(d_out, cache.eff_weights[i])
     return Network(net.config, tuple(t for layer in reversed(grads) for t in layer))
@@ -434,8 +421,7 @@ def backward(net: Network, cache: ForwardCache, probs: np.ndarray, labels) -> Ne
 def sgd_step(net: Network, grads: Network, lr: float, cache: ForwardCache) -> Network:
     """theta <- theta - lr * g for every trainable tensor; each batch-norm
     layer's running mean and variance become the momentum update in its
-    LayerCache. The zero gradient of a batch-norm layer's pinned bias leaves
-    it bit-exact. cache must come from a training-mode forward of net: one
+    LayerCache. cache must come from a training-mode forward of net: one
     of inference mode, or of another depth, is a ContractError."""
     if grads.config != net.config:
         raise ContractError(f"gradient of {grads.config} does not match network {net.config}")
@@ -448,8 +434,10 @@ def sgd_step(net: Network, grads: Network, lr: float, cache: ForwardCache) -> Ne
 
     tensors: list[np.ndarray] = []
     for (weight, bias, bn), (d_weight, d_bias, d_bn), lc in zip(_layers(net), _layers(grads), cache.layer_caches):
-        tensors += [step(weight, d_weight), step(bias, d_bias)]
-        if bn is not None:
+        tensors.append(step(weight, d_weight))
+        if bn is None:
+            tensors.append(step(bias, d_bias))
+        else:
             tensors += [step(bn[0], d_bn[0]), step(bn[1], d_bn[1]), *lc.bn_update]
     return Network(net.config, tuple(tensors))
 
@@ -465,15 +453,15 @@ def _forward_loss_f64(net: Network, batch: np.ndarray, labels: np.ndarray) -> fl
     """
     a = np.asarray(batch, dtype=np.float64)
     m = a.shape[0]
-    head = len(net.config.layer_dims) - 2
-    for i, (weight, bias, bn) in enumerate(_layers(net)):
-        z = a @ weight.T.astype(np.float64) + bias.astype(np.float64)
-        if bn is not None:
+    for weight, bias, bn in _layers(net):
+        z = a @ weight.T.astype(np.float64)
+        if bn is None:
+            a = z + bias.astype(np.float64)  # the head
+        else:
             mu = z.mean(axis=0)
             var = ((z - mu) ** 2).mean(axis=0)
             xhat = (z - mu) / np.sqrt(var + BN_EPSILON)
-            z = bn[0].astype(np.float64) * xhat + bn[1].astype(np.float64)
-        a = z if i == head else np.maximum(z, 0.0)
+            a = np.maximum(bn[0].astype(np.float64) * xhat + bn[1].astype(np.float64), 0.0)
     shifted = a - a.max(axis=1, keepdims=True)
     probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
     picked = probs[np.arange(m), labels]
@@ -528,21 +516,18 @@ def gradient_check(net: Network, batch: np.ndarray, labels, eps: float = 1e-4) -
 
 
 def write_config(w: Writer, config: NetworkConfig) -> None:
-    """The config header HSNW and HSDL share: dim count, dims, batch-norm flags."""
+    """The config header HSNW and HSDL share: dim count, dims."""
     w.u32(len(config.layer_dims))
     for d in config.layer_dims:
         w.u32(d)
-    for flag in config.batchnorm:
-        w.u8(1 if flag else 0)
 
 
 def read_config(r: Reader) -> NetworkConfig:
     """Inverse of write_config; a header NetworkConfig rejects is a FormatError."""
     n_dims = r.u32()
     dims = struct.unpack(f"<{n_dims}I", r.raw(4 * n_dims))
-    flags = r.flags(max(n_dims - 2, 0), "batch-norm")
     try:
-        return NetworkConfig(dims, flags)
+        return NetworkConfig(dims)
     except ParameterError as exc:
         raise FormatError(f"bad network header: {exc}", offset=r.pos) from exc
 
@@ -585,7 +570,6 @@ def serialize_network(net: Network) -> bytes:
         w.u8(0)
     else:
         w.u8(1)
-        w.u8(QAT_BITS)  # the format keeps its bits byte; a reader takes no other value
         for s in net.quant.scales:
             w.f32(s)
     write_tensors(w, net.tensors)
@@ -601,10 +585,7 @@ def deserialize_network(data: bytes) -> Network:
     r.expect_version(NETWORK_VERSION)
     config = read_config(r)
     quant = None
-    (quantized,) = r.flags(1, "quantization")
-    if quantized:
-        if (bits := r.u8()) != QAT_BITS:
-            raise FormatError(f"quantization block has {bits} bits, not {QAT_BITS}", offset=r.pos - 1)
+    if r.flag("quantization"):
         quant = QuantInfo(tuple(r.f32() for _ in tensor_shapes(config)))
         quant.check()
     tensors = read_tensors(r, config)

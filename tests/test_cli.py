@@ -76,6 +76,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         (("network", "hidden_dims"), []),
         (("synthetic", "subs_per_super"), "44"),
         (("qat_bits",), 8),
+        (("network", "batchnorm"), True),
         (("network", "batchnorms"), False),
         (("network", "batchnorm"), "false"),
         (("train", "superclass", "epochs"), 2.7),
@@ -93,8 +94,8 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         "seed_text", "lr_text", "n_super_removed", "train_list", "stage_number", "synthetic_list",
         "network_text", "eval_modes_number", "eval_mode_list", "eval_modes_empty",
         "eval_modes_repeated", "hidden_dims_text", "hidden_dims_zero", "hidden_dims_negative", "hidden_dims_empty",
-        "subs_per_super_text", "qat_bits_unknown", "batchnorms_typo", "batchnorm_text", "epochs_fraction",
-        "epochs_bool", "lr_numeric_text", "noise_sigma_nan", "out_dir_null", "out_dir_number",
+        "subs_per_super_text", "qat_bits_unknown", "batchnorm_removed", "batchnorms_typo", "batchnorm_text",
+        "epochs_fraction", "epochs_bool", "lr_numeric_text", "noise_sigma_nan", "out_dir_null", "out_dir_number",
         "finetune_lr_negative", "subclass_batch_size_0", "superclass_epochs_negative", "synthetic_and_dataset",
     ],
 )
@@ -278,7 +279,7 @@ def test_trailing_bytes_in_delta_exit_3(qat_config_path, capsys):
 
 
 def test_misfit_delta_entry_exits_3(qat_config_path, capsys):
-    # A well-formed pack whose config drops the base's batch-norm layers.
+    # A well-formed pack whose config drops the base's second hidden layer.
     for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["pack", "0"]):
         assert main(["--config", str(qat_config_path)] + argv) == 0
     from supersub.delta import pack, unpack
@@ -287,8 +288,8 @@ def test_misfit_delta_entry_exits_3(qat_config_path, capsys):
     path = RunPaths(load_config(qat_config_path).out_dir).delta_file(0)
     d = unpack(path.read_bytes())
     names = [name for name, _ in tensor_shapes(d.config)]
-    tensors = tuple(t for name, t in zip(names, d.tensors) if ".bn_" not in name)
-    config = NetworkConfig(d.config.layer_dims, (False,) * len(d.config.batchnorm))
+    tensors = tuple(t for name, t in zip(names, d.tensors) if not name.startswith("layer1."))
+    config = NetworkConfig((*d.config.layer_dims[:2], d.config.head_dim))
     path.write_bytes(pack(replace(d, config=config, tensors=tensors)))
     assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
     assert "base's body" in capsys.readouterr().err

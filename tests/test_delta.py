@@ -38,7 +38,6 @@ from supersub.network import (
     snap_to_grid,
     tensor_items,
     tensor_shapes,
-    uniform_config,
     write_config,
 )
 from supersub.report import CompressionRow
@@ -58,9 +57,8 @@ def with_section(data: bytes, section: bytes) -> bytes:
     return with_fixed_crc(data[:HEADER] + deflate(section) + bytes(4))
 
 
-def build_net(head=3, seed=0, batchnorm=True, dims=(8, 12, 12)):
-    config = uniform_config(dims[0], list(dims[1:]), head, batchnorm)
-    return init_network(config, seed)
+def build_net(head=3, seed=0, dims=(8, 12, 12)):
+    return init_network(NetworkConfig((*dims, head)), seed)
 
 
 def overflowing_shape_pack(data: bytes) -> bytes:
@@ -68,7 +66,7 @@ def overflowing_shape_pack(data: bytes) -> bytes:
     layer is 2**32 - 1 wide, room for a qat-int pack's head scales, and no
     tensors."""
     section = Writer()
-    write_config(section, NetworkConfig((8, 2**32 - 1, 2), (False,)))
+    write_config(section, NetworkConfig((8, 2**32 - 1, 2)))
     section.raw(bytes(8))
     return with_fixed_crc(data[:HEADER] + deflate(section.body()) + bytes(4))
 
@@ -99,7 +97,7 @@ def with_tensor(d, index, t):
 @pytest.fixture(scope="module")
 def plain_pair(mini_train):
     """Full-precision router plus one genuinely finetuned specialist."""
-    config = uniform_config(mini_train.dim, [16, 16], mini_train.manifest.n_super, True)
+    config = NetworkConfig((mini_train.dim, 16, 16, mini_train.manifest.n_super))
     base0 = init_network(config, 11)
     base, _ = train(base0, mini_train.features, mini_train.super_labels(),
                     TrainConfig(lr=0.01, epochs=8, batch_size=16, seed=21))
@@ -112,7 +110,7 @@ def plain_pair(mini_train):
 @pytest.fixture(scope="module")
 def qat_pair(mini_train):
     """Grid-snapped router and specialist sharing body scales."""
-    config = uniform_config(mini_train.dim, [16, 16], mini_train.manifest.n_super, True)
+    config = NetworkConfig((mini_train.dim, 16, 16, mini_train.manifest.n_super))
     base0 = init_network(config, 31)
     tcfg = TrainConfig(lr=0.01, epochs=8, batch_size=16, seed=41, qat=True)
     base, _ = train(base0, mini_train.features, mini_train.super_labels(), tcfg)
@@ -275,6 +273,14 @@ class TestPackUnpack:
         for blob in (serialize_network(base), serialize_network(specialist), section):
             assert not [name for name in names if name.encode("utf-8") in blob]
 
+    def test_version_3_pack_is_format_error(self, qat_pair):
+        # Version 3 stored a batch-norm flag per hidden layer, and a zero
+        # delta for each hidden layer's dense bias.
+        base, specialist = qat_pair
+        data = pack(compute_delta(base, specialist, MODE_QAT_INT))
+        with pytest.raises(FormatError, match="unsupported version 3"):
+            unpack(with_fixed_crc(data[:4] + (3).to_bytes(2, "little") + data[6:]))
+
     def test_version_2_pack_is_format_error(self, qat_pair):
         base, specialist = qat_pair
         data = pack(compute_delta(base, specialist, MODE_QAT_INT))
@@ -286,16 +292,6 @@ class TestPackUnpack:
         data = pack(compute_delta(base, specialist, MODE_FP16))
         with pytest.raises(FormatError, match="unsupported version 1"):
             unpack(with_fixed_crc(data[:4] + (1).to_bytes(2, "little") + data[6:]))
-
-    @pytest.mark.parametrize("value", [2, 7, 0xFF])
-    def test_batchnorm_flag_other_than_0_or_1_is_format_error(self, plain_pair, value):
-        base, specialist = plain_pair
-        data = pack(compute_delta(base, specialist, MODE_FP16))
-        section = inflate(data[HEADER:-4])
-        at = 4 + 4 * len(specialist.config.layer_dims)  # the first hidden layer's flag
-        assert section[at] == 1
-        with pytest.raises(FormatError, match=rf"batch-norm flag byte {value:#04x} .* offset {at}\)"):
-            unpack(with_section(data, section[:at] + bytes([value]) + section[at + 1 :]))
 
     def test_overflowing_shape_is_format_error(self, plain_pair):
         base, specialist = plain_pair
@@ -349,8 +345,8 @@ class TestPackUnpack:
         rng = Prng(777)
         for trial in range(15):
             head = 2 + trial % 3
-            net_a = build_net(head=head, seed=trial, batchnorm=bool(trial % 2))
-            net_b = build_net(head=head, seed=trial + 100, batchnorm=bool(trial % 2))
+            net_a = build_net(head=head, seed=trial)
+            net_b = build_net(head=head, seed=trial + 100)
             d = compute_delta(net_a, net_b, MODE_FP16, superclass_id=trial)
             packed = pack(d)
             assert pack(unpack(packed)) == packed
@@ -408,12 +404,12 @@ class TestReconstruct:
 
     @pytest.mark.parametrize(
         "config",
-        [((8, 10, 12, 3), (True, True)), ((8, 12, 12, 5), (True, False)), ((9, 12, 12, 3), (True, True))],
-        ids=["hidden_width", "batchnorm_flag", "input_dim"],
+        [(8, 10, 12, 3), (8, 12, 12, 12, 5), (9, 12, 12, 3)],
+        ids=["hidden_width", "hidden_depth", "input_dim"],
     )
     def test_config_must_share_the_base_body(self, config):
         net = build_net(seed=41)
-        d = replace(compute_delta(net, net, MODE_FP16), config=NetworkConfig(*config))
+        d = replace(compute_delta(net, net, MODE_FP16), config=NetworkConfig(config))
         with pytest.raises(FormatError, match="base's body"):
             reconstruct(net, d, base_fingerprint_of(net), 0, d.config.head_dim)
 
@@ -438,12 +434,13 @@ class TestReconstruct:
                 assert got.tobytes() == want.tobytes(), (seed, name)
 
     @pytest.mark.parametrize("kind", ["nan", "overflow"])
-    @pytest.mark.parametrize("index", [0, 1, 5, 6, 11])
+    @pytest.mark.parametrize("index", [0, 1, 5, 6, 11, 14])
     def test_non_finite_rebuild_names_its_tensor(self, kind, index):
         # A NaN fp16 delta, or an int16 delta whose rebuilt value passes
         # float32 on a body scale of 1e35, in the last element of one body
         # tensor: the error names that tensor, not a neighbour in the flat body.
-        net = build_net(seed=53)
+        # Three hidden layers of five tensors each: 0 to 14 are the body.
+        net = build_net(seed=53, dims=(8, 12, 12, 12))
         if kind == "nan":
             d = compute_delta(net, net, MODE_FP16)
             bad = np.float16(np.nan)

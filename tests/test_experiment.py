@@ -45,7 +45,7 @@ def config_doc(out_dir, delta_mode="fp16", epochs=6, **extra):
             "n_train_per_sub": 20,
             "n_test_per_sub": 8,
         },
-        "network": {"hidden_dims": [16, 16], "batchnorm": True},
+        "network": {"hidden_dims": [16, 16]},
         "train": {
             "superclass": {"lr": 0.01, "epochs": epochs, "batch_size": 16},
             "subclass": {"lr": 0.01, "epochs": epochs, "batch_size": 16},
@@ -96,8 +96,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "where, key",
         [("config", "qat_bits"), ("config", "eval_mode"), ("config", "include_lowerbound"),
-         ("synthetic", "n_super"), ("synthetic", "n_supers"), ("dataset", "validation"), ("network", "batchnorms"),
-         ("train", "router"), ("train.finetune", "momentum")],
+         ("synthetic", "n_super"), ("synthetic", "n_supers"), ("dataset", "validation"),
+         ("network", "batchnorm"), ("network", "batchnorms"), ("train", "router"), ("train.finetune", "momentum")],
     )
     def test_unknown_key_is_named(self, tmp_path, where, key):
         # A key nothing reads would silently fall back to a default.

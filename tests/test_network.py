@@ -33,26 +33,29 @@ from supersub.network import (
     sgd_step,
     snap_to_grid,
     tensor_items,
-    uniform_config,
     write_config,
 )
 from supersub.tensor import F32, Prng, gaussian_array, softmax_rows
 
 
-def small_net(dims=(3, 3, 3), batchnorm=False, seed=0):
-    config = uniform_config(dims[0], list(dims[1:-1]), dims[-1], batchnorm)
-    return init_network(config, seed)
+def small_net(dims=(3, 3, 3), seed=0):
+    return init_network(NetworkConfig(dims), seed)
 
 
-def manual_net(weights, biases=None):
-    """A network without batch norm holding these weights and biases (zeros
-    when biases is None)."""
+def manual_net(weights, head_bias=None, bn=None):
+    """A network holding these weights, this head bias (zeros when None),
+    and on hidden layer i the (gamma, beta, running mean, running variance)
+    of bn[i], identity batch norm (1, 0, 0, 1) when bn is None."""
     weights = [np.array(w, dtype=F32) for w in weights]
-    if biases is None:
-        biases = [np.zeros(len(w), dtype=F32) for w in weights]
     dims = (weights[0].shape[1], *(w.shape[0] for w in weights))
-    tensors = tuple(t for w, b in zip(weights, biases) for t in (w, np.array(b, dtype=F32)))
-    return Network(NetworkConfig(dims, (False,) * (len(dims) - 2)), tensors)
+    if head_bias is None:
+        head_bias = np.zeros(dims[-1])
+    if bn is None:
+        bn = [(np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)) for n in dims[1:-1]]
+    tensors = []
+    for w, stats in zip(weights, bn):
+        tensors += [w, *(np.array(t, dtype=F32) for t in stats)]
+    return Network(NetworkConfig(dims), (*tensors, weights[-1], np.array(head_bias, dtype=F32)))
 
 
 def own_grid(t):
@@ -62,8 +65,8 @@ def own_grid(t):
 
 class TestInit:
     def test_biases_all_zero(self):
-        t = named(small_net((4, 8, 3), batchnorm=True, seed=5))
-        assert not t["layer0.bias"].any() and not t["head.bias"].any()
+        t = named(small_net((4, 8, 3), seed=5))
+        assert not t["head.bias"].any()
         assert np.array_equal(t["layer0.bn_gamma"], np.ones(8, dtype=F32))
         assert not t["layer0.bn_beta"].any()
         assert not t["layer0.bn_mean"].any()
@@ -83,16 +86,17 @@ class TestInit:
 
     def test_invalid_dims_rejected(self):
         with pytest.raises(ParameterError):
-            NetworkConfig((4, 0, 2), (False,))
+            NetworkConfig((4, 0, 2))
         with pytest.raises(ParameterError):
-            NetworkConfig((4, 2), ())
+            NetworkConfig((4, 2))
 
 
 class TestForward:
     def test_zero_weights_yield_bias_logits(self):
         net = manual_net(
             weights=[np.zeros((2, 3)), np.zeros((4, 2))],
-            biases=[[0.5, -0.5], [1.0, 2.0, 3.0, 4.0]],
+            head_bias=[1.0, 2.0, 3.0, 4.0],
+            bn=[([1.0, 1.0], [0.5, -0.5], [0.0, 0.0], [1.0, 1.0])],
         )
         logits, _ = forward(net, np.zeros((3, 3), dtype=F32))
         np.testing.assert_array_equal(logits, np.tile([1.0, 2.0, 3.0, 4.0], (3, 1)).astype(F32))
@@ -100,16 +104,19 @@ class TestForward:
     def test_hand_computed_2_2_2(self):
         net = manual_net(
             weights=[[[1.0, -1.0], [0.5, 2.0]], [[1.0, 1.0], [-1.0, 0.5]]],
-            biases=[[0.1, -0.2], [0.0, 0.5]],
+            head_bias=[0.0, 0.5],
+            bn=[([1.0, 0.5], [0.1, -0.2], [0.1, 0.5], [4.0, 1.0])],
         )
         x = np.array([[1.0, 2.0]], dtype=F32)
-        # Hidden: z = [1-2+0.1, 0.5+4-0.2] = [-0.9, 4.3]; relu -> [0, 4.3]
-        # Head:   [0+4.3+0, -0+2.15+0.5] = [4.3, 2.65]
+        # Dense:      z = [1-2, 0.5+4] = [-1, 4.5]
+        # Batch norm: (z - mean) / sqrt(var + 1e-5) = [-1.1/2, 4.0/1] (to ~1e-5)
+        #             * gamma + beta = [-0.55+0.1, 2.0-0.2] = [-0.45, 1.8]; relu -> [0, 1.8]
+        # Head:       [0+1.8+0, -0+0.9+0.5] = [1.8, 1.4]
         logits, _ = forward(net, x)
-        np.testing.assert_allclose(logits, [[4.3, 2.65]], atol=1e-6)
+        np.testing.assert_allclose(logits, [[1.8, 1.4]], atol=1e-4)
 
     def test_inference_rows_are_batch_independent(self):
-        net = small_net((5, 6, 4), batchnorm=True, seed=9)
+        net = small_net((5, 6, 4), seed=9)
         rng = Prng(10)
         batch = gaussian_array(rng, (8, 5))
         full, _ = forward(net, batch, training=False)
@@ -122,7 +129,7 @@ class TestForward:
             forward(net, np.zeros((2, 6), dtype=F32))
 
     def test_training_mode_reports_bn_updates(self):
-        net = small_net((4, 4, 2), batchnorm=True, seed=1)
+        net = small_net((4, 4, 2), seed=1)
         rng = Prng(2)
         _, cache = forward(net, gaussian_array(rng, (6, 4)), training=True)
         assert cache.layer_caches[0].bn_update is not None
@@ -131,34 +138,23 @@ class TestForward:
 
 
 class TestBackward:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_matches_finite_differences_no_bn(self, seed):
-        net = small_net((3, 3, 3), batchnorm=False, seed=seed)
-        rng = Prng(seed + 100)
-        batch = gaussian_array(rng, (4, 3))
-        labels = [rng.next_u64() % 3 for _ in range(4)]
-        assert gradient_check(net, batch, labels, eps=1e-4) < 1e-4
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_finite_differences_with_bn(self, seed):
-        net = small_net((3, 3, 3), batchnorm=True, seed=seed)
+        net = small_net((3, 3, 3), seed=seed)
         rng = Prng(seed + 200)
         batch = gaussian_array(rng, (5, 3))
         labels = [rng.next_u64() % 3 for _ in range(5)]
-        assert gradient_check(net, batch, labels, eps=1e-4) < 1e-3
+        assert gradient_check(net, batch, labels, eps=1e-4) < 1e-4
 
     def test_perfect_predictions_give_near_zero_gradients(self):
-        net = manual_net(
-            weights=[np.zeros((3, 3)), np.zeros((3, 3))],
-            biases=[[0.0, 0.0, 0.0], [50.0, 0.0, 0.0]],
-        )
+        net = manual_net(weights=[np.zeros((3, 3)), np.zeros((3, 3))], head_bias=[50.0, 0.0, 0.0])
         batch = np.ones((4, 3), dtype=F32)
         logits, cache = forward(net, batch, training=True)
         grads = backward(net, cache, softmax_rows(logits), [0, 0, 0, 0])
         assert max(float(np.abs(g).max()) for g in grads.tensors) < 1e-6
 
     def test_duplicated_batch_same_gradients(self):
-        net = small_net((4, 5, 3), batchnorm=False, seed=8)
+        net = small_net((4, 5, 3), seed=8)
         rng = Prng(80)
         batch = gaussian_array(rng, (6, 4))
         labels = np.array([rng.next_u64() % 3 for _ in range(6)], dtype=np.int64)
@@ -173,12 +169,11 @@ class TestBackward:
             np.testing.assert_allclose(a, b, atol=1e-6, rtol=1e-5)
 
     def test_gradients_share_the_network_layout(self):
-        net = small_net((3, 4, 2), batchnorm=True, seed=6)
+        net = small_net((3, 4, 2), seed=6)
         logits, cache = forward(net, gaussian_array(Prng(1), (4, 3)), training=True)
         grads = backward(net, cache, softmax_rows(logits), [0, 1, 0, 1])
         assert grads.config == net.config
         g = named(grads)
-        assert not g["layer0.bias"].any()  # pinned on batch-norm layers
         assert not g["layer0.bn_mean"].any() and not g["layer0.bn_var"].any()  # never read in training
 
     def test_inference_cache_rejected(self):
@@ -211,11 +206,11 @@ class TestSgdStep:
     def test_lr_zero_is_identity(self):
         # lr 0 keeps every trainable tensor bit for bit; the running
         # statistics are still committed from the cache.
-        net = small_net((3, 4, 2), batchnorm=True, seed=6)
+        net = small_net((3, 4, 2), seed=6)
         logits, cache = forward(net, gaussian_array(Prng(1), (4, 3)), training=True)
         grads = backward(net, cache, softmax_rows(logits), [0, 1, 0, 1])
         stepped, t = named(sgd_step(net, grads, 0.0, cache)), named(net)
-        for name in ("layer0.weight", "layer0.bias", "layer0.bn_gamma", "layer0.bn_beta", "head.weight", "head.bias"):
+        for name in ("layer0.weight", "layer0.bn_gamma", "layer0.bn_beta", "head.weight", "head.bias"):
             assert stepped[name].tobytes() == t[name].tobytes(), name
         mean, var = cache.layer_caches[0].bn_update
         assert stepped["layer0.bn_mean"].tobytes() == mean.tobytes()
@@ -223,14 +218,21 @@ class TestSgdStep:
         assert not np.array_equal(mean, t["layer0.bn_mean"])
 
     def test_zero_gradients_are_identity(self):
+        # Every trainable tensor stays bit for bit; only the running
+        # statistics move, to the cache's momentum update.
         net = small_net((3, 4, 2), seed=6)
         zeroed = Network(net.config, tuple(np.zeros_like(t) for t in net.tensors))
-        stepped = sgd_step(net, zeroed, 0.5, training_cache(net))
-        assert serialize_network(stepped) == serialize_network(net)
+        cache = training_cache(net)
+        stepped, t = named(sgd_step(net, zeroed, 0.5, cache)), named(net)
+        mean, var = cache.layer_caches[0].bn_update
+        assert stepped.pop("layer0.bn_mean").tobytes() == mean.tobytes()
+        assert stepped.pop("layer0.bn_var").tobytes() == var.tobytes()
+        for name, got in stepped.items():
+            assert got.tobytes() == t[name].tobytes(), name
 
     def test_single_weight_arithmetic(self):
-        net = manual_net(weights=[[[1.0]], [[1.0]]], biases=[[0.0], [0.0]])
-        g = manual_net(weights=[[[0.5]], [[0.0]]], biases=[[0.0], [0.0]])
+        net = manual_net(weights=[[[1.0]], [[1.0]]])
+        g = manual_net(weights=[[[0.5]], [[0.0]]])
         stepped = sgd_step(net, g, 0.01, training_cache(net))
         expected = F32(1.0) - F32(0.01) * F32(0.5)
         assert named(stepped)["layer0.weight"][0, 0] == expected
@@ -238,22 +240,12 @@ class TestSgdStep:
 
     def test_shape_mismatch_rejected(self):
         net = small_net((3, 4, 2), seed=6)
-        bad = manual_net(weights=[[[0.0]], [[0.0]]], biases=[[0.0], [0.0]])
-        with pytest.raises(ContractError):
-            sgd_step(net, bad, 0.1, training_cache(net))
+        for dims in ((1, 1, 1), (3, 4, 4, 2)):
+            with pytest.raises(ContractError, match="does not match"):
+                sgd_step(net, small_net(dims, seed=6), 0.1, training_cache(net))
 
-    def test_layer_count_or_missing_batchnorm_gradient_rejected(self):
-        net = small_net((3, 4, 2), batchnorm=True, seed=6)
-        plain = small_net((3, 4, 2), seed=6)
-        cache = training_cache(net)
-        with pytest.raises(ContractError, match="does not match"):
-            sgd_step(net, plain, 0.1, cache)
-        with pytest.raises(ContractError, match="does not match"):
-            sgd_step(net, small_net((3, 4, 4, 2), batchnorm=True, seed=6), 0.1, cache)
-
-    @pytest.mark.parametrize("batchnorm", [True, False], ids=["batchnorm", "plain"])
-    def test_inference_cache_rejected(self, batchnorm):
-        net = small_net((3, 4, 2), batchnorm=batchnorm, seed=6)
+    def test_inference_cache_rejected(self):
+        net = small_net((3, 4, 2), seed=6)
         _, cache = forward(net, gaussian_array(Prng(1), (4, 3)), training=False)
         with pytest.raises(ContractError, match="training-mode forward"):
             sgd_step(net, net, 0.1, cache)
@@ -266,29 +258,13 @@ class TestSgdStep:
         with pytest.raises(ContractError, match="training-mode forward"):
             sgd_step(net, net, 0.1, training_cache(small_net(cache_dims, seed=6)))
 
-    def test_zero_gradient_slots_leave_their_tensors_bit_exact(self):
-        # Random biases (one a negative zero) on both batch-norm layers:
-        # their gradients are exact zeros, so a step leaves them bit for
-        # bit, while gamma moves.
-        net = mixed_bn_net((True, True), seed=7)
-        t = named(net)
-        t["layer0.bias"] = np.concatenate([[F32(-0.0)], t["layer0.bias"][1:]]).astype(F32)
-        net = Network(net.config, tuple(t.values()))
-        logits, cache = forward(net, gaussian_array(Prng(8), (6, 5)), training=True)
-        stepped = named(sgd_step(net, backward(net, cache, softmax_rows(logits), [0, 1, 2, 0, 1, 2]), 0.3, cache))
-        for name in ("layer0.bias", "layer1.bias"):
-            assert stepped[name].tobytes() == t[name].tobytes(), name
-        assert not np.array_equal(stepped["layer0.bn_gamma"], t["layer0.bn_gamma"])
-
-    @pytest.mark.parametrize("flags", [(True, False), (False, True), (True, True)], ids=["bn_first", "bn_second", "bn_both"])
-    def test_running_stats_come_from_the_cache_and_every_other_slot_steps(self, flags):
+    def test_running_stats_come_from_the_cache_and_every_other_slot_steps(self):
         # Every tensor random, a negative zero in the first running mean and
         # the first weight: each running-stat slot is its layer's bn_update,
         # bit for bit, and every other slot is t - lr * g in float32.
-        net = mixed_bn_net(flags, seed=11)
+        net = random_net(seed=11)
         t = named(net)
-        i = flags.index(True)
-        for name in (f"layer{i}.bn_mean", "layer0.weight"):
+        for name in ("layer0.bn_mean", "layer0.weight"):
             t[name] = t[name].copy()
             t[name].flat[0] = F32(-0.0)
         net = Network(net.config, tuple(t.values()))
@@ -303,7 +279,7 @@ class TestSgdStep:
             else:
                 want = (t[name] - F32(0.3) * grads[name]).astype(F32)
             assert got.dtype == F32 and got.tobytes() == want.tobytes(), name
-        assert stepped[f"layer{i}.bn_mean"].tobytes() != t[f"layer{i}.bn_mean"].tobytes()
+        assert stepped["layer0.bn_mean"].tobytes() != t["layer0.bn_mean"].tobytes()
 
 
 class TestGradientCheckContract:
@@ -319,7 +295,7 @@ class TestGradientCheckContract:
             gradient_check(net, np.zeros((2, 100), dtype=F32), [0, 1])
 
     def test_leaves_network_untouched(self):
-        net = small_net((3, 4, 3), batchnorm=True, seed=9)
+        net = small_net((3, 4, 3), seed=9)
         before = serialize_network(net)
         gradient_check(net, gaussian_array(Prng(90), (4, 3)), [0, 1, 2, 0])
         assert serialize_network(net) == before
@@ -357,11 +333,11 @@ class TestFakeQuantize:
 
 class TestSnapAndEffectiveWeights:
     def test_snap_records_quant_info(self):
-        net = small_net((4, 6, 3), batchnorm=True, seed=12)
+        net = small_net((4, 6, 3), seed=12)
         snapped = snap_to_grid(net)
         assert snapped.quant is not None
-        # one scale per tensor, in layout order: 2 weights, 2 biases, 4 bn tensors
-        assert len(snapped.quant.scales) == 8
+        # one scale per tensor, in layout order: 2 weights, 4 bn tensors, the head bias
+        assert len(snapped.quant.scales) == 7
         for (_, t, is_weight), s in zip(tensor_items(snapped), snapped.quant.scales, strict=True):
             if is_weight:
                 assert np.array_equal(quantize_with_scale(t, s), t)
@@ -387,12 +363,12 @@ class TestSnapAndEffectiveWeights:
 
 def plain_network_bytes(dims) -> bytes:
     """An HSNW file of all-zero tensors with these layer dims, written field by
-    field (so any dims), with no batch norm and no quantization block."""
-    w = Writer().raw(b"HSNW").u16(2).u32(len(dims))
+    field (so any dims), with no quantization block."""
+    w = Writer().raw(b"HSNW").u16(3).u32(len(dims))
     for dim in dims:
         w.u32(dim)
-    w.raw(bytes(len(dims) - 2)).u8(0)
-    n_values = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+    w.u8(0)
+    n_values = sum(fan_in * fan_out + 4 * fan_out for fan_in, fan_out in zip(dims, dims[1:])) - 3 * dims[-1]
     return w.raw(bytes(4 * n_values)).finish()
 
 
@@ -408,14 +384,16 @@ def with_first_value(net: Network, value) -> bytes:
     """net's HSNW file with the first element of its first tensor set to
     value (float32), CRC re-fixed."""
     data = serialize_network(net)
-    at = quant_block_at(net.config) + (1 if net.quant is None else 2 + 4 * len(net.quant.scales))
+    at = quant_block_at(net.config) + 1 + (0 if net.quant is None else 4 * len(net.quant.scales))
     return with_fixed_crc(data[:at] + struct.pack("<f", value) + data[at + 4 :])
 
 
 class TestNetworkContainer:
-    @pytest.mark.parametrize("batchnorm", [False, True])
-    def test_round_trip_bit_exact(self, batchnorm):
-        net = small_net((7, 5, 4, 3), batchnorm=batchnorm, seed=21)
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_round_trip_bit_exact(self, quantized):
+        net = small_net((7, 5, 4, 3), seed=21)
+        if quantized:
+            net = snap_to_grid(net)
         blob = serialize_network(net)
         again = deserialize_network(blob)
         assert serialize_network(again) == blob
@@ -436,52 +414,55 @@ class TestNetworkContainer:
         with pytest.raises(FormatError, match="unsupported version 1"):
             deserialize_network(with_fixed_crc(data[:4] + (1).to_bytes(2, "little") + data[6:]))
 
+    def test_version_2_file_is_format_error(self):
+        # Version 2 stored a dense bias and a batch-norm flag per hidden
+        # layer, and a bits byte in the quantization block.
+        data = serialize_network(snap_to_grid(small_net((4, 6, 3), seed=22)))
+        with pytest.raises(FormatError, match="unsupported version 2"):
+            deserialize_network(with_fixed_crc(data[:4] + (2).to_bytes(2, "little") + data[6:]))
+
     def test_no_tensor_name_or_scale_count_is_stored(self):
-        # The quantization block is the flag, the bits, then one f32 per
-        # tensor_shapes entry in layout order: no count and no names.
-        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=22))
+        # The quantization block is the flag, then one f32 per
+        # tensor_shapes entry in layout order: no count, no bits and no names.
+        net = snap_to_grid(small_net((4, 6, 3), seed=22))
         data = serialize_network(net)
         at = quant_block_at(net.config)
-        block = bytes([1, 8]) + struct.pack(f"<{len(net.quant.scales)}f", *net.quant.scales)
+        block = bytes([1]) + struct.pack(f"<{len(net.quant.scales)}f", *net.quant.scales)
         assert data[at : at + len(block)] == block
         assert len(data) == at + len(block) + 4 * parameter_count(net) + 4
 
     @pytest.mark.parametrize("value", [2, 7, 0xFF])
-    @pytest.mark.parametrize("flag", ["batch-norm", "quantization"])
+    @pytest.mark.parametrize("flag", ["quantization"])  # the one flag byte of any format
     def test_flag_byte_other_than_0_or_1_is_format_error(self, flag, value):
         # Read as true, such a byte would load the network its 1 gives, whose
         # file, and so its fingerprint, would be other bytes.
-        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=22))
+        net = snap_to_grid(small_net((4, 6, 3), seed=22))
         data = serialize_network(net)
-        quant = quant_block_at(net.config)
-        at = {"batch-norm": quant - 1, "quantization": quant}[flag]  # one hidden layer: one batch-norm flag
+        at = quant_block_at(net.config)
         assert data[at] == 1
         with pytest.raises(FormatError, match=rf"{flag} flag byte {value:#04x} .* offset {at}\)"):
             deserialize_network(with_fixed_crc(data[:at] + bytes([value]) + data[at + 1 :]))
 
     def test_overflowing_dims_are_format_error(self):
-        w = Writer().raw(b"HSNW").u16(2).u32(3)
+        w = Writer().raw(b"HSNW").u16(3).u32(3)
         for dim in (2**32 - 1, 2**32 - 1, 2):
             w.u32(dim)
-        w.u8(0).u8(0)  # no batch-norm, no quant block
+        w.u8(0)  # no quant block
         with pytest.raises(FormatError):
             deserialize_network(w.finish())
 
     @pytest.mark.parametrize(
         "edit",
-        ["one_short", "one_extra", "bits_1", "bits_4", "bits_7", "bits_9", "zero_scale", "negative_scale", "nan_scale"],
+        ["one_short", "one_extra", "zero_scale", "negative_scale", "nan_scale"],
     )
     def test_quant_block_must_scale_every_tensor_once(self, edit):
-        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=22))
+        net = snap_to_grid(small_net((4, 6, 3), seed=22))
         blob = bytearray(serialize_network(net))
-        bits = quant_block_at(net.config) + 1
-        scale = bits + 1  # the first scale, layer0.weight's
+        scale = quant_block_at(net.config) + 1  # the first scale, layer0.weight's
         if edit == "one_short":
             del blob[scale : scale + 4]
         elif edit == "one_extra":
             blob[scale:scale] = blob[scale : scale + 4]
-        elif edit.startswith("bits_"):
-            blob[bits] = int(edit[5:])
         else:
             value = {"zero_scale": 0.0, "negative_scale": -1.0, "nan_scale": math.nan}[edit]
             blob[scale : scale + 4] = struct.pack("<f", value)
@@ -496,7 +477,7 @@ class TestNetworkContainer:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("quantized", [False, True], ids=["plain", "quantized"])
     def test_non_finite_tensor_is_format_error(self, quantized, value):
-        net = small_net((4, 6, 3), batchnorm=True, seed=25)
+        net = small_net((4, 6, 3), seed=25)
         data = with_first_value(snap_to_grid(net) if quantized else net, value)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -505,7 +486,7 @@ class TestNetworkContainer:
 
     @pytest.mark.parametrize("edit", ["next_float", "huge"])
     def test_off_grid_tensor_is_format_error(self, edit):
-        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=26))
+        net = snap_to_grid(small_net((4, 6, 3), seed=26))
         first = named(net)["layer0.weight"].flat[0]
         value = np.nextafter(first, F32(np.inf)) if edit == "next_float" else 3e38
         with warnings.catch_warnings():
@@ -514,11 +495,11 @@ class TestNetworkContainer:
                 deserialize_network(with_first_value(net, value))
 
     def test_header_mutations_are_rejected_or_read_back(self):
-        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=23))
+        net = snap_to_grid(small_net((4, 6, 3), seed=23))
         data = serialize_network(net)
         rejected = 0
-        # The header runs through the quantization block: flag, bits, scales.
-        for _, mutated in header_mutations(data, quant_block_at(net.config) + 2 + 4 * len(net.quant.scales)):
+        # The header runs through the quantization block: flag, scales.
+        for _, mutated in header_mutations(data, quant_block_at(net.config) + 1 + 4 * len(net.quant.scales)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
@@ -530,7 +511,7 @@ class TestNetworkContainer:
         assert rejected
 
     def test_body_mutations_are_rejected_or_read_back(self):
-        data = serialize_network(snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=24)))
+        data = serialize_network(snap_to_grid(small_net((4, 6, 3), seed=24)))
         outcomes = {"rejected": 0, "read_back": 0}
         for mutated in body_mutations(data, 300, seed=0xB0D1):
             with warnings.catch_warnings():
@@ -553,15 +534,14 @@ class TestNetworkContainer:
         rng = Prng(1000)
         for trial in range(20):
             dims = [2 + rng.next_u64() % 5 for _ in range(3 + rng.next_u64() % 2)]
-            bn = bool(rng.next_u64() % 2)
-            net = small_net(tuple(int(d) for d in dims), batchnorm=bn, seed=trial)
+            net = small_net(tuple(int(d) for d in dims), seed=trial)
             blob = serialize_network(net)
             assert serialize_network(deserialize_network(blob)) == blob
 
 
 class TestStructureHelpers:
     def test_replace_head_preserves_body(self):
-        net = small_net((5, 6, 6, 4), batchnorm=True, seed=30)
+        net = small_net((5, 6, 6, 4), seed=30)
         wider = replace_head(net, 9, seed=31)
         assert wider.head_dim == 9
         assert wider.config == net.config.with_head(9)
@@ -571,9 +551,9 @@ class TestStructureHelpers:
                 assert np.array_equal(old[name], new[name]), name
 
     def test_network_bytes_counts_buffers(self):
-        net = small_net((4, 6, 3), batchnorm=True, seed=2)
-        # weights 24+18, biases 6+3, bn 4*6
-        assert parameter_count(net) == 24 + 18 + 6 + 3 + 24
+        net = small_net((4, 6, 3), seed=2)
+        # weights 24+18, bn 4*6, head bias 3
+        assert parameter_count(net) == 24 + 18 + 24 + 3
         assert network_bytes(net) == 4 * parameter_count(net)
 
 
@@ -582,36 +562,36 @@ class TestFromTensors:
     entry, and its constructor checks the count, every shape and the
     quantization block's scale count."""
 
-    @pytest.mark.parametrize("batchnorm", [False, True])
+    @pytest.mark.parametrize("deep", [False, True])
     @pytest.mark.parametrize("quantized", [False, True])
-    def test_inverts_tensor_items(self, batchnorm, quantized):
-        net = small_net((7, 5, 4, 3), batchnorm=batchnorm, seed=23)
+    def test_inverts_tensor_items(self, deep, quantized):
+        net = small_net((7, 5, 4, 3) if deep else (7, 5, 3), seed=23)
         if quantized:
             net = snap_to_grid(net)
         again = Network(net.config, tuple(t for _, t, _ in tensor_items(net)), net.quant)
         assert serialize_network(again) == serialize_network(net)
 
     def test_wrong_or_missing_tensor_rejected(self):
-        net = small_net((4, 6, 3), batchnorm=True, seed=2)
+        net = small_net((4, 6, 3), seed=2)
         tensors = named(net)
         tensors["layer0.bn_var"] = np.ones(5, dtype=F32)
         with pytest.raises(ContractError, match="layer0.bn_var"):
             Network(net.config, tuple(tensors.values()))
         del tensors["layer0.bn_var"]
-        with pytest.raises(ContractError, match="7 tensors for the 8"):
+        with pytest.raises(ContractError, match="6 tensors for the 7"):
             Network(net.config, tuple(tensors.values()))
 
     def test_one_quantization_scale_per_tensor(self):
-        net = snap_to_grid(small_net((4, 6, 3), batchnorm=True, seed=2))
+        net = snap_to_grid(small_net((4, 6, 3), seed=2))
         for scales in (net.quant.scales[1:], (*net.quant.scales, 1.0)):
             with pytest.raises(ContractError, match="quantization scales"):
                 replace(net, quant=replace(net.quant, scales=scales))
 
 
-def mixed_bn_net(flags, seed):
-    """A (5, 6, 4, 3) network with batch norm on the hidden layers that flags
-    name, every tensor random, its tuple built layer by layer by hand: weight,
-    bias, then gamma, beta, running mean and running variance."""
+def random_net(seed):
+    """A (5, 6, 4, 3) network, every tensor random, its tuple built layer
+    by layer by hand: weight, then gamma, beta, running mean and running
+    variance; the head's weight and bias last."""
     rng = Prng(seed)
     dims = (5, 6, 4, 3)
 
@@ -619,46 +599,8 @@ def mixed_bn_net(flags, seed):
         return gaussian_array(rng, (n,), 0.0, 1.0)
 
     tensors = []
-    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
-        bn = []
-        if i < len(flags) and flags[i]:
-            bn = [vec(fan_out), vec(fan_out), vec(fan_out), np.abs(vec(fan_out)) + F32(0.5)]
-        tensors += [gaussian_array(rng, (fan_out, fan_in), 0.0, 1.0), vec(fan_out), *bn]
-    return Network(NetworkConfig(dims, tuple(flags)), tuple(tensors))
-
-
-def assert_same_layers(a: Network, b: Network):
-    assert a.config == b.config
-    for ta, tb in zip(a.tensors, b.tensors, strict=True):
-        assert np.array_equal(ta, tb)
-
-
-@pytest.mark.parametrize("flags", [(True, False), (False, True)], ids=["bn_first", "bn_second"])
-class TestMixedBatchnorm:
-    """Hidden layers that mix batch norm on and off reach the same bytes
-    through every path that reads the tensor layout."""
-
-    @pytest.mark.parametrize("quantized", [False, True])
-    def test_serialize_round_trip(self, flags, quantized):
-        net = mixed_bn_net(flags, seed=61)
-        if quantized:
-            net = snap_to_grid(net)
-        data = serialize_network(net)
-        again = deserialize_network(data)
-        assert again.config == NetworkConfig((5, 6, 4, 3), flags)
-        assert again.quant == net.quant
-        assert_same_layers(again, net)
-        assert serialize_network(again) == data
-
-    def test_from_tensors_inverts_tensor_items(self, flags):
-        net = snap_to_grid(mixed_bn_net(flags, seed=62))
-        again = Network(net.config, tuple(t for _, t, _ in tensor_items(net)), net.quant)
-        assert_same_layers(again, net)
-        assert serialize_network(again) == serialize_network(net)
-
-    def test_qat_self_delta_rebuilds_bytes(self, flags):
-        net = snap_to_grid(mixed_bn_net(flags, seed=63))
-        packed = pack(compute_delta(net, net, MODE_QAT_INT, superclass_id=2))
-        rebuilt = reconstruct(net, unpack(packed), base_fingerprint_of(net), 2, net.head_dim)
-        assert_same_layers(rebuilt, net)
-        assert serialize_network(rebuilt) == serialize_network(net)
+    for fan_in, fan_out in zip(dims, dims[1:-1]):
+        bn = [vec(fan_out), vec(fan_out), vec(fan_out), np.abs(vec(fan_out)) + F32(0.5)]
+        tensors += [gaussian_array(rng, (fan_out, fan_in), 0.0, 1.0), *bn]
+    tensors += [gaussian_array(rng, (dims[-1], dims[-2]), 0.0, 1.0), vec(dims[-1])]
+    return Network(NetworkConfig(dims), tuple(tensors))

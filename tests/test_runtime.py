@@ -9,10 +9,10 @@ from supersub.delta import MODE_QAT_INT, base_fingerprint_of, compute_delta, pac
 from supersub.errors import BaseMismatchError, ContractError, DimensionError, FormatError, ParameterError
 from supersub.hierarchy import make_manifest
 from supersub.network import (
+    NetworkConfig,
     init_network,
     network_bytes,
     snap_to_grid,
-    uniform_config,
 )
 from supersub.runtime import (
     EfficientSession,
@@ -35,7 +35,7 @@ from test_network import manual_net
 def mini_models(mini_train):
     """Plain router + finetuned specialists + lowerbound on the mini data."""
     manifest = mini_train.manifest
-    cfg = uniform_config(mini_train.dim, [16, 16], manifest.n_super, True)
+    cfg = NetworkConfig((mini_train.dim, 16, 16, manifest.n_super))
     router0 = init_network(cfg, 101)
     router, _ = train(router0, mini_train.features, mini_train.super_labels(),
                       TrainConfig(lr=0.01, epochs=12, batch_size=16, seed=102))
@@ -44,7 +44,7 @@ def mini_models(mini_train):
                                TrainConfig(lr=0.01, epochs=12, batch_size=16, seed=103 + i))
         for i in range(manifest.n_super)
     }
-    lower_cfg = uniform_config(mini_train.dim, [16, 16], manifest.n_sub, True)
+    lower_cfg = NetworkConfig((mini_train.dim, 16, 16, manifest.n_sub))
     lower, _ = train(init_network(lower_cfg, 104), mini_train.features, mini_train.sub_labels,
                      TrainConfig(lr=0.01, epochs=12, batch_size=16, seed=105))
     return router, specialists, lower
@@ -60,7 +60,7 @@ def mini_registry(mini_models, mini_train):
 def qat_session_parts(mini_train):
     """Snapped router + packed qat-int deltas for an exact efficient runtime."""
     manifest = mini_train.manifest
-    cfg = uniform_config(mini_train.dim, [16, 16], manifest.n_super, True)
+    cfg = NetworkConfig((mini_train.dim, 16, 16, manifest.n_super))
     tcfg = TrainConfig(lr=0.01, epochs=12, batch_size=16, seed=201, qat=True)
     base, _ = train(init_network(cfg, 200), mini_train.features, mini_train.super_labels(), tcfg)
     specialists = {}
@@ -202,7 +202,7 @@ class TestEfficientSession:
 
     def test_wrong_base_detected(self, qat_session_parts, mini_train):
         _, _, packed = qat_session_parts
-        cfg = uniform_config(mini_train.dim, [16, 16], mini_train.manifest.n_super, True)
+        cfg = NetworkConfig((mini_train.dim, 16, 16, mini_train.manifest.n_super))
         stranger = snap_to_grid(init_network(cfg, 900))
         session = EfficientSession(stranger, packed, mini_train.manifest)
         with pytest.raises(BaseMismatchError):

@@ -8,6 +8,7 @@ import pytest
 from supersub.delta import MODE_QAT_INT, base_fingerprint_of, compute_delta, pack, reconstruct, unpack
 from supersub.errors import ContractError, ParameterError
 from supersub.network import (
+    NetworkConfig,
     QatConfig,
     body_items,
     effective_weights,
@@ -16,13 +17,12 @@ from supersub.network import (
     quantize_with_scale,
     serialize_network,
     snap_to_grid,
-    uniform_config,
 )
 from supersub.train import TrainConfig, finetune_from_super, train
 
 
 def router_config(ds, hidden=(16, 16)):
-    return uniform_config(ds.dim, list(hidden), ds.manifest.n_super, True)
+    return NetworkConfig((ds.dim, *hidden, ds.manifest.n_super))
 
 
 def router_data(ds):
@@ -58,7 +58,7 @@ class TestLabelViews:
     def test_all_subclasses_view(self, mini_train):
         labels = mini_train.sub_labels
         assert labels.max() == mini_train.manifest.n_sub - 1
-        net = init_network(uniform_config(mini_train.dim, [16], mini_train.manifest.n_sub, True), 3)
+        net = init_network(NetworkConfig((mini_train.dim, 16, mini_train.manifest.n_sub)), 3)
         _, history = train(net, mini_train.features, labels, tcfg(4, epochs=1))
         assert len(history) == 1
 
