@@ -240,9 +240,17 @@ class TestSgdStep:
 
     def test_shape_mismatch_rejected(self):
         net = small_net((3, 4, 2), seed=6)
-        for dims in ((1, 1, 1), (3, 4, 4, 2)):
+        with pytest.raises(ContractError, match="does not match"):
+            sgd_step(net, small_net((1, 1, 1), seed=6), 0.1, training_cache(net))
+
+    def test_layer_count_or_missing_batchnorm_gradient_rejected(self):
+        # Every hidden layer has batch norm, so a gradient can lack its
+        # slots only by lacking the layer: one of another depth.
+        net = small_net((3, 4, 4, 2), seed=6)
+        cache = training_cache(net)
+        for dims in ((3, 4, 2), (3, 4, 4, 4, 2)):
             with pytest.raises(ContractError, match="does not match"):
-                sgd_step(net, small_net(dims, seed=6), 0.1, training_cache(net))
+                sgd_step(net, small_net(dims, seed=6), 0.1, cache)
 
     def test_inference_cache_rejected(self):
         net = small_net((3, 4, 2), seed=6)
