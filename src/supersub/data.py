@@ -113,36 +113,24 @@ def _default_manifest(spec: SyntheticSpec) -> HierarchyManifest:
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     """Generate (train, test) datasets; byte-identical for identical specs.
 
-    Draw order is pinned: superclass centers, then subclass centers, then
-    train samples, then test samples, everything row-major. Train and test
-    are disjoint by construction because they come from separate draws.
+    Draw order is pinned: superclass centers, then subclass center offsets,
+    then train samples, then test samples, everything row-major. Each of
+    the four is one draw of all its rows, in the order a draw per row would
+    take them. Train and test are disjoint by construction because they
+    come from separate draws.
     """
     manifest = _default_manifest(spec)
     rng = tensor.Prng(spec.seed)
 
-    super_centers = [
-        tensor.gaussian_array(rng, (spec.dim,), 0.0, spec.super_sep)
-        for _ in range(spec.n_super)
-    ]
-    sub_centers = []
-    for s in range(spec.n_super):
-        for _ in range(spec.subs_per_super[s]):
-            offset = tensor.gaussian_array(rng, (spec.dim,), 0.0, spec.sub_sep)
-            sub_centers.append(super_centers[s] + offset)
+    super_centers = tensor.gaussian_array(rng, (spec.n_super, spec.dim), 0.0, spec.super_sep)
+    offsets = tensor.gaussian_array(rng, (manifest.n_sub, spec.dim), 0.0, spec.sub_sep)
+    sub_centers = super_centers[np.repeat(np.arange(spec.n_super), spec.subs_per_super)] + offsets
 
     def draw_split(per_sub: int) -> Dataset:
-        rows = []
-        labels = []
-        for sub_index, center in enumerate(sub_centers):
-            for _ in range(per_sub):
-                noise = tensor.gaussian_array(rng, (spec.dim,), 0.0, spec.noise_sigma)
-                rows.append(center + noise)
-                labels.append(sub_index)
-        if rows:
-            features = np.stack(rows).astype(tensor.F32)
-        else:
-            features = np.zeros((0, spec.dim), dtype=tensor.F32)
-        return Dataset(features, np.asarray(labels, dtype=np.int64), manifest)
+        labels = np.repeat(np.arange(manifest.n_sub, dtype=np.int64), per_sub)
+        features = tensor.gaussian_array(rng, (len(labels), spec.dim), 0.0, spec.noise_sigma)
+        features += sub_centers[labels]  # each row's center + noise, in float32
+        return Dataset(features, labels, manifest)
 
     train = draw_split(spec.n_train_per_sub)
     test = draw_split(spec.n_test_per_sub)

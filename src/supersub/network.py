@@ -210,16 +210,35 @@ def quantize_scale(t: np.ndarray) -> float:
 
 
 def quantize_with_scale(t: np.ndarray, scale: float) -> np.ndarray:
-    """Round to the integer grid (half away from zero), clamp, rescale."""
-    q = grid_indices(t, scale)
-    return (q.astype(F32) * F32(scale)).astype(F32)
+    """Round to the integer grid (half away from zero), clamp, rescale; in
+    float32 throughout, an exact zero as +0.0."""
+    q = _grid_coordinates(t, scale)
+    q *= F32(scale)
+    q += F32(0.0)  # -0.0 + 0.0 is +0.0
+    return q
+
+
+def _nearest_coordinates(t: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray]:
+    """(t / scale, the magnitude of its nearest lattice coordinate, half away
+    from zero), both float32: the one rounding rule of every grid."""
+    scaled = np.asarray(t, dtype=F32) / F32(scale)
+    magnitude = np.abs(scaled)
+    magnitude += F32(0.5)
+    return scaled, np.floor(magnitude, out=magnitude)
+
+
+def _grid_coordinates(t: np.ndarray, scale: float) -> np.ndarray:
+    """Nearest grid coordinate of each element as float32, clamped to +-_QMAX
+    before any integer cast, so no magnitude can wrap."""
+    scaled, magnitude = _nearest_coordinates(t, scale)
+    np.minimum(magnitude, F32(_QMAX), out=magnitude)
+    return np.copysign(magnitude, scaled, out=magnitude)
 
 
 def lattice_indices(t: np.ndarray, scale: float) -> np.ndarray:
     """Nearest lattice coordinate of each element (half away from zero)."""
-    scaled = np.asarray(t, dtype=F32) / F32(scale)
-    q = np.copysign(np.floor(np.abs(scaled) + F32(0.5)), scaled)
-    return q.astype(np.int32)
+    scaled, magnitude = _nearest_coordinates(t, scale)
+    return np.copysign(magnitude, scaled, out=magnitude).astype(np.int32)
 
 
 def exact_lattice_indices(t: np.ndarray, scale) -> np.ndarray | None:
@@ -237,7 +256,7 @@ def exact_lattice_indices(t: np.ndarray, scale) -> np.ndarray | None:
 
 def grid_indices(t: np.ndarray, scale: float) -> np.ndarray:
     """Integer grid coordinates of each element, clamped to +-_QMAX."""
-    return np.clip(lattice_indices(t, scale), -_QMAX, _QMAX).astype(np.int32)
+    return _grid_coordinates(t, scale).astype(np.int32)
 
 
 @dataclass(frozen=True)

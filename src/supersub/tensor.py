@@ -16,6 +16,13 @@ they are not correctly rounded, and different targets give different
 bits. The golden hashes hold on numpy's AVX2-or-better kernels and move
 when numpy is limited to its X86_V2 baseline (NPY_DISABLE_CPU_FEATURES).
 
+splitmix64 is counter-based: its state after i steps is seed + i*gamma
+mod 2**64, so Prng.draws(n) gives the next n outputs as one uint64
+expression. shuffle and gaussian_array draw through it, gaussian_array a
+block of _GAUSSIAN_BLOCK elements at a time, and each keeps the per-draw
+loop it replaces as the reference of its tests (_shuffle_loop,
+_gaussian_array_loop).
+
 All operations are pure. Prng is single-owner mutable state: never share
 one instance across threads; derive child seeds instead.
 """
@@ -34,6 +41,7 @@ F16_MAX = 65504.0
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_SPLITMIX_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 
 class Prng:
@@ -45,15 +53,42 @@ class Prng:
     def next_u64(self) -> int:
         self.state = (self.state + _SPLITMIX_GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _SPLITMIX_MIX[0]) & _MASK64
+        z = ((z ^ (z >> 27)) * _SPLITMIX_MIX[1]) & _MASK64
         return z ^ (z >> 31)
 
+    def draws(self, n: int) -> np.ndarray:
+        """The next n next_u64 outputs as a uint64 array; the state moves
+        as n calls would move it. numpy's uint64 arithmetic wraps mod 2**64."""
+        if n < 0:
+            raise ParameterError(f"cannot draw {n} values")
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_SPLITMIX_GAMMA)
+        z += np.uint64(self.state)
+        self.state = (self.state + n * _SPLITMIX_GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_SPLITMIX_MIX[0])
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_SPLITMIX_MIX[1])
+        z ^= z >> np.uint64(31)
+        return z
+
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
+        """In-place Fisher-Yates shuffle: for i from n-1 down to 1, swap
+        items i and j = next_u64() % (i + 1), every j drawn in one call."""
+        n = len(items)
+        if n < 2:
+            return
+        js = self.draws(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), js.tolist()):
             items[i], items[j] = items[j], items[i]
+
+
+def _shuffle_loop(prng: Prng, items: list) -> None:
+    """One-draw-per-swap reference for Prng.shuffle."""
+    for i in range(len(items) - 1, 0, -1):
+        j = prng.next_u64() % (i + 1)
+        items[i], items[j] = items[j], items[i]
 
 
 def child_seed(seed: int, tag: int, index: int = 0) -> int:
@@ -75,8 +110,38 @@ def gaussian(prng: Prng, mean: float, sigma: float) -> float:
     return mean + sigma * z
 
 
+# Elements per block of gaussian_array's draws: a block's draws and
+# temporaries, its log and cos inputs as Python floats among them, stay
+# under 0.5 MiB whatever the size of the array.
+_GAUSSIAN_BLOCK = 1 << 12
+
+
 def gaussian_array(prng: Prng, shape, mean: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-    """float32 array of independent gaussian draws, row-major fill order."""
+    """float32 array of independent gaussian draws, row-major fill order.
+
+    Element i is the i-th of as many gaussian(prng, mean, sigma) calls: the
+    same IEEE operations on the same two u64s, drawn a block at a time. log
+    and cos stay libm's (math.log, math.cos), whose bits numpy's do not
+    always match; -2*, sqrt, 2*pi*u2 and mean + sigma*z are correctly
+    rounded float64 operations, the same in numpy as in Python.
+    """
+    if sigma < 0:
+        raise ParameterError(f"sigma must be >= 0, got {sigma}")
+    n = int(np.prod(shape)) if shape else 1
+    out = np.empty(n, dtype=F32)
+    for s in range(0, n, _GAUSSIAN_BLOCK):
+        k = min(_GAUSSIAN_BLOCK, n - s)
+        d = prng.draws(2 * k) >> np.uint64(11)
+        u1 = (d[0::2] + np.uint64(1)).astype(np.float64) * 2.0**-53
+        u2 = d[1::2].astype(np.float64) * 2.0**-53
+        logs = np.fromiter(map(math.log, u1.tolist()), np.float64, k)
+        cosines = np.fromiter(map(math.cos, ((2.0 * math.pi) * u2).tolist()), np.float64, k)
+        out[s : s + k] = mean + sigma * (np.sqrt(-2.0 * logs) * cosines)
+    return out.reshape(shape)
+
+
+def _gaussian_array_loop(prng: Prng, shape, mean: float = 0.0, sigma: float = 1.0) -> np.ndarray:
+    """One-gaussian-per-element reference for gaussian_array."""
     n = int(np.prod(shape)) if shape else 1
     out = np.empty(n, dtype=F32)
     for i in range(n):

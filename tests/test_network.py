@@ -338,6 +338,33 @@ class TestFakeQuantize:
         assert np.array_equal((idx.astype(F32) * F32(s)).astype(F32), q)
         assert int(np.abs(idx).max()) <= 127
 
+    @pytest.mark.parametrize("huge", [3e9, 2.0**31, 2.0**40, 3e38])
+    def test_clamps_before_any_integer_cast(self, huge):
+        # Past 2**31 grid steps a cast before the clamp wraps to INT_MIN,
+        # then -127, and warns; clamped first, the sign survives.
+        t = np.array([huge, -huge, 1.0, -1.0], dtype=F32)
+        assert grid_indices(t, 1.0).tolist() == [127, -127, 1, -1]
+        assert quantize_with_scale(t, 2.0).tolist() == [254.0, -254.0, 2.0, -2.0]
+
+    def test_equals_the_int32_round_trip_in_range(self):
+        # The replaced form: indices through int32, clamped, back to float32.
+        def round_trip(t, s):
+            scaled = t / F32(s)
+            q = np.copysign(np.floor(np.abs(scaled) + F32(0.5)), scaled).astype(np.int32)
+            return (np.clip(q, -127, 127).astype(F32) * F32(s)).astype(F32)
+
+        rng = Prng(46)
+        for trial in range(60):
+            sigma = 10.0 ** (trial % 9 - 4)
+            t = gaussian_array(rng, (97,), 0.0, sigma)
+            t[trial % 97] = -0.0
+            t[(trial + 1) % 97] = -t[(trial + 1) % 97] * F32(1e-9)  # rounds to a signed zero
+            for s in (quantize_scale(t), quantize_scale(t) * 0.3, quantize_scale(t) * 7.0):
+                t[(trial + 2) % 97] = F32(s) * F32(trial - 30.5)  # an exact half
+                got, want = quantize_with_scale(t, s), round_trip(t, s)
+                assert got.dtype == F32 and got.tobytes() == want.tobytes(), (trial, s)
+                assert not np.signbit(got[got == 0]).any()
+
 
 class TestSnapAndEffectiveWeights:
     def test_snap_records_quant_info(self):

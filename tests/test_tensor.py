@@ -17,7 +17,9 @@ from supersub.errors import DimensionError, ParameterError
 from supersub.tensor import (
     F32,
     Prng,
+    _gaussian_array_loop,
     _ordered_axis0_sum_loop,
+    _shuffle_loop,
     cross_entropy,
     f16_round,
     gaussian,
@@ -67,6 +69,46 @@ class TestPrng:
         assert items_a == items_b
         assert sorted(items_a) == list(range(50))
 
+    @pytest.mark.parametrize("seed", [0, 0xDEADBEEF, (1 << 64) - 1, (1 << 64) - 0x9E3779B97F4A7C15])
+    @pytest.mark.parametrize("n", [0, 1, 2, 9])
+    def test_draws_equal_that_many_single_draws(self, seed, n):
+        # The seeds near 2**64 wrap the counter on the first or second step.
+        batched, single = Prng(seed), Prng(seed)
+        out = batched.draws(n)
+        assert out.dtype == np.uint64 and out.shape == (n,)
+        assert out.tolist() == [single.next_u64() for _ in range(n)]
+        assert batched.state == single.state
+
+    def test_negative_draw_count_rejected(self):
+        rng = Prng(3)
+        with pytest.raises(ParameterError):
+            rng.draws(-1)
+        assert rng.state == 3
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 800, 4000])
+    def test_shuffle_equals_the_single_draw_loop(self, n):
+        batched, single = Prng(n + 17), Prng(n + 17)
+        items_a, items_b = list(range(n)), list(range(n))
+        batched.shuffle(items_a)
+        _shuffle_loop(single, items_b)
+        assert items_a == items_b
+        assert batched.state == single.state
+
+    def test_state_carries_over_mixed_calls(self):
+        batched, single = Prng(2024), Prng(2024)
+        a, b = list(range(37)), list(range(37))
+        got = [batched.next_u64(), *batched.draws(5).tolist()]
+        batched.shuffle(a)
+        x = gaussian_array(batched, (3, 7), 1.5, 0.5)
+        got += [*batched.draws(2).tolist(), batched.next_u64()]
+        want = [single.next_u64() for _ in range(6)]
+        _shuffle_loop(single, b)
+        y = _gaussian_array_loop(single, (3, 7), 1.5, 0.5)
+        want += [single.next_u64() for _ in range(3)]
+        assert got == want and a == b
+        assert x.tobytes() == y.tobytes()
+        assert batched.state == single.state
+
 
 class TestGaussian:
     def test_sigma_zero_returns_mean_exactly(self):
@@ -108,6 +150,43 @@ class TestGaussian:
         z0 = gaussian(Prng(5), 0.0, 1.0)
         z1 = gaussian(Prng(5), 2.0, 3.0)
         assert z1 == pytest.approx(2.0 + 3.0 * z0, rel=1e-12)
+
+
+BLOCK = tensor._GAUSSIAN_BLOCK
+
+
+class TestGaussianArray:
+    @pytest.mark.parametrize(
+        "shape",
+        [(), (0,), (1,), (5, 0), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (3, BLOCK + 7), (2 * BLOCK, 3)],
+    )
+    @pytest.mark.parametrize("mean, sigma", [(0.0, 1.0), (0.0, 0.0), (-2.5, 0.0), (3.25, 0.1), (-1e3, 40.0)])
+    def test_equals_the_per_element_loop(self, shape, mean, sigma):
+        batched, single = Prng(len(shape) * 1000 + 7), Prng(len(shape) * 1000 + 7)
+        got = gaussian_array(batched, shape, mean, sigma)
+        want = _gaussian_array_loop(single, shape, mean, sigma)
+        assert got.dtype == want.dtype == F32 and got.shape == want.shape == shape
+        assert got.tobytes() == want.tobytes()
+        assert batched.state == single.state
+
+    def test_negative_sigma_rejected_before_drawing(self):
+        rng = Prng(8)
+        with pytest.raises(ParameterError):
+            gaussian_array(rng, (4,), 0.0, -1.0)
+        assert rng.state == 8
+
+    def test_memory_stays_bounded_on_a_large_array(self):
+        # A block's draws and temporaries stay near 0.5 MiB; drawing the
+        # whole array at once would hold 2M Python floats (about 64 MB).
+        n = 1 << 20
+        tracemalloc.start()
+        try:
+            out = gaussian_array(Prng(11), (n,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n,)
+        assert peak < out.nbytes + (1 << 20), peak
 
 
 class TestMatmul:
