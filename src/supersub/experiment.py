@@ -4,11 +4,12 @@ One JSON config drives a whole experiment: synthetic data generation,
 router / baseline / specialist training, delta packing, evaluation, and
 report rendering. This module holds only the run plan (which stage runs,
 with which seed) and the file layout (`RunPaths`); the rules belong to
-their owners: each stage's settings are a `TrainConfig`, checked when the
-config loads, a missing input is `open()`'s `FileNotFoundError`, and
-`report` writes and reads the eval CSV. Every stage derives its seed from
-the experiment seed XOR a fixed stage tag, so the entire pipeline is
-reproducible byte for byte from the single top-level seed.
+their owners: the one training recipe that every stage trains with is a
+`TrainConfig`, checked when the config loads, a missing input is
+`open()`'s `FileNotFoundError`, and `report` writes and reads the eval
+CSV. Every stage derives its seed from the experiment seed XOR a fixed
+stage tag, so the entire pipeline is reproducible byte for byte from the
+single top-level seed.
 
 Commands communicate through files in the config's output directory and
 are idempotent: rerunning any of them overwrites its outputs with
@@ -74,14 +75,12 @@ class ExperimentConfig:
     synthetic: SyntheticSpec | None
     dataset_paths: tuple[str, str] | None  # (train, test) when data comes from files
     hidden_dims: tuple[int, ...]
-    train_super: TrainConfig  # seed 0, float: each stage sets both with replace()
-    train_subclass: TrainConfig
-    train_finetune: TrainConfig
+    train: TrainConfig  # every stage's recipe, seed 0 and float: each stage sets both with replace()
     delta_mode: str  # qat-int also trains the router and specialists on grids
     eval_modes: tuple[str, ...] = EVAL_MODES
 
 
-_STAGE_FIELDS = {"lr": float, "epochs": int, "batch_size": int}
+_TRAIN_FIELDS = {"lr": float, "epochs": int, "batch_size": int}
 _SYNTHETIC_FIELDS = dict(dim=int, super_sep=float, sub_sep=float, noise_sigma=float,
                          n_train_per_sub=int, n_test_per_sub=int)
 
@@ -114,12 +113,12 @@ def _object(value, where: str, keys, optional=()) -> dict:
     but those and optional: a missing key is a ValidationError, and so is any
     other key, which nothing would read (a typo, a removed setting)."""
     block = _of_type(value, dict, where)
-    for key in keys:
-        if key not in block:
-            raise ValidationError(f"{where} is missing {key!r}")
     for key in block:
         if key not in keys and key not in optional:
             raise ValidationError(f"{where} holds unknown key {key!r}; its keys are {', '.join((*keys, *optional))}")
+    for key in keys:
+        if key not in block:
+            raise ValidationError(f"{where} is missing {key!r}")
     return block
 
 
@@ -132,18 +131,12 @@ def _fields(block: dict, kinds: dict[str, type], where: str) -> dict:
     return {name: _number(kind, block[name], f"{where}.{name}") for name, kind in kinds.items()}
 
 
-def _stage_params(train_block: dict, key: str) -> TrainConfig:
-    block = _object(train_block[key], f"train.{key}", tuple(_STAGE_FIELDS))
-    try:
-        return TrainConfig(seed=0, **_fields(block, _STAGE_FIELDS, f"train.{key}"))
-    except ParameterError as exc:
-        raise ValidationError(f"train.{key}: {exc}") from exc
-
-
 def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: int | None = None) -> ExperimentConfig:
     doc = _object(doc, "config", ("seed", "out_dir", "network", "train", "delta_mode"),
                   ("synthetic", "dataset", "eval_modes"))
-    seed = _number(int, doc["seed"], "seed") if seed_override is None else seed_override
+    # The config's own seed and out_dir are checked even when an override replaces them.
+    seed, out_dir = _number(int, doc["seed"], "seed"), _of_type(doc["out_dir"], str, "out_dir")
+    seed = seed if seed_override is None else seed_override
 
     synthetic = None
     dataset_paths = None
@@ -168,7 +161,11 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
         NetworkConfig((1, *hidden_dims, 1))  # input and head widths come with the data
     except ParameterError as exc:
         raise ValidationError(f"network.hidden_dims {list(hidden_dims)}: {exc}") from exc
-    train_block = _object(doc["train"], "train", ("superclass", "subclass", "finetune"))
+    train_block = _object(doc["train"], "train", tuple(_TRAIN_FIELDS))
+    try:
+        recipe = TrainConfig(seed=0, **_fields(train_block, _TRAIN_FIELDS, "train"))
+    except ParameterError as exc:
+        raise ValidationError(f"train: {exc}") from exc
     delta_mode = doc["delta_mode"]
     if delta_mode not in (delta_mod.MODE_FP16, delta_mod.MODE_QAT_INT):
         raise ValidationError(f"unknown delta_mode {delta_mode!r}")
@@ -181,13 +178,11 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
 
     return ExperimentConfig(
         seed=seed,
-        out_dir=out_dir_override or _of_type(doc["out_dir"], str, "out_dir"),
+        out_dir=out_dir_override or out_dir,
         synthetic=synthetic,
         dataset_paths=dataset_paths,
         hidden_dims=hidden_dims,
-        train_super=_stage_params(train_block, "superclass"),
-        train_subclass=_stage_params(train_block, "subclass"),
-        train_finetune=_stage_params(train_block, "finetune"),
+        train=recipe,
         delta_mode=delta_mode,
         eval_modes=eval_modes,
     )
@@ -315,29 +310,24 @@ def cmd_train(config: ExperimentConfig, target: str) -> Path:
         stage_seed = child_seed(config.seed, TAG_SUPER)
         features, labels = train_ds.features, train_ds.super_labels()
         head = manifest.n_super
-        stage = config.train_super
-        qat = config.delta_mode == delta_mod.MODE_QAT_INT
         out_path = paths.super_net
     elif target == "lowerbound":
         stage_seed = child_seed(config.seed, TAG_LOWER)
         features, labels = train_ds.features, train_ds.sub_labels
         head = manifest.n_sub
-        stage = config.train_subclass
-        qat = False
         out_path = paths.lower_net
     elif target.startswith("sub:"):
         i = _parse_super_index(target[4:])
         features, labels = train_ds.rows_of_super(i)
         stage_seed = child_seed(config.seed, TAG_SCRATCH, i)
         head = manifest.subclass_count(i)
-        stage = config.train_subclass
-        qat = False
         out_path = paths.scratch_net(i)
     else:
         raise ParameterError(f"unknown train target {target!r}")
 
     net0 = init_network(NetworkConfig((train_ds.dim, *config.hidden_dims, head)), child_seed(stage_seed, TAG_INIT))
-    trained, history = train(net0, features, labels, replace(stage, seed=stage_seed, qat=qat))
+    qat = target == "super" and config.delta_mode == delta_mod.MODE_QAT_INT  # the baselines train in float
+    trained, history = train(net0, features, labels, replace(config.train, seed=stage_seed, qat=qat))
     save_network(trained, out_path)
     _write_loss_history(paths.loss_csv(target), history)
     return out_path
@@ -362,7 +352,7 @@ def cmd_finetune(config: ExperimentConfig, super_index: int) -> Path:
     train_ds = load_dataset(paths.train_data)
     base = load_network(paths.super_net)
     stage_seed = child_seed(config.seed, TAG_FINETUNE, super_index)
-    tcfg = replace(config.train_finetune, seed=stage_seed, qat=config.delta_mode == delta_mod.MODE_QAT_INT)
+    tcfg = replace(config.train, seed=stage_seed, qat=config.delta_mode == delta_mod.MODE_QAT_INT)
     tuned = finetune_from_super(base, super_index, train_ds, tcfg)
     save_network(tuned, paths.finetuned_net(super_index))
     return paths.finetuned_net(super_index)

@@ -210,9 +210,12 @@ def quantize_scale(t: np.ndarray) -> float:
 
 
 def quantize_with_scale(t: np.ndarray, scale: float) -> np.ndarray:
-    """Round to the integer grid (half away from zero), clamp, rescale; in
-    float32 throughout, an exact zero as +0.0."""
-    q = _grid_coordinates(t, scale)
+    """Round to the integer grid (half away from zero), clamp to +-_QMAX,
+    rescale; in float32 throughout, with no integer cast that a magnitude
+    could wrap, and an exact zero as +0.0."""
+    scaled, q = _nearest_coordinates(t, scale)
+    np.minimum(q, F32(_QMAX), out=q)
+    np.copysign(q, scaled, out=q)
     q *= F32(scale)
     q += F32(0.0)  # -0.0 + 0.0 is +0.0
     return q
@@ -225,14 +228,6 @@ def _nearest_coordinates(t: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray]:
     magnitude = np.abs(scaled)
     magnitude += F32(0.5)
     return scaled, np.floor(magnitude, out=magnitude)
-
-
-def _grid_coordinates(t: np.ndarray, scale: float) -> np.ndarray:
-    """Nearest grid coordinate of each element as float32, clamped to +-_QMAX
-    before any integer cast, so no magnitude can wrap."""
-    scaled, magnitude = _nearest_coordinates(t, scale)
-    np.minimum(magnitude, F32(_QMAX), out=magnitude)
-    return np.copysign(magnitude, scaled, out=magnitude)
 
 
 def lattice_indices(t: np.ndarray, scale: float) -> np.ndarray:
@@ -252,11 +247,6 @@ def exact_lattice_indices(t: np.ndarray, scale) -> np.ndarray | None:
         return None
     q = lattice_indices(t, scale)
     return q if (q.astype(F32) * s == t).all() else None
-
-
-def grid_indices(t: np.ndarray, scale: float) -> np.ndarray:
-    """Integer grid coordinates of each element, clamped to +-_QMAX."""
-    return _grid_coordinates(t, scale).astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -292,10 +282,11 @@ def snap_to_grid(net: Network, body_scales: tuple[float, ...] | None = None) -> 
     The whole network is stored quantized, not just the weights: the head
     bias and the batch-norm tensors land on their own per-tensor lattices
     so that delta extraction yields exact integer differences everywhere.
-    Weights clamp to the fake-quantization grid they trained against; the
-    other tensors round without clamping, because running statistics
-    legitimately drift far outside the base network's range and clamping
-    them would wreck inference. Running variances are floored at one
+    Weights are snapped by `quantize_with_scale`, the fake quantization
+    they trained against, so they clamp to its grid; the other tensors
+    round without clamping, because running statistics legitimately drift
+    far outside the base network's range and clamping them would wreck
+    inference. Running variances are floored at one
     lattice step to stay positive. Scales follow `QatConfig(body_scales).scale`:
     body_scales pins the body lattices to a base network's (shared grids
     for delta extraction); the head always uses its own live scales
@@ -309,7 +300,10 @@ def snap_to_grid(net: Network, body_scales: tuple[float, ...] | None = None) -> 
     for i, (name, t, is_weight) in enumerate(tensor_items(net)):
         s = qat.scale(i, t)
         scales.append(s)
-        q = grid_indices(t, s) if is_weight else lattice_indices(t, s)
+        if is_weight:
+            tensors.append(quantize_with_scale(t, s))
+            continue
+        q = lattice_indices(t, s)
         if name.endswith(".bn_var"):
             q = np.maximum(q, 1)  # running variance must stay positive
         tensors.append((q.astype(F32) * F32(s)).astype(F32))

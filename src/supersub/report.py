@@ -23,13 +23,14 @@ def render_eval_csv(report: EvalReport) -> str:
         lines.append(f"{report.mode},{name},{acc:.4f},{count}")
     lines.append(f"summary,macro_accuracy_pct,{report.macro_accuracy:.4f},{report.n_test}")
     lines.append(f"summary,micro_accuracy_pct,{report.micro_accuracy:.4f},{report.n_test}")
-    lines.append(f"summary,stage1_accuracy_pct,{report.stage1_accuracy():.4f},{report.n_test}")
+    lines.append(f"summary,stage1_accuracy_pct,{report.stage1_accuracy:.4f},{report.n_test}")
     return "\n".join(lines) + "\n"
 
 
 def parse_eval_csv(path: Path, mode: str) -> EvalReport:
-    """Rebuild mode's aggregate report from render_eval_csv's file at path;
-    a row of another mode, a missing row or a non-number is a ValidationError."""
+    """Rebuild mode's aggregate report from render_eval_csv's file at path,
+    with no confusion matrix, which the file does not hold; a row of another
+    mode, a missing row or a non-number is a ValidationError."""
     lines = path.read_text(encoding="utf-8").strip().split("\n")
     names, accs, counts = [], [], []
     summary = {}
@@ -49,10 +50,9 @@ def parse_eval_csv(path: Path, mode: str) -> EvalReport:
             names.append(cells[1])
             accs.append(acc)
             counts.append(count)
-    if not names or "macro_accuracy_pct" not in summary or "micro_accuracy_pct" not in summary:
+    if not names or any(f"{kind}_accuracy_pct" not in summary for kind in ("macro", "micro", "stage1")):
         raise ValidationError(f"eval CSV {path} is missing rows")
     macro, n_test = summary["macro_accuracy_pct"]
-    zero = tuple(tuple(0 for _ in names) for _ in names)
     return EvalReport(
         mode=mode,
         super_names=tuple(names),
@@ -60,7 +60,8 @@ def parse_eval_csv(path: Path, mode: str) -> EvalReport:
         per_super_counts=tuple(counts),
         macro_accuracy=macro,
         micro_accuracy=summary["micro_accuracy_pct"][0],
-        confusion=zero,
+        stage1_accuracy=summary["stage1_accuracy_pct"][0],
+        confusion=None,
         n_test=n_test,
     )
 

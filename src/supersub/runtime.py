@@ -178,14 +178,9 @@ class EvalReport:
     per_super_counts: tuple[int, ...]
     macro_accuracy: float  # percent; mean of per-superclass accuracies
     micro_accuracy: float  # percent; plain fraction over all rows
-    confusion: tuple[tuple[int, ...], ...]  # [true][pred] superclass counts
+    stage1_accuracy: float  # percent of rows whose (derived) superclass decision was correct
+    confusion: tuple[tuple[int, ...], ...] | None  # [true][pred] superclass counts; None when read from an eval CSV
     n_test: int
-
-    def stage1_accuracy(self) -> float:
-        """Percent of rows whose (derived) superclass decision was correct."""
-        total = sum(sum(row) for row in self.confusion)
-        diag = sum(self.confusion[i][i] for i in range(len(self.confusion)))
-        return 100.0 * diag / total if total else 0.0
 
 
 @dataclass(frozen=True)
@@ -236,6 +231,7 @@ def build_report(
         per_super_counts=tuple(per_count),
         macro_accuracy=macro,
         micro_accuracy=micro,
+        stage1_accuracy=100.0 * int(np.trace(matrix)) / len(true_subs) if len(true_subs) else 0.0,
         confusion=tuple(tuple(int(c) for c in row) for row in matrix),
         n_test=len(true_subs),
     )

@@ -65,7 +65,7 @@ def test_c01_gradient_correctness():
 def test_c02_stage1_near_oracle(golden):
     _, runs, _ = golden
     report = runs["fp16"].results["two_stage_vanilla"].report
-    stage1 = report.stage1_accuracy()
+    stage1 = report.stage1_accuracy
     total = sum(sum(row) for row in report.confusion)
     off_diag = total - sum(report.confusion[i][i] for i in range(len(report.confusion)))
     off_mass = 100.0 * off_diag / total

@@ -60,7 +60,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     "keys, value",
     [
         (("seed",), "abc"),
-        (("train", "superclass", "lr"), "fast"),
+        (("train", "lr"), "fast"),
         (("synthetic", "n_super"), 5),
         (("train",), []),
         (("train", "finetune"), 3),
@@ -79,15 +79,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         (("network", "batchnorm"), True),
         (("network", "batchnorms"), False),
         (("network", "batchnorm"), "false"),
-        (("train", "superclass", "epochs"), 2.7),
-        (("train", "superclass", "epochs"), True),
-        (("train", "superclass", "lr"), "0.01"),
+        (("train", "epochs"), 2.7),
+        (("train", "epochs"), True),
+        (("train", "lr"), "0.01"),
         (("synthetic", "noise_sigma"), float("nan")),
         (("out_dir",), None),
         (("out_dir",), 5),
-        (("train", "finetune", "lr"), -0.01),
-        (("train", "subclass", "batch_size"), 0),
-        (("train", "superclass", "epochs"), -1),
+        (("train", "lr"), -0.01),
+        (("train", "batch_size"), 0),
+        (("train", "epochs"), -1),
         (("dataset",), {"train": "missing/train.hsds", "test": "missing/test.hsds"}),
     ],
     ids=[
@@ -96,7 +96,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         "eval_modes_repeated", "hidden_dims_text", "hidden_dims_zero", "hidden_dims_negative", "hidden_dims_empty",
         "subs_per_super_text", "qat_bits_unknown", "batchnorm_removed", "batchnorms_typo", "batchnorm_text",
         "epochs_fraction", "epochs_bool", "lr_numeric_text", "noise_sigma_nan", "out_dir_null", "out_dir_number",
-        "finetune_lr_negative", "subclass_batch_size_0", "superclass_epochs_negative", "synthetic_and_dataset",
+        "lr_negative", "batch_size_0", "epochs_negative", "synthetic_and_dataset",
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, monkeypatch, capsys, keys, value):
@@ -112,6 +112,18 @@ def test_malformed_config_value_exits_2(tmp_path, monkeypatch, capsys, keys, val
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_three_stage_train_blocks_exit_2(tmp_path, capsys):
+    # The train block is one recipe; a config still holding a block per
+    # stage fails on the first stage's name, not on a missing lr.
+    doc = config_doc(tmp_path / "run", epochs=4)
+    doc["train"] = {stage: doc["train"] for stage in ("superclass", "subclass", "finetune")}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(path), "gen-data"]) == 2
+    err = capsys.readouterr().err
+    assert "train holds unknown key 'superclass'" in err and "Traceback" not in err
 
 
 def test_train_before_gen_data_exits_2(config_path):
@@ -462,7 +474,7 @@ def test_eval_rerun_byte_identical(config_path):
     assert paths.eval_csv("upperbound_oracle").read_bytes() == first
 
 
-@pytest.mark.parametrize("edit", ["non_number", "nan", "other_mode", "no_summary"])
+@pytest.mark.parametrize("edit", ["non_number", "nan", "other_mode", "no_summary", "no_stage1"])
 def test_malformed_eval_csv_exits_2(tmp_path, capsys, edit):
     doc = config_doc(tmp_path / "run", epochs=3, eval_modes=["lowerbound"])
     path = tmp_path / "config.json"
@@ -476,7 +488,8 @@ def test_malformed_eval_csv_exits_2(tmp_path, capsys, edit):
     elif edit == "other_mode":
         lines = [line.replace("lowerbound,", "upperbound_oracle,", 1) for line in lines]
     else:
-        lines = [line for line in lines if not line.startswith("summary,macro")]
+        dropped = "summary,macro" if edit == "no_summary" else "summary,stage1"
+        lines = [line for line in lines if not line.startswith(dropped)]
     csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["--config", str(path), "report"]) == 2

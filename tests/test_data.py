@@ -65,9 +65,9 @@ class TestGenerateSynthetic:
         # a nearest-superclass-centroid classifier fit on train must clear 99%.
         spec = mini_spec(subs_per_super=(3, 3, 3, 3), dim=16, n_train_per_sub=30, n_test_per_sub=25)
         train, test = generate_synthetic(spec)
-        train_supers = train.super_labels()
+        supers = train.super_labels()
         centroids = np.stack([
-            train.features[train_supers == s].mean(axis=0) for s in range(spec.n_super)
+            train.features[supers == s].mean(axis=0) for s in range(spec.n_super)
         ])
         test_supers = test.super_labels()
         dists = ((test.features[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)

@@ -30,6 +30,7 @@ from supersub.experiment import (
     run_experiment,
 )
 from supersub.network import load_network
+from supersub.report import parse_eval_csv, render_eval_csv
 
 
 def config_doc(out_dir, delta_mode="fp16", epochs=6, **extra):
@@ -46,11 +47,7 @@ def config_doc(out_dir, delta_mode="fp16", epochs=6, **extra):
             "n_test_per_sub": 8,
         },
         "network": {"hidden_dims": [16, 16]},
-        "train": {
-            "superclass": {"lr": 0.01, "epochs": epochs, "batch_size": 16},
-            "subclass": {"lr": 0.01, "epochs": epochs, "batch_size": 16},
-            "finetune": {"lr": 0.01, "epochs": epochs, "batch_size": 16},
-        },
+        "train": {"lr": 0.01, "epochs": epochs, "batch_size": 16},
         "delta_mode": delta_mode,
     }
     doc.update(extra)
@@ -83,21 +80,18 @@ class TestConfigParsing:
     @staticmethod
     def block_of(tmp_path, where):
         """A config document, and its object named where ("config" for the
-        document itself, "train.finetune" for a stage)."""
+        document itself)."""
         doc = config_doc(tmp_path)
         if where == "dataset":
             doc["dataset"] = {"train": "train.hsds", "test": "test.hsds"}
             del doc["synthetic"]
-        block = doc
-        for name in where.split(".") if where != "config" else ():
-            block = block[name]
-        return doc, block
+        return doc, doc if where == "config" else doc[where]
 
     @pytest.mark.parametrize(
         "where, key",
         [("config", "qat_bits"), ("config", "eval_mode"), ("config", "include_lowerbound"),
          ("synthetic", "n_super"), ("synthetic", "n_supers"), ("dataset", "validation"),
-         ("network", "batchnorm"), ("network", "batchnorms"), ("train", "router"), ("train.finetune", "momentum")],
+         ("network", "batchnorm"), ("network", "batchnorms"), ("train", "router"), ("train", "momentum")],
     )
     def test_unknown_key_is_named(self, tmp_path, where, key):
         # A key nothing reads would silently fall back to a default.
@@ -109,7 +103,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "where, key",
         [("config", "delta_mode"), ("synthetic", "subs_per_super"), ("synthetic", "dim"), ("dataset", "test"),
-         ("network", "hidden_dims"), ("train", "finetune"), ("train.subclass", "lr")],
+         ("network", "hidden_dims"), ("train", "epochs"), ("train", "lr")],
     )
     def test_missing_key_is_named(self, tmp_path, where, key):
         doc, block = self.block_of(tmp_path, where)
@@ -123,13 +117,19 @@ class TestConfigParsing:
         assert config.out_dir == "elsewhere"
         assert config.seed == 42
 
-    @pytest.mark.parametrize(
-        "stage, name, value", [("finetune", "lr", -0.01), ("subclass", "batch_size", 0), ("superclass", "epochs", -1)]
-    )
-    def test_bad_stage_value_names_its_stage(self, tmp_path, stage, name, value):
+    @pytest.mark.parametrize("key, value", [("seed", "not a seed"), ("out_dir", 42)])
+    def test_overridden_values_are_still_checked(self, tmp_path, key, value):
         doc = config_doc(tmp_path)
-        doc["train"][stage][name] = value
-        with pytest.raises(ValidationError, match=f"train.{stage}: {name}"):
+        doc[key] = value
+        with pytest.raises(ValidationError, match=key):
+            parse_config(doc, out_dir_override=str(tmp_path / "elsewhere"), seed_override=5)
+
+    @pytest.mark.parametrize("name, value", [("lr", -0.01), ("batch_size", 0), ("epochs", -1)])
+    def test_bad_stage_value_names_its_stage(self, tmp_path, name, value):
+        # Every stage trains with the one train block, so the error names it.
+        doc = config_doc(tmp_path)
+        doc["train"][name] = value
+        with pytest.raises(ValidationError, match=f"train: {name}"):
             parse_config(doc)
 
     def test_stage_seeds_differ(self, tmp_path):
@@ -265,6 +265,10 @@ class TestFullPipeline:
         text, csv = cmd_report(config)
         assert "two_stage_vanilla" in csv
         assert "avg ratio" in text
+        paths = RunPaths(config.out_dir)
+        for mode in config.eval_modes:
+            path = paths.eval_csv(mode)
+            assert render_eval_csv(parse_eval_csv(path, mode)).encode() == path.read_bytes(), mode
 
     def test_rerun_is_idempotent(self, fp16_run):
         config, _ = fp16_run

@@ -21,8 +21,8 @@ from supersub.network import (
     deserialize_network,
     effective_weights,
     forward,
+    exact_lattice_indices,
     gradient_check,
-    grid_indices,
     init_network,
     network_bytes,
     parameter_count,
@@ -334,16 +334,18 @@ class TestFakeQuantize:
         t = gaussian_array(rng, (33,), 0.0, 2.0)
         s = quantize_scale(t)
         q = quantize_with_scale(t, s)
-        idx = grid_indices(q, s)
-        assert np.array_equal((idx.astype(F32) * F32(s)).astype(F32), q)
+        idx = exact_lattice_indices(q, s)  # not None: idx * s is q, element for element
+        assert idx is not None
         assert int(np.abs(idx).max()) <= 127
 
     @pytest.mark.parametrize("huge", [3e9, 2.0**31, 2.0**40, 3e38])
     def test_clamps_before_any_integer_cast(self, huge):
         # Past 2**31 grid steps a cast before the clamp wraps to INT_MIN,
-        # then -127, and warns; clamped first, the sign survives.
+        # then -127, and warns; clamped first, the sign survives, in a
+        # snapped weight as in a fake-quantized one.
         t = np.array([huge, -huge, 1.0, -1.0], dtype=F32)
-        assert grid_indices(t, 1.0).tolist() == [127, -127, 1, -1]
+        snapped = snap_to_grid(manual_net([[t], [[1.0]]]), body_scales=(1.0,) * 5)
+        assert named(snapped)["layer0.weight"].tolist() == [[127.0, -127.0, 1.0, -1.0]]
         assert quantize_with_scale(t, 2.0).tolist() == [254.0, -254.0, 2.0, -2.0]
 
     def test_equals_the_int32_round_trip_in_range(self):

@@ -255,7 +255,7 @@ class TestEvaluate:
         reg = ModelRegistry(router, specialists, ds.manifest)
         res2 = evaluate_two_stage(reg, ds)
         assert res2.report.macro_accuracy == 100.0
-        assert res2.report.stage1_accuracy() == 100.0
+        assert res2.report.stage1_accuracy == 100.0
 
     def test_upperbound_uses_oracle_routing(self):
         ds, _, _, specialists = perfect_setup()

@@ -78,7 +78,7 @@ def freeze(base: Path) -> int:
 
     fp16 = {mode: res.report.macro_accuracy for mode, res in runs["fp16"].results.items()}
     qat = {mode: res.report.macro_accuracy for mode, res in runs["qat"].results.items()}
-    stage1 = runs["fp16"].results["two_stage_vanilla"].report.stage1_accuracy()
+    stage1 = runs["fp16"].results["two_stage_vanilla"].report.stage1_accuracy
 
     qat_paths = branch_paths(base, "qat")
     qat_supers = range(runs["qat"].config.synthetic.n_super)
