@@ -144,11 +144,14 @@ def parse_config(doc: dict, out_dir_override: str | None = None, seed_override: 
         raise ValidationError('config holds both a "synthetic" and a "dataset" block; give one')
     if doc.get("synthetic") is not None:
         s = _object(doc["synthetic"], "synthetic", ("subs_per_super", *_SYNTHETIC_FIELDS))
-        synthetic = SyntheticSpec(
-            subs_per_super=_int_list(s["subs_per_super"], "synthetic.subs_per_super"),
-            seed=child_seed(seed, TAG_DATA),
-            **_fields(s, _SYNTHETIC_FIELDS, "synthetic"),
-        )
+        try:
+            synthetic = SyntheticSpec(
+                subs_per_super=_int_list(s["subs_per_super"], "synthetic.subs_per_super"),
+                seed=child_seed(seed, TAG_DATA),
+                **_fields(s, _SYNTHETIC_FIELDS, "synthetic"),
+            )
+        except ParameterError as exc:
+            raise ValidationError(f"synthetic: {exc}") from exc
     elif doc.get("dataset") is not None:
         d = _object(doc["dataset"], "dataset", ("train", "test"))
         dataset_paths = tuple(_of_type(d[key], str, f"dataset.{key}") for key in ("train", "test"))
@@ -443,29 +446,9 @@ def cmd_eval(config: ExperimentConfig, mode: str) -> EvalResult:
 def cmd_report(config: ExperimentConfig) -> tuple[str, str]:
     """Render the cross-mode gap summary and the compression table."""
     paths = RunPaths(config.out_dir)
-    missing: list[str] = []
-    reports = []
-    for mode in config.eval_modes:
-        path = paths.eval_csv(mode)
-        if path.exists():
-            reports.append(report_mod.parse_eval_csv(path, mode))
-        else:
-            missing.append(str(path))
-
-    manifest = None
-    comp_rows: list[report_mod.CompressionRow] = []
-    if paths.train_data.exists():
-        manifest = load_dataset(paths.train_data).manifest
-        for i in range(manifest.n_super):
-            try:
-                comp_rows.append(_compression_row(config, paths, i, manifest.super_name(i)))
-            except FileNotFoundError as exc:
-                missing.append(str(exc.filename))
-    else:
-        missing.append(str(paths.train_data))
-
-    if missing or not reports:
-        raise FileNotFoundError("incomplete run dir, missing: " + ", ".join(missing))
+    reports = [report_mod.parse_eval_csv(paths.eval_csv(mode), mode) for mode in config.eval_modes]
+    manifest = load_dataset(paths.test_data).manifest
+    comp_rows = [_compression_row(config, paths, i, manifest.super_name(i)) for i in range(manifest.n_super)]
 
     gap_text, gap_csv = report_mod.gap_report(reports)
     comp_text, comp_csv = report_mod.compression_summary(comp_rows)

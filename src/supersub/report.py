@@ -7,7 +7,7 @@ manifest order, so identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
-import sys
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,42 +28,31 @@ def render_eval_csv(report: EvalReport) -> str:
 
 
 def parse_eval_csv(path: Path, mode: str) -> EvalReport:
-    """Rebuild mode's aggregate report from render_eval_csv's file at path,
-    with no confusion matrix, which the file does not hold; a row of another
-    mode, a missing row or a non-number is a ValidationError."""
-    lines = path.read_text(encoding="utf-8").strip().split("\n")
-    names, accs, counts = [], [], []
-    summary = {}
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != 4 or cells[0] not in (mode, "summary"):
-            raise ValidationError(f"eval CSV {path}: {line!r} is not a {mode} or summary row")
-        try:
-            acc, count = float(cells[2]), int(cells[3])
-        except ValueError:
-            acc = float("nan")
-        if not abs(acc) <= sys.float_info.max:
-            raise ValidationError(f"eval CSV {path}: {line!r} holds a non-number")
-        if cells[0] == "summary":
-            summary[cells[1]] = acc, count
-        else:
-            names.append(cells[1])
-            accs.append(acc)
-            counts.append(count)
-    if not names or any(f"{kind}_accuracy_pct" not in summary for kind in ("macro", "micro", "stage1")):
-        raise ValidationError(f"eval CSV {path} is missing rows")
-    macro, n_test = summary["macro_accuracy_pct"]
-    return EvalReport(
-        mode=mode,
-        super_names=tuple(names),
-        per_super_accuracy=tuple(accs),
-        per_super_counts=tuple(counts),
-        macro_accuracy=macro,
-        micro_accuracy=summary["micro_accuracy_pct"][0],
-        stage1_accuracy=summary["stage1_accuracy_pct"][0],
-        confusion=None,
-        n_test=n_test,
-    )
+    """Rebuild mode's aggregate report from its eval CSV at path, with no
+    confusion matrix, which the file does not hold. Only a file
+    render_eval_csv writes is accepted: a row per superclass, every number
+    finite, and the report rendering back to the text read, byte for byte;
+    any other file is a ValidationError."""
+    try:
+        text = path.read_text(encoding="utf-8")
+        *rows, macro, micro, stage1 = [line.split(",") for line in text.split("\n")[1:-1]]
+        report = EvalReport(
+            mode=mode,
+            super_names=tuple(row[1] for row in rows),
+            per_super_accuracy=tuple(float(row[2]) for row in rows),
+            per_super_counts=tuple(int(row[3]) for row in rows),
+            macro_accuracy=float(macro[2]),
+            micro_accuracy=float(micro[2]),
+            stage1_accuracy=float(stage1[2]),
+            confusion=None,
+            n_test=int(macro[3]),
+        )
+        numbers = (*report.per_super_accuracy, report.macro_accuracy, report.micro_accuracy, report.stage1_accuracy)
+        if rows and all(map(math.isfinite, numbers)) and render_eval_csv(report) == text:
+            return report
+    except (IndexError, ValueError):
+        pass
+    raise ValidationError(f"eval CSV {path} is not the file eval writes for {mode}")
 
 
 def render_confusion_csv(confusion, names) -> str:

@@ -78,7 +78,7 @@ class ModelRegistry:
         _validate_specialists(self.manifest, self.specialists, self.super_net.input_dim)
 
     def specialist_for(self, super_index: int) -> Network:
-        return self.specialists[super_index]
+        return self.specialists[self.manifest.check_super(super_index)]
 
 
 class EfficientSession:
@@ -117,8 +117,8 @@ class EfficientSession:
         """Fetch (rebuilding on a cache miss) the specialist for a superclass."""
         if self._cached_super == super_index:
             return self._cached_net
-        blob = self.packed_deltas[super_index]
         k = self.manifest.subclass_count(super_index)
+        blob = self.packed_deltas[super_index]
         specialist = reconstruct(self.super_net, unpack(blob), self._base_fingerprint, super_index, k)
         self.ledger.bytes_loaded += len(blob)
         self.ledger.specialist_switches += 1
@@ -268,8 +268,7 @@ def evaluate_lowerbound(net: Network, test: Dataset) -> EvalResult:
         raise ContractError(
             f"lowerbound head {net.head_dim} != {test.manifest.n_sub} subclasses"
         )
-    logits, _ = forward(net, test.features, training=False)
-    pred_subs = _argmax_rows(logits)
+    pred_subs = _local_predictions(net, test.features)
     pred_supers = test.manifest.super_of(pred_subs)
     report = build_report(MODE_LOWERBOUND, test.manifest, test.sub_labels, pred_supers, pred_subs)
     return EvalResult(report, pred_supers, pred_subs)

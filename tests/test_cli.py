@@ -160,8 +160,10 @@ def test_train_sub_index_spelled_otherwise_exits_2(config_path, capsys, text):
             lambda p: p.delta_file(1),
         ),
         ([["train", "sub:0"], ["train", "sub:1"]], ["eval", "upperbound_scratch"], lambda p: p.scratch_net(0)),
+        ([], ["report"], lambda p: p.eval_csv("lowerbound")),
     ],
-    ids=["finetune_before_super", "pack_without_ft", "unpack_without_delta", "eval_efficient", "eval_scratch"],
+    ids=["finetune_before_super", "pack_without_ft", "unpack_without_delta", "eval_efficient", "eval_scratch",
+         "report"],
 )
 def test_missing_artifact_exits_2(config_path, capsys, steps, verb, missing):
     for argv in (["gen-data"], *steps):
@@ -474,8 +476,13 @@ def test_eval_rerun_byte_identical(config_path):
     assert paths.eval_csv("upperbound_oracle").read_bytes() == first
 
 
-@pytest.mark.parametrize("edit", ["non_number", "nan", "other_mode", "no_summary", "no_stage1"])
+@pytest.mark.parametrize(
+    "edit",
+    ["non_number", "nan", "other_mode", "no_summary", "no_stage1", "no_superclass_rows",
+     "repeated_summary", "n_test_disagrees", "reformatted_number", "other_header"],
+)
 def test_malformed_eval_csv_exits_2(tmp_path, capsys, edit):
+    # report accepts only the bytes eval writes for the mode; each edit changes them.
     doc = config_doc(tmp_path / "run", epochs=3, eval_modes=["lowerbound"])
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -487,6 +494,20 @@ def test_malformed_eval_csv_exits_2(tmp_path, capsys, edit):
         lines[1] = ",".join([*cells[:2], "abc" if edit == "non_number" else "nan", cells[3]])
     elif edit == "other_mode":
         lines = [line.replace("lowerbound,", "upperbound_oracle,", 1) for line in lines]
+    elif edit == "no_superclass_rows":
+        lines = [line for line in lines if not line.startswith("lowerbound,")]
+    elif edit == "repeated_summary":
+        macro = next(i for i, line in enumerate(lines) if line.startswith("summary,macro"))
+        lines.insert(macro + 1, "summary,macro_accuracy_pct,12.0000," + lines[macro].split(",")[3])
+    elif edit == "n_test_disagrees":
+        cells = lines[-1].split(",")
+        lines[-1] = ",".join([*cells[:3], str(int(cells[3]) + 1)])
+    elif edit == "reformatted_number":
+        cells = lines[1].split(",")
+        lines[1] = ",".join([*cells[:2], repr(float(cells[2])), cells[3]])  # 62.5000 -> 62.5
+        assert lines[1].split(",")[2] != cells[2]
+    elif edit == "other_header":
+        lines[0] = "mode,superclass,accuracy,n_test"
     else:
         dropped = "summary,macro" if edit == "no_summary" else "summary,stage1"
         lines = [line for line in lines if not line.startswith(dropped)]

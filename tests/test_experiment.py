@@ -124,13 +124,21 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match=key):
             parse_config(doc, out_dir_override=str(tmp_path / "elsewhere"), seed_override=5)
 
-    @pytest.mark.parametrize("name, value", [("lr", -0.01), ("batch_size", 0), ("epochs", -1)])
+    @pytest.mark.parametrize(
+        "name, value",
+        [("lr", -0.01), ("batch_size", 0), ("epochs", -1),
+         ("synthetic.dim", 0), ("synthetic.noise_sigma", 0),
+         pytest.param("synthetic.subs_per_super", [4], id="synthetic.subs_per_super-4")],
+    )
     def test_bad_stage_value_names_its_stage(self, tmp_path, name, value):
-        # Every stage trains with the one train block, so the error names it.
+        # A value the train block's or the synthetic block's own class
+        # rejects is a ValidationError that names its block.
+        block, key = name.split(".") if "." in name else ("train", name)
         doc = config_doc(tmp_path)
-        doc["train"][name] = value
-        with pytest.raises(ValidationError, match=f"train: {name}"):
+        doc[block][key] = value
+        with pytest.raises(ValidationError, match=f"^{block}: ") as info:
             parse_config(doc)
+        assert key in str(info.value) or value == [4]  # [4]: "need at least 2 superclasses, got 1"
 
     def test_stage_seeds_differ(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -277,12 +285,6 @@ class TestFullPipeline:
         run_experiment(config)
         after = {p.name: p.read_bytes() for p in paths.root.iterdir()}
         assert before == after
-
-    def test_report_on_empty_dir_lists_missing(self, tmp_path):
-        path, _ = write_config(tmp_path)
-        config = load_config(path)
-        with pytest.raises(FileNotFoundError, match="missing"):
-            cmd_report(config)
 
 
 class TestQatPipeline:

@@ -227,6 +227,23 @@ class TestEfficientSession:
         assert (ledger.bytes_loaded, ledger.reconstruction_adds, ledger.specialist_switches) == charged
 
 
+@pytest.mark.parametrize("engine", ["vanilla", "efficient"])
+@pytest.mark.parametrize("where", ["minus_one", "n_super"])
+def test_specialist_for_rejects_out_of_range_superclass(qat_session_parts, mini_train, engine, where):
+    # Both engines ask the manifest's one superclass-index check, so -1 is no
+    # alias for the last superclass, and a rejected index charges nothing.
+    base, specialists, packed = qat_session_parts
+    manifest = mini_train.manifest
+    if engine == "vanilla":
+        server = ModelRegistry(base, specialists, manifest)
+    else:
+        server = EfficientSession(base, packed, manifest)
+    with pytest.raises(IndexError, match="out of range"):
+        server.specialist_for(-1 if where == "minus_one" else manifest.n_super)
+    if engine == "efficient":
+        assert server.ledger == EfficientSession(base, packed, manifest).ledger
+
+
 def perfect_setup():
     """Hand-built nets that classify a one-hot dataset perfectly."""
     manifest = make_manifest([("A", ["a1", "a2"]), ("B", ["b1", "b2"])])
