@@ -6,10 +6,10 @@ report rendering. This module holds only the run plan (which stage runs,
 with which seed) and the file layout (`RunPaths`); the rules belong to
 their owners: the one training recipe that every stage trains with is a
 `TrainConfig`, checked when the config loads, a missing input is
-`open()`'s `FileNotFoundError`, and `report` writes and reads the eval
-CSV. Every stage derives its seed from the experiment seed XOR a fixed
-stage tag, so the entire pipeline is reproducible byte for byte from the
-single top-level seed.
+`open()`'s `FileNotFoundError`, and `report` rebuilds every number from
+the predictions CSV. Every stage derives its seed from the experiment
+seed XOR a fixed stage tag, so the entire pipeline is reproducible byte
+for byte from the single top-level seed.
 
 Commands communicate through files in the config's output directory and
 are idempotent: rerunning any of them overwrites its outputs with
@@ -446,9 +446,9 @@ def cmd_eval(config: ExperimentConfig, mode: str) -> EvalResult:
 def cmd_report(config: ExperimentConfig) -> tuple[str, str]:
     """Render the cross-mode gap summary and the compression table."""
     paths = RunPaths(config.out_dir)
-    reports = [report_mod.parse_eval_csv(paths.eval_csv(mode), mode) for mode in config.eval_modes]
-    manifest = load_dataset(paths.test_data).manifest
-    comp_rows = [_compression_row(config, paths, i, manifest.super_name(i)) for i in range(manifest.n_super)]
+    test = load_dataset(paths.test_data)
+    reports = [report_mod.read_predictions_csv(paths.predictions_csv(mode), mode, test) for mode in config.eval_modes]
+    comp_rows = [_compression_row(config, paths, i, name) for i, name in enumerate(test.manifest.super_names())]
 
     gap_text, gap_csv = report_mod.gap_report(reports)
     comp_text, comp_csv = report_mod.compression_summary(comp_rows)

@@ -2,17 +2,19 @@
 
 Every renderer formats floats with explicit precision and iterates in
 manifest order, so identical inputs produce byte-identical output.
-`parse_eval_csv` reads an eval CSV back for `supersub report`.
+`read_predictions_csv` rebuilds a mode's report from its predictions CSV.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
+from .data import Dataset
 from .errors import ContractError, ValidationError
-from .runtime import MODE_LOWERBOUND, MODE_UPPERBOUND, CostLedger, EvalReport
+from .runtime import MODE_LOWERBOUND, MODE_UPPERBOUND, CostLedger, EvalReport, build_report
 
 
 def render_eval_csv(report: EvalReport) -> str:
@@ -25,34 +27,6 @@ def render_eval_csv(report: EvalReport) -> str:
     lines.append(f"summary,micro_accuracy_pct,{report.micro_accuracy:.4f},{report.n_test}")
     lines.append(f"summary,stage1_accuracy_pct,{report.stage1_accuracy:.4f},{report.n_test}")
     return "\n".join(lines) + "\n"
-
-
-def parse_eval_csv(path: Path, mode: str) -> EvalReport:
-    """Rebuild mode's aggregate report from its eval CSV at path, with no
-    confusion matrix, which the file does not hold. Only a file
-    render_eval_csv writes is accepted: a row per superclass, every number
-    finite, and the report rendering back to the text read, byte for byte;
-    any other file is a ValidationError."""
-    try:
-        text = path.read_text(encoding="utf-8")
-        *rows, macro, micro, stage1 = [line.split(",") for line in text.split("\n")[1:-1]]
-        report = EvalReport(
-            mode=mode,
-            super_names=tuple(row[1] for row in rows),
-            per_super_accuracy=tuple(float(row[2]) for row in rows),
-            per_super_counts=tuple(int(row[3]) for row in rows),
-            macro_accuracy=float(macro[2]),
-            micro_accuracy=float(micro[2]),
-            stage1_accuracy=float(stage1[2]),
-            confusion=None,
-            n_test=int(macro[3]),
-        )
-        numbers = (*report.per_super_accuracy, report.macro_accuracy, report.micro_accuracy, report.stage1_accuracy)
-        if rows and all(map(math.isfinite, numbers)) and render_eval_csv(report) == text:
-            return report
-    except (IndexError, ValueError):
-        pass
-    raise ValidationError(f"eval CSV {path} is not the file eval writes for {mode}")
 
 
 def render_confusion_csv(confusion, names) -> str:
@@ -88,6 +62,28 @@ def render_predictions_csv(true_subs, pred_supers, pred_subs) -> str:
     for i, (t, ps, pb) in enumerate(zip(true_subs, pred_supers, pred_subs)):
         lines.append(f"{i},{int(t)},{int(ps)},{int(pb)}")
     return "\n".join(lines) + "\n"
+
+
+def read_predictions_csv(path: Path, mode: str, test: Dataset) -> EvalReport:
+    """mode's report rebuilt from its predictions CSV at path and the test
+    set it predicts. Only a file eval writes is accepted: a row per test row,
+    render_predictions_csv of what was read giving back the text read (so
+    its true labels are test's), and each predicted subclass inside its
+    predicted superclass; any other file is a ValidationError."""
+    try:
+        text = path.read_text(encoding="utf-8")
+        rows = [line.split(",") for line in text.split("\n")[1:-1]]
+        pred_supers = np.array([int(row[2]) for row in rows], dtype=np.int64)
+        pred_subs = np.array([int(row[3]) for row in rows], dtype=np.int64)
+        if (
+            len(rows) == len(test.sub_labels)  # the renderer zips its columns
+            and render_predictions_csv(test.sub_labels, pred_supers, pred_subs) == text
+            and np.array_equal(test.manifest.super_of(pred_subs), pred_supers)
+        ):
+            return build_report(mode, test.manifest, test.sub_labels, pred_supers, pred_subs)
+    except (IndexError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"predictions CSV {path} is not the file eval writes for {mode}")
 
 
 def gap_report(reports: list[EvalReport]) -> tuple[str, str]:

@@ -178,9 +178,13 @@ class EvalReport:
     per_super_counts: tuple[int, ...]
     macro_accuracy: float  # percent; mean of per-superclass accuracies
     micro_accuracy: float  # percent; plain fraction over all rows
-    stage1_accuracy: float  # percent of rows whose (derived) superclass decision was correct
-    confusion: tuple[tuple[int, ...], ...] | None  # [true][pred] superclass counts; None when read from an eval CSV
+    confusion: tuple[tuple[int, ...], ...]  # [true][pred] superclass counts
     n_test: int
+
+    @property
+    def stage1_accuracy(self) -> float:
+        """Percent of rows whose (derived) superclass decision was correct."""
+        return 100.0 * sum(row[i] for i, row in enumerate(self.confusion)) / self.n_test
 
 
 @dataclass(frozen=True)
@@ -212,6 +216,8 @@ def build_report(
     pred_supers: np.ndarray,
     pred_subs: np.ndarray,
 ) -> EvalReport:
+    if not len(true_subs):
+        raise ContractError("cannot evaluate an empty test set")
     true_supers = manifest.super_of(true_subs)
     matrix = confusion_matrix(pred_supers, true_supers, manifest.n_super)
     correct = pred_subs == true_subs
@@ -223,7 +229,7 @@ def build_report(
         per_count.append(count)
         per_acc.append(100.0 * float(correct[mask].sum()) / count if count else 0.0)
     macro = sum(per_acc) / len(per_acc)
-    micro = 100.0 * float(correct.sum()) / len(true_subs) if len(true_subs) else 0.0
+    micro = 100.0 * float(correct.sum()) / len(true_subs)
     return EvalReport(
         mode=mode,
         super_names=tuple(manifest.super_names()),
@@ -231,7 +237,6 @@ def build_report(
         per_super_counts=tuple(per_count),
         macro_accuracy=macro,
         micro_accuracy=micro,
-        stage1_accuracy=100.0 * int(np.trace(matrix)) / len(true_subs) if len(true_subs) else 0.0,
         confusion=tuple(tuple(int(c) for c in row) for row in matrix),
         n_test=len(true_subs),
     )
@@ -244,8 +249,6 @@ def _evaluate_routed(mode: str, specialist_for, test: Dataset, routed: np.ndarra
     are batch-independent bit for bit, so grouping changes nothing about the
     predictions; it only batches the forward passes.
     """
-    if not len(test.sub_labels):
-        raise ContractError("cannot evaluate an empty test set")
     manifest = test.manifest
     n = len(routed)
     pred_subs = np.empty(n, dtype=np.int64)

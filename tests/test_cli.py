@@ -160,7 +160,7 @@ def test_train_sub_index_spelled_otherwise_exits_2(config_path, capsys, text):
             lambda p: p.delta_file(1),
         ),
         ([["train", "sub:0"], ["train", "sub:1"]], ["eval", "upperbound_scratch"], lambda p: p.scratch_net(0)),
-        ([], ["report"], lambda p: p.eval_csv("lowerbound")),
+        ([], ["report"], lambda p: p.predictions_csv("lowerbound")),
     ],
     ids=["finetune_before_super", "pack_without_ft", "unpack_without_delta", "eval_efficient", "eval_scratch",
          "report"],
@@ -476,46 +476,86 @@ def test_eval_rerun_byte_identical(config_path):
     assert paths.eval_csv("upperbound_oracle").read_bytes() == first
 
 
-@pytest.mark.parametrize(
-    "edit",
-    ["non_number", "nan", "other_mode", "no_summary", "no_stage1", "no_superclass_rows",
-     "repeated_summary", "n_test_disagrees", "reformatted_number", "other_header"],
-)
-def test_malformed_eval_csv_exits_2(tmp_path, capsys, edit):
-    # report accepts only the bytes eval writes for the mode; each edit changes them.
+def lowerbound_config(tmp_path, **synthetic):
+    """A config whose run plan is the lowerbound mode alone, with the
+    synthetic block's values overridden by synthetic."""
     doc = config_doc(tmp_path / "run", epochs=3, eval_modes=["lowerbound"])
+    doc["synthetic"].update(synthetic)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _edit_cell(lines, row, column, edit):
+    cells = lines[row].split(",")
+    cells[column] = edit(cells[column])
+    lines[row] = ",".join(cells)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    ["non_number", "huge_number", "true_label_changed", "last_row_dropped", "repeated_row",
+     "reformatted_number", "other_header", "sub_in_other_super", "super_out_of_range"],
+)
+def test_malformed_predictions_csv_exits_2(tmp_path, capsys, edit):
+    # report accepts only the bytes eval writes for the test set, each
+    # predicted subclass inside its predicted superclass; each edit breaks that.
+    path = lowerbound_config(tmp_path)
     assert main(["--config", str(path), "run"]) == 0
-    csv = RunPaths(load_config(path).out_dir).eval_csv("lowerbound")
-    lines = csv.read_text(encoding="utf-8").splitlines()
-    if edit in ("non_number", "nan"):
-        cells = lines[1].split(",")
-        lines[1] = ",".join([*cells[:2], "abc" if edit == "non_number" else "nan", cells[3]])
-    elif edit == "other_mode":
-        lines = [line.replace("lowerbound,", "upperbound_oracle,", 1) for line in lines]
-    elif edit == "no_superclass_rows":
-        lines = [line for line in lines if not line.startswith("lowerbound,")]
-    elif edit == "repeated_summary":
-        macro = next(i for i, line in enumerate(lines) if line.startswith("summary,macro"))
-        lines.insert(macro + 1, "summary,macro_accuracy_pct,12.0000," + lines[macro].split(",")[3])
-    elif edit == "n_test_disagrees":
-        cells = lines[-1].split(",")
-        lines[-1] = ",".join([*cells[:3], str(int(cells[3]) + 1)])
+    csv = RunPaths(load_config(path).out_dir).predictions_csv("lowerbound")
+    lines = csv.read_text(encoding="utf-8").splitlines()  # row,true_sub,pred_super,pred_sub
+    if edit == "non_number":
+        _edit_cell(lines, 1, 3, lambda cell: "abc")
+    elif edit == "huge_number":
+        _edit_cell(lines, 1, 3, lambda cell: str(2**64))  # past int64
+    elif edit == "true_label_changed":
+        _edit_cell(lines, 1, 1, lambda cell: str(int(cell) ^ 1))  # the other subclass of its superclass
+    elif edit == "last_row_dropped":
+        del lines[-1]
+    elif edit == "repeated_row":
+        lines.insert(2, lines[1])
     elif edit == "reformatted_number":
-        cells = lines[1].split(",")
-        lines[1] = ",".join([*cells[:2], repr(float(cells[2])), cells[3]])  # 62.5000 -> 62.5
-        assert lines[1].split(",")[2] != cells[2]
+        _edit_cell(lines, 1, 3, lambda cell: "0" + cell)
     elif edit == "other_header":
-        lines[0] = "mode,superclass,accuracy,n_test"
+        lines[0] = "row,true_sub,pred_super,pred_subclass"
+    elif edit == "sub_in_other_super":
+        _edit_cell(lines, 1, 3, lambda cell: str((int(cell) + 2) % 4))  # 2 superclasses of 2 subclasses
     else:
-        dropped = "summary,macro" if edit == "no_summary" else "summary,stage1"
-        lines = [line for line in lines if not line.startswith(dropped)]
+        _edit_cell(lines, 1, 2, lambda cell: "2")
     csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["--config", str(path), "report"]) == 2
     err = capsys.readouterr().err
-    assert "eval CSV" in err and "Traceback" not in err
+    assert str(csv) in err and "Traceback" not in err
+
+
+def test_report_ignores_the_eval_csv(tmp_path, capsys):
+    # An eval CSV that disagrees with its predictions (names the hierarchy
+    # lacks, a macro that is not the mean of its rows) changes nothing report
+    # prints or writes: every number comes from the predictions.
+    path = lowerbound_config(tmp_path)
+    assert main(["--config", str(path), "run"]) == 0
+    paths = RunPaths(load_config(path).out_dir)
+    capsys.readouterr()
+    assert main(["--config", str(path), "report"]) == 0
+    before = (capsys.readouterr().out, paths.summary_txt.read_bytes(), paths.summary_csv.read_bytes())
+    n_test = paths.eval_csv("lowerbound").read_text(encoding="utf-8").splitlines()[-1].split(",")[3]
+    paths.eval_csv("lowerbound").write_text(
+        "mode,superclass,accuracy_pct,n_test\n"
+        f"lowerbound,nosuch,50.0000,{int(n_test) // 2}\n"
+        f"lowerbound,other,0.0000,{int(n_test) // 2}\n"
+        + "".join(f"summary,{kind}_accuracy_pct,99.0000,{n_test}\n" for kind in ("macro", "micro", "stage1")),
+        encoding="utf-8",
+    )
+    assert main(["--config", str(path), "report"]) == 0
+    assert (capsys.readouterr().out, paths.summary_txt.read_bytes(), paths.summary_csv.read_bytes()) == before
+
+
+def test_empty_test_set_exits_2(tmp_path, capsys):
+    path = lowerbound_config(tmp_path, n_test_per_sub=0)
+    assert main(["--config", str(path), "run"]) == 2
+    err = capsys.readouterr().err
+    assert "empty test set" in err and "Traceback" not in err
 
 
 def dataset_config(tmp_path):

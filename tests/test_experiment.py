@@ -13,6 +13,7 @@ import pytest
 import supersub
 from supersub import experiment
 from supersub.cli import main
+from supersub.data import load_dataset
 from supersub.errors import ValidationError
 from supersub.experiment import (
     EVAL_MODES,
@@ -30,7 +31,7 @@ from supersub.experiment import (
     run_experiment,
 )
 from supersub.network import load_network
-from supersub.report import parse_eval_csv, render_eval_csv
+from supersub.report import read_predictions_csv, render_confusion_csv, render_confusion_percent, render_eval_csv
 
 
 def config_doc(out_dir, delta_mode="fp16", epochs=6, **extra):
@@ -274,9 +275,15 @@ class TestFullPipeline:
         assert "two_stage_vanilla" in csv
         assert "avg ratio" in text
         paths = RunPaths(config.out_dir)
+        test = load_dataset(paths.test_data)
         for mode in config.eval_modes:
-            path = paths.eval_csv(mode)
-            assert render_eval_csv(parse_eval_csv(path, mode)).encode() == path.read_bytes(), mode
+            report = read_predictions_csv(paths.predictions_csv(mode), mode, test)
+            for path, text in (
+                (paths.eval_csv(mode), render_eval_csv(report)),
+                (paths.confusion_csv(mode), render_confusion_csv(report.confusion, report.super_names)),
+                (paths.confusion_pct_csv(mode), render_confusion_percent(report.confusion, report.super_names)),
+            ):
+                assert text.encode() == path.read_bytes(), path
 
     def test_rerun_is_idempotent(self, fp16_run):
         config, _ = fp16_run

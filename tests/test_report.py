@@ -36,7 +36,6 @@ def make_report(mode, macro, n_super=10, n_test=12650):
         per_super_counts=counts,
         macro_accuracy=macro,
         micro_accuracy=macro,
-        stage1_accuracy=100.0,
         confusion=confusion,
         n_test=n_test,
     )

@@ -309,7 +309,7 @@ class TestEvaluate:
         assert np.array_equal(res.pred_supers, vanilla.pred_supers)
 
     def test_empty_test_set_rejected(self, mini_models, mini_registry, qat_session_parts, mini_test):
-        _, specialists, _ = mini_models
+        _, specialists, lower = mini_models
         base, _, packed = qat_session_parts
         empty = Dataset(mini_test.features[:0], mini_test.sub_labels[:0], mini_test.manifest)
         session = EfficientSession(base, packed, mini_test.manifest)
@@ -317,6 +317,7 @@ class TestEvaluate:
             lambda: evaluate_two_stage(mini_registry, empty),
             lambda: evaluate_efficient(session, empty),
             lambda: evaluate_upperbound(specialists, empty),
+            lambda: evaluate_lowerbound(lower, empty),
         ):
             with pytest.raises(ContractError, match="empty test set"):
                 evaluate()
