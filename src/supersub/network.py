@@ -29,8 +29,10 @@ Quantization scales follow the same layout: `QuantInfo.scales` and
 and an HSNW file stores them as bare floats in that order, with no names
 and no bit width.
 
-Networks are immutable: nothing writes into a network's arrays, so
-networks and their tensors are shared, never copied, across threads too.
+Networks are immutable: `Network.__post_init__` marks every tensor
+read-only (its `writeable` flag, no copy), so a write into a
+network's arrays raises ValueError, and networks and their tensors are
+shared, never copied, across threads too.
 A gradient is a Network as well, of the network's own config. A training
 forward returns the batch-norm running-stat updates inside its cache, and
 sgd_step builds the next network from the stepped tensors and those updates.
@@ -104,7 +106,8 @@ class QuantInfo:
 @dataclass(frozen=True)
 class Network:
     """A network is its tensor layout: one array per `tensor_shapes(config)`
-    entry, in that order, and the quantization block if it was snapped."""
+    entry, in that order, and the quantization block if it was snapped.
+    Every tensor is made read-only."""
 
     config: NetworkConfig
     tensors: tuple[np.ndarray, ...]
@@ -119,6 +122,8 @@ class Network:
                 raise ContractError(f"{name}: got shape {t.shape}, the config needs shape {shape}")
         if self.quant is not None and len(self.quant.scales) != len(shapes):
             raise ContractError(f"{len(self.quant.scales)} quantization scales for {len(shapes)} tensors")
+        for t in self.tensors:
+            t.setflags(write=False)
 
     @property
     def head_dim(self) -> int:
@@ -129,10 +134,10 @@ class Network:
         return self.config.input_dim
 
 
-def _layers(net: Network):
+def _layers(ts):
     """(weight, None, (gamma, beta, running mean, running var)) of each
-    hidden layer, then (weight, bias, None) of the head."""
-    ts = net.tensors
+    hidden layer, then (weight, bias, None) of the head, from a network's
+    tensors in layout order."""
     for i in range(0, len(ts) - len(HEAD_TENSORS), 5):
         yield ts[i], None, ts[i + 1 : i + 5]
     yield ts[-2], ts[-1], None
@@ -352,7 +357,7 @@ def forward(
     weights: list[np.ndarray] = []
     caches: list[LayerCache] = []
     a = batch
-    for i, (weight, bias, bn) in enumerate(_layers(net)):
+    for i, (weight, bias, bn) in enumerate(_layers(net.tensors)):
         weights.append(weight if grid is None else grid[i])
         z = matmul(a, weights[i].T)
         xhat = sigma = bn_update = None
@@ -410,7 +415,7 @@ def backward(net: Network, cache: ForwardCache, probs: np.ndarray, labels) -> Ne
     onehot[np.arange(m), labels] = F32(1.0)
     d_out = (probs - onehot) / F32(m)
 
-    layers = list(_layers(net))
+    layers = list(_layers(net.tensors))
     grads: list[list[np.ndarray]] = []  # per layer, head first
     for i in range(len(layers) - 1, -1, -1):
         _, _, bn = layers[i]
@@ -443,10 +448,11 @@ def sgd_step(net: Network, grads: Network, lr: float, cache: ForwardCache) -> Ne
     lr32 = F32(lr)
 
     def step(t, g):
-        return (t - lr32 * g).astype(F32)
+        return (t - lr32 * g).astype(F32, copy=False)
 
     tensors: list[np.ndarray] = []
-    for (weight, bias, bn), (d_weight, d_bias, d_bn), lc in zip(_layers(net), _layers(grads), cache.layer_caches):
+    layers = zip(_layers(net.tensors), _layers(grads.tensors), cache.layer_caches)
+    for (weight, bias, bn), (d_weight, d_bias, d_bn), lc in layers:
         tensors.append(step(weight, d_weight))
         if bn is None:
             tensors.append(step(bias, d_bias))
@@ -458,15 +464,16 @@ def sgd_step(net: Network, grads: Network, lr: float, cache: ForwardCache) -> Ne
 # --- gradient checking -------------------------------------------------------
 
 
-def _forward_loss_f64(net: Network, batch: np.ndarray, labels: np.ndarray) -> float:
-    """Independent float64 reference loss (training-mode batch norm).
+def _forward_loss_f64(tensors, batch: np.ndarray, labels: np.ndarray) -> float:
+    """Independent float64 reference loss (training-mode batch norm) of a
+    network's tensors, in layout order.
 
     Deliberately written with plain numpy reductions rather than the
     fixed-order kernels: this is the oracle side of the gradient check.
     """
     a = np.asarray(batch, dtype=np.float64)
     m = a.shape[0]
-    for weight, bias, bn in _layers(net):
+    for weight, bias, bn in _layers(tensors):
         z = a @ weight.T.astype(np.float64)
         if bn is None:
             a = z + bias.astype(np.float64)  # the head
@@ -481,9 +488,10 @@ def _forward_loss_f64(net: Network, batch: np.ndarray, labels: np.ndarray) -> fl
     return float(-np.log(picked + tensor.CE_EPSILON).mean())
 
 
-def _param_views(net: Network) -> list[np.ndarray]:
-    """Trainable tensors, in gradient order: all but the running statistics."""
-    return [t for n, t, _ in tensor_items(net) if not n.endswith((".bn_mean", ".bn_var"))]
+def _param_views(config: NetworkConfig, tensors) -> list[np.ndarray]:
+    """The trainable ones of a network's tensors, in gradient order: all but
+    the running statistics."""
+    return [t for (n, _), t in zip(tensor_shapes(config), tensors) if not n.endswith((".bn_mean", ".bn_var"))]
 
 
 def gradient_check(net: Network, batch: np.ndarray, labels, eps: float = 1e-4) -> float:
@@ -492,9 +500,11 @@ def gradient_check(net: Network, batch: np.ndarray, labels, eps: float = 1e-4) -
     Runs the production forward/backward code path on a float64 twin of the
     network and differences an independently written float64 loss: at
     float32, rounding noise alone (~1e-7 absolute) would swamp the
-    comparison for any small gradient component. Full-precision networks
-    only; fake-quantized forwards are piecewise-constant and have no
-    meaningful pointwise derivative.
+    comparison for any small gradient component. The differences perturb
+    private float64 copies of the tensors, which only that loss reads: the
+    twin, like every network, is read-only. Full-precision networks only;
+    fake-quantized forwards are piecewise-constant and have no meaningful
+    pointwise derivative.
     """
     if eps <= 0:
         raise ParameterError(f"eps must be > 0, got {eps}")
@@ -507,16 +517,17 @@ def gradient_check(net: Network, batch: np.ndarray, labels, eps: float = 1e-4) -
     logits, cache = forward(work, batch64, training=True)
     grads = backward(work, cache, softmax_rows(logits), labels)
 
+    probe = [t.copy() for t in work.tensors]
     worst = 0.0
-    for p, g in zip(_param_views(work), _param_views(grads)):
+    for p, g in zip(_param_views(net.config, probe), _param_views(net.config, grads.tensors)):
         flat_p = p.reshape(-1)
         flat_g = g.reshape(-1)
         for idx in range(flat_p.size):
             original = float(flat_p[idx])
             flat_p[idx] = original + eps
-            loss_plus = _forward_loss_f64(work, batch64, labels)
+            loss_plus = _forward_loss_f64(probe, batch64, labels)
             flat_p[idx] = original - eps
-            loss_minus = _forward_loss_f64(work, batch64, labels)
+            loss_minus = _forward_loss_f64(probe, batch64, labels)
             flat_p[idx] = original
             cd = (loss_plus - loss_minus) / (2.0 * eps)
             a = float(flat_g[idx])

@@ -4,7 +4,10 @@ Results are bit-identical across runs whatever the BLAS build, its thread
 count or the order of additions. matmul rounds each element's exact dot
 product once to float32 (round_f32 settles what the float64 BLAS product's
 error bound leaves open exactly), and its tests compare it with an exact
-oracle. The one ordered sum, ordered_axis0_sum, fixes its order instead,
+oracle. A call pays its fixed costs once: one np.errstate block, one
+compare of the two roundings' bytes before any per-element search, and
+the exact fallback looked up at call time, so tests can count it. The
+one ordered sum, ordered_axis0_sum, fixes its order instead,
 as np.add.accumulate, which numpy defines as r[t] = r[t-1] + x[t]: it adds
 the rows of a matrix (softmax_rows passes a transpose to add columns, and
 cross_entropy a column to add a vector). np.dot, np.sum and np.add.reduce,
@@ -164,7 +167,7 @@ def as_float(values) -> np.ndarray:
 
 
 def check_finite(arr: np.ndarray, context: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ParameterError(f"non-finite values produced in {context}")
     return arr
 
@@ -183,9 +186,18 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1).
     A float64 input has no bit contract (only gradient_check passes one)
     and runs as a plain a @ b.
+
+    Each fixed cost is paid once: one np.errstate block covers the call,
+    float32 operands skip as_float, and a product of at most one block of
+    rows takes |A| and |B| in place on its float64 copies. round_f32
+    compares the bytes of its two roundings once and searches for the
+    undecided elements only when they differ; their exact fallback,
+    _exact_dot, is looked up at call time.
     """
-    a = as_float(a)
-    b = as_float(b)
+    if type(a) is not np.ndarray or a.dtype != F32:
+        a = as_float(a)
+    if type(b) is not np.ndarray or b.dtype != F32:
+        b = as_float(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(
             f"matmul shape mismatch: {a.shape} x {b.shape}",
@@ -194,37 +206,57 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     m, k = a.shape
     n = b.shape[1]
+    rows = max(1, _ROW_BLOCK_ELEMENTS // max(k, n, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        if a.dtype == np.float64 or b.dtype == np.float64:
-            return check_finite(a @ b, "matmul")
-        b64 = b.astype(np.float64)
-        b_abs = np.abs(b64)
-        out = np.empty((m, n), dtype=F32)
-        rows = max(1, _ROW_BLOCK_ELEMENTS // max(k, n, 1))
-        for s in range(0, m, rows):
-            a64 = a[s : s + rows].astype(np.float64)
-            c = a64 @ b64
-            # (k + 2) * 2**-52 is over twice gamma_k: room for the rounding of
-            # |A| @ |B| (also within gamma_k), of this product and of c -+ radius.
-            radius = np.abs(a64, out=a64) @ b_abs
-            radius *= (k + 2) * 2.0**-52
-            out[s : s + rows] = round_f32(c, radius, lambda ij, s=s: _exact_dot(a[s + ij[0]], b[:, ij[1]]))
+        if a.dtype != F32 or b.dtype != F32:
+            out = a @ b
+        elif m <= rows:
+            out = _rounded_rows(a, b, b.astype(np.float64), None)
+        else:
+            b64 = b.astype(np.float64)
+            b_abs = np.abs(b64)
+            out = np.empty((m, n), dtype=F32)
+            for s in range(0, m, rows):
+                out[s : s + rows] = _rounded_rows(a[s : s + rows], b, b64, b_abs)
     return check_finite(out, "matmul")
 
 
-def round_f32(approx: np.ndarray, radius: np.ndarray, exact) -> np.ndarray:
+def _rounded_rows(a: np.ndarray, b: np.ndarray, b64: np.ndarray, b_abs: np.ndarray | None) -> np.ndarray:
+    """matmul of a block of rows a of float32 by b, inside matmul's errstate.
+    b64 is b in float64 and b_abs its magnitudes; with b_abs None they are
+    taken in b64 itself, once the block's product is done."""
+    a64 = a.astype(np.float64)
+    c = a64 @ b64
+    # (k + 2) * 2**-52 is over twice gamma_k: room for the rounding of
+    # |A| @ |B| (also within gamma_k), of this product and of c -+ radius.
+    radius = np.abs(a64, out=a64) @ (np.abs(b64, out=b64) if b_abs is None else b_abs)
+    k = a.shape[1]
+    radius *= (k + 2) * 2.0**-52
+    return round_f32(c, radius, _exact_entry, a, b)
+
+
+def round_f32(approx: np.ndarray, radius: np.ndarray, exact, *args) -> np.ndarray:
     """Exact values rounded once to float32, given that the float64 results
     approx - radius and approx + radius enclose each. Where both round to the
     same float32 bits, monotone rounding makes that the answer; elsewhere
-    exact(index) returns it as a float (inf from 2**128 on). A non-finite
-    approx comes out as NaN, without calling exact."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (approx + radius).astype(F32)
-        lo = (approx - radius).astype(F32)
-        undecided = out.view(np.uint32) != lo.view(np.uint32)
-        for index in zip(*np.nonzero(undecided)) if undecided.any() else ():
-            out[index] = exact(index) if math.isfinite(approx[index]) else math.nan
+    exact(index, *args) returns it as a float (inf from 2**128 on). A
+    non-finite approx comes out as NaN, without calling exact.
+
+    The two roundings' bytes are compared once, and the undecided elements
+    are searched for only when they differ. Runs inside its caller's
+    np.errstate(over="ignore", invalid="ignore"): a rounding past the float32
+    range and inf - inf are expected here."""
+    out = (approx + radius).astype(F32)
+    lo = (approx - radius).astype(F32)
+    if out.tobytes() != lo.tobytes():
+        for index in zip(*np.nonzero(out.view(np.uint32) != lo.view(np.uint32))):
+            out[index] = exact(index, *args) if math.isfinite(approx[index]) else math.nan
     return out
+
+
+def _exact_entry(index: tuple[int, int], a: np.ndarray, b: np.ndarray) -> float:
+    """Element index of a @ b of float32 operands, by _exact_dot."""
+    return _exact_dot(a[index[0]], b[:, index[1]])
 
 
 def _exact_dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -248,12 +280,12 @@ def _nearest_f32(n: int, exp: int) -> float:
 
 
 def ordered_axis0_sum(x: np.ndarray) -> np.ndarray:
-    """Sum rows of a 2-D array in row order, accumulating in float32.
+    """Sum rows of a 2-D float32 array in row order, accumulating in float32
+    (a float64 array, in float64).
 
     The last row of np.add.accumulate along axis 0, which adds the rows in
     the order _ordered_axis0_sum_loop does; an empty input sums to zeros.
     """
-    x = as_float(x)
     if not x.shape[0]:
         return np.zeros(x.shape[1], dtype=x.dtype)
     return np.add.accumulate(x, axis=0)[-1]
@@ -269,7 +301,8 @@ def _ordered_axis0_sum_loop(x: np.ndarray) -> np.ndarray:
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(as_float(x), F32(0.0))
+    """max(x, 0) of a float32 (or float64) array, in its dtype."""
+    return np.maximum(x, F32(0.0))
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:

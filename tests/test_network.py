@@ -36,6 +36,7 @@ from supersub.network import (
     write_config,
 )
 from supersub.tensor import F32, Prng, gaussian_array, softmax_rows
+from supersub.train import TrainConfig, finetune_from_super, train
 
 
 def small_net(dims=(3, 3, 3), seed=0):
@@ -307,6 +308,45 @@ class TestGradientCheckContract:
         before = serialize_network(net)
         gradient_check(net, gaussian_array(Prng(90), (4, 3)), [0, 1, 2, 0])
         assert serialize_network(net) == before
+
+
+class TestReadOnly:
+    """Networks are shared, never copied, so every tensor refuses writes."""
+
+    @pytest.fixture(scope="class")
+    def networks(self, mini_train):
+        config = NetworkConfig((mini_train.dim, 6, 6, mini_train.manifest.n_super))
+        tcfg = TrainConfig(lr=0.01, epochs=2, batch_size=16, seed=5)
+        trained, _ = train(init_network(config, 3), mini_train.features, mini_train.super_labels(), tcfg)
+        snapped = snap_to_grid(trained)
+        specialist = finetune_from_super(snapped, 0, mini_train, replace(tcfg, seed=6, qat=True))
+        packed = pack(compute_delta(snapped, specialist, MODE_QAT_INT, 0))
+        rebuilt = reconstruct(snapped, unpack(packed), base_fingerprint_of(snapped), 0, specialist.head_dim)
+        return {
+            "trained": trained,
+            "snapped": snapped,
+            "loaded": deserialize_network(serialize_network(snapped)),
+            "reconstructed": rebuilt,
+        }
+
+    @pytest.mark.parametrize("kind", ["trained", "snapped", "loaded", "reconstructed"])
+    def test_writing_into_a_network_raises(self, networks, kind):
+        for name, t, _ in tensor_items(networks[kind]):
+            with pytest.raises(ValueError):
+                t[...] = 0.0
+            with pytest.raises(ValueError):
+                np.abs(t, out=t)
+            with pytest.raises(ValueError):
+                t.T[...] = 0.0  # a view, as forward takes a weight
+            assert not t.flags.writeable, name
+
+    def test_the_flag_costs_no_copy(self):
+        tensors = small_net((3, 4, 2)).tensors
+        writable = tuple(t.copy() for t in tensors)
+        assert all(t.flags.writeable for t in writable)
+        net = Network(NetworkConfig((3, 4, 2)), writable)
+        assert all(a is b for a, b in zip(net.tensors, writable))
+        assert not any(t.flags.writeable for t in writable)
 
 
 class TestFakeQuantize:

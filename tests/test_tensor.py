@@ -469,6 +469,115 @@ class TestMatmulKernels:
         assert run.stdout == here
 
 
+def _near_tie_columns(rng, k, n=6):
+    """A (k, n) right operand of signed powers of two, one per column, so that
+    every output of a _near_ties row stays near its tie."""
+    b = np.zeros((k, n), dtype=F32)
+    for j in range(n):
+        b[:, j] = F32(math.ldexp((-1) ** j, _draw(rng, 8) - 4))
+    return b
+
+
+def _plain(a, b):
+    """The float64 BLAS product rounded once more to float32: what matmul
+    would give without its rounding test."""
+    with np.errstate(over="ignore"):
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(F32)
+
+
+class TestMatmulSingleRow:
+    """The one-block path at m = 1, the shape of a served query, against the
+    exact oracle: near ties, subnormals, the overflow boundary and
+    non-finite inputs, read-only operands, and the exact fallback."""
+
+    def test_near_ties_take_the_exact_fallback(self, decided):
+        rng = Prng(0x1A7E5)
+        defeated = 0
+        for k in (7, 12, 64, 1024):
+            b = _near_tie_columns(rng, k)
+            for _ in range(8):
+                a = _near_ties(rng, 1, k)
+                expected = _oracle(a, b)
+                assert _same_bits(matmul(a, b), expected), k
+                defeated += not _same_bits(_plain(a, b), expected)
+        assert defeated, "the inputs should defeat a float64 product"
+        assert decided
+
+    def test_subnormal_near_ties_take_the_exact_fallback(self, decided):
+        rng = Prng(0x5AC)
+        b = np.array([[1.0] * 3, [2.0**-75] * 3, [-(2.0**-80), 0.0, 2.0**-80], [1.0] * 3, [1.0] * 3], dtype=F32)
+        for i in range(12):
+            v = (-1) ** i * math.ldexp(1 + _draw(rng, 2**22), -149)
+            a = np.array([[v, 2.0**-75, 2.0**-80, 2.0**-100, -(2.0**-100)]], dtype=F32)
+            assert _same_bits(matmul(a, b), _oracle(a, b))
+        assert decided
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflow_boundary_among_finite_outputs(self, sign):
+        # Column 3 of a 1 x 64 by 64 x 8 product sits at the overflow
+        # boundary; every other column is small.
+        top = np.finfo(F32).max
+        rng = Prng(0x0F10)
+        a = gaussian_array(rng, (1, 64))
+        b = gaussian_array(rng, (64, 8))
+        a[0, :3] = np.array([top, 2.0**103, 0.0], dtype=F32) * F32(sign)
+        b[:3] = 0.0
+        b[:3, 3] = 1.0
+        b[3:, 3] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                matmul(a, b)  # the tie rounds to even, 2**128
+            a[0, 2] = -(2.0**60) * sign
+            out = matmul(a, b)
+        assert _same_bits(out, _oracle(a, b))
+        assert out[0, 3] == top * F32(sign)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_finite_input_rejected_without_warnings(self, bad, side):
+        a = np.ones((1, 64), dtype=F32)
+        b = np.ones((64, 64), dtype=F32)
+        (a[0] if side == "left" else b[3])[5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                matmul(a, b)
+
+    @pytest.mark.parametrize("m, k, n", [(1, 32, 64), (1, 64, 5), (50, 64, 64), (60, 600, 2)])
+    def test_read_only_operands_and_unchanged_inputs(self, m, k, n):
+        # forward passes weight.T, a view of a network's read-only weight;
+        # (60, 600, 2) runs its rows in three blocks.
+        rng = Prng(m * 10000 + k * 10 + n)
+        x = gaussian_array(rng, (m, k))
+        weight = gaussian_array(rng, (n, k))
+        before = x.tobytes(), weight.tobytes()
+        expected = _oracle(x, weight.T)
+        assert _same_bits(matmul(x, weight.T), expected)
+        assert (x.tobytes(), weight.tobytes()) == before
+        x.flags.writeable = weight.flags.writeable = False
+        assert _same_bits(matmul(x, weight.T), expected)
+        assert _same_bits(matmul(weight, x.T), _oracle(weight, x.T))
+
+    @pytest.mark.parametrize("m, k", [(1, 12), (1, 1024), (24, 1024)])
+    def test_every_undecided_element_reaches_exact_dot(self, monkeypatch, m, k):
+        # _exact_dot is looked up when an element needs it: patched to return
+        # a marker, it must be called once per undecided element, with that
+        # element's row and column, at m = 1 and across two blocks of rows.
+        rng = Prng(0xFA11 + m * k)
+        a = np.concatenate([_near_ties(rng, 1, k) for _ in range(m)])
+        b = _near_tie_columns(rng, k)
+        expected = _oracle(a, b)
+        calls = []
+        monkeypatch.setattr(tensor, "_exact_dot", lambda x, y: calls.append((x.tobytes(), y.tobytes())) or 7.0)
+        out = matmul(a, b)
+        marked = out == F32(7.0)
+        assert len(calls) == marked.sum() > 0
+        assert [(a[i].tobytes(), b[:, j].tobytes()) for i, j in zip(*np.nonzero(marked))] == calls
+        assert _same_bits(np.where(marked, expected, out), expected)
+        assert marked[_plain(a, b) != expected].all()
+
+
 class TestMatmulBlocked:
     """matmul against the exact oracle at batch shapes: the training and
     evaluation shapes, k = 0 and m*n = 0, strided views and overflow."""
