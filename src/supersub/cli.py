@@ -12,28 +12,9 @@ import argparse
 import sys
 
 from . import experiment as exp
-from .errors import (
-    BaseMismatchError,
-    ContractError,
-    DeltaModeError,
-    DimensionError,
-    FormatError,
-    ParameterError,
-    ValidationError,
-)
+from .errors import FormatError, SuperSubError
 
-_USER_ERRORS = (
-    ParameterError,
-    ValidationError,
-    ContractError,
-    DeltaModeError,
-    DimensionError,
-    IndexError,
-    FileNotFoundError,
-    IsADirectoryError,
-    NotADirectoryError,
-)
-_INTEGRITY_ERRORS = (FormatError, BaseMismatchError)
+_USER_ERRORS = (SuperSubError, IndexError, FileNotFoundError, IsADirectoryError, NotADirectoryError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
             for mode, result in run.results.items():
                 print(f"{mode}: macro {result.report.macro_accuracy:.2f}%")
         return 0
-    except _INTEGRITY_ERRORS as exc:
+    except FormatError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 3
     except _USER_ERRORS as exc:

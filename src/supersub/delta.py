@@ -37,13 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import InflatingReader, Reader, Writer, check_trailing_crc, deflate
-from .errors import (
-    BaseMismatchError,
-    ContractError,
-    DeltaModeError,
-    FormatError,
-    ParameterError,
-)
+from .errors import ContractError, FormatError, ParameterError
 from .network import (
     HEAD_TENSORS,
     Network,
@@ -109,9 +103,9 @@ def compute_delta(base: Network, sub: Network, mode: str, superclass_id: int = 0
     head_scales = None
     if mode == MODE_QAT_INT:
         if base.quant is None or sub.quant is None:
-            raise DeltaModeError("qat-int deltas need both networks snapped to grids")
+            raise ContractError("qat-int deltas need both networks snapped to grids")
         if base.quant.body_scales() != sub.quant.body_scales():
-            raise DeltaModeError("body quantization scales differ; grids are not shared")
+            raise ContractError("body quantization scales differ; grids are not shared")
         head_scales = sub.quant.head_scales()
 
     tensors: list[np.ndarray] = []
@@ -122,13 +116,13 @@ def compute_delta(base: Network, sub: Network, mode: str, superclass_id: int = 0
             try:
                 delta = f16_round((t_sub - t_base).astype(F32))
             except OverflowError as exc:
-                raise DeltaModeError(f"{name} delta does not fit binary16 ({exc}); use qat-int") from exc
+                raise ContractError(f"{name} delta does not fit binary16 ({exc}); use qat-int") from exc
             tensors.append(delta.astype(np.float16))
         else:
             s = base.quant.scales[i]
             diff = _exact_grid(t_sub, s, f"specialist {name}") - _exact_grid(t_base, s, f"base {name}")
             if diff.size and max(abs(int(diff.max())), abs(int(diff.min()))) > 32767:
-                raise DeltaModeError(f"grid delta for {name} overflows int16")
+                raise ContractError(f"grid delta for {name} overflows int16")
             tensors.append(diff.astype(np.int16))
     return DeltaPack(superclass_id, mode, fingerprint, sub.config, tuple(tensors), head_scales)
 
@@ -136,7 +130,7 @@ def compute_delta(base: Network, sub: Network, mode: str, superclass_id: int = 0
 def _exact_grid(t: np.ndarray, scale: float, what: str) -> np.ndarray:
     q = exact_lattice_indices(t, scale)
     if q is None:
-        raise DeltaModeError(f"{what} is not on the shared quantization grid")
+        raise ContractError(f"{what} is not on the shared quantization grid")
     return q
 
 
@@ -195,7 +189,7 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int, superclass_i
 
     `base_fingerprint` is `base_fingerprint_of(base)`, which the caller
     takes once per base; a pack computed against another base raises
-    BaseMismatchError. qat-int reconstruction works in the integer domain —
+    FormatError. qat-int reconstruction works in the integer domain —
     recover the base's grid indices, add the stored index deltas, rescale —
     which reproduces the stored specialist bit for bit. Either mode runs
     one pass over the body laid end to end, each element against its own
@@ -209,7 +203,7 @@ def reconstruct(base: Network, d: DeltaPack, base_fingerprint: int, superclass_i
     body scales from the base.
     """
     if base_fingerprint != d.base_fingerprint:
-        raise BaseMismatchError(
+        raise FormatError(
             f"delta was computed against base {d.base_fingerprint:#010x}, "
             f"got network with fingerprint {base_fingerprint:#010x}"
         )

@@ -1,22 +1,14 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: user/config mistakes (ParameterError,
-ValidationError, ContractError, missing files) exit 2; integrity failures
-(FormatError, BaseMismatchError) exit 3.
+Two families, one per CLI exit code: FormatError is an integrity failure,
+a file read back that is corrupt, truncated or made against another base
+(exit 3); every other SuperSubError is a user, config or API mistake
+(exit 2).
 """
 
 
 class SuperSubError(Exception):
     """Base class for all package-specific errors."""
-
-
-class DimensionError(SuperSubError):
-    """Shape mismatch between operands; carries both shapes."""
-
-    def __init__(self, message: str, left_shape=None, right_shape=None):
-        super().__init__(message)
-        self.left_shape = left_shape
-        self.right_shape = right_shape
 
 
 class ParameterError(SuperSubError):
@@ -28,22 +20,17 @@ class ValidationError(SuperSubError):
 
 
 class ContractError(SuperSubError):
-    """Caller broke an API precondition (mismatched cache, wrong head width...)."""
+    """Caller broke an API precondition: operand or batch shapes that do not
+    match, networks that do not fit the requested delta mode, a mismatched
+    cache, a wrong head width..."""
 
 
 class FormatError(SuperSubError):
-    """Corrupt or truncated container file; offset points at the failing byte."""
+    """Corrupt or truncated container file, or a delta pack computed against
+    another base network; offset, when known, points at the failing byte."""
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
         self.offset = offset
-
-
-class DeltaModeError(SuperSubError):
-    """Requested delta mode is incompatible with the given networks."""
-
-
-class BaseMismatchError(SuperSubError):
-    """Delta fingerprint does not match the base network it is applied to."""

@@ -40,9 +40,6 @@ class HierarchyManifest:
     def n_sub(self) -> int:
         return self._offsets[-1] + len(self.superclasses[-1][1])
 
-    def super_name(self, super_index: int) -> str:
-        return self.superclasses[self.check_super(super_index)][0]
-
     def super_names(self) -> list[str]:
         return [name for name, _ in self.superclasses]
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import tensor
 from .container import Reader, Writer, check_trailing_crc
-from .errors import ContractError, DimensionError, FormatError, ParameterError
+from .errors import ContractError, FormatError, ParameterError
 from .tensor import F32, Prng, matmul, ordered_axis0_sum, relu, softmax_rows
 
 NETWORK_MAGIC = b"HSNW"
@@ -349,7 +349,7 @@ def forward(
     """
     batch = tensor.as_float(batch)
     if batch.ndim != 2 or batch.shape[1] != net.input_dim:
-        raise DimensionError(
+        raise ContractError(
             f"batch shape {batch.shape} does not match input dim {net.input_dim}"
         )
     m = batch.shape[0]

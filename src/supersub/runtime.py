@@ -23,7 +23,7 @@ import numpy as np
 from . import network as net_mod
 from .data import Dataset
 from .delta import base_fingerprint_of, reconstruct, unpack
-from .errors import ContractError, DimensionError, ParameterError
+from .errors import ContractError, ParameterError
 from .hierarchy import HierarchyManifest
 from .network import Network, forward
 
@@ -150,7 +150,7 @@ def _infer(engine: ModelRegistry | EfficientSession, x: np.ndarray) -> tuple[int
     x = np.asarray(x, dtype=np.float32)
     router = engine.super_net
     if x.ndim != 1 or x.shape[0] != router.input_dim:
-        raise DimensionError(f"feature row has shape {x.shape}, expected ({router.input_dim},)")
+        raise ContractError(f"feature row has shape {x.shape}, expected ({router.input_dim},)")
     s = int(route_batch(router, x[None, :])[0])
     local = int(_local_predictions(engine.specialist_for(s), x[None, :])[0])
     return s, engine.manifest.sub_offset(s) + local

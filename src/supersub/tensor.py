@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import ContractError, ParameterError
 
 F32 = np.float32
 CE_EPSILON = 1e-12
@@ -199,11 +199,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if type(b) is not np.ndarray or b.dtype != F32:
         b = as_float(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul shape mismatch: {a.shape} x {b.shape}",
-            left_shape=a.shape,
-            right_shape=b.shape,
-        )
+        raise ContractError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     m, k = a.shape
     n = b.shape[1]
     rows = max(1, _ROW_BLOCK_ELEMENTS // max(k, n, 1))
@@ -309,7 +305,7 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction for overflow safety."""
     x = as_float(x)
     if x.ndim != 2 or x.shape[1] < 1:
-        raise DimensionError(f"softmax_rows expects a non-empty 2-D array, got {x.shape}")
+        raise ContractError(f"softmax_rows expects a non-empty 2-D array, got {x.shape}")
     shifted = x - np.max(x, axis=1, keepdims=True)
     e = np.exp(shifted)
     denom = ordered_axis0_sum(e.T)
@@ -323,9 +319,9 @@ def cross_entropy(probs: np.ndarray, labels) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     m, n = probs.shape
     if m == 0:
-        raise DimensionError("cross_entropy needs at least one row")
+        raise ContractError("cross_entropy needs at least one row")
     if labels.shape != (m,):
-        raise DimensionError(f"expected {m} labels, got shape {labels.shape}")
+        raise ContractError(f"expected {m} labels, got shape {labels.shape}")
     if np.any(labels < 0) or np.any(labels >= n):
         bad = int(labels[(labels < 0) | (labels >= n)][0])
         raise IndexError(f"label {bad} out of range for {n} classes")

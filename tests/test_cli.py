@@ -6,8 +6,10 @@ from dataclasses import replace
 import pytest
 
 from conftest import body_mutations, mini_spec, with_fixed_crc
+from supersub import experiment
 from supersub.cli import main
 from supersub.data import generate_synthetic, save_dataset
+from supersub.errors import FormatError, SuperSubError
 from supersub.experiment import RunPaths, load_config
 from test_experiment import config_doc
 
@@ -54,6 +56,35 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"seed": 1}', encoding="utf-8")
     assert main(["--config", str(bad), "gen-data"]) == 2
+
+
+def package_errors(cls=SuperSubError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from package_errors(sub)
+
+
+@pytest.mark.parametrize("cls", list(package_errors()), ids=lambda cls: cls.__name__)
+def test_every_package_error_has_one_exit_code(tmp_path, monkeypatch, capsys, cls):
+    # FormatError is the integrity family (exit 3); every other package
+    # error, a class added later included, is a user error (exit 2).
+    def raise_it(*args, **kwargs):
+        raise cls("planted")
+
+    monkeypatch.setattr(experiment, "load_config", raise_it)
+    integrity = issubclass(cls, FormatError)
+    assert main(["--config", str(tmp_path / "config.json"), "report"]) == (3 if integrity else 2)
+    err = capsys.readouterr().err
+    assert err == ("integrity error: planted\n" if integrity else "error: planted\n")
+
+
+def test_builtin_value_error_propagates(tmp_path, monkeypatch):
+    def raise_it(*args, **kwargs):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(experiment, "load_config", raise_it)
+    with pytest.raises(ValueError, match="planted"):
+        main(["--config", str(tmp_path / "config.json"), "report"])
 
 
 @pytest.mark.parametrize(
@@ -217,7 +248,6 @@ def test_rejected_body_mutants_exit_3(qat_config_path, capsys, target):
     for argv in (["gen-data"], ["train", "super"], ["finetune", "0"], ["pack", "0"]):
         assert main(["--config", str(qat_config_path)] + argv) == 0
     from supersub.delta import base_fingerprint_of, reconstruct, unpack
-    from supersub.errors import BaseMismatchError, FormatError
     from supersub.network import deserialize_network, load_network
 
     paths = RunPaths(load_config(qat_config_path).out_dir)
@@ -230,7 +260,7 @@ def test_rejected_body_mutants_exit_3(qat_config_path, capsys, target):
                 reconstruct(base, unpack(mutant), base_fingerprint_of(base), 0, 2)
             else:
                 deserialize_network(mutant)
-        except (FormatError, BaseMismatchError):
+        except FormatError:
             rejected += 1
         else:
             continue  # read back: not a failure
@@ -439,7 +469,9 @@ def test_stale_base_exits_3(qat_config_path, capsys):
         assert main(["--config", str(qat_config_path)] + argv) == 0
     # Retrain the router with a different seed: the stored delta goes stale.
     assert main(["--config", str(qat_config_path), "--seed", "31337", "train", "super"]) == 0
+    capsys.readouterr()
     assert main(["--config", str(qat_config_path), "unpack", "0"]) == 3
+    assert "integrity error: delta was computed against base 0x" in capsys.readouterr().err
 
 
 def test_eval_and_report_flow(config_path, capsys):

@@ -131,7 +131,7 @@ class TestSuperOf:
 
 
 class TestSuperclassIndex:
-    @pytest.mark.parametrize("method", ["subclass_count", "sub_offset", "super_name"])
+    @pytest.mark.parametrize("method", ["subclass_count", "sub_offset"])
     @pytest.mark.parametrize("index", [-1, 2])
     def test_out_of_range_rejected(self, method, index):
         # -1 is no alias for the last superclass.

@@ -12,7 +12,7 @@ import pytest
 from conftest import body_mutations, header_mutations, named, with_fixed_crc
 from supersub.container import Writer
 from supersub.delta import MODE_QAT_INT, base_fingerprint_of, compute_delta, pack, reconstruct, unpack
-from supersub.errors import ContractError, DimensionError, FormatError, ParameterError
+from supersub.errors import ContractError, FormatError, ParameterError
 from supersub.network import (
     Network,
     NetworkConfig,
@@ -126,7 +126,7 @@ class TestForward:
 
     def test_width_mismatch(self):
         net = small_net((5, 4, 3))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ContractError, match=r"batch shape \(2, 6\) does not match input dim 5"):
             forward(net, np.zeros((2, 6), dtype=F32))
 
     def test_training_mode_reports_bn_updates(self):
