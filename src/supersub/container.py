@@ -1,12 +1,15 @@
-"""Binary container plumbing: CRC-32C, little-endian primitives, DEFLATE.
+"""Binary container plumbing: the frame, CRC-32C, little-endian primitives, DEFLATE.
 
-All on-disk formats in this package share the same skeleton: 4-byte magic,
-u16 version, format-specific body, trailing CRC-32C over every preceding
-byte. Readers fail with FormatError carrying the byte offset of the first
-inconsistency; they never return partially parsed objects. A compressed
-section is read through an InflatingReader, which inflates only the bytes
-its reads take, so what a section's own header implies bounds how much a
-stream inflates, and a stream longer or shorter than that is a FormatError.
+All on-disk formats in this package share one frame: 4-byte magic, u16
+version, format-specific body, trailing CRC-32C over every preceding byte.
+This module owns it: `seal` writes it, `open_container` checks it (the CRC
+first, then magic and version) and `stored_checksum` reads the stored CRC,
+so a format module lays out only its own fields. Readers fail with
+FormatError carrying the byte offset of the first inconsistency; they never
+return partially parsed objects. A compressed section is read through an
+InflatingReader, which inflates only the bytes its reads take, so what a
+section's own header implies bounds how much a stream inflates, and a
+stream longer or shorter than that is a FormatError.
 
 CRC-32C has two kernels with identical results. The byte-at-a-time table
 loop is the reference and serves inputs under 4 bytes. Every longer input
@@ -138,7 +141,7 @@ def inflate(decomp, data: bytes, n: int) -> bytes:
 
 
 class Writer:
-    """Accumulates little-endian fields; finish() appends the CRC-32C."""
+    """Accumulates little-endian fields; body() joins them."""
 
     def __init__(self):
         self._parts: list[bytes] = []
@@ -172,10 +175,6 @@ class Writer:
 
     def body(self) -> bytes:
         return b"".join(self._parts)
-
-    def finish(self) -> bytes:
-        data = self.body()
-        return data + struct.pack("<I", crc32c(data))
 
 
 class Reader:
@@ -237,18 +236,6 @@ class Reader:
                 f"string is not valid UTF-8: {exc.reason}", offset=self.pos - len(data) + exc.start
             ) from exc
 
-    def expect_magic(self, magic: bytes) -> None:
-        offset = self.pos
-        got = self._take(len(magic))
-        if got != magic:
-            raise FormatError(f"bad magic {got!r}, expected {magic!r}", offset=offset)
-
-    def expect_version(self, version: int) -> None:
-        offset = self.pos
-        got = self.u16()
-        if got != version:
-            raise FormatError(f"unsupported version {got}, expected {version}", offset=offset)
-
     def expect_end(self) -> None:
         if self.pos != len(self.data):
             raise FormatError(
@@ -291,15 +278,36 @@ class InflatingReader(Reader):
             raise FormatError("trailing garbage after DEFLATE stream", offset=self.pos)
 
 
-def check_trailing_crc(data: bytes) -> bytes:
-    """Verify the trailing CRC-32C; returns the body without the CRC field."""
+def seal(magic: bytes, version: int, body: bytes) -> bytes:
+    """The frame around body: magic, u16 version, body, then the CRC-32C of
+    every byte before it."""
+    data = b"".join((magic, struct.pack("<H", version), body))
+    return data + struct.pack("<I", crc32c(data))
+
+
+def open_container(data: bytes, magic: bytes, version: int) -> Reader:
+    """Check data's frame: the trailing CRC-32C, then magic, then version.
+    Returns a Reader over every byte before the CRC field, past the version,
+    so its offsets are the file's."""
     if len(data) < 4:
         raise FormatError("container shorter than its CRC field", offset=0)
-    body, stored = data[:-4], struct.unpack("<I", data[-4:])[0]
+    stored, body = stored_checksum(data), data[:-4]
     actual = crc32c(body)
     if stored != actual:
         raise FormatError(
             f"checksum mismatch: stored {stored:#010x}, computed {actual:#010x}",
             offset=len(data) - 4,
         )
-    return body
+    r = Reader(body)
+    got = r.raw(len(magic))
+    if got != magic:
+        raise FormatError(f"bad magic {got!r}, expected {magic!r}", offset=0)
+    got = r.u16()
+    if got != version:
+        raise FormatError(f"unsupported version {got}, expected {version}", offset=len(magic))
+    return r
+
+
+def stored_checksum(data: bytes) -> int:
+    """The CRC-32C a container stores in its last 4 bytes."""
+    return int.from_bytes(data[-4:], "little")

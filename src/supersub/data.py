@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .container import Reader, Writer, check_trailing_crc
+from .container import Writer, open_container, seal
 from .errors import ContractError, FormatError, ParameterError, ValidationError
 from .hierarchy import HierarchyManifest, make_manifest, parse_manifest
 
@@ -139,21 +139,16 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
 
 def serialize_dataset(ds: Dataset) -> bytes:
     w = Writer()
-    w.raw(DATASET_MAGIC)
-    w.u16(DATASET_VERSION)
     w.u32(ds.dim)
     w.u64(ds.n_rows)
     w.text(ds.manifest.to_json())
     w.raw(np.ascontiguousarray(ds.features, dtype="<f4").tobytes())
     w.raw(np.ascontiguousarray(ds.sub_labels, dtype="<u4").tobytes())
-    return w.finish()
+    return seal(DATASET_MAGIC, DATASET_VERSION, w.body())
 
 
 def deserialize_dataset(data: bytes) -> Dataset:
-    body = check_trailing_crc(data)
-    r = Reader(body)
-    r.expect_magic(DATASET_MAGIC)
-    r.expect_version(DATASET_VERSION)
+    r = open_container(data, DATASET_MAGIC, DATASET_VERSION)
     dim = r.u32()
     n_rows = r.u64()
     offset = r.pos

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import InflatingReader, Reader, Writer, check_trailing_crc, deflate
+from .container import InflatingReader, Writer, deflate, open_container, seal, stored_checksum
 from .errors import ContractError, FormatError, ParameterError
 from .network import (
     HEAD_TENSORS,
@@ -89,7 +89,7 @@ def base_fingerprint_of(base: Network) -> int:
     body only; that is exactly the value already stored in the file's
     trailing field, which this returns.
     """
-    return int.from_bytes(serialize_network(base)[-4:], "little")
+    return stored_checksum(serialize_network(base))
 
 
 def compute_delta(base: Network, sub: Network, mode: str, superclass_id: int = 0) -> DeltaPack:
@@ -145,13 +145,11 @@ def pack(d: DeltaPack) -> bytes:
         section.f32(s)
     write_tensors(section, d.tensors, _BODY_DTYPES[d.mode])
     w = Writer()
-    w.raw(DELTA_MAGIC)
-    w.u16(DELTA_VERSION)
     w.u32(d.superclass_id)
     w.u8(_MODE_CODES[d.mode])
     w.u32(d.base_fingerprint)
     w.raw(deflate(section.body()))
-    return w.finish()
+    return seal(DELTA_MAGIC, DELTA_VERSION, w.body())
 
 
 def unpack(data: bytes) -> DeltaPack:
@@ -161,10 +159,7 @@ def unpack(data: bytes) -> DeltaPack:
     then exactly the head scales and tensors that config and the mode imply.
     A stream that runs on past them, or ends before them, is a FormatError.
     """
-    body = check_trailing_crc(data)
-    r = Reader(body)
-    r.expect_magic(DELTA_MAGIC)
-    r.expect_version(DELTA_VERSION)
+    r = open_container(data, DELTA_MAGIC, DELTA_VERSION)
     superclass_id = r.u32()
     mode_code = r.u8()
     if mode_code not in _MODE_NAMES:
@@ -172,7 +167,7 @@ def unpack(data: bytes) -> DeltaPack:
     mode = _MODE_NAMES[mode_code]
     fingerprint = r.u32()
 
-    section = InflatingReader(body[r.pos :])
+    section = InflatingReader(r.data[r.pos :])
     config = read_config(section)
     head_scales = tuple(section.f32() for _ in HEAD_TENSORS) if mode == MODE_QAT_INT else None
     tensors = read_tensors(section, config, _BODY_DTYPES[mode])

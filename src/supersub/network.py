@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor
-from .container import Reader, Writer, check_trailing_crc
+from .container import Reader, Writer, open_container, seal
 from .errors import ContractError, FormatError, ParameterError
 from .tensor import F32, Prng, matmul, ordered_axis0_sum, relu, softmax_rows
 
@@ -587,8 +587,6 @@ def split_flat(flat: np.ndarray, shapes) -> list[np.ndarray]:
 
 def serialize_network(net: Network) -> bytes:
     w = Writer()
-    w.raw(NETWORK_MAGIC)
-    w.u16(NETWORK_VERSION)
     write_config(w, net.config)
     if net.quant is None:
         w.u8(0)
@@ -597,16 +595,13 @@ def serialize_network(net: Network) -> bytes:
         for s in net.quant.scales:
             w.f32(s)
     write_tensors(w, net.tensors)
-    return w.finish()
+    return seal(NETWORK_MAGIC, NETWORK_VERSION, w.body())
 
 
 def deserialize_network(data: bytes) -> Network:
     """Parse an HSNW file. A non-finite tensor, or a tensor of a quantized
     network off the lattice its scale records, is a FormatError."""
-    body = check_trailing_crc(data)
-    r = Reader(body)
-    r.expect_magic(NETWORK_MAGIC)
-    r.expect_version(NETWORK_VERSION)
+    r = open_container(data, NETWORK_MAGIC, NETWORK_VERSION)
     config = read_config(r)
     quant = None
     if r.flag("quantization"):

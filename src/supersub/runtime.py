@@ -250,17 +250,12 @@ def _evaluate_routed(mode: str, specialist_for, test: Dataset, routed: np.ndarra
     predictions; it only batches the forward passes.
     """
     manifest = test.manifest
-    n = len(routed)
-    pred_subs = np.empty(n, dtype=np.int64)
-    start = 0
-    while start < n:
-        end = start
-        while end < n and routed[end] == routed[start]:
-            end += 1
+    pred_subs = np.empty(len(routed), dtype=np.int64)
+    starts = np.flatnonzero(np.diff(routed, prepend=-1)).tolist()
+    for start, end in zip(starts, starts[1:] + [len(routed)]):
         s = int(routed[start])
         local = _local_predictions(specialist_for(s), test.features[start:end])
         pred_subs[start:end] = manifest.sub_offset(s) + local
-        start = end
     report = build_report(mode, manifest, test.sub_labels, routed, pred_subs)
     return EvalResult(report, routed, pred_subs)
 

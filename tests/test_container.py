@@ -1,9 +1,11 @@
-"""Container plumbing: CRC-32C vectors and kernels, primitives, DEFLATE round trip."""
+"""Container plumbing: CRC-32C vectors and kernels, the frame of every
+format, primitives, DEFLATE round trip."""
 
 import tracemalloc
 
 import pytest
 
+from conftest import with_fixed_crc
 from supersub.container import (
     _BLOCK,
     _GATHER_BLOCKS,
@@ -11,11 +13,23 @@ from supersub.container import (
     Reader,
     Writer,
     _crc32c_bytewise,
-    check_trailing_crc,
     crc32c,
     deflate,
+    open_container,
+    seal,
+    stored_checksum,
 )
+from supersub.data import DATASET_MAGIC, DATASET_VERSION, deserialize_dataset, serialize_dataset
+from supersub.delta import DELTA_MAGIC, DELTA_VERSION, MODE_FP16, compute_delta, pack, unpack
 from supersub.errors import FormatError
+from supersub.network import (
+    NETWORK_MAGIC,
+    NETWORK_VERSION,
+    NetworkConfig,
+    deserialize_network,
+    init_network,
+    serialize_network,
+)
 from supersub.tensor import Prng
 
 _MAX_LEN = 100_000
@@ -83,9 +97,11 @@ def test_crc32c_memory_stays_bounded_on_a_large_input(pool):
 def test_writer_reader_round_trip():
     w = Writer()
     w.u8(7).u16(513).u32(70000).u64(1 << 40).f32(1.5).text("héllo").blob(b"\x00\x01")
-    data = w.finish()
-    body = check_trailing_crc(data)
-    r = Reader(body)
+    data = seal(b"TEST", 9, w.body())
+    assert data[:6] == b"TEST\x09\x00"
+    assert stored_checksum(data) == crc32c(data[:-4])
+    r = open_container(data, b"TEST", 9)
+    assert r.pos == 6
     assert r.u8() == 7
     assert r.u16() == 513
     assert r.u32() == 70000
@@ -97,17 +113,17 @@ def test_writer_reader_round_trip():
 
 
 def test_corrupted_crc_detected():
-    data = Writer().u32(42).finish()
+    data = seal(b"TEST", 1, Writer().u32(42).body())
     corrupted = data[:-1] + bytes([data[-1] ^ 0xFF])
     with pytest.raises(FormatError):
-        check_trailing_crc(corrupted)
+        open_container(corrupted, b"TEST", 1)
 
 
 def test_corrupted_body_detected():
-    data = Writer().u32(42).u32(43).finish()
+    data = seal(b"TEST", 1, Writer().u32(42).u32(43).body())
     corrupted = bytes([data[0] ^ 0x01]) + data[1:]
     with pytest.raises(FormatError):
-        check_trailing_crc(corrupted)
+        open_container(corrupted, b"TEST", 1)
 
 
 def test_truncation_reports_offset():
@@ -126,10 +142,45 @@ def test_negative_length_rejected():
 
 
 def test_bad_magic_reports_offset():
-    r = Reader(b"XXXXrest")
+    data = seal(b"XXXX", 1, b"rest")
     with pytest.raises(FormatError) as err:
-        r.expect_magic(b"HSDS")
+        open_container(data, b"HSDS", 1)
     assert err.value.offset == 0
+
+
+@pytest.fixture(scope="module")
+def formats(mini_test):
+    """Per format: a file, its reader, magic and version."""
+    base = init_network(NetworkConfig((4, 6, 3)), 0)
+    specialist = init_network(NetworkConfig((4, 6, 2)), 1)
+    return {
+        "HSNW": (serialize_network(base), deserialize_network, NETWORK_MAGIC, NETWORK_VERSION),
+        "HSDS": (serialize_dataset(mini_test), deserialize_dataset, DATASET_MAGIC, DATASET_VERSION),
+        "HSDL": (pack(compute_delta(base, specialist, MODE_FP16)), unpack, DELTA_MAGIC, DELTA_VERSION),
+    }
+
+
+def frame_fault(fault: str, data: bytes, magic: bytes, version: int):
+    """data with one fault in its frame, the error that names it and its offset."""
+    if fault == "short":
+        return data[:3], "shorter than its CRC field", 0
+    if fault == "crc":
+        return data[:-1] + bytes([data[-1] ^ 0x01]), "checksum mismatch", len(data) - 4
+    if fault == "magic":
+        return with_fixed_crc(b"XXXX" + data[4:]), "bad magic", 0
+    previous = (version - 1).to_bytes(2, "little")
+    return with_fixed_crc(magic + previous + data[6:]), "unsupported version", 4
+
+
+@pytest.mark.parametrize("fault", ["short", "crc", "magic", "version"])
+@pytest.mark.parametrize("name", ["HSNW", "HSDS", "HSDL"])
+def test_every_format_checks_its_frame(formats, name, fault):
+    data, read, magic, version = formats[name]
+    assert data[:6] == magic + version.to_bytes(2, "little")
+    bad, message, offset = frame_fault(fault, data, magic, version)
+    with pytest.raises(FormatError, match=message) as err:
+        read(bad)
+    assert err.value.offset == offset
 
 
 def test_invalid_utf8_text_reports_offset():

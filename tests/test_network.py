@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import body_mutations, header_mutations, named, with_fixed_crc
-from supersub.container import Writer
+from supersub.container import Writer, seal
 from supersub.delta import MODE_QAT_INT, base_fingerprint_of, compute_delta, pack, reconstruct, unpack
 from supersub.errors import ContractError, FormatError, ParameterError
 from supersub.network import (
+    NETWORK_MAGIC,
+    NETWORK_VERSION,
     Network,
     NetworkConfig,
     QatConfig,
@@ -441,12 +443,12 @@ class TestSnapAndEffectiveWeights:
 def plain_network_bytes(dims) -> bytes:
     """An HSNW file of all-zero tensors with these layer dims, written field by
     field (so any dims), with no quantization block."""
-    w = Writer().raw(b"HSNW").u16(3).u32(len(dims))
+    w = Writer().u32(len(dims))
     for dim in dims:
         w.u32(dim)
     w.u8(0)
     n_values = sum(fan_in * fan_out + 4 * fan_out for fan_in, fan_out in zip(dims, dims[1:])) - 3 * dims[-1]
-    return w.raw(bytes(4 * n_values)).finish()
+    return seal(NETWORK_MAGIC, NETWORK_VERSION, w.raw(bytes(4 * n_values)).body())
 
 
 def quant_block_at(config: NetworkConfig) -> int:
@@ -521,12 +523,12 @@ class TestNetworkContainer:
             deserialize_network(with_fixed_crc(data[:at] + bytes([value]) + data[at + 1 :]))
 
     def test_overflowing_dims_are_format_error(self):
-        w = Writer().raw(b"HSNW").u16(3).u32(3)
+        w = Writer().u32(3)
         for dim in (2**32 - 1, 2**32 - 1, 2):
             w.u32(dim)
         w.u8(0)  # no quant block
         with pytest.raises(FormatError):
-            deserialize_network(w.finish())
+            deserialize_network(seal(NETWORK_MAGIC, NETWORK_VERSION, w.body()))
 
     @pytest.mark.parametrize(
         "edit",
