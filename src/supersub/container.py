@@ -6,10 +6,11 @@ This module owns it: `seal` writes it, `open_container` checks it (the CRC
 first, then magic and version) and `stored_checksum` reads the stored CRC,
 so a format module lays out only its own fields. Readers fail with
 FormatError carrying the byte offset of the first inconsistency; they never
-return partially parsed objects. A compressed section is read through an
-InflatingReader, which inflates only the bytes its reads take, so what a
-section's own header implies bounds how much a stream inflates, and a
-stream longer or shorter than that is a FormatError.
+return partially parsed objects. A compressed payload is inflated in one
+`inflate` call, given the size its container's plain header implies: it
+inflates at most one byte past that size, rejects a size that no DEFLATE
+stream of the given length can reach before inflating any of it, and a
+stream longer or shorter than the size is a FormatError.
 
 CRC-32C has two kernels with identical results. The byte-at-a-time table
 loop is the reference and serves inputs under 4 bytes. Every longer input
@@ -26,7 +27,6 @@ an interpreted loop iteration.
 from __future__ import annotations
 
 import struct
-import sys
 import zlib
 
 import numpy as np
@@ -35,6 +35,8 @@ from .errors import FormatError
 
 _CRC32C_POLY = 0x82F63B78
 DEFLATE_LEVEL = 9  # zlib's best compression; the packed goldens pin it
+# DEFLATE's largest expansion: a 258-byte match coded in 2 bits.
+_MAX_INFLATE_RATIO = 1032
 
 
 def _build_crc32c_table() -> list[int]:
@@ -128,16 +130,28 @@ def deflate(data: bytes) -> bytes:
     return comp.compress(data) + comp.flush()
 
 
-def inflate(decomp, data: bytes, n: int) -> bytes:
-    """At most n more bytes (n > 0) of the raw DEFLATE stream that decomp, a
-    zlib.decompressobj(wbits=-15), inflates from data, the stream's input
-    not yet consumed, which decomp.unconsumed_tail holds after each call.
-    Fewer come back only where the stream or its input ends; a corrupt
-    stream is a FormatError."""
+def inflate(stream: bytes, n: int) -> bytes:
+    """The n bytes the raw DEFLATE stream inflates to, in one call that
+    inflates at most n + 1. A stream that is corrupt, ends short of n
+    bytes, runs past them or is followed by other bytes is a FormatError,
+    and so is an n that no stream of this length can reach, raised before
+    any of it is inflated."""
+    if n > _MAX_INFLATE_RATIO * len(stream):
+        raise FormatError(f"{len(stream)} DEFLATE bytes cannot hold {n} bytes")
+    decomp = zlib.decompressobj(wbits=-15)
     try:
-        return decomp.decompress(data, min(n, sys.maxsize))  # no stream holds more
+        out = decomp.decompress(stream, n + 1)
     except zlib.error as exc:
         raise FormatError(f"DEFLATE decompression failed: {exc}") from exc
+    if len(out) > n:
+        raise FormatError(f"DEFLATE stream runs past its {n} bytes")
+    if not decomp.eof:
+        raise FormatError(f"DEFLATE stream is truncated: {len(out)} of {n} bytes")
+    if len(out) < n:
+        raise FormatError(f"DEFLATE stream ends short: {len(out)} of {n} bytes")
+    if decomp.unused_data:
+        raise FormatError("trailing garbage after DEFLATE stream")
+    return out
 
 
 class Writer:
@@ -241,41 +255,6 @@ class Reader:
             raise FormatError(
                 f"{len(self.data) - self.pos} unexpected trailing bytes", offset=self.pos
             )
-
-
-class InflatingReader(Reader):
-    """A Reader over a raw DEFLATE stream (RFC 1951, no zlib wrapper) that
-    inflates exactly the bytes each read takes, so no stream is inflated
-    past what its reader asks for. Reads run front to back, so nothing
-    inflated is kept; expect_end also requires the stream to end there,
-    with no input after it."""
-
-    def __init__(self, stream: bytes):
-        super().__init__(b"")
-        self._input = stream
-        self._decomp = zlib.decompressobj(wbits=-15)
-
-    def _take(self, n: int) -> bytes:
-        if n < 0:
-            raise FormatError(f"negative length {n}", offset=self.pos)
-        chunk = self._inflate(n) if n else b""
-        if len(chunk) < n:
-            raise FormatError(f"truncated: wanted {n} bytes, the stream holds {len(chunk)}", offset=self.pos)
-        self.pos += n
-        return chunk
-
-    def _inflate(self, n: int) -> bytes:
-        chunk = inflate(self._decomp, self._input, n)
-        self._input = self._decomp.unconsumed_tail
-        return chunk
-
-    def expect_end(self) -> None:
-        if self._inflate(1):
-            raise FormatError("DEFLATE stream runs past the end of its section", offset=self.pos)
-        if not self._decomp.eof:
-            raise FormatError("DEFLATE stream is truncated", offset=self.pos)
-        if self._decomp.unused_data:
-            raise FormatError("trailing garbage after DEFLATE stream", offset=self.pos)
 
 
 def seal(magic: bytes, version: int, body: bytes) -> bytes:

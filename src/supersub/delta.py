@@ -16,7 +16,10 @@ mode's element type and the head (`HEAD_TENSORS`) verbatim, because the
 head is reinitialized at another width during finetuning and has no base
 tensor to delta against. No tensor name, shape or per-tensor body scale is
 stored: the body is the base's, and so are its qat-int grids. A qat-int
-pack adds only the specialist's two head scales.
+pack adds only the specialist's two head scales. The config and head
+scales sit in the pack's plain header and only the tensor payload is
+DEFLATE-compressed, so the header fixes the payload's length before any
+of it is inflated.
 
 The packed container records a CRC-32C fingerprint of the base network
 file; reconstruction against any other base fails loudly instead of
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import InflatingReader, Writer, deflate, open_container, seal, stored_checksum
+from .container import Reader, Writer, deflate, inflate, open_container, seal, stored_checksum
 from .errors import ContractError, FormatError, ParameterError
 from .network import (
     HEAD_TENSORS,
@@ -51,13 +54,14 @@ from .network import (
     split_flat,
     tensor_items,
     tensor_shapes,
+    tensors_size,
     write_config,
     write_tensors,
 )
 from .tensor import F32, f16_round
 
 DELTA_MAGIC = b"HSDL"
-DELTA_VERSION = 4
+DELTA_VERSION = 5
 
 MODE_FP16 = "fp16"
 MODE_QAT_INT = "qat-int"
@@ -138,26 +142,27 @@ def _exact_grid(t: np.ndarray, scale: float, what: str) -> np.ndarray:
 
 
 def pack(d: DeltaPack) -> bytes:
-    """Serialize and DEFLATE-compress; the 15-byte header stays uncompressed."""
-    section = Writer()
-    write_config(section, d.config)
-    for s in d.head_scales or ():
-        section.f32(s)
-    write_tensors(section, d.tensors, _BODY_DTYPES[d.mode])
+    """Serialize; only the tensor payload is DEFLATE-compressed, after a
+    plain header that sizes it."""
+    payload = Writer()
+    write_tensors(payload, d.tensors, _BODY_DTYPES[d.mode])
     w = Writer()
     w.u32(d.superclass_id)
     w.u8(_MODE_CODES[d.mode])
     w.u32(d.base_fingerprint)
-    w.raw(deflate(section.body()))
+    write_config(w, d.config)
+    for s in d.head_scales or ():
+        w.f32(s)
+    w.raw(deflate(payload.body()))
     return seal(DELTA_MAGIC, DELTA_VERSION, w.body())
 
 
 def unpack(data: bytes) -> DeltaPack:
     """Parse a packed delta; needs no base, so a pack can be read on its own.
 
-    The section inflates only as far as its reads go: the config header,
-    then exactly the head scales and tensors that config and the mode imply.
-    A stream that runs on past them, or ends before them, is a FormatError.
+    The plain header's config and mode fix the payload's length, so the
+    payload inflates in one call bounded by it; a stream that runs on past
+    it, or ends before it, is a FormatError.
     """
     r = open_container(data, DELTA_MAGIC, DELTA_VERSION)
     superclass_id = r.u32()
@@ -166,12 +171,11 @@ def unpack(data: bytes) -> DeltaPack:
         raise FormatError(f"unknown delta mode code {mode_code}", offset=r.pos - 1)
     mode = _MODE_NAMES[mode_code]
     fingerprint = r.u32()
-
-    section = InflatingReader(r.data[r.pos :])
-    config = read_config(section)
-    head_scales = tuple(section.f32() for _ in HEAD_TENSORS) if mode == MODE_QAT_INT else None
-    tensors = read_tensors(section, config, _BODY_DTYPES[mode])
-    section.expect_end()
+    config = read_config(r)
+    head_scales = tuple(r.f32() for _ in HEAD_TENSORS) if mode == MODE_QAT_INT else None
+    dtype = _BODY_DTYPES[mode]
+    payload = inflate(r.data[r.pos :], tensors_size(config, dtype))
+    tensors = read_tensors(Reader(payload), config, dtype)
     return DeltaPack(superclass_id, mode, fingerprint, config, tensors, head_scales)
 
 

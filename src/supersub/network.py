@@ -14,9 +14,10 @@ one private generator, `_layers`.
 
 Only this module knows three rules; other modules ask it. The tensor
 layout: `tensor_shapes(config)` names every tensor and its shape in file
-order, for `Network`, `tensor_items`, and `write_tensors` and
-`read_tensors`, which with `write_config` and `read_config` give the HSNW
-and HSDL containers one config header and one payload order. The
+order, for `Network`, `tensor_items`, and `write_tensors`,
+`read_tensors` and `tensors_size`, which with `write_config` and
+`read_config` give the HSNW and HSDL containers one config header and one
+payload order, and HSDL the size of its payload. The
 body/head split: the head is `HEAD_TENSORS`, the body `body_items`, and
 `NetworkConfig.with_head` keeps a body under another head width. The grid
 rule: every grid is `QAT_BITS` wide, and `QatConfig.scale` gives a tensor
@@ -564,15 +565,25 @@ def write_tensors(w: Writer, tensors: list[np.ndarray] | tuple[np.ndarray, ...],
         w.raw(np.ascontiguousarray(t, dtype=body_dtype if i < n_body else "<f4").tobytes())
 
 
+def _payload_parts(config: NetworkConfig, body_dtype: str):
+    """(shapes, dtype, byte count) of the body's payload, then the head's."""
+    shapes = tensor_shapes(config)
+    n_body = len(shapes) - len(HEAD_TENSORS)
+    for part, dtype in ((shapes[:n_body], np.dtype(body_dtype)), (shapes[n_body:], np.dtype("<f4"))):
+        yield part, dtype, dtype.itemsize * sum(math.prod(shape) for _, shape in part)
+
+
+def tensors_size(config: NetworkConfig, body_dtype: str = "<f4") -> int:
+    """Bytes write_tensors writes for a network of this config."""
+    return sum(size for _, _, size in _payload_parts(config, body_dtype))
+
+
 def read_tensors(r: Reader, config: NetworkConfig, body_dtype: str = "<f4") -> tuple[np.ndarray, ...]:
     """Inverse of write_tensors for a network of this config: the body in
     one read and the head in another, each split into its tensors."""
-    shapes = tensor_shapes(config)
-    n_body = len(shapes) - len(HEAD_TENSORS)
     tensors = []
-    for part, dtype in ((shapes[:n_body], np.dtype(body_dtype)), (shapes[n_body:], np.dtype("<f4"))):
-        raw = r.raw(dtype.itemsize * sum(math.prod(shape) for _, shape in part))
-        tensors += split_flat(np.frombuffer(raw, dtype=dtype).astype(dtype.type), part)
+    for part, dtype, size in _payload_parts(config, body_dtype):
+        tensors += split_flat(np.frombuffer(r.raw(size), dtype=dtype).astype(dtype.type), part)
     return tuple(tensors)
 
 

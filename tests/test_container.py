@@ -9,12 +9,12 @@ from conftest import with_fixed_crc
 from supersub.container import (
     _BLOCK,
     _GATHER_BLOCKS,
-    InflatingReader,
     Reader,
     Writer,
     _crc32c_bytewise,
     crc32c,
     deflate,
+    inflate,
     open_container,
     seal,
     stored_checksum,
@@ -194,50 +194,64 @@ def test_invalid_utf8_text_reports_offset():
     assert "UTF-8" in str(err.value)
 
 
-def _inflate_all(stream: bytes, n: int) -> bytes:
-    r = InflatingReader(stream)
-    out = r.raw(n)
-    r.expect_end()
-    return out
-
-
 def test_deflate_round_trip():
     payload = b"abc" * 1000 + bytes(range(256))
-    assert _inflate_all(deflate(payload), len(payload)) == payload
+    assert inflate(deflate(payload), len(payload)) == payload
 
 
 def test_inflate_rejects_garbage():
-    with pytest.raises(FormatError):
-        InflatingReader(b"\xff\xff\xff\xff not a deflate stream").u8()
+    with pytest.raises(FormatError, match="decompression failed"):
+        inflate(b"\xff\xff\xff\xff not a deflate stream", 1)
 
 
 @pytest.mark.parametrize(
-    "cut", [lambda s: s + b"GARBAGE", lambda s: s[:-3]], ids=["trailing_bytes", "truncated"]
+    "cut, message",
+    [(lambda s: s + b"GARBAGE", "trailing garbage"), (lambda s: s[:-3], "truncated")],
+    ids=["trailing_bytes", "truncated"],
 )
-def test_inflate_rejects_a_stream_that_does_not_end_at_the_end(cut):
+def test_inflate_rejects_a_stream_that_does_not_end_at_the_end(cut, message):
     payload = bytes(range(256)) * 4 + b"abc" * 25
-    with pytest.raises(FormatError):
-        _inflate_all(cut(deflate(payload)), len(payload))
+    with pytest.raises(FormatError, match=message):
+        inflate(cut(deflate(payload)), len(payload))
 
 
 @pytest.mark.parametrize("size", [-1, 1], ids=["longer", "shorter"])
-def test_inflating_reader_rejects_a_stream_of_another_length(size):
+def test_inflate_rejects_a_stream_of_another_length(size):
     payload = bytes(range(256)) * 4
-    with pytest.raises(FormatError, match="past the end" if size < 0 else "truncated"):
-        _inflate_all(deflate(payload), len(payload) + size)
+    with pytest.raises(FormatError, match="runs past" if size < 0 else "ends short"):
+        inflate(deflate(payload), len(payload) + size)
 
 
-def test_inflating_reader_reads_in_pieces_and_inflates_only_what_it_reads():
+def test_inflate_stops_one_byte_past_its_size():
     payload = bytes(range(256)) * 16
-    r = InflatingReader(deflate(payload + bytes(16 << 20)))
+    stream = deflate(payload + bytes(16 << 20))
     tracemalloc.start()
     try:
-        pieces = [r.u8(), r.u16(), r.u32(), r.raw(len(payload) - 7)]
+        with pytest.raises(FormatError, match="runs past"):
+            inflate(stream, len(payload))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert pieces[:3] == [0, 0x0201, 0x06050403] and pieces[3] == payload[7:]
-    assert r.pos == len(payload)
     assert peak < 1 << 20
-    with pytest.raises(FormatError, match="past the end"):
-        r.expect_end()
+
+
+def test_inflate_reaches_deflates_largest_ratio():
+    # 16 MiB of zeros deflate about 1,029 to 1, just under the 1,032 that
+    # one 258-byte match in 2 bits allows.
+    payload = bytes(16 << 20)
+    stream = deflate(payload)
+    assert 1000 * len(stream) < len(payload) <= 1032 * len(stream)
+    assert inflate(stream, len(payload)) == payload
+
+
+def test_inflate_rejects_a_size_past_deflates_largest_ratio_before_inflating():
+    # The stream holds 1 MiB; the check comes first, so none of it inflates.
+    stream = deflate(bytes(1 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="cannot hold"):
+            inflate(stream, 1032 * len(stream) + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16

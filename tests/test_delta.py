@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import header_mutations, named, with_fixed_crc
-from supersub.container import Writer, crc32c, deflate
+from supersub.container import Writer, crc32c, deflate, seal
 from supersub.delta import (
+    DELTA_MAGIC,
+    DELTA_VERSION,
     MODE_FP16,
     MODE_QAT_INT,
     base_fingerprint_of,
@@ -38,7 +40,15 @@ from supersub.report import CompressionRow
 from supersub.tensor import F32, Prng
 from supersub.train import TrainConfig, finetune_from_super, train
 
-HEADER = 15  # magic, version, superclass id, mode, base fingerprint; then the DEFLATE stream
+FIXED = 15  # magic, version, superclass id, mode, base fingerprint; then the config
+
+
+def header_len(d) -> int:
+    """Bytes of d's packed plain header: the fixed fields, the config header
+    and a qat-int pack's two head scales. The DEFLATE stream follows."""
+    w = Writer()
+    write_config(w, d.config)
+    return FIXED + len(w.body()) + 4 * len(d.head_scales or ())
 
 
 def inflate(stream: bytes) -> bytes:
@@ -46,9 +56,21 @@ def inflate(stream: bytes) -> bytes:
     return zlib.decompress(stream, wbits=-15)
 
 
-def with_section(data: bytes, section: bytes) -> bytes:
-    """The packed delta with its section replaced, CRC re-fixed."""
-    return with_fixed_crc(data[:HEADER] + deflate(section) + bytes(4))
+def payload_of(d) -> bytes:
+    """d's packed tensor payload, inflated."""
+    return inflate(pack(d)[header_len(d) : -4])
+
+
+def with_payload(d, payload: bytes) -> bytes:
+    """d packed with its payload replaced, CRC re-fixed."""
+    return with_fixed_crc(pack(d)[: header_len(d)] + deflate(payload) + bytes(4))
+
+
+def crafted_pack(config_header: bytes, stream: bytes) -> bytes:
+    """An fp16 pack of superclass 0 against base 0 whose config header is
+    config_header and whose DEFLATE stream is stream."""
+    fixed = Writer().u32(0).u8(0).u32(0).body()
+    return seal(DELTA_MAGIC, DELTA_VERSION, fixed + config_header + stream)
 
 
 def build_net(head=3, seed=0, dims=(8, 12, 12)):
@@ -56,13 +78,25 @@ def build_net(head=3, seed=0, dims=(8, 12, 12)):
 
 
 def overflowing_shape_pack(data: bytes) -> bytes:
-    """The packed delta with its section replaced by a config whose hidden
-    layer is 2**32 - 1 wide, room for a qat-int pack's head scales, and no
-    tensors."""
-    section = Writer()
-    write_config(section, NetworkConfig((8, 2**32 - 1, 2)))
-    section.raw(bytes(8))
-    return with_fixed_crc(data[:HEADER] + deflate(section.body()) + bytes(4))
+    """The packed delta with its config replaced by one whose hidden layer
+    is 2**32 - 1 wide, room for a qat-int pack's head scales, and an empty
+    payload."""
+    header = Writer().raw(data[:FIXED])
+    write_config(header, NetworkConfig((8, 2**32 - 1, 2)))
+    header.raw(bytes(8))
+    return with_fixed_crc(header.body() + deflate(b"") + bytes(4))
+
+
+def assert_rejected_in_bounded_memory(blob: bytes, match: str) -> None:
+    """unpack(blob) is a FormatError matching match, and allocates under 1 MiB on the way."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=match):
+            unpack(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def trailing_junk_pack(data: bytes) -> bytes:
@@ -82,10 +116,16 @@ def body_deltas(d):
 
 
 def with_tensor(d, index, t):
-    """The DeltaPack with its tensor at index replaced by t."""
+    """The DeltaPack or Network d with its tensor at index replaced by t."""
     tensors = list(d.tensors)
     tensors[index] = t
     return replace(d, tensors=tuple(tensors))
+
+
+@pytest.fixture(scope="module")
+def zeros_stream():
+    """64 MiB of zeros, deflated to about 65 KB."""
+    return deflate(bytes(64 << 20))
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +218,35 @@ class TestComputeDelta:
         with pytest.raises(ContractError, match="qat-int deltas need both networks snapped to grids"):
             compute_delta(base, specialist, MODE_QAT_INT)
 
+    def test_qat_requires_shared_body_scales(self):
+        base = snap_to_grid(build_net(seed=4))
+        sub = snap_to_grid(build_net(seed=4), tuple(2 * s for s in base.quant.body_scales()))
+        with pytest.raises(ContractError, match="body quantization scales differ"):
+            compute_delta(base, sub, MODE_QAT_INT)
+
+    def test_fp16_delta_past_binary16_max_rejected(self):
+        net = build_net(seed=5)
+        weight = net.tensors[0].copy()
+        weight.flat[0] += F32(70000.0)
+        with pytest.raises(ContractError, match=r"layer0\.weight delta does not fit binary16"):
+            compute_delta(net, with_tensor(net, 0, weight), MODE_FP16)
+
+    def test_qat_tensor_off_the_shared_grid_rejected(self):
+        net = snap_to_grid(build_net(seed=6))
+        weight = net.tensors[0].copy()
+        weight.flat[0] = np.nextafter(weight.flat[0], F32(np.inf))
+        with pytest.raises(ContractError, match=r"specialist layer0\.weight is not on the shared quantization grid"):
+            compute_delta(net, with_tensor(net, 0, weight), MODE_QAT_INT)
+
+    def test_qat_grid_delta_past_int16_rejected(self):
+        # 40,000 steps up the shared lattice: on the grid, but no int16 delta.
+        net = snap_to_grid(build_net(seed=7))
+        scale = F32(net.quant.scales[0])
+        weight = net.tensors[0].copy()
+        weight.flat[0] = F32(lattice_indices(weight.flat[:1], scale)[0] + 40000) * scale
+        with pytest.raises(ContractError, match=r"grid delta for layer0\.weight overflows int16"):
+            compute_delta(net, with_tensor(net, 0, weight), MODE_QAT_INT)
+
     def test_qat_delta_fits_int16(self, qat_pair):
         base, specialist = qat_pair
         d = compute_delta(base, specialist, MODE_QAT_INT)
@@ -238,34 +307,45 @@ class TestPackUnpack:
 
     def test_corrupted_compressed_body_detected(self, plain_pair):
         base, specialist = plain_pair
-        data = bytearray(pack(compute_delta(base, specialist, MODE_FP16)))
-        data[30] ^= 0x04
+        d = compute_delta(base, specialist, MODE_FP16)
+        data = bytearray(pack(d))
+        data[header_len(d) + 15] ^= 0x04
         with pytest.raises(FormatError):
             unpack(bytes(data))
 
     @pytest.mark.parametrize("pair, mode", [("plain_pair", MODE_FP16), ("qat_pair", MODE_QAT_INT)])
-    def test_section_holds_only_config_head_scales_and_payloads(self, request, pair, mode):
-        # No tensor name, shape or per-tensor body scale: the section is the
-        # config header, the qat-int head scales, and the raw payloads.
+    def test_plain_header_holds_config_and_head_scales(self, request, pair, mode):
+        # No tensor name, shape or per-tensor body scale: the plain header
+        # ends in the config header and the qat-int head scales, and the
+        # DEFLATE stream holds the raw payloads alone.
         base, specialist = request.getfixturevalue(pair)
         d = compute_delta(base, specialist, mode)
-        section = inflate(pack(d)[HEADER:-4])
         header = Writer()
         write_config(header, specialist.config)
+        for scale in d.head_scales or ():
+            header.f32(scale)
         n_scales = len(HEAD_TENSORS) if mode == MODE_QAT_INT else 0
         n_body = len(d.tensors) - len(HEAD_TENSORS)
         payload = sum(t.size * (2 if i < n_body else 4) for i, t in enumerate(d.tensors))
-        assert section.startswith(header.body())
-        assert len(section) == len(header.body()) + 4 * n_scales + payload
+        assert len(d.head_scales or ()) == n_scales
+        assert pack(d)[FIXED : header_len(d)] == header.body()
+        assert len(payload_of(d)) == payload
 
     def test_no_tensor_name_is_stored(self, qat_pair):
         # Names live in network.py's layout only: neither a qat network file
-        # nor a pack's inflated section spells one.
+        # nor a pack's plain header or inflated payload spells one.
         base, specialist = qat_pair
-        section = inflate(pack(compute_delta(base, specialist, MODE_QAT_INT))[HEADER:-4])
+        d = compute_delta(base, specialist, MODE_QAT_INT)
         names = {name for net in qat_pair for name, _ in tensor_shapes(net.config)}
-        for blob in (serialize_network(base), serialize_network(specialist), section):
+        for blob in (serialize_network(base), serialize_network(specialist), pack(d)[: header_len(d)], payload_of(d)):
             assert not [name for name in names if name.encode("utf-8") in blob]
+
+    def test_version_4_pack_is_format_error(self, qat_pair):
+        # Version 4 held the config and head scales inside the DEFLATE stream.
+        base, specialist = qat_pair
+        data = pack(compute_delta(base, specialist, MODE_QAT_INT))
+        with pytest.raises(FormatError, match="unsupported version 4"):
+            unpack(with_fixed_crc(data[:4] + (4).to_bytes(2, "little") + data[6:]))
 
     def test_version_3_pack_is_format_error(self, qat_pair):
         # Version 3 stored a batch-norm flag per hidden layer, and a zero
@@ -290,36 +370,50 @@ class TestPackUnpack:
     def test_overflowing_shape_is_format_error(self, plain_pair):
         base, specialist = plain_pair
         data = pack(compute_delta(base, specialist, MODE_FP16))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="cannot hold"):
             unpack(overflowing_shape_pack(data))
 
     @pytest.mark.parametrize("after", ["nothing", "the_section"])
     def test_a_section_of_zeros_is_rejected_in_bounded_memory(self, plain_pair, after):
-        # 20 MiB of zeros deflate to about 20 KB. Alone they spell a config
-        # of no layers; after a whole section they run past its end. The
-        # reader inflates the config header, or the section and one byte.
+        # The compressed section holds the tensor payload alone. 20 MiB of
+        # zeros deflate to about 20 KB; alone or after the whole payload
+        # they run past the payload's end, and the reader inflates the
+        # payload and one byte.
         base, specialist = plain_pair
-        data = pack(compute_delta(base, specialist, MODE_FP16))
-        section = inflate(data[HEADER:-4]) if after == "the_section" else b""
-        blob = with_section(data, section + bytes(20 << 20))
-        tracemalloc.start()
-        try:
-            with pytest.raises(FormatError, match="past the end" if section else "bad network header"):
-                unpack(blob)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        d = compute_delta(base, specialist, MODE_FP16)
+        payload = payload_of(d) if after == "the_section" else b""
+        blob = with_payload(d, payload + bytes(20 << 20))
+        assert_rejected_in_bounded_memory(blob, "runs past")
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [(None, "truncated"), ((32, 2**20, 2**20, 4), "cannot hold")],
+        ids=["2_30_dims", "past_deflates_ceiling"],
+    )
+    def test_crafted_header_rejected_in_bounded_memory(self, zeros_stream, dims, message):
+        # A dim count of 2**30 - 1, whose dims run past the pack's end; or
+        # two 2**20-wide hidden layers, which size a payload of over 2 TiB,
+        # past 1032 bytes for each byte of the stream. Neither inflates the
+        # 64 MiB of zeros the stream holds.
+        header = Writer()
+        if dims is None:
+            header.u32(2**30 - 1)
+        else:
+            write_config(header, NetworkConfig(dims))
+        blob = crafted_pack(header.body(), zeros_stream)
+        assert len(blob) < 66_000
+        assert_rejected_in_bounded_memory(blob, message)
 
     @pytest.mark.parametrize("size", [-1, 1], ids=["one_byte_short", "one_byte_long"])
     @pytest.mark.parametrize("pair, mode", [("plain_pair", MODE_FP16), ("qat_pair", MODE_QAT_INT)])
     def test_a_section_of_another_length_is_format_error(self, request, pair, mode, size):
+        # One byte short of the payload the header sizes, or one byte long.
         base, specialist = request.getfixturevalue(pair)
-        data = pack(compute_delta(base, specialist, mode))
-        section = inflate(data[HEADER:-4])
-        section = section[:-1] if size < 0 else section + b"\0"
-        with pytest.raises(FormatError, match="truncated" if size < 0 else "past the end"):
-            unpack(with_section(data, section))
+        d = compute_delta(base, specialist, mode)
+        payload = payload_of(d)
+        payload = payload[:-1] if size < 0 else payload + b"\0"
+        with pytest.raises(FormatError, match="ends short" if size < 0 else "runs past"):
+            unpack(with_payload(d, payload))
 
     def test_trailing_bytes_after_deflate_stream_are_format_error(self):
         net = build_net(seed=5)
@@ -502,51 +596,55 @@ class TestReconstruct:
         with pytest.raises(FormatError):
             reconstruct(base, unpack(pack(d)), base_fingerprint_of(base), 0, d.config.head_dim)
 
-    def test_header_mutations_are_rejected_or_read_back(self, qat_pair):
-        base, specialist = qat_pair
-        data = pack(compute_delta(base, specialist, MODE_QAT_INT, superclass_id=1))
-        fingerprint = base_fingerprint_of(base)
-        rejected = 0
-        for at, mutated in header_mutations(data, HEADER):
-            superclass_byte = 6 <= at < 10
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    rebuilt = reconstruct(base, unpack(mutated), fingerprint, 1, specialist.head_dim)
-                except FormatError as exc:
-                    assert not superclass_byte or "superclass" in str(exc)
-                    rejected += 1
-                    continue
-            assert not superclass_byte, f"a mutated superclass id (byte {at}) was accepted"
-            again = deserialize_network(serialize_network(rebuilt))
-            assert serialize_network(again) == serialize_network(rebuilt)
-        assert rejected
+    def test_header_mutations_are_rejected_or_read_back(self, plain_pair, qat_pair):
+        # Every byte of the plain header of a pack in either mode: the fixed
+        # fields, the config and a qat-int pack's head scales.
+        for (base, specialist), mode in ((plain_pair, MODE_FP16), (qat_pair, MODE_QAT_INT)):
+            d = compute_delta(base, specialist, mode, superclass_id=1)
+            data = pack(d)
+            fingerprint = base_fingerprint_of(base)
+            rejected = 0
+            for at, mutated in header_mutations(data, header_len(d)):
+                superclass_byte = 6 <= at < 10
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        rebuilt = reconstruct(base, unpack(mutated), fingerprint, 1, specialist.head_dim)
+                    except FormatError as exc:
+                        assert not superclass_byte or "superclass" in str(exc)
+                        rejected += 1
+                        continue
+                assert not superclass_byte, f"a mutated superclass id (byte {at}) was accepted"
+                again = deserialize_network(serialize_network(rebuilt))
+                assert serialize_network(again) == serialize_network(rebuilt)
+            assert rejected, mode
 
     @pytest.mark.parametrize("pair, mode", [("plain_pair", MODE_FP16), ("qat_pair", MODE_QAT_INT)])
     def test_section_mutations_are_rejected_or_read_back(self, request, pair, mode):
-        # Each mutant sets one to three bytes of the inflated section, half
-        # of them in the config header and head scales, to Prng-chosen values.
+        # Each mutant sets one to three bytes of the inflated section, the
+        # tensor payload, half of them in its first 32 bytes, to Prng-chosen
+        # values.
         base, specialist = request.getfixturevalue(pair)
-        data = pack(compute_delta(base, specialist, mode, superclass_id=1))
-        section = inflate(data[HEADER:-4])
+        d = compute_delta(base, specialist, mode, superclass_id=1)
+        payload = payload_of(d)
         fingerprint = base_fingerprint_of(base)
         rng = Prng(0x5EC7 + len(mode))
         outcomes = {"rejected": 0, "read_back": 0}
         for _ in range(150):
-            mutated = bytearray(section)
-            reach = 32 if rng.next_u64() % 2 else len(section)
+            mutated = bytearray(payload)
+            reach = 32 if rng.next_u64() % 2 else len(payload)
             for _ in range(1 + rng.next_u64() % 3):
                 mutated[rng.next_u64() % reach] = rng.next_u64() % 256
-            blob = with_fixed_crc(data[:HEADER] + deflate(bytes(mutated)) + bytes(4))
+            blob = with_payload(d, bytes(mutated))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
-                    d = unpack(blob)
-                    reconstruct(base, d, fingerprint, 1, specialist.head_dim)
+                    again = unpack(blob)
+                    reconstruct(base, again, fingerprint, 1, specialist.head_dim)
                 except FormatError:
                     outcomes["rejected"] += 1
                     continue
-            assert pack(d) == blob  # one encoding per section
+            assert pack(again) == blob  # one encoding per payload
             outcomes["read_back"] += 1
         assert outcomes["rejected"] and outcomes["read_back"], outcomes
 
